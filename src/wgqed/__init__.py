@@ -30,7 +30,6 @@ from .errors import (
     NonPhysicalStateError,
     NonUnitaryMatrixError,
     SingularResponseError,
-    ToleranceNotMetError,
     UnknownPresetError,
     WgqedError,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "ScatteringResult",
     "SingularResponseError",
     "SweepPoint",
-    "ToleranceNotMetError",
     "TwoLevelAmplitudes",
     "UnknownPresetError",
     "WaveguideEnv",

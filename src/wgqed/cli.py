@@ -12,6 +12,10 @@ a direction-selective superposition), ``isotropic-scan`` and ``ixi-scan``
 four-level crossed-dipole system), ``two-level`` (matched linear dipole
 diagnostic with rate and guided-fraction summary).
 
+Emission scenarios take an ``integrator`` block (``t_max``, ``output_points``,
+``grid``) that only sets the output time grid: the propagation itself is
+exact, with no step size or tolerance to choose.
+
 Exit codes: 0 success, 1 configuration error, 2 numerical failure. The
 environment variable ``WGQED_THREADS`` caps sweep parallelism; output files
 are identical for any worker count.
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -50,6 +55,8 @@ FLOAT_FMT = ".17g"
 _PRESET_OVERRIDABLE = {
     "loss", "input", "sweep", "integrator", "output", "dark_state_projection",
 }
+
+_INTEGRATOR_DEFAULTS = {"t_max": None, "output_points": 250, "grid": "geometric"}
 
 _SCHEMA_KEYS = {
     "scenario", "mode", "emitter", "initial_state", "waveguide", "loss",
@@ -261,14 +268,23 @@ def parse_config(data: dict) -> ScenarioConfig:
             )
 
     integrator = dict(merged.get("integrator") or {})
-    _check_keys(
-        integrator, {"t_max", "rtol", "atol", "output_points", "grid"}, "integrator."
-    )
-    integrator.setdefault("t_max", None)
-    integrator.setdefault("rtol", 1e-9)
-    integrator.setdefault("atol", 1e-12)
-    integrator.setdefault("output_points", 250)
-    integrator.setdefault("grid", "geometric")
+    _check_keys(integrator, set(_INTEGRATOR_DEFAULTS), "integrator.")
+    integrator = {**_INTEGRATOR_DEFAULTS, **integrator}
+    t_max = integrator["t_max"]
+    if t_max is not None and (
+        isinstance(t_max, bool) or not isinstance(t_max, (int, float))
+        or not math.isfinite(t_max) or t_max <= 0
+    ):
+        raise ConfigError(
+            f"integrator.t_max must be null or a positive finite number, got {t_max!r}",
+            field="integrator.t_max",
+        )
+    points = integrator["output_points"]
+    if isinstance(points, bool) or not isinstance(points, int) or points < 2:
+        raise ConfigError(
+            f"integrator.output_points must be an integer >= 2, got {points!r}",
+            field="integrator.output_points",
+        )
     if integrator["grid"] not in ("geometric", "linear"):
         raise ConfigError(
             "integrator.grid must be 'geometric' or 'linear'", field="integrator.grid"
@@ -374,8 +390,6 @@ def preset(name: str) -> ScenarioConfig:
                           "E_f": [[2.0 / SQRT5, 0.0], [0.0, 1.0 / SQRT5], [0.0, 0.0]]},
             "loss": {"isotropic": 0.0},
             "input": dict(_DEFAULT_INPUT),
-            "integrator": {"t_max": None, "rtol": 1e-10, "atol": 1e-14,
-                           "output_points": 250, "grid": "geometric"},
             "output": {"path": None, "format": "csv"},
         }
     elif name == "isotropic-scan":
@@ -417,8 +431,7 @@ def preset(name: str) -> ScenarioConfig:
 
     merged: dict[str, Any] = {
         "initial_state": None, "sweep": None,
-        "integrator": {"t_max": None, "rtol": 1e-9, "atol": 1e-12,
-                       "output_points": 250, "grid": "geometric"},
+        "integrator": dict(_INTEGRATOR_DEFAULTS),
         "dark_state_projection": False,
     }
     merged.update(raw)
@@ -480,7 +493,7 @@ def _run_emission(config: ScenarioConfig, out_path: Path, fmt: str) -> int:
     if t_max is None:
         bundle = coupling_bundle(model, env, loss, float(np.mean(model.excited_energies)))
         t_max = default_t_max(bundle)
-    n_pts = int(integ["output_points"])
+    n_pts = integ["output_points"]
     if integ["grid"] == "geometric":
         first = t_max * 5e-5
         times = np.concatenate(([0.0], np.geomspace(first, t_max, n_pts - 1)))
@@ -488,10 +501,9 @@ def _run_emission(config: ScenarioConfig, out_path: Path, fmt: str) -> int:
         times = np.linspace(0.0, t_max, n_pts)
 
     try:
-        traj = evolve(model, env, loss, state, times=times,
-                      rtol=float(integ["rtol"]), atol=float(integ["atol"]))
+        traj = evolve(model, env, loss, state, times=times)
     except WgqedError as exc:
-        print(f"wgqed: emission integration failed: {exc}", file=sys.stderr)
+        print(f"wgqed: emission propagation failed: {exc}", file=sys.stderr)
         return 2
 
     n_e = model.n_excited
@@ -582,8 +594,7 @@ def _run_diagnostic(config: ScenarioConfig, out_path: Path, fmt: str) -> int:
 
         traj = evolve(
             model, env, loss, ExcitedSuperposition.from_sequence([1.0]),
-            t_max=30.0 / total if total > 0 else 1.0,
-            rtol=1e-12, atol=1e-15, output_points=11,
+            t_max=30.0 / total if total > 0 else 1.0, output_points=11,
         )
         emitted = 1.0 - traj.final_totals.residual_excited
         beta_emission = (

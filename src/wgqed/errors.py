@@ -58,10 +58,6 @@ class IllConditionedResponseWarning(UserWarning):
     """Condition number of the response matrix exceeds 1e12."""
 
 
-class ToleranceNotMetError(WgqedError, ArithmeticError):
-    code = "tolerance-not-met"
-
-
 class NonPhysicalStateError(WgqedError, ArithmeticError):
     code = "non-physical-state"
 

@@ -2,8 +2,10 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -258,9 +260,14 @@ class TestOutputsAndExitCodes:
         assert abs(complex(rows[0, 3], rows[0, 4])) == pytest.approx(1.0)
 
     def test_module_entry_point(self, tmp_path):
+        # the subprocess runs in tmp_path, where a relative PYTHONPATH entry
+        # such as "src" would not resolve
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "wgqed.cli", "run", "two-level", "--out", "tl.csv"],
             cwd=tmp_path, capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=pythonpath),
         )
         assert proc.returncode == 0
         assert (tmp_path / "tl.csv").exists()
@@ -292,6 +299,20 @@ class TestCustomEmission:
         assert np.allclose(data[:, 0], np.linspace(0, 2, 41))
         assert np.max(np.abs(data[:, 1] - np.exp(-10.2 * data[:, 0]))) < 1e-6
         assert data[-1, 4] == pytest.approx(0.2 / 10.2, abs=1e-6)
+
+    @pytest.mark.parametrize("integrator,field", [
+        ({"t_max": -1}, "integrator.t_max"),
+        ({"t_max": "abc"}, "integrator.t_max"),
+        ({"output_points": 1}, "integrator.output_points"),
+        ({"output_points": 2.5}, "integrator.output_points"),
+    ], ids=["negative-t_max", "string-t_max", "one-output-point", "fractional-output-points"])
+    def test_invalid_integrator_exits_one(self, monkeypatch, tmp_path, capsys,
+                                          integrator, field):
+        cfg = {"scenario": "paradox-emission", "integrator": integrator}
+        (tmp_path / "em.json").write_text(json.dumps(cfg))
+        assert run_cli(monkeypatch, tmp_path, "run", "em.json", "--out", "em.csv") == 1
+        assert f"(field: {field})" in capsys.readouterr().err
+        assert not (tmp_path / "em.csv").exists()
 
     def test_emission_without_initial_state_rejected(self, monkeypatch, tmp_path, capsys):
         cfg = {
