@@ -49,7 +49,6 @@ from .scattering import (
     SweepPoint,
     TwoLevelAmplitudes,
     polarization_sweep,
-    response_matrix,
     scatter,
     two_level_closed_form,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "greens_decomposition",
     "outcome_distance",
     "polarization_sweep",
-    "response_matrix",
     "rotate_excited_basis",
     "scatter",
     "two_level_closed_form",

@@ -16,9 +16,10 @@ Emission scenarios take an ``integrator`` block (``t_max``, ``output_points``,
 ``grid``) that only sets the output time grid: the propagation itself is
 exact, with no step size or tolerance to choose.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure. The
-environment variable ``WGQED_THREADS`` caps sweep parallelism; output files
-are identical for any worker count.
+Exit codes: 0 success, 1 configuration error (including an output path that
+cannot be written), 2 numerical failure. A sweep is solved as one batch; a
+point that fails is written as a row of ``nan`` and named on stderr, and the
+run exits 2.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -72,6 +72,11 @@ def _complex_pair(value, fieldname: str) -> complex:
         raise ConfigError(
             f"{fieldname}: expected a [re, im] pair, got {value!r}", field=fieldname
         ) from exc
+
+
+def _finite_number(value) -> bool:
+    return (not isinstance(value, bool) and isinstance(value, (int, float))
+            and math.isfinite(value))
 
 
 def _check_keys(d: dict, allowed: set[str], context: str) -> None:
@@ -252,6 +257,12 @@ def parse_config(data: dict) -> ScenarioConfig:
             f"input.ground_index {gi!r} out of range for {n_ground} ground states",
             field="input.ground_index",
         )
+    freq = inp.get("photon_frequency")
+    if freq is not None and not _finite_number(freq):
+        raise ConfigError(
+            f"input.photon_frequency must be null or a finite number, got {freq!r}",
+            field="input.photon_frequency",
+        )
 
     sweep = merged.get("sweep")
     if sweep is not None:
@@ -266,15 +277,19 @@ def parse_config(data: dict) -> ScenarioConfig:
                 f"sweep.steps must be an integer >= 2, got {steps!r}",
                 field="sweep.steps",
             )
+        for name in ("start", "stop"):
+            value = sweep.get(name)
+            if not (_finite_number(value) and 0.0 <= value <= math.pi):
+                raise ConfigError(
+                    f"sweep.{name} must be a number within [0, pi], got {value!r}",
+                    field=f"sweep.{name}",
+                )
 
     integrator = dict(merged.get("integrator") or {})
     _check_keys(integrator, set(_INTEGRATOR_DEFAULTS), "integrator.")
     integrator = {**_INTEGRATOR_DEFAULTS, **integrator}
     t_max = integrator["t_max"]
-    if t_max is not None and (
-        isinstance(t_max, bool) or not isinstance(t_max, (int, float))
-        or not math.isfinite(t_max) or t_max <= 0
-    ):
+    if t_max is not None and not (_finite_number(t_max) and t_max > 0):
         raise ConfigError(
             f"integrator.t_max must be null or a positive finite number, got {t_max!r}",
             field="integrator.t_max",
@@ -453,14 +468,20 @@ def _write_table(path: Path, fmt: str, scenario: str,
         lines = [",".join(columns)]
         for row in rows:
             lines.append(",".join("nan" if np.isnan(v) else _fmt(v) for v in row))
-        path.write_text("\n".join(lines) + "\n")
+        text = "\n".join(lines) + "\n"
     else:
         payload = {
             "scenario": scenario,
             "columns": columns,
             "rows": [[None if np.isnan(v) else float(v) for v in row] for row in rows],
         }
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot write output file {str(path)!r}: {exc}", field="output.path"
+        ) from exc
 
 
 def _amplitude_columns(n_ground: int) -> list[str]:
@@ -491,8 +512,7 @@ def _run_emission(config: ScenarioConfig, out_path: Path, fmt: str) -> int:
 
     t_max = integ["t_max"]
     if t_max is None:
-        bundle = coupling_bundle(model, env, loss, float(np.mean(model.excited_energies)))
-        t_max = default_t_max(bundle)
+        t_max = default_t_max(coupling_bundle(model, env, loss))
     n_pts = integ["output_points"]
     if integ["grid"] == "geometric":
         first = t_max * 5e-5
@@ -524,11 +544,9 @@ def _run_sweep(config: ScenarioConfig, out_path: Path, fmt: str) -> int:
     inp = config.build_input()
     sweep = config.sweep
     thetas = np.linspace(float(sweep["start"]), float(sweep["stop"]), int(sweep["steps"]))
-    workers = max(1, int(os.environ.get("WGQED_THREADS", "1")))
-
     points = polarization_sweep(
         model, env, loss, inp, thetas,
-        dark_state_projection=config.dark_state_projection, max_workers=workers,
+        dark_state_projection=config.dark_state_projection,
     )
 
     columns = ["theta"] + _amplitude_columns(model.n_ground) + ["p_loss"]
@@ -583,9 +601,7 @@ def _run_diagnostic(config: ScenarioConfig, out_path: Path, fmt: str) -> int:
                 - (model.ground_energies[0] + env.hbar * omega_f))
     try:
         t, r, p_loss = two_level_closed_form(model.dipoles[0][0], env, loss, detuning)
-        bundle = coupling_bundle(model, env, loss,
-                                 model.ground_energies[0] + env.hbar * omega_f)
-        rates = bundle.channel_decay_rates()
+        rates = coupling_bundle(model, env, loss).channel_decay_rates()
         rate_f = float(rates.get("forward", np.zeros(1))[0])
         rate_b = float(rates.get("backward", np.zeros(1))[0])
         rate_l = float(rates.get("loss", np.zeros(1))[0])
@@ -616,7 +632,8 @@ def _run_diagnostic(config: ScenarioConfig, out_path: Path, fmt: str) -> int:
 
 def run(config: ScenarioConfig) -> int:
     """Execute a validated scenario; writes the output file and returns the
-    exit code (0 success, 2 numerical failure)."""
+    exit code (0 success, 2 numerical failure). Raises :class:`ConfigError`
+    naming ``output.path`` when the output file cannot be written."""
     fmt = config.output["format"]
     path = config.output["path"] or f"{config.scenario}.{fmt}"
     out_path = Path(path)

@@ -187,8 +187,7 @@ def evolve(
     n_e = model.n_excited
     rho0 = _coerce_initial(initial, n_e)
 
-    E_int = float(np.mean(model.excited_energies))
-    bundle = coupling_bundle(model, env, loss, E_int)
+    bundle = coupling_bundle(model, env, loss)
 
     if times is None:
         horizon = default_t_max(bundle) if t_max is None else float(t_max)

@@ -1,5 +1,6 @@
-"""Waveguide photonic environment: Green's tensor decomposition and the
-coupling matrices and scalars consumed by the scattering and emission solvers.
+"""Waveguide photonic environment: Green's tensor decomposition, the two
+dipole contractions both solvers build on, and the coupling bundle consumed
+by the emission solver and the two-level diagnostic.
 
 Conventions
 -----------
@@ -187,25 +188,16 @@ class ChannelCouplings:
 
 @dataclass(frozen=True)
 class CouplingBundle:
-    """Every coupling matrix and scalar the solvers consume.
+    """Coupling matrices of one emitter in one environment, as the emission
+    solver consumes them.
 
-    ``W``, ``Gamma``, ``V``, ``X`` and ``L`` follow the index convention of the
-    defining sandwiches (unconjugated dipole on the left index); the solvers
-    contract them through their transposes, which is the orientation under
-    which probability is conserved and excited-basis rotations act trivially.
+    ``Gamma`` follows the index convention of its defining sandwich
+    (unconjugated dipole on the left index); the solvers contract it through
+    its transpose, which is the orientation under which probability is
+    conserved and excited-basis rotations act trivially.
     """
 
-    W: np.ndarray          # (n_e, n_e, n_g, n_g), W[x, y, n, m]
-    Gamma: np.ndarray      # (n_e, n_e)
-    V: np.ndarray          # (n_e, n_e, n_g, n_g)
-    Delta: np.ndarray      # (n_e, n_e) real diagonal, E_excited - E_int
-    X: np.ndarray          # (n_e, n_e) guided damping sandwich
-    L: np.ndarray          # (n_e, n_e) loss sandwich of the stored tensor
-    N: complex
-    z: float
-    E_int: float
-    epsilon0: float
-    hbar: float
+    Gamma: np.ndarray               # (n_e, n_e) self-energy sandwich
     channels: tuple[ChannelCouplings, ...]
     coherent_shift: np.ndarray      # Hermitian level-shift matrix (energy units)
     excited_energies: np.ndarray
@@ -238,70 +230,58 @@ class CouplingBundle:
         return out
 
 
-def coupling_bundle(
-    model: EmitterModel, env: WaveguideEnv, loss: LossModel, E_int: float
-) -> CouplingBundle:
-    """Assemble all coupling matrices for one emitter in one environment.
+def guided_couplings(D: np.ndarray, E_f) -> tuple[np.ndarray, np.ndarray]:
+    """Emission couplings ``E_f* . d_{nx}`` and ``E_b* . d_{nx}`` (E_b =
+    conj(E_f)), each (..., n_e, n_g), for the (n_g, n_e, 3) dipole array ``D``
+    and a field (3,) or stack of fields (..., 3). The conjugated column of
+    ground state r is the absorption vector ``d_{r:}* . E`` of that mode.
+    """
+    E_f = np.asarray(E_f, dtype=complex)
+    return (np.einsum("nxi,...i->...xn", D, E_f.conj()),
+            np.einsum("nxi,...i->...xn", D, E_f))
 
-    ``E_int`` is the conserved total energy of the process: the initial ground
-    energy plus the photon energy for scattering, or the initial excited
-    energy for emission. A single field frequency is used for every
-    transition, so only energy differences enter the couplings.
+
+def dipole_sandwich(D: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """``sum_n d_{nx} . G* . d_{ny}*`` (n_e, n_e) for a 3x3 tensor ``G``."""
+    return np.einsum("nxi,ij,nyj->xy", D, np.conj(G), D.conj())
+
+
+def coupling_bundle(
+    model: EmitterModel, env: WaveguideEnv, loss: LossModel
+) -> CouplingBundle:
+    """Assemble the coupling matrices of one emitter in one environment.
+
+    A single field frequency is used for every transition, so the couplings
+    do not depend on the level energies.
     """
     validate(model)
     D = model.dipole_array()                      # (n_g, n_e, 3)
     dec = greens_decomposition(env, loss)
-    G_phys = dec.physical()
     eps0, hbar = env.epsilon0, env.hbar
 
-    W = -np.einsum("nxi,ij,myj->xynm", D, G_phys.conj(), D.conj()) / eps0
-    Gamma = np.einsum("xynn->xy", W)
-    V = W - np.conj(np.transpose(W, (1, 0, 3, 2)))
+    Gamma = -dipole_sandwich(D, dec.physical()) / eps0
 
-    e_energies = np.asarray(model.excited_energies, dtype=float)
-    Delta = np.diag(e_energies - float(E_int))
-
-    ef = env.E_f.as_array()
-    eb = env.E_b.as_array()
-    B_f = np.einsum("nxi,i->xn", D, ef.conj())    # E_f* . d_{nx}
-    B_b = np.einsum("nxi,i->xn", D, eb.conj())
-    X = 0.5 * (B_f @ B_f.conj().T + B_b @ B_b.conj().T)
-
-    G_loss = dec.G_loss
-    L = np.einsum("nxi,ij,nyj->xy", D, G_loss.conj(), D.conj())
-
+    B_f, B_b = guided_couplings(D, env.E_f.as_array())
     wg_scale = env.a * env.omega / (2.0 * abs(env.v_g) * hbar * eps0)
     channels = [
         ChannelCouplings("forward", wg_scale, B_f),
         ChannelCouplings("backward", wg_scale, B_b),
     ]
     # One loss channel per eigenmode of the dissipative part of the tensor.
-    rate_eigs, rate_vecs = np.linalg.eigh(G_loss.imag)
+    rate_eigs, rate_vecs = np.linalg.eigh(dec.G_loss.imag)
     for lam, u in zip(rate_eigs, rate_vecs.T):
         if lam <= 1e-15:
             continue
         C = np.einsum("nxi,i->xn", D, u.astype(complex))
         channels.append(ChannelCouplings("loss", float(lam) / (hbar * eps0), C))
 
-    Gamma_oriented = Gamma.T
-    shift = 0.5 * (Gamma_oriented + Gamma_oriented.conj().T)
-
-    for arr in (W, Gamma, V, Delta, X, L, shift):
+    shift = 0.5 * (Gamma.T + Gamma.conj())
+    for arr in (Gamma, shift):
         arr.setflags(write=False)
 
     return CouplingBundle(
-        W=W,
         Gamma=Gamma,
-        V=V,
-        Delta=Delta,
-        X=X,
-        L=L,
-        N=env.N,
-        z=env.z,
-        E_int=float(E_int),
-        epsilon0=eps0,
-        hbar=hbar,
         channels=tuple(channels),
         coherent_shift=shift,
-        excited_energies=e_energies,
+        excited_energies=np.asarray(model.excited_energies, dtype=float),
     )

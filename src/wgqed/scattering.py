@@ -5,16 +5,17 @@ The amplitude into output mode m with the emitter left in ground state k is
 
     gamma[m, k] = delta - (E_m* . d_k:) M^-1 (d_r:* . E_in)
 
-with the response matrix assembled from the coupling bundle in either of two
-algebraically equivalent forms (``form="gamma"`` or ``form="split"``). The
+with the response matrix M = X^T + i L^T / 2z + i eps0 Delta / z built from
+the guided damping X, the loss sandwich L and the detuning Delta. The
 bookend convention is fixed: absorption contracts the conjugated dipole with
-the field, emission contracts the conjugated field with the dipole.
+the field, emission contracts the conjugated field with the dipole. Only X
+depends on the field, so a sweep stacks M over its fields and solves the
+stack in one call; :func:`scatter` is a batch of one.
 """
 
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
@@ -25,7 +26,7 @@ from .errors import (
     IllConditionedResponseWarning,
     SingularResponseError,
 )
-from .photonic import CouplingBundle, LossModel, WaveguideEnv, coupling_bundle
+from .photonic import LossModel, WaveguideEnv, dipole_sandwich, guided_couplings
 
 MODES = ("forward", "backward")
 DARK_COUPLING_THRESHOLD = 1e-12
@@ -83,81 +84,37 @@ class TwoLevelAmplitudes(NamedTuple):
     p_loss: float
 
 
-def response_matrix(bundle: CouplingBundle, form: str = "gamma") -> np.ndarray:
-    """Response matrix whose inverse propagates the excited manifold.
-
-    ``"gamma"`` evaluates N (Gamma^T - Delta) from the self-energy matrix;
-    ``"split"`` assembles the frequency-independent per-channel split
-    X^T + i L^T / 2z + i eps0 Delta / z. Both are the same matrix up to
-    rounding and are kept as mutual cross-checks.
+def _solve_dark(M: np.ndarray, in_vec: np.ndarray, dark_state_projection: bool) -> np.ndarray:
+    """Solve a singular or ill-conditioned response slice in the subspace
+    coupled to some channel, or raise naming the dark directions: the
+    eigenvectors of the damping part of ``M`` with coupling below threshold.
     """
-    if form == "gamma":
-        return bundle.N * (bundle.Gamma.T - bundle.Delta)
-    if form == "split":
-        return (
-            bundle.X.T
-            + (0.5j / bundle.z) * bundle.L.T
-            + (1j * bundle.epsilon0 / bundle.z) * bundle.Delta
-        )
-    raise ValueError(f"unknown response form {form!r}")
-
-
-def _dark_split(M: np.ndarray):
-    """Eigen-split of the Hermitian damping part of M into dark and coupled
-    subspaces. Dark directions have total channel coupling below threshold."""
-    damping = 0.5 * (M + M.conj().T)
-    lam, vecs = np.linalg.eigh(damping)
+    lam, vecs = np.linalg.eigh(0.5 * (M + M.conj().T))
     dark = lam < DARK_COUPLING_THRESHOLD
-    return lam, vecs, dark
-
-
-def _solve_response(
-    M: np.ndarray, in_vec: np.ndarray, dark_state_projection: bool
-) -> np.ndarray:
-    cond = np.linalg.cond(M)
-    if np.isfinite(cond) and cond <= COND_SINGULAR_THRESHOLD:
-        if cond > COND_WARN_THRESHOLD:
-            warnings.warn(
-                f"response matrix condition number {cond:.3e} exceeds {COND_WARN_THRESHOLD:.0e}",
-                IllConditionedResponseWarning,
-                stacklevel=3,
-            )
-        return np.linalg.solve(M, in_vec)
-
-    lam, vecs, dark = _dark_split(M)
     if not dark_state_projection:
-        dark_vecs = vecs[:, dark]
         raise SingularResponseError(
             "response matrix is singular: dark excited eigenvector(s) with "
             f"couplings {lam[dark]} decouple from every channel on resonance; "
             "rerun with dark-state projection to solve in the coupled subspace",
-            dark_vectors=dark_vecs,
+            dark_vectors=vecs[:, dark],
         )
     keep = vecs[:, ~dark]
-    if keep.shape[1] == 0:
-        return np.zeros_like(in_vec)
     M_red = keep.conj().T @ M @ keep
-    y_red = np.linalg.solve(M_red, keep.conj().T @ in_vec)
-    return keep @ y_red
+    return keep @ np.linalg.solve(M_red, keep.conj().T @ in_vec)
 
 
-def scatter(
+def _scatter_fields(
     model: EmitterModel,
     env: WaveguideEnv,
     loss: LossModel,
     inp: ScatterInput,
-    *,
-    dark_state_projection: bool = False,
-    form: str = "gamma",
-) -> ScatteringResult:
-    """Scatter one long (single-frequency) photon off the emitter.
-
-    Returns the complex amplitude for every (output mode, final ground state)
-    pair; the remaining probability is reported as ``p_loss``. Raises
-    :class:`SingularResponseError` when the response matrix is singular (a
-    dark excited state exactly on resonance with zero loss) unless
-    ``dark_state_projection`` is set, in which case decoupled excited
-    directions are removed and the system is solved in the coupled subspace.
+    fields: np.ndarray,
+    dark_state_projection: bool,
+) -> list[ScatteringResult | Exception]:
+    """Scatter at every forward field of the stack ``fields`` (T, 3), all
+    else shared. Returns per field a :class:`ScatteringResult` or the
+    ``SingularResponseError`` / ``LinAlgError`` of that field; only singular
+    or ill-conditioned slices leave the one stacked solve for the dark path.
     """
     validate(model)
     n_g = model.n_ground
@@ -168,34 +125,80 @@ def scatter(
     omega_f = env.omega if inp.photon_frequency is None else float(inp.photon_frequency)
     ground = np.asarray(model.ground_energies, dtype=float)
     E_int = ground[r] + env.hbar * omega_f
-    bundle = coupling_bundle(model, env, loss, E_int)
-
-    B_f = bundle.channels[0].couplings    # E_f* . d_{nx}, shape (n_e, n_g)
-    B_b = bundle.channels[1].couplings
     D = model.dipole_array()
-    E_in = (env.E_f if inp.direction == "forward" else env.E_b).as_array()
-    in_vec = np.einsum("xi,i->x", D[r].conj(), E_in)
 
-    amplitudes = np.zeros((2, n_g), dtype=complex)
-    amplitudes[MODES.index(inp.direction), r] = 1.0
+    B = np.stack(guided_couplings(D, fields), axis=1)    # (T, mode, n_e, n_g)
+    inc = MODES.index(inp.direction)
+    in_vec = B[:, inc, :, r].conj()                      # d_r* . E_in
 
-    if np.linalg.norm(in_vec) > 0.0:
-        M = response_matrix(bundle, form=form)
-        y = _solve_response(M, in_vec, dark_state_projection)
-        amplitudes[0] -= B_f.T @ y
-        amplitudes[1] -= B_b.T @ y
+    # M = X^T + i L^T / 2z + i eps0 Delta / z; only the guided damping X
+    # depends on the field.
+    X_T = 0.5 * np.einsum("tmxn,tmyn->txy", B.conj(), B)
+    Delta = np.diag(np.asarray(model.excited_energies, dtype=float) - E_int)
+    M = X_T + ((0.5j / env.z) * dipole_sandwich(D, loss.as_array()).T
+               + (1j * env.epsilon0 / env.z) * Delta)
 
-    p_loss = float(1.0 - np.sum(np.abs(amplitudes) ** 2))
+    y = np.zeros(in_vec.shape, dtype=complex)
+    errors: dict[int, Exception] = {}
+    active = np.linalg.norm(in_vec, axis=1) > 0.0
+    cond = np.linalg.cond(M)
+    solvable = active & np.isfinite(cond) & (cond <= COND_SINGULAR_THRESHOLD)
+    if solvable.any():
+        y[solvable] = np.linalg.solve(M[solvable], in_vec[solvable, :, None])[..., 0]
+    for t in np.flatnonzero(solvable & (cond > COND_WARN_THRESHOLD)):
+        warnings.warn(
+            f"response matrix condition number {cond[t]:.3e} exceeds {COND_WARN_THRESHOLD:.0e}",
+            IllConditionedResponseWarning,
+            stacklevel=3,
+        )
+    for t in np.flatnonzero(active & ~solvable):
+        try:
+            y[t] = _solve_dark(M[t], in_vec[t], dark_state_projection)
+        except (SingularResponseError, np.linalg.LinAlgError) as exc:
+            errors[t] = exc
+
+    amplitudes = np.zeros((len(M), 2, n_g), dtype=complex)
+    amplitudes[:, inc, r] = 1.0
+    amplitudes -= np.einsum("tmxn,tx->tmn", B, y)
+    p_loss = 1.0 - np.sum(np.abs(amplitudes) ** 2, axis=(1, 2))
     output_frequencies = omega_f + (ground[r] - ground) / env.hbar
     amplitudes.setflags(write=False)
     output_frequencies.setflags(write=False)
-    return ScatteringResult(
-        amplitudes=amplitudes,
-        p_loss=p_loss,
-        output_frequencies=output_frequencies,
-        input_direction=inp.direction,
-        input_ground=r,
+    return [
+        errors.get(t) or ScatteringResult(
+            amplitudes=amps,
+            p_loss=float(p),
+            output_frequencies=output_frequencies,
+            input_direction=inp.direction,
+            input_ground=r,
+        )
+        for t, (amps, p) in enumerate(zip(amplitudes, p_loss))
+    ]
+
+
+def scatter(
+    model: EmitterModel,
+    env: WaveguideEnv,
+    loss: LossModel,
+    inp: ScatterInput,
+    *,
+    dark_state_projection: bool = False,
+) -> ScatteringResult:
+    """Scatter one long (single-frequency) photon off the emitter.
+
+    Returns the complex amplitude for every (output mode, final ground state)
+    pair; the remaining probability is reported as ``p_loss``. Raises
+    :class:`SingularResponseError` when the response matrix is singular (a
+    dark excited state exactly on resonance with zero loss) unless
+    ``dark_state_projection`` is set, in which case decoupled excited
+    directions are removed and the system is solved in the coupled subspace.
+    """
+    (outcome,) = _scatter_fields(
+        model, env, loss, inp, env.E_f.as_array()[None], dark_state_projection
     )
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def two_level_closed_form(
@@ -254,13 +257,11 @@ def polarization_sweep(
     theta_grid: Sequence[float],
     *,
     dark_state_projection: bool = False,
-    form: str = "gamma",
-    max_workers: int = 1,
 ) -> list[SweepPoint]:
     """Scatter at E_f = (cos(theta), i sin(theta), 0) for each grid point.
 
-    Failed points are flagged in place instead of aborting the sweep. Results
-    are returned in grid order and do not depend on ``max_workers``.
+    The whole grid is solved as one batch. Failed points are flagged in place
+    instead of aborting the sweep; results are returned in grid order.
     """
     thetas = np.asarray(theta_grid, dtype=float)
     if thetas.size == 0 or not np.all(np.isfinite(thetas)):
@@ -268,18 +269,14 @@ def polarization_sweep(
     if np.min(thetas) < 0.0 or np.max(thetas) > np.pi + 1e-12:
         raise ValueError("theta grid must lie within [0, pi]")
 
-    def run_point(theta: float) -> SweepPoint:
-        env = env_template.with_field([np.cos(theta), 1j * np.sin(theta), 0.0])
-        try:
-            res = scatter(
-                model, env, loss, inp,
-                dark_state_projection=dark_state_projection, form=form,
-            )
-        except (SingularResponseError, np.linalg.LinAlgError) as exc:
-            return SweepPoint(theta=float(theta), error=exc)
-        return SweepPoint(theta=float(theta), result=res)
-
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(run_point, thetas))
-    return [run_point(t) for t in thetas]
+    fields = np.stack(
+        [np.cos(thetas), 1j * np.sin(thetas), np.zeros_like(thetas)], axis=1
+    )
+    outcomes = _scatter_fields(
+        model, env_template, loss, inp, fields, dark_state_projection
+    )
+    return [
+        SweepPoint(theta=float(theta), error=out) if isinstance(out, Exception)
+        else SweepPoint(theta=float(theta), result=out)
+        for theta, out in zip(thetas, outcomes)
+    ]

@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the package's solver paths: emission is
 cross-checked against an eigendecomposition propagator of the dense linear
-generator, and the showcase scenario against closed-form expressions.
+generator, scattering against the N (Gamma^T - Delta) form of the response
+matrix, and the showcase scenario against closed-form expressions.
 """
 
 from __future__ import annotations
@@ -10,7 +11,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from wgqed import EmitterModel, LossModel, PolarizationVector, WaveguideEnv
+from wgqed import (
+    EmitterModel,
+    LossModel,
+    PolarizationVector,
+    WaveguideEnv,
+    greens_decomposition,
+)
 
 
 def make_env(E_f, **kwargs) -> WaveguideEnv:
@@ -89,6 +96,42 @@ def paradox_direction_probs(t):
     common = (1.0 - np.exp(-8.0 * t)) / 8.0 + (1.0 - np.exp(-2.0 * t)) / 2.0
     cross = 0.4 * (1.0 - np.exp(-5.0 * t))
     return 0.8 * (common - cross), 0.8 * (common + cross)
+
+
+# ---------------------------------------------------------------------------
+# scattering oracle: the response matrix in its self-energy form
+# N (Gamma^T - Delta), with Gamma the dipole sandwich of the physical Green's
+# tensor. The package assembles the algebraically equal split
+# X^T + i L^T / 2z + i eps0 Delta / z instead.
+# ---------------------------------------------------------------------------
+
+
+def oracle_response_matrix(model: EmitterModel, env: WaveguideEnv, loss: LossModel,
+                           E_int: float) -> np.ndarray:
+    D = model.dipole_array()
+    G = greens_decomposition(env, loss).physical()
+    Gamma = -np.einsum("nxi,ij,nyj->xy", D, G.conj(), D.conj()) / env.epsilon0
+    Delta = np.diag(np.asarray(model.excited_energies, dtype=float) - E_int)
+    return env.N * (Gamma.T - Delta)
+
+
+def oracle_scatter(model: EmitterModel, env: WaveguideEnv, loss: LossModel,
+                   inp) -> np.ndarray:
+    """Amplitude table gamma[mode, ground] (rows forward, backward) through
+    the oracle response matrix, one direction at a time."""
+    omega_f = env.omega if inp.photon_frequency is None else inp.photon_frequency
+    r = inp.ground_index
+    M = oracle_response_matrix(model, env, loss,
+                               model.ground_energies[r] + env.hbar * omega_f)
+    D = model.dipole_array()
+    fields = (env.E_f.as_array(), env.E_b.as_array())
+    m_in = 0 if inp.direction == "forward" else 1
+    u = np.linalg.solve(M, D[r].conj() @ fields[m_in])
+    amplitudes = np.zeros((2, model.n_ground), dtype=complex)
+    amplitudes[m_in, r] = 1.0
+    for m, E in enumerate(fields):
+        amplitudes[m] -= np.einsum("nxi,i,x->n", D, E.conj(), u)
+    return amplitudes
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,8 @@ def read_csv(path):
     return header, data
 
 
-def run_cli(monkeypatch, tmp_path, *argv, env=None):
+def run_cli(monkeypatch, tmp_path, *argv):
     monkeypatch.chdir(tmp_path)
-    if env:
-        for key, value in env.items():
-            monkeypatch.setenv(key, value)
     return main(list(argv))
 
 
@@ -206,12 +203,6 @@ class TestOutputsAndExitCodes:
         run_cli(monkeypatch, tmp_path, "run", "ixi-scan", "--out", "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
-    def test_thread_count_does_not_change_output(self, monkeypatch, tmp_path):
-        run_cli(monkeypatch, tmp_path, "run", "isotropic-scan", "--out", "one.csv")
-        run_cli(monkeypatch, tmp_path, "run", "isotropic-scan", "--out", "four.csv",
-                env={"WGQED_THREADS": "4"})
-        assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "four.csv").read_bytes()
-
     def test_json_format(self, monkeypatch, tmp_path):
         code = run_cli(monkeypatch, tmp_path, "run", "two-level",
                        "--format", "json", "--out", "tl.json")
@@ -240,6 +231,26 @@ class TestOutputsAndExitCodes:
         (tmp_path / "broken.json").write_text("{not json")
         assert run_cli(monkeypatch, tmp_path, "run", "broken.json") == 1
         assert "JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides,out,field", [
+        ({}, "missing/x.csv", "output.path"),
+        ({}, ".", "output.path"),
+        ({"sweep": {"parameter": "theta", "start": 0.0, "stop": 4, "steps": 3}},
+         "o.csv", "sweep.stop"),
+        ({"sweep": {"parameter": "theta", "stop": 1.0, "steps": 3}}, "o.csv", "sweep.start"),
+        ({"sweep": {"parameter": "theta", "start": "a", "stop": 1.0, "steps": 3}},
+         "o.csv", "sweep.start"),
+        ({"input": {"direction": "forward", "ground_index": 0, "photon_frequency": "x"}},
+         "o.csv", "input.photon_frequency"),
+    ], ids=["out-in-missing-dir", "out-is-directory", "stop-above-pi", "no-start",
+            "string-start", "string-photon-frequency"])
+    def test_invalid_sweep_input_or_output_exits_one(self, monkeypatch, tmp_path, capsys,
+                                                     overrides, out, field):
+        (tmp_path / "c.json").write_text(json.dumps({"scenario": "ixi-scan", **overrides}))
+        assert run_cli(monkeypatch, tmp_path, "run", "c.json", "--out", out) == 1
+        err = capsys.readouterr().err
+        assert f"(field: {field})" in err
+        assert "Traceback" not in err
 
     def test_dark_sweep_point_exits_two_and_flags_theta(
             self, monkeypatch, tmp_path, capsys):

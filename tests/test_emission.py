@@ -56,7 +56,7 @@ class TestParadoxScenario:
 
     def test_initial_flux_is_strictly_unidirectional(self):
         bundle = coupling_bundle(paradox_model(), make_env(PARADOX_FIELD),
-                                 LossModel.none(), 1.0)
+                                 LossModel.none())
         rho0 = np.outer(PARADOX_STATE, PARADOX_STATE.conj())
         flux = channel_flux(bundle, rho0)
         rates = flux.sum(axis=0)
@@ -97,7 +97,7 @@ class TestParadoxScenario:
         assert overlap == pytest.approx(9.0 / 25.0, abs=1e-14)
 
         bundle = coupling_bundle(paradox_model(), make_env(PARADOX_FIELD),
-                                 LossModel.none(), 1.0)
+                                 LossModel.none())
         ra = channel_flux(bundle, np.outer(psi_a, psi_a.conj())).sum(axis=0)
         rb = channel_flux(bundle, np.outer(psi_b, psi_b.conj())).sum(axis=0)
         dark_a = int(np.argmin(ra[:2]))
@@ -176,7 +176,7 @@ class TestGeneratorEdgeCases:
     def test_initial_rates_match_finite_difference(self):
         env = make_env(PARADOX_FIELD)
         loss = LossModel.isotropic(0.1)
-        bundle = coupling_bundle(paradox_model(), env, loss, 1.0)
+        bundle = coupling_bundle(paradox_model(), env, loss)
         rho0 = np.outer(PARADOX_STATE, PARADOX_STATE.conj())
         direct = channel_flux(bundle, rho0)
         dt = 1e-7

@@ -8,8 +8,11 @@ from wgqed import (
     LossModel,
     ModelValidationError,
     PolarizationVector,
+    ScatterInput,
     coupling_bundle,
     greens_decomposition,
+    scatter,
+    two_level_closed_form,
 )
 
 from conftest import make_env, paradox_model, PARADOX_FIELD, random_model, random_unit_vector
@@ -99,29 +102,24 @@ class TestGreensDecomposition:
 
 
 class TestCouplingBundle:
-    def test_gamma_is_repeated_ground_trace_of_w(self, rng):
-        model = random_model(rng, 3, 2)
-        bundle = coupling_bundle(model, make_env(random_unit_vector(rng)),
-                                 LossModel.isotropic(0.1), E_int=1.0)
-        gamma_from_w = np.einsum("xynn->xy", bundle.W)
-        assert np.max(np.abs(bundle.Gamma - gamma_from_w)) < 1e-14
-
-    def test_v_is_w_minus_reversed_conjugate(self, rng):
-        model = random_model(rng, 2, 3)
-        bundle = coupling_bundle(model, make_env(random_unit_vector(rng)),
-                                 LossModel.isotropic(0.2), E_int=1.0)
-        expected = bundle.W - np.conj(np.transpose(bundle.W, (1, 0, 3, 2)))
-        assert np.max(np.abs(bundle.V - expected)) < 1e-14
-
     def test_detuning_matrix_is_diagonal_energy_offset(self):
+        # each excited state is detuned by its own offset E_x - E_int, here
+        # (0.2, -0.1): a field along one of two orthogonal dipoles sees a
+        # two-level emitter detuned by that state's offset
         model = EmitterModel.from_arrays([0.0], [1.2, 0.9], [[[1, 0, 0], [0, 1, 0]]])
-        bundle = coupling_bundle(model, make_env([1, 0, 0]), LossModel.none(), E_int=1.0)
-        assert np.allclose(bundle.Delta, np.diag([0.2, -0.1]))
+        for axis, detuning in ((0, 0.2), (1, -0.1)):
+            field = np.eye(3)[axis]
+            env = make_env(field)
+            res = scatter(model, env, LossModel.none(), ScatterInput(photon_frequency=1.0))
+            t, r, _ = two_level_closed_form(PolarizationVector(field), env,
+                                            LossModel.none(), detuning)
+            assert abs(res.transmission - t) < 1e-12
+            assert abs(res.reflection - r) < 1e-12
 
     def test_elliptical_field_gives_four_to_one_decay_ratio(self):
         # |E_f . d_11|^2 = 4 |E_f . d_12|^2 for E_f = (2, i, 0)/sqrt(5)
         bundle = coupling_bundle(paradox_model(), make_env(PARADOX_FIELD),
-                                 LossModel.none(), E_int=1.0)
+                                 LossModel.none())
         diag = np.diag(bundle.Gamma)
         assert diag[0] / diag[1] == pytest.approx(4.0)
         assert np.allclose(bundle.Gamma, np.diag([4j, 1j]), atol=1e-14)
@@ -130,14 +128,14 @@ class TestCouplingBundle:
         model = EmitterModel.from_arrays([0.0], [1.0, 1.0],
                                          [[[0, 0, 0], [0, 0, 0]]])
         bundle = coupling_bundle(model, make_env([1, 0, 0]),
-                                 LossModel.isotropic(0.2), E_int=1.0)
-        for mat in (bundle.W, bundle.Gamma, bundle.V, bundle.X, bundle.L):
+                                 LossModel.isotropic(0.2))
+        for mat in (bundle.Gamma, bundle.coherent_shift, bundle.damping_rate_matrix()):
             assert np.max(np.abs(mat)) == 0.0
 
     def test_matched_two_level_total_rate(self):
         # oracle: per-direction rate formula, 5 forward + 5 backward
         env = make_env([1, 0, 0], v_g=0.1)
-        bundle = coupling_bundle(two_level(), env, LossModel.none(), E_int=1.0)
+        bundle = coupling_bundle(two_level(), env, LossModel.none())
         expected = per_direction_rate([1, 0, 0], [1, 0, 0]) * 2
         assert bundle.total_decay_rates()[0] == pytest.approx(expected)
         assert expected == pytest.approx(10.0)
@@ -148,7 +146,7 @@ class TestCouplingBundle:
             ef = random_unit_vector(rng)
             model = EmitterModel.from_arrays([0.0], [1.0], [[d]])
             env = make_env(ef, v_g=0.1)
-            rates = coupling_bundle(model, env, LossModel.none(), 1.0).channel_decay_rates()
+            rates = coupling_bundle(model, env, LossModel.none()).channel_decay_rates()
             assert rates["forward"][0] == pytest.approx(
                 per_direction_rate(d, ef), rel=1e-12)
             assert rates["backward"][0] == pytest.approx(
@@ -164,11 +162,11 @@ class TestCouplingBundle:
             assert abs(forward - backward) < 1e-15
 
     def test_gamma_matches_direct_sandwich(self, rng):
-        # recompute Gamma from the Green's tensor sandwich, no W detour
+        # recompute Gamma from the Green's tensor sandwich
         model = random_model(rng, 2, 2)
         env = make_env(random_unit_vector(rng))
         loss = LossModel.isotropic(0.3)
-        bundle = coupling_bundle(model, env, loss, E_int=1.0)
+        bundle = coupling_bundle(model, env, loss)
         D = model.dipole_array()
         dec = greens_decomposition(env, loss)
         G = dec.G_f + dec.G_b + 0.5 * dec.G_loss
@@ -178,7 +176,7 @@ class TestCouplingBundle:
     def test_damping_matrix_consistent_with_gamma(self, rng):
         model = random_model(rng, 2, 3)
         env = make_env(random_unit_vector(rng))
-        bundle = coupling_bundle(model, env, LossModel.isotropic(0.15), E_int=1.0)
+        bundle = coupling_bundle(model, env, LossModel.isotropic(0.15))
         go = bundle.Gamma.T
         from_gamma = (go - go.conj().T) / (2j * env.hbar) * 2.0
         assert np.max(np.abs(bundle.damping_rate_matrix() - from_gamma)) < 1e-13
@@ -187,22 +185,21 @@ class TestCouplingBundle:
         model = random_model(rng, 2, 2)
         env = make_env(random_unit_vector(rng))
         loss = LossModel.isotropic(0.1)
-        a = coupling_bundle(model, env, loss, E_int=1.0)
+        a = coupling_bundle(model, env, loss)
         shifted = EmitterModel.from_arrays(
             np.asarray(model.ground_energies) + 0.7,
             model.excited_energies,
             model.dipole_array(),
         )
-        b = coupling_bundle(shifted, env, loss, E_int=1.0 + 0.7)
-        for name in ("W", "Gamma", "V", "X", "L"):
+        b = coupling_bundle(shifted, env, loss)
+        for name in ("Gamma", "coherent_shift"):
             assert np.max(np.abs(getattr(a, name) - getattr(b, name))) < 1e-14
-        assert a.N == b.N and a.z == b.z
 
     def test_reactive_loss_gives_half_sandwich_level_shift(self):
         # d . Re(G_loss) . d* = 0.3 on a matched dipole shifts the effective
         # transition energy by +0.15 (coherent_shift enters with a minus sign)
         loss = LossModel.from_array(0.3 * np.eye(3) + 0.2j * np.eye(3))
-        bundle = coupling_bundle(two_level(), make_env([1, 0, 0]), loss, E_int=1.0)
+        bundle = coupling_bundle(two_level(), make_env([1, 0, 0]), loss)
         assert bundle.coherent_shift[0, 0] == pytest.approx(-0.15)
         assert bundle.total_decay_rates()[0] == pytest.approx(10.2)
 
@@ -211,5 +208,5 @@ class TestCouplingBundle:
             model = random_model(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
             env = make_env(random_unit_vector(rng))
             loss = LossModel.isotropic(float(rng.uniform(0, 0.5)))
-            K = coupling_bundle(model, env, loss, E_int=1.0).damping_rate_matrix()
+            K = coupling_bundle(model, env, loss).damping_rate_matrix()
             assert np.min(np.linalg.eigvalsh(K)) > -1e-12

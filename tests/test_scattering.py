@@ -11,16 +11,16 @@ from wgqed import (
     PolarizationVector,
     ScatterInput,
     SingularResponseError,
-    coupling_bundle,
     polarization_sweep,
     rotate_excited_basis,
     scatter,
     two_level_closed_form,
 )
-from wgqed.scattering import response_matrix
 
 from conftest import (
     make_env,
+    oracle_response_matrix,
+    oracle_scatter,
     paradox_model,
     random_loss_tensor,
     random_model,
@@ -245,11 +245,10 @@ class TestConservationProperties:
         # J the dissipative loss sandwich and u the solved excited response
         for _ in range(50):
             model, env, loss, inp, s = self._random_case(rng, lossless=False)
-            bundle = coupling_bundle(
+            M = oracle_response_matrix(
                 model, env, loss,
                 model.ground_energies[inp.ground_index] + env.hbar * inp.photon_frequency,
             )
-            M = response_matrix(bundle)
             D = model.dipole_array()
             E_in = (env.E_f if inp.direction == "forward" else env.E_b).as_array()
             in_vec = D[inp.ground_index].conj() @ E_in
@@ -311,9 +310,8 @@ class TestEquivalences:
                     if i % 2 else random_loss_tensor(rng))
             inp = ScatterInput(ground_index=int(rng.integers(0, model.n_ground)),
                                photon_frequency=float(rng.uniform(0.5, 1.5)))
-            a = scatter(model, env, loss, inp, form="gamma")
-            b = scatter(model, env, loss, inp, form="split")
-            assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-12
+            a = scatter(model, env, loss, inp).amplitudes
+            assert np.max(np.abs(a - oracle_scatter(model, env, loss, inp))) < 1e-12
 
     def test_rotated_basis_leaves_amplitudes_unchanged(self, rng):
         for _ in range(100):
@@ -372,11 +370,42 @@ class TestPolarizationSweep:
             polarization_sweep(paradox_model(), make_env([1, 0, 0]),
                                LossModel.none(), ScatterInput(), [4.0])
 
-    def test_parallel_evaluation_is_bitwise_identical(self):
-        thetas = np.linspace(0.05, np.pi - 0.05, 40)
-        args = (paradox_model(), make_env([1, 0, 0]), LossModel.isotropic(0.2),
-                ScatterInput(), thetas)
-        serial = polarization_sweep(*args, max_workers=1)
-        threaded = polarization_sweep(*args, max_workers=4)
-        for a, b in zip(serial, threaded):
-            assert np.array_equal(a.result.amplitudes, b.result.amplitudes)
+    def test_sweep_matches_pointwise_scatter(self):
+        # lossless V system: theta = 0 and pi/2 are exactly dark (flagged, or
+        # solved by projection), theta = 1e-7 is ill-conditioned
+        thetas = np.concatenate(([0.0, 1e-7, np.pi / 2], np.linspace(0.05, np.pi - 0.05, 8)))
+        template = make_env([1, 0, 0], **X_ENV)
+        for projection in (False, True):
+            with pytest.warns(IllConditionedResponseWarning):
+                pts = polarization_sweep(paradox_model(), template, LossModel.none(),
+                                         ScatterInput(), thetas,
+                                         dark_state_projection=projection)
+            assert [pt.theta for pt in pts] == list(thetas)
+            for pt in pts:
+                env = template.with_field([np.cos(pt.theta), 1j * np.sin(pt.theta), 0])
+                if pt.theta == 1e-7:
+                    with pytest.warns(IllConditionedResponseWarning):
+                        ref = scatter(paradox_model(), env, LossModel.none(),
+                                      ScatterInput(), dark_state_projection=projection)
+                    assert not pt.failed
+                elif pt.theta in (0.0, np.pi / 2) and not projection:
+                    with pytest.raises(SingularResponseError) as exc:
+                        scatter(paradox_model(), env, LossModel.none(), ScatterInput())
+                    assert isinstance(pt.error, SingularResponseError)
+                    assert str(pt.error) == str(exc.value)
+                    continue
+                else:
+                    ref = scatter(paradox_model(), env, LossModel.none(), ScatterInput(),
+                                  dark_state_projection=projection)
+                assert np.max(np.abs(pt.result.amplitudes - ref.amplitudes)) < 1e-14
+                assert abs(pt.result.p_loss - ref.p_loss) < 1e-14
+        # the projected dark points reflect fully
+        assert abs(pts[0].result.reflection) == pytest.approx(1.0)
+        # the lossy crossed-dipole system fails nowhere, and its flip amplitude
+        # changes phase when E_f is replaced by its conjugate
+        loss = LossModel.isotropic(0.2)
+        pts = polarization_sweep(ixi_model(), template, loss, ScatterInput(), thetas)
+        for pt in pts:
+            env = template.with_field([np.cos(pt.theta), 1j * np.sin(pt.theta), 0])
+            ref = scatter(ixi_model(), env, loss, ScatterInput())
+            assert np.max(np.abs(pt.result.amplitudes - ref.amplitudes)) < 1e-14
