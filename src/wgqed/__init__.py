@@ -34,7 +34,6 @@ from .errors import (
     WgqedError,
 )
 from .photonic import (
-    ChannelCouplings,
     CouplingBundle,
     GreensDecomposition,
     LossModel,
@@ -57,7 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CHANNELS",
-    "ChannelCouplings",
     "ConfigError",
     "CouplingBundle",
     "DirectionalTotals",

@@ -35,7 +35,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .emitter import EmitterModel, ExcitedSuperposition, validate
-from .emission import default_t_max, evolve
+from .emission import INITIAL_NORM_TOL, default_t_max, evolve
 from .errors import ConfigError, UnknownPresetError, WgqedError
 from .photonic import LossModel, WaveguideEnv, coupling_bundle
 from .scattering import (
@@ -152,9 +152,11 @@ class ScenarioConfig:
                 field="initial_state",
             )
         state = ExcitedSuperposition.from_sequence(amps)
-        if abs(state.norm() - 1.0) > 1e-9:
+        norm = state.norm()
+        if abs(norm - 1.0) > INITIAL_NORM_TOL:
             raise ConfigError(
-                f"initial_state norm {state.norm()!r} is not 1", field="initial_state"
+                f"initial_state norm {norm:.17g} differs from 1 beyond {INITIAL_NORM_TOL}",
+                field="initial_state",
             )
         return state
 
@@ -315,6 +317,13 @@ def parse_config(data: dict) -> ScenarioConfig:
             field="output.format",
         )
 
+    projection = merged["dark_state_projection"]
+    if not isinstance(projection, bool):
+        raise ConfigError(
+            f"dark_state_projection must be true or false, got {projection!r}",
+            field="dark_state_projection",
+        )
+
     if mode == "emission" and merged.get("initial_state") is None:
         raise ConfigError(
             "emission scenarios need an initial_state", field="initial_state"
@@ -336,7 +345,7 @@ def parse_config(data: dict) -> ScenarioConfig:
         sweep=sweep,
         integrator=integrator,
         output=output,
-        dark_state_projection=bool(merged.get("dark_state_projection", False)),
+        dark_state_projection=projection,
     )
     # Building the domain objects surfaces model-level problems at parse time.
     try:

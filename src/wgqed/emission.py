@@ -21,12 +21,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .emitter import EmitterModel, ExcitedSuperposition, validate
+from .emitter import EmitterModel, ExcitedSuperposition
 from .errors import NonPhysicalStateError
-from .photonic import CouplingBundle, LossModel, WaveguideEnv, coupling_bundle
-
-CHANNELS = ("forward", "backward", "loss")
-_CHANNEL_INDEX = {label: i for i, label in enumerate(CHANNELS)}
+from .photonic import CHANNELS, CouplingBundle, LossModel, WaveguideEnv, coupling_bundle
 
 INITIAL_NORM_TOL = 1e-12
 TRACE_DRIFT_TOL = 1e-8
@@ -82,17 +79,16 @@ def channel_flux(bundle: CouplingBundle, excited_block: np.ndarray) -> np.ndarra
     """Probability flux (..., n_ground, 3) out of ``excited_block`` (or a
     stack of blocks, shape (..., n_e, n_e)) into each (ground state, channel)
     pair. Applied to the time integral of the excited block it gives the
-    accumulated probabilities."""
-    excited_block = np.asarray(excited_block)
-    n_g = bundle.channels[0].couplings.shape[1]
-    flux = np.zeros(excited_block.shape[:-2] + (n_g, len(CHANNELS)))
-    for ch in bundle.channels:
-        col = _CHANNEL_INDEX[ch.label]
-        C = ch.couplings
-        flux[..., col] += ch.rate_scale * np.real(
-            np.einsum("xn,...xy,yn->...n", C, excited_block, C.conj())
-        )
-    return flux
+    accumulated probabilities.
+
+    One contraction over the stacked channel couplings gives the flux per
+    (ground state, channel); the rate scales weight it and the channel
+    columns sum it into the labels of :data:`CHANNELS`.
+    """
+    C = bundle.couplings
+    per_channel = np.real(np.einsum("cxn,...xy,cyn->...nc", C, excited_block, C.conj()))
+    weights = bundle.rate_scales[:, None] * np.eye(len(CHANNELS))[bundle.columns]
+    return per_channel @ weights
 
 
 def _coerce_initial(initial, n_e: int) -> np.ndarray:
@@ -102,10 +98,10 @@ def _coerce_initial(initial, n_e: int) -> np.ndarray:
             raise NonPhysicalStateError(
                 f"initial superposition has {psi.size} amplitudes for {n_e} excited states"
             )
-        norm = np.linalg.norm(psi)
+        norm = initial.norm()
         if abs(norm - 1.0) > INITIAL_NORM_TOL:
             raise NonPhysicalStateError(
-                f"initial superposition norm {norm!r} differs from 1 beyond {INITIAL_NORM_TOL}"
+                f"initial superposition norm {norm:.17g} differs from 1 beyond {INITIAL_NORM_TOL}"
             )
         return np.outer(psi, psi.conj())
     rho = np.asarray(initial, dtype=complex)
@@ -153,8 +149,7 @@ def _expm(A: np.ndarray) -> np.ndarray:
          + b[6] * X6 + b[4] * X4 + b[2] * X2 + b[0] * ident)
     R = np.linalg.solve(V - U, V + U)
     for k in range(int(s.max())):
-        sq = s > k
-        R[sq] = R[sq] @ R[sq]
+        R = np.where((s > k)[..., None, None], R @ R, R)
     return R
 
 
@@ -183,11 +178,9 @@ def evolve(
     :class:`NonPhysicalStateError` for a non-finite state or when the total
     trace drifts beyond ``TRACE_DRIFT_TOL``.
     """
-    validate(model)
+    bundle = coupling_bundle(model, env, loss)    # validates the model first
     n_e = model.n_excited
     rho0 = _coerce_initial(initial, n_e)
-
-    bundle = coupling_bundle(model, env, loss)
 
     if times is None:
         horizon = default_t_max(bundle) if t_max is None else float(t_max)
@@ -206,10 +199,14 @@ def evolve(
     # derivative rho.
     H_eff = ((np.diag(bundle.excited_energies) - bundle.coherent_shift) / env.hbar
              - 0.5j * bundle.damping_rate_matrix())
+    # Liouvillian -i (H_eff (x) I - I (x) H_eff^*), with the Kronecker
+    # products written as broadcasts over the index pairs (a b),(c d).
     eye = np.eye(n_e)
     n_rho = n_e * n_e
+    L = (H_eff[:, None, :, None] * eye[None, :, None, :]
+         - eye[:, None, :, None] * H_eff.conj()[None, :, None, :])
     G = np.zeros((2 * n_rho, 2 * n_rho), dtype=complex)
-    G[:n_rho, :n_rho] = -1j * (np.kron(H_eff, eye) - np.kron(eye, H_eff.conj()))
+    G[:n_rho, :n_rho] = -1j * L.reshape(n_rho, n_rho)
     G[n_rho:, :n_rho] = np.eye(n_rho)
     y = np.zeros((t_grid.size, 2 * n_rho), dtype=complex)
     y[0, :n_rho] = rho0.ravel()

@@ -134,6 +134,15 @@ def validate(model: EmitterModel) -> None:
     ``dimension-mismatch`` or ``non-finite-entry``; returns ``None`` when the
     model is well formed.
     """
+    _validated_dipoles(model)
+
+
+def _validated_dipoles(model: EmitterModel) -> np.ndarray:
+    """:func:`validate` the model and return its (n_g, n_e, 3) dipole array.
+
+    The shape checks run before the array is built, so a ragged dipole
+    matrix is reported as a dimension mismatch.
+    """
     n_g = len(model.ground_energies)
     n_e = len(model.excited_energies)
     if n_g < 1 or n_e < 1:
@@ -153,14 +162,16 @@ def validate(model: EmitterModel) -> None:
                 f"dipole row {n} has {len(row)} entries for {n_e} excited states",
             )
     energies = np.array(model.ground_energies + model.excited_energies, dtype=float)
-    if not np.all(np.isfinite(energies)):
+    if not np.isfinite(energies).all():
         raise ModelValidationError("non-finite-entry", "level energies must be finite")
-    for n, row in enumerate(model.dipoles):
-        for m, vec in enumerate(row):
-            if not vec.is_finite():
-                raise ModelValidationError(
-                    "non-finite-entry", f"dipole ({n}, {m}) has a non-finite component"
-                )
+    D = model.dipole_array()
+    finite = np.isfinite(D).all(axis=-1)
+    if not finite.all():
+        n, m = np.argwhere(~finite)[0]
+        raise ModelValidationError(
+            "non-finite-entry", f"dipole ({n}, {m}) has a non-finite component"
+        )
+    return D
 
 
 def effective_dipole(
@@ -194,7 +205,7 @@ def rotate_excited_basis(model: EmitterModel, U) -> EmitterModel:
     degenerate excited manifold, where it commutes with the bare Hamiltonian;
     anything else is rejected rather than silently rotated.
     """
-    validate(model)
+    D = _validated_dipoles(model)  # (n_g, n_e, 3)
     U = np.asarray(U, dtype=complex)
     n_e = model.n_excited
     if U.shape != (n_e, n_e):
@@ -212,7 +223,6 @@ def rotate_excited_basis(model: EmitterModel, U) -> EmitterModel:
         raise NonDegenerateManifoldError(
             f"excited manifold is not degenerate (energy spread {spread:.3e})"
         )
-    D = model.dipole_array()  # (n_g, n_e, 3)
     rotated = np.einsum("ax,nxi->nai", U, D)
     return EmitterModel.from_arrays(
         model.ground_energies, model.excited_energies, rotated

@@ -23,12 +23,14 @@ guided fraction of 10/10.2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .emitter import EmitterModel, PolarizationVector, validate
+from .emitter import EmitterModel, PolarizationVector, _validated_dipoles
 from .errors import ModelValidationError
+
+CHANNELS = ("forward", "backward", "loss")
 
 LOSS_SYMMETRY_TOL = 1e-12
 LOSS_PASSIVITY_TOL = 1e-10
@@ -87,13 +89,19 @@ class LossModel:
     complex 3x3 matrix in rate normalization (see module docstring).
 
     The imaginary part must induce a non-negative decay rate for every dipole
-    (passivity); the real part produces level shifts.
+    (passivity); the real part produces level shifts. Construction keeps the
+    tensor as a read-only array and the eigenmodes of the imaginary part with
+    positive rate, the loss channels of :func:`coupling_bundle`; neither
+    takes part in equality, hashing or the repr.
     """
 
     tensor: tuple[tuple[complex, ...], ...]
+    _array: np.ndarray = field(init=False, compare=False, repr=False)
+    _rates: np.ndarray = field(init=False, compare=False, repr=False)    # (k,)
+    _modes: np.ndarray = field(init=False, compare=False, repr=False)    # (3, k)
 
     def __post_init__(self):
-        arr = np.asarray(self.tensor, dtype=complex)
+        arr = np.array(self.tensor, dtype=complex)
         if arr.shape != (3, 3):
             raise ModelValidationError(
                 "dimension-mismatch", f"loss tensor must be 3x3, got {arr.shape}"
@@ -106,15 +114,19 @@ class LossModel:
                 "non-symmetric-loss-tensor",
                 "loss tensor must be symmetric (reciprocal medium)",
             )
-        rate_eigs = np.linalg.eigvalsh(arr.imag)
-        if np.min(rate_eigs) < -LOSS_PASSIVITY_TOL * scale:
+        rates, modes = np.linalg.eigh(arr.imag)
+        if np.min(rates) < -LOSS_PASSIVITY_TOL * scale:
             raise ModelValidationError(
                 "non-passive-loss-tensor",
-                f"loss tensor induces a negative decay rate (min eig {np.min(rate_eigs):.3e})",
+                f"loss tensor induces a negative decay rate (min eig {np.min(rates):.3e})",
             )
-        object.__setattr__(
-            self, "tensor", tuple(tuple(complex(v) for v in row) for row in arr)
-        )
+        # Modes at or below the floor emit nothing and get no channel.
+        emitting = rates > 1e-15
+        cached = {"_array": arr, "_rates": rates[emitting], "_modes": modes[:, emitting]}
+        for name, value in cached.items():
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "tensor", tuple(map(tuple, arr.tolist())))
 
     @classmethod
     def none(cls) -> "LossModel":
@@ -132,11 +144,12 @@ class LossModel:
 
     @classmethod
     def from_array(cls, tensor) -> "LossModel":
-        arr = np.asarray(tensor, dtype=complex)
-        return cls(tuple(tuple(complex(v) for v in row) for row in arr))
+        """Build from a 3x3 array-like; the constructor normalizes it."""
+        return cls(tensor)
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.tensor, dtype=complex)
+        """Read-only complex 3x3 array of the tensor."""
+        return self._array
 
     def rate_for(self, dipole: PolarizationVector, env: WaveguideEnv) -> float:
         """Loss decay rate induced on a single dipole."""
@@ -173,20 +186,6 @@ def greens_decomposition(env: WaveguideEnv, loss: LossModel) -> GreensDecomposit
 
 
 @dataclass(frozen=True)
-class ChannelCouplings:
-    """Emission couplings of one radiation channel.
-
-    ``couplings[x, n]`` is the amplitude with which excited state x decays to
-    ground state n into this channel; multiplying the mod-squared contraction
-    with an excited-state amplitude vector by ``rate_scale`` gives a rate.
-    """
-
-    label: str
-    rate_scale: float
-    couplings: np.ndarray
-
-
-@dataclass(frozen=True)
 class CouplingBundle:
     """Coupling matrices of one emitter in one environment, as the emission
     solver consumes them.
@@ -195,10 +194,20 @@ class CouplingBundle:
     (unconjugated dipole on the left index); the solvers contract it through
     its transpose, which is the orientation under which probability is
     conserved and excited-basis rotations act trivially.
+
+    The radiation channels are stacked: ``couplings[c, x, n]`` is the
+    amplitude with which excited state x decays to ground state n into
+    channel c, ``rate_scales[c]`` turns its mod-squared contraction with an
+    excited-state amplitude vector into a rate, and ``columns[c]`` indexes
+    the channel's label in :data:`CHANNELS`. The forward and backward guided
+    channels come first, then one loss channel per emitting eigenmode of the
+    loss tensor.
     """
 
     Gamma: np.ndarray               # (n_e, n_e) self-energy sandwich
-    channels: tuple[ChannelCouplings, ...]
+    couplings: np.ndarray           # (channel, n_e, n_g)
+    rate_scales: np.ndarray         # (channel,)
+    columns: np.ndarray             # (channel,) index into CHANNELS
     coherent_shift: np.ndarray      # Hermitian level-shift matrix (energy units)
     excited_energies: np.ndarray
 
@@ -208,37 +217,34 @@ class CouplingBundle:
         Built from the channel couplings, so the emission fluxes and the total
         excited decay balance exactly.
         """
-        n_e = self.Gamma.shape[0]
-        K = np.zeros((n_e, n_e), dtype=complex)
-        for ch in self.channels:
-            C = ch.couplings
-            K += ch.rate_scale * (C.conj() @ C.T)
-        return K
+        C = self.couplings
+        return np.einsum("c,cxn,cyn->xy", self.rate_scales, C.conj(), C)
 
     def total_decay_rates(self) -> np.ndarray:
         """Total spontaneous decay rate of each excited state (all channels)."""
         return np.real(np.diag(self.damping_rate_matrix()))
 
     def channel_decay_rates(self) -> dict[str, np.ndarray]:
-        """Per-channel decay rate of each excited state."""
-        n_e = self.Gamma.shape[0]
-        out: dict[str, np.ndarray] = {}
-        for ch in self.channels:
-            C = ch.couplings
-            rates = ch.rate_scale * np.real(np.einsum("xn,xn->x", C, C.conj()))
-            out[ch.label] = out.get(ch.label, np.zeros(n_e)) + rates
-        return out
+        """Per-channel decay rate of each excited state, keyed by the labels
+        of the channels present."""
+        C = self.couplings
+        rates = self.rate_scales[:, None] * np.real(np.einsum("cxn,cxn->cx", C, C.conj()))
+        # Not np.unique: its first call in a process imports numpy.ma, which
+        # costs the command line ~30 ms per run.
+        return {CHANNELS[k]: rates[self.columns == k].sum(axis=0)
+                for k in dict.fromkeys(self.columns.tolist())}
 
 
-def guided_couplings(D: np.ndarray, E_f) -> tuple[np.ndarray, np.ndarray]:
+def guided_couplings(D: np.ndarray, E_f) -> np.ndarray:
     """Emission couplings ``E_f* . d_{nx}`` and ``E_b* . d_{nx}`` (E_b =
-    conj(E_f)), each (..., n_e, n_g), for the (n_g, n_e, 3) dipole array ``D``
-    and a field (3,) or stack of fields (..., 3). The conjugated column of
-    ground state r is the absorption vector ``d_{r:}* . E`` of that mode.
+    conj(E_f)) stacked along a mode axis, (..., 2, n_e, n_g), for the
+    (n_g, n_e, 3) dipole array ``D`` and a field (3,) or stack of fields
+    (..., 3). The conjugated column of ground state r is the absorption
+    vector ``d_{r:}* . E`` of that mode.
     """
     E_f = np.asarray(E_f, dtype=complex)
-    return (np.einsum("nxi,...i->...xn", D, E_f.conj()),
-            np.einsum("nxi,...i->...xn", D, E_f))
+    fields = np.concatenate((E_f.conj(), E_f), axis=-1).reshape(E_f.shape[:-1] + (2, 3))
+    return np.einsum("nxi,...mi->...mxn", D, fields)
 
 
 def dipole_sandwich(D: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -252,36 +258,35 @@ def coupling_bundle(
     """Assemble the coupling matrices of one emitter in one environment.
 
     A single field frequency is used for every transition, so the couplings
-    do not depend on the level energies.
+    do not depend on the level energies. The guided part of ``Gamma`` is
+    ``i kappa (B_f B_f^H + B_b B_b^H) / eps0`` with the guided couplings
+    ``B``, which equals the dipole sandwich of ``G_f + G_b``; only the loss
+    tensor goes through :func:`dipole_sandwich`. The loss channels are the
+    eigenmodes the :class:`LossModel` kept at construction.
     """
-    validate(model)
-    D = model.dipole_array()                      # (n_g, n_e, 3)
-    dec = greens_decomposition(env, loss)
+    D = _validated_dipoles(model)                 # (n_g, n_e, 3)
     eps0, hbar = env.epsilon0, env.hbar
+    kappa = env.a * env.omega / (4.0 * abs(env.v_g))
 
-    Gamma = -dipole_sandwich(D, dec.physical()) / eps0
+    B = guided_couplings(D, env.E_f.as_array())   # (2, n_e, n_g)
+    Gamma = ((1j * kappa / eps0) * np.einsum("mxn,myn->xy", B, B.conj())
+             - dipole_sandwich(D, 0.5 * loss.as_array()) / eps0)
 
-    B_f, B_b = guided_couplings(D, env.E_f.as_array())
+    loss_couplings = np.einsum("nxi,ik->kxn", D, loss._modes)
+    couplings = np.concatenate((B, loss_couplings))
     wg_scale = env.a * env.omega / (2.0 * abs(env.v_g) * hbar * eps0)
-    channels = [
-        ChannelCouplings("forward", wg_scale, B_f),
-        ChannelCouplings("backward", wg_scale, B_b),
-    ]
-    # One loss channel per eigenmode of the dissipative part of the tensor.
-    rate_eigs, rate_vecs = np.linalg.eigh(dec.G_loss.imag)
-    for lam, u in zip(rate_eigs, rate_vecs.T):
-        if lam <= 1e-15:
-            continue
-        C = np.einsum("nxi,i->xn", D, u.astype(complex))
-        channels.append(ChannelCouplings("loss", float(lam) / (hbar * eps0), C))
+    rate_scales = np.concatenate(([wg_scale, wg_scale], loss._rates / (hbar * eps0)))
+    columns = np.array([0, 1] + [2] * loss._rates.size)
 
     shift = 0.5 * (Gamma.T + Gamma.conj())
-    for arr in (Gamma, shift):
+    for arr in (Gamma, couplings, rate_scales, columns, shift):
         arr.setflags(write=False)
 
     return CouplingBundle(
         Gamma=Gamma,
-        channels=tuple(channels),
+        couplings=couplings,
+        rate_scales=rate_scales,
+        columns=columns,
         coherent_shift=shift,
         excited_energies=np.asarray(model.excited_energies, dtype=float),
     )

@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .emitter import EmitterModel, PolarizationVector, validate
+from .emitter import EmitterModel, PolarizationVector, _validated_dipoles
 from .errors import (
     IllConditionedResponseWarning,
     SingularResponseError,
@@ -116,7 +116,7 @@ def _scatter_fields(
     ``SingularResponseError`` / ``LinAlgError`` of that field; only singular
     or ill-conditioned slices leave the one stacked solve for the dark path.
     """
-    validate(model)
+    D = _validated_dipoles(model)
     n_g = model.n_ground
     r = inp.ground_index
     if not 0 <= r < n_g:
@@ -125,9 +125,8 @@ def _scatter_fields(
     omega_f = env.omega if inp.photon_frequency is None else float(inp.photon_frequency)
     ground = np.asarray(model.ground_energies, dtype=float)
     E_int = ground[r] + env.hbar * omega_f
-    D = model.dipole_array()
 
-    B = np.stack(guided_couplings(D, fields), axis=1)    # (T, mode, n_e, n_g)
+    B = guided_couplings(D, fields)                      # (T, mode, n_e, n_g)
     inc = MODES.index(inp.direction)
     in_vec = B[:, inc, :, r].conj()                      # d_r* . E_in
 

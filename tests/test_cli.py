@@ -242,8 +242,12 @@ class TestOutputsAndExitCodes:
          "o.csv", "sweep.start"),
         ({"input": {"direction": "forward", "ground_index": 0, "photon_frequency": "x"}},
          "o.csv", "input.photon_frequency"),
+        ({"dark_state_projection": "no"}, "o.csv", "dark_state_projection"),
+        ({"dark_state_projection": 1}, "o.csv", "dark_state_projection"),
+        ({"dark_state_projection": "true"}, "o.csv", "dark_state_projection"),
     ], ids=["out-in-missing-dir", "out-is-directory", "stop-above-pi", "no-start",
-            "string-start", "string-photon-frequency"])
+            "string-start", "string-photon-frequency", "projection-string-no",
+            "projection-integer", "projection-string-true"])
     def test_invalid_sweep_input_or_output_exits_one(self, monkeypatch, tmp_path, capsys,
                                                      overrides, out, field):
         (tmp_path / "c.json").write_text(json.dumps({"scenario": "ixi-scan", **overrides}))
@@ -324,6 +328,21 @@ class TestCustomEmission:
         assert run_cli(monkeypatch, tmp_path, "run", "em.json", "--out", "em.csv") == 1
         assert f"(field: {field})" in capsys.readouterr().err
         assert not (tmp_path / "em.csv").exists()
+
+    @pytest.mark.parametrize("initial_state", [
+        [[0.6, 0.0], [0.8000000001, 0.0]],
+    ], ids=["norm-off-by-8e-11"])
+    def test_invalid_initial_state_exits_one(self, monkeypatch, tmp_path, capsys,
+                                             initial_state):
+        # the config check and the propagator share one norm tolerance, so a
+        # state the propagator would reject is a configuration error
+        cfg = dict(preset("paradox-emission").to_dict(), scenario="custom",
+                   initial_state=initial_state)
+        (tmp_path / "em.json").write_text(json.dumps(cfg))
+        assert run_cli(monkeypatch, tmp_path, "run", "em.json", "--out", "em.csv") == 1
+        err = capsys.readouterr().err
+        assert "(field: initial_state)" in err
+        assert "Traceback" not in err and "np.float64" not in err
 
     def test_emission_without_initial_state_rejected(self, monkeypatch, tmp_path, capsys):
         cfg = {

@@ -8,6 +8,7 @@ from wgqed import (
     EmitterModel,
     ExcitedSuperposition,
     LossModel,
+    ModelValidationError,
     NonPhysicalStateError,
     channel_flux,
     coupling_bundle,
@@ -257,9 +258,18 @@ class TestInterfaces:
             assert np.max(np.abs(mixed.states[i].excited_block - avg)) < 1e-10
 
     def test_unnormalized_superposition_rejected(self):
-        with pytest.raises(NonPhysicalStateError):
+        with pytest.raises(NonPhysicalStateError) as exc:
             evolve(two_level(), make_env([1, 0, 0]), LossModel.none(),
                    ExcitedSuperposition.from_sequence([0.5]))
+        assert "norm 0.5 differs" in str(exc.value)
+
+    def test_model_error_precedes_initial_state_error(self):
+        # a non-finite dipole and an unnormalized state: the model is named
+        model = EmitterModel.from_arrays([0.0], [1.0], [[[np.nan, 0, 0]]])
+        with pytest.raises(ModelValidationError) as exc:
+            evolve(model, make_env([1, 0, 0]), LossModel.none(),
+                   ExcitedSuperposition.from_sequence([0.5]))
+        assert exc.value.code == "non-finite-entry"
 
     def test_non_hermitian_density_matrix_rejected(self):
         rho = np.array([[0.5, 0.5], [0.1, 0.5]], dtype=complex)

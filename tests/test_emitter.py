@@ -6,16 +6,18 @@ import pytest
 from wgqed import (
     EmitterModel,
     ExcitedSuperposition,
+    LossModel,
     ModelValidationError,
     NonDegenerateManifoldError,
     NonUnitaryMatrixError,
     PolarizationVector,
+    coupling_bundle,
     effective_dipole,
     rotate_excited_basis,
     validate,
 )
 
-from conftest import random_model, random_unitary
+from conftest import make_env, random_model, random_unitary
 
 
 def v_system() -> EmitterModel:
@@ -81,6 +83,32 @@ class TestValidate:
         with pytest.raises(ModelValidationError) as exc:
             validate(model)
         assert exc.value.code == "non-finite-entry"
+
+    def test_first_non_finite_dipole_in_row_major_order_named(self):
+        D = np.ones((2, 2, 3), dtype=complex)
+        D[1, 0, 0] = np.nan
+        D[0, 1, 2] = complex(0.0, np.inf)
+        model = EmitterModel.from_arrays([0.0, 0.0], [1.0, 1.0], D)
+        with pytest.raises(ModelValidationError) as exc:
+            validate(model)
+        assert exc.value.code == "non-finite-entry"
+        assert "dipole (0, 1)" in str(exc.value)
+
+    def test_ragged_rows_reported_before_non_finite_entries(self):
+        # rows of unequal length cannot form a dipole array; the mismatch is
+        # reported as such, not as a numpy error or a non-finite entry
+        vec = PolarizationVector([1, 0, 0])
+        bad = PolarizationVector([np.nan, 0, 0])
+        model = EmitterModel(
+            ground_energies=(0.0, 0.0),
+            excited_energies=(1.0, 1.0),
+            dipoles=((bad, vec), (vec,)),
+        )
+        for check in (validate, lambda m: coupling_bundle(m, make_env([1, 0, 0]),
+                                                           LossModel.none())):
+            with pytest.raises(ModelValidationError) as exc:
+                check(model)
+            assert exc.value.code == "dimension-mismatch"
 
     @pytest.mark.parametrize("ground,excited", [((), (1.0,)), ((0.0,), ())])
     def test_empty_manifold_rejected(self, ground, excited):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wgqed import (
+    CHANNELS,
     EmitterModel,
     LossModel,
     ModelValidationError,
@@ -69,6 +70,19 @@ class TestLossModel:
         with pytest.raises(ModelValidationError) as exc:
             LossModel.from_array(t)
         assert exc.value.code == "non-symmetric-loss-tensor"
+
+    def test_array_is_read_only(self):
+        arr = LossModel.isotropic(0.2).as_array()
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+
+    def test_cached_modes_leave_equality_hash_and_repr_alone(self):
+        a = LossModel.isotropic(0.2)
+        b = LossModel.from_array(0.2j * np.eye(3))
+        assert a == b and hash(a) == hash(b)
+        assert hash(a) == hash((a.tensor,))
+        assert a != LossModel.isotropic(0.3)
+        assert repr(a) == f"LossModel(tensor={a.tensor!r})"
 
     def test_rate_on_unit_dipole_equals_strength(self, rng):
         env = make_env([1, 0, 0])
@@ -172,6 +186,27 @@ class TestCouplingBundle:
         G = dec.G_f + dec.G_b + 0.5 * dec.G_loss
         direct = -np.einsum("nxi,ij,nyj->xy", D, G.conj(), D.conj()) / env.epsilon0
         assert np.max(np.abs(bundle.Gamma - direct)) < 1e-13
+
+    def test_loss_channels_rebuild_imaginary_loss_sandwich(self, rng):
+        # anisotropic passive tensor whose imaginary part has rank 1 or 2, so
+        # eigenmodes of zero rate are dropped; summed over the loss channels,
+        # rate * C* C^T must equal sum_n D_n* Im(G) D_n^T / (hbar eps0)
+        env = make_env(random_unit_vector(rng), hbar=0.7, epsilon0=1.3)
+        for rank in (1, 2):
+            for _ in range(10):
+                A = rng.normal(size=(3, 3))
+                U = rng.normal(size=(3, rank))
+                tensor = 0.2 * (A + A.T) + 1j * (U @ U.T)
+                loss = LossModel.from_array(tensor)
+                model = random_model(rng, 2, 3)
+                bundle = coupling_bundle(model, env, loss)
+                lossy = bundle.columns == CHANNELS.index("loss")
+                C = bundle.couplings[lossy]
+                rebuilt = np.einsum("c,cxn,cyn->xy", bundle.rate_scales[lossy], C.conj(), C)
+                D = model.dipole_array()
+                direct = np.einsum("nxi,ij,nyj->xy", D.conj(), tensor.imag, D)
+                direct /= env.hbar * env.epsilon0
+                assert np.max(np.abs(rebuilt - direct)) < 1e-13
 
     def test_damping_matrix_consistent_with_gamma(self, rng):
         model = random_model(rng, 2, 3)
