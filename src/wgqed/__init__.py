@@ -35,11 +35,9 @@ from .errors import (
 )
 from .photonic import (
     CouplingBundle,
-    GreensDecomposition,
     LossModel,
     WaveguideEnv,
     coupling_bundle,
-    greens_decomposition,
 )
 from .scattering import (
     MODES,
@@ -63,7 +61,6 @@ __all__ = [
     "EmitterDensityMatrix",
     "EmitterModel",
     "ExcitedSuperposition",
-    "GreensDecomposition",
     "IllConditionedResponseWarning",
     "LossModel",
     "MODES",
@@ -86,7 +83,6 @@ __all__ = [
     "directional_totals",
     "effective_dipole",
     "evolve",
-    "greens_decomposition",
     "outcome_distance",
     "polarization_sweep",
     "rotate_excited_basis",

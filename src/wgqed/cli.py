@@ -35,7 +35,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .emitter import EmitterModel, ExcitedSuperposition, validate
-from .emission import INITIAL_NORM_TOL, default_t_max, evolve
+from .emission import INITIAL_NORM_TOL, _propagate, default_t_max
 from .errors import ConfigError, UnknownPresetError, WgqedError
 from .photonic import LossModel, WaveguideEnv, coupling_bundle
 from .scattering import (
@@ -220,6 +220,10 @@ def parse_config(data: dict) -> ScenarioConfig:
     for name in ("emitter", "waveguide", "loss", "input"):
         if merged.get(name) is None:
             raise ConfigError(f"missing required field {name!r}", field=name)
+    for name in ("emitter", "waveguide", "loss", "input", "sweep", "integrator", "output"):
+        value = merged.get(name)
+        if value is not None and not isinstance(value, dict):
+            raise ConfigError(f"{name} must be an object, got {value!r}", field=name)
 
     mode = merged.get("mode")
     if mode not in MODES_OF_OPERATION:
@@ -232,6 +236,11 @@ def parse_config(data: dict) -> ScenarioConfig:
     for name in ("ground_energies", "excited_energies", "dipoles"):
         if name not in emitter:
             raise ConfigError(f"missing field emitter.{name}", field=f"emitter.{name}")
+        if not isinstance(emitter[name], (list, tuple)):
+            raise ConfigError(
+                f"emitter.{name} must be an array, got {emitter[name]!r}",
+                field=f"emitter.{name}",
+            )
 
     waveguide = merged["waveguide"]
     _check_keys(waveguide, {"a", "v_g", "omega", "E_f"}, "waveguide.")
@@ -254,9 +263,9 @@ def parse_config(data: dict) -> ScenarioConfig:
         )
     n_ground = len(emitter["ground_energies"])
     gi = inp.get("ground_index", 0)
-    if not isinstance(gi, int) or not 0 <= gi < n_ground:
+    if isinstance(gi, bool) or not isinstance(gi, int) or not 0 <= gi < n_ground:
         raise ConfigError(
-            f"input.ground_index {gi!r} out of range for {n_ground} ground states",
+            f"input.ground_index must be an integer in [0, {n_ground}), got {gi!r}",
             field="input.ground_index",
         )
     freq = inp.get("photon_frequency")
@@ -519,9 +528,10 @@ def _run_emission(config: ScenarioConfig, out_path: Path, fmt: str) -> int:
     state = config.build_initial(model.n_excited)
     integ = config.integrator
 
+    bundle = coupling_bundle(model, env, loss)
     t_max = integ["t_max"]
     if t_max is None:
-        t_max = default_t_max(coupling_bundle(model, env, loss))
+        t_max = default_t_max(bundle)
     n_pts = integ["output_points"]
     if integ["grid"] == "geometric":
         first = t_max * 5e-5
@@ -530,7 +540,7 @@ def _run_emission(config: ScenarioConfig, out_path: Path, fmt: str) -> int:
         times = np.linspace(0.0, t_max, n_pts)
 
     try:
-        traj = evolve(model, env, loss, state, times=times)
+        traj = _propagate(bundle, state, times=times)
     except WgqedError as exc:
         print(f"wgqed: emission propagation failed: {exc}", file=sys.stderr)
         return 2
@@ -610,15 +620,16 @@ def _run_diagnostic(config: ScenarioConfig, out_path: Path, fmt: str) -> int:
                 - (model.ground_energies[0] + env.hbar * omega_f))
     try:
         t, r, p_loss = two_level_closed_form(model.dipoles[0][0], env, loss, detuning)
-        rates = coupling_bundle(model, env, loss).channel_decay_rates()
+        bundle = coupling_bundle(model, env, loss)
+        rates = bundle.channel_decay_rates()
         rate_f = float(rates.get("forward", np.zeros(1))[0])
         rate_b = float(rates.get("backward", np.zeros(1))[0])
         rate_l = float(rates.get("loss", np.zeros(1))[0])
         total = rate_f + rate_b + rate_l
         beta_rates = (rate_f + rate_b) / total if total > 0 else float("nan")
 
-        traj = evolve(
-            model, env, loss, ExcitedSuperposition.from_sequence([1.0]),
+        traj = _propagate(
+            bundle, ExcitedSuperposition.from_sequence([1.0]),
             t_max=30.0 / total if total > 0 else 1.0, output_points=11,
         )
         emitted = 1.0 - traj.final_totals.residual_excited

@@ -1,12 +1,15 @@
 """Spontaneous-emission dynamics of an initially excited emitter.
 
 Propagates the reduced density matrix of the emitter with the optical modes
-traced out: the excited block evolves coherently under the bare energies plus
-environment-induced shifts and decays under the channel couplings, while the
-released population is routed into per-channel ground-state accumulators
-(forward, backward, loss) built from the matching part of the Green's tensor.
-The generator does not depend on time, so the propagation is exact: one block
-matrix exponential per output time, with no step-size or tolerance setting.
+traced out: the excited block evolves under the non-Hermitian effective
+Hamiltonian ``H_eff`` of the coupling bundle (built by
+:func:`wgqed.photonic.effective_hamiltonian`, whose resolvent scattering
+solves), while the released population is routed into per-channel
+ground-state accumulators (forward, backward, loss) built from the channel
+couplings. The decay of the excited block and the channel fluxes are thus
+separate bookkeeping, and their sum is checked against 1. The generator does
+not depend on time, so the propagation is exact: one block matrix exponential
+per output time, with no step-size or tolerance setting.
 
 Ground-manifold coherences between different photon channels, and between
 ground states within one channel, are not tracked: the reproduced observables
@@ -179,7 +182,14 @@ def evolve(
     trace drifts beyond ``TRACE_DRIFT_TOL``.
     """
     bundle = coupling_bundle(model, env, loss)    # validates the model first
-    n_e = model.n_excited
+    return _propagate(bundle, initial, t_max, times, output_points)
+
+
+def _propagate(bundle: CouplingBundle, initial, t_max: float | None = None,
+               times: Sequence[float] | None = None, output_points: int = 201):
+    """:func:`evolve` from an assembled coupling bundle, for callers that
+    also need the bundle itself."""
+    n_e = bundle.H_eff.shape[0]
     rho0 = _coerce_initial(initial, n_e)
 
     if times is None:
@@ -197,8 +207,7 @@ def evolve(
     # Generator on [vec rho, vec int_0^t rho] (C-order vec): the excited block
     # obeys d rho/dt = -i (H_eff rho - rho H_eff^dagger), its integral has
     # derivative rho.
-    H_eff = ((np.diag(bundle.excited_energies) - bundle.coherent_shift) / env.hbar
-             - 0.5j * bundle.damping_rate_matrix())
+    H_eff = bundle.H_eff
     # Liouvillian -i (H_eff (x) I - I (x) H_eff^*), with the Kronecker
     # products written as broadcasts over the index pairs (a b),(c d).
     eye = np.eye(n_e)
@@ -216,8 +225,9 @@ def evolve(
     rhos = y[:, :n_rho].reshape(-1, n_e, n_e)
     probs = channel_flux(bundle, y[:, n_rho:].reshape(-1, n_e, n_e))
 
-    # The excited block decays through K while the accumulators integrate
-    # the channel fluxes: their sum checks one against the other.
+    # The excited block decays through the sandwich-built H_eff while the
+    # accumulators integrate the channel fluxes: their sum checks one
+    # against the other.
     total = np.trace(rhos, axis1=-2, axis2=-1).real + np.sum(probs, axis=(-2, -1))
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(total))):
         raise NonPhysicalStateError("non-finite state in the emission propagation")

@@ -1,6 +1,6 @@
-"""Waveguide photonic environment: Green's tensor decomposition, the two
-dipole contractions both solvers build on, and the coupling bundle consumed
-by the emission solver and the two-level diagnostic.
+"""Waveguide photonic environment: the guided couplings and the one effective
+Hamiltonian both solvers read, and the coupling bundle consumed by the
+emission solver and the two-level diagnostic.
 
 Conventions
 -----------
@@ -19,6 +19,10 @@ contributes to the physical Green's function at half weight. With the default
 simple units (a = w = 1, v_g = 0.1) a linear dipole matched to a linear field
 decays at rate 5 per direction, 10 total, and isotropic loss 0.2 gives a
 guided fraction of 10/10.2.
+
+:func:`effective_hamiltonian` is the only place the non-Hermitian effective
+Hamiltonian of the excited manifold is assembled: emission exponentiates it
+(through :func:`coupling_bundle`) and scattering solves its resolvent.
 """
 
 from __future__ import annotations
@@ -73,11 +77,6 @@ class WaveguideEnv:
     def z(self) -> float:
         """Density-of-states scale a w / (2 |v_g|)."""
         return self.a * self.omega / (2.0 * abs(self.v_g))
-
-    @property
-    def N(self) -> complex:
-        """Field-normalization constant 2 |v_g| eps0 / (i a w)."""
-        return 2.0 * abs(self.v_g) * self.epsilon0 / (1j * self.a * self.omega)
 
     def with_field(self, E_f) -> "WaveguideEnv":
         return replace(self, E_f=PolarizationVector(E_f))
@@ -158,67 +157,34 @@ class LossModel:
 
 
 @dataclass(frozen=True)
-class GreensDecomposition:
-    """Green's tensor at the emitter location, split by channel."""
-
-    G_f: np.ndarray
-    G_b: np.ndarray
-    G_loss: np.ndarray
-
-    def total(self) -> np.ndarray:
-        return self.G_f + self.G_b + self.G_loss
-
-    def physical(self) -> np.ndarray:
-        """Channel sum with the stored loss tensor at its physical half weight."""
-        return self.G_f + self.G_b + 0.5 * self.G_loss
-
-
-def greens_decomposition(env: WaveguideEnv, loss: LossModel) -> GreensDecomposition:
-    """Assemble the per-channel Green's tensors from the local mode fields."""
-    kappa = env.a * env.omega / (4.0 * abs(env.v_g))
-    ef = env.E_f.as_array()
-    eb = env.E_b.as_array()
-    G_f = 1j * kappa * np.outer(ef, ef.conj())
-    G_b = 1j * kappa * np.outer(eb, eb.conj())
-    for g in (G_f, G_b):
-        g.setflags(write=False)
-    return GreensDecomposition(G_f=G_f, G_b=G_b, G_loss=loss.as_array())
-
-
-@dataclass(frozen=True)
 class CouplingBundle:
-    """Coupling matrices of one emitter in one environment, as the emission
-    solver consumes them.
+    """The effective Hamiltonian of one emitter in one environment and its
+    radiation channels, as the emission solver consumes them.
 
-    ``Gamma`` follows the index convention of its defining sandwich
-    (unconjugated dipole on the left index); the solvers contract it through
-    its transpose, which is the orientation under which probability is
-    conserved and excited-basis rotations act trivially.
-
-    The radiation channels are stacked: ``couplings[c, x, n]`` is the
-    amplitude with which excited state x decays to ground state n into
-    channel c, ``rate_scales[c]`` turns its mod-squared contraction with an
-    excited-state amplitude vector into a rate, and ``columns[c]`` indexes
-    the channel's label in :data:`CHANNELS`. The forward and backward guided
-    channels come first, then one loss channel per emitting eigenmode of the
-    loss tensor.
+    ``H_eff`` is the output of :func:`effective_hamiltonian` at the
+    environment's field. The radiation channels are stacked:
+    ``couplings[c, x, n]`` is the amplitude with which excited state x decays
+    to ground state n into channel c, ``rate_scales[c]`` turns its
+    mod-squared contraction with an excited-state amplitude vector into a
+    rate, and ``columns[c]`` indexes the channel's label in :data:`CHANNELS`.
+    The forward and backward guided channels come first, then one loss
+    channel per emitting eigenmode of the loss tensor.
     """
 
-    Gamma: np.ndarray               # (n_e, n_e) self-energy sandwich
+    H_eff: np.ndarray               # (n_e, n_e) non-Hermitian, rate units
     couplings: np.ndarray           # (channel, n_e, n_g)
     rate_scales: np.ndarray         # (channel,)
     columns: np.ndarray             # (channel,) index into CHANNELS
-    coherent_shift: np.ndarray      # Hermitian level-shift matrix (energy units)
-    excited_energies: np.ndarray
 
     def damping_rate_matrix(self) -> np.ndarray:
-        """Hermitian PSD matrix K with dpop/dt = -K-weighted decay (rate units).
+        """Hermitian PSD matrix K = i (H_eff - H_eff^H) with dpop/dt =
+        -K-weighted decay (rate units).
 
-        Built from the channel couplings, so the emission fluxes and the total
-        excited decay balance exactly.
+        Built from the dipole sandwiches of ``H_eff``, not from the channel
+        couplings, so the emission fluxes and the total excited decay are
+        independent bookkeeping that must balance.
         """
-        C = self.couplings
-        return np.einsum("c,cxn,cyn->xy", self.rate_scales, C.conj(), C)
+        return 1j * (self.H_eff - self.H_eff.conj().T)
 
     def total_decay_rates(self) -> np.ndarray:
         """Total spontaneous decay rate of each excited state (all channels)."""
@@ -247,46 +213,53 @@ def guided_couplings(D: np.ndarray, E_f) -> np.ndarray:
     return np.einsum("nxi,...mi->...mxn", D, fields)
 
 
-def dipole_sandwich(D: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """``sum_n d_{nx} . G* . d_{ny}*`` (n_e, n_e) for a 3x3 tensor ``G``."""
-    return np.einsum("nxi,ij,nyj->xy", D, np.conj(G), D.conj())
+def effective_hamiltonian(
+    D: np.ndarray, B: np.ndarray, excited_energies, env: WaveguideEnv, loss: LossModel
+) -> np.ndarray:
+    """Non-Hermitian effective Hamiltonian of the excited manifold (rate
+    units), one (n_e, n_e) matrix per field of the guided couplings ``B``
+    (..., 2, n_e, n_g) of :func:`guided_couplings`.
+
+    It has two parts. The field-independent one is ``H_0 = diag(E_x) / hbar
+    + L^T / (2 eps0 hbar)`` with the loss sandwich ``L_xy = sum_n d_{nx} .
+    G_loss* . d_{ny}*``: its Hermitian part shifts the levels, its
+    anti-Hermitian part is the decay into non-guided modes. The guided part
+    ``-(i/2)(z / eps0 hbar) sum_m B_m* B_m^T`` is pure decay and adds no level
+    shift, so a sweep over fields only changes it. ``i (H_eff - H_eff^H)``
+    is the total damping matrix.
+    """
+    eps0_hbar = env.epsilon0 * env.hbar
+    L_T = np.einsum("nxi,ij,nyj->yx", D, loss.as_array().conj(), D.conj())
+    H_0 = (np.diag(np.asarray(excited_energies, dtype=float) / env.hbar)
+           + L_T / (2.0 * eps0_hbar))
+    guided = np.einsum("...mxn,...myn->...xy", B.conj(), B)
+    return H_0 - (0.5j * env.z / eps0_hbar) * guided
 
 
 def coupling_bundle(
     model: EmitterModel, env: WaveguideEnv, loss: LossModel
 ) -> CouplingBundle:
-    """Assemble the coupling matrices of one emitter in one environment.
+    """Assemble the effective Hamiltonian and the radiation channels of one
+    emitter in one environment.
 
     A single field frequency is used for every transition, so the couplings
-    do not depend on the level energies. The guided part of ``Gamma`` is
-    ``i kappa (B_f B_f^H + B_b B_b^H) / eps0`` with the guided couplings
-    ``B``, which equals the dipole sandwich of ``G_f + G_b``; only the loss
-    tensor goes through :func:`dipole_sandwich`. The loss channels are the
-    eigenmodes the :class:`LossModel` kept at construction.
+    do not depend on the level energies. The guided channels are the guided
+    couplings ``B``; the loss channels are the eigenmodes the
+    :class:`LossModel` kept at construction.
     """
     D = _validated_dipoles(model)                 # (n_g, n_e, 3)
-    eps0, hbar = env.epsilon0, env.hbar
-    kappa = env.a * env.omega / (4.0 * abs(env.v_g))
-
     B = guided_couplings(D, env.E_f.as_array())   # (2, n_e, n_g)
-    Gamma = ((1j * kappa / eps0) * np.einsum("mxn,myn->xy", B, B.conj())
-             - dipole_sandwich(D, 0.5 * loss.as_array()) / eps0)
+    H_eff = effective_hamiltonian(D, B, model.excited_energies, env, loss)
 
+    eps0_hbar = env.epsilon0 * env.hbar
     loss_couplings = np.einsum("nxi,ik->kxn", D, loss._modes)
     couplings = np.concatenate((B, loss_couplings))
-    wg_scale = env.a * env.omega / (2.0 * abs(env.v_g) * hbar * eps0)
-    rate_scales = np.concatenate(([wg_scale, wg_scale], loss._rates / (hbar * eps0)))
+    wg_scale = env.z / eps0_hbar
+    rate_scales = np.concatenate(([wg_scale, wg_scale], loss._rates / eps0_hbar))
     columns = np.array([0, 1] + [2] * loss._rates.size)
 
-    shift = 0.5 * (Gamma.T + Gamma.conj())
-    for arr in (Gamma, couplings, rate_scales, columns, shift):
+    for arr in (H_eff, couplings, rate_scales, columns):
         arr.setflags(write=False)
-
     return CouplingBundle(
-        Gamma=Gamma,
-        couplings=couplings,
-        rate_scales=rate_scales,
-        columns=columns,
-        coherent_shift=shift,
-        excited_energies=np.asarray(model.excited_energies, dtype=float),
+        H_eff=H_eff, couplings=couplings, rate_scales=rate_scales, columns=columns,
     )

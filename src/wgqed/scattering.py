@@ -5,12 +5,19 @@ The amplitude into output mode m with the emitter left in ground state k is
 
     gamma[m, k] = delta - (E_m* . d_k:) M^-1 (d_r:* . E_in)
 
-with the response matrix M = X^T + i L^T / 2z + i eps0 Delta / z built from
-the guided damping X, the loss sandwich L and the detuning Delta. The
-bookend convention is fixed: absorption contracts the conjugated dipole with
-the field, emission contracts the conjugated field with the dipole. Only X
-depends on the field, so a sweep stacks M over its fields and solves the
-stack in one call; :func:`scatter` is a batch of one.
+with the response matrix the resolvent form
+
+    M = (i eps0 hbar / z) (H_eff - E_int / hbar)
+
+of the effective Hamiltonian ``H_eff`` that emission exponentiates (see
+:func:`wgqed.photonic.effective_hamiltonian`) at the total input energy
+``E_int``. The scale makes the Hermitian part of M the guided damping
+``sum_m B_m* B_m^T / 2`` plus the loss decay, in the units of
+``DARK_COUPLING_THRESHOLD``. The bookend convention is fixed: absorption
+contracts the conjugated dipole with the field, emission contracts the
+conjugated field with the dipole. Only the guided part of ``H_eff`` depends
+on the field, so a sweep stacks M over its fields and solves the stack in one
+call; :func:`scatter` is a batch of one.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from .errors import (
     IllConditionedResponseWarning,
     SingularResponseError,
 )
-from .photonic import LossModel, WaveguideEnv, dipole_sandwich, guided_couplings
+from .photonic import LossModel, WaveguideEnv, effective_hamiltonian, guided_couplings
 
 MODES = ("forward", "backward")
 DARK_COUPLING_THRESHOLD = 1e-12
@@ -130,12 +137,9 @@ def _scatter_fields(
     inc = MODES.index(inp.direction)
     in_vec = B[:, inc, :, r].conj()                      # d_r* . E_in
 
-    # M = X^T + i L^T / 2z + i eps0 Delta / z; only the guided damping X
-    # depends on the field.
-    X_T = 0.5 * np.einsum("tmxn,tmyn->txy", B.conj(), B)
-    Delta = np.diag(np.asarray(model.excited_energies, dtype=float) - E_int)
-    M = X_T + ((0.5j / env.z) * dipole_sandwich(D, loss.as_array()).T
-               + (1j * env.epsilon0 / env.z) * Delta)
+    # H_eff with the level energies counted from E_int is H_eff - E_int / hbar.
+    detunings = np.asarray(model.excited_energies, dtype=float) - E_int
+    M = (1j * env.epsilon0 * env.hbar / env.z) * effective_hamiltonian(D, B, detunings, env, loss)
 
     y = np.zeros(in_vec.shape, dtype=complex)
     errors: dict[int, Exception] = {}

@@ -39,6 +39,7 @@ from wgqed.cli import main as cli_main
 
 from conftest import (
     make_env,
+    oracle_loss_probability,
     oracle_scatter,
     paradox_model,
     random_model,
@@ -389,7 +390,10 @@ def test_criterion_6_conservation():
                 worst_unitarity, abs(float(np.sum(np.abs(res.amplitudes) ** 2)) - 1.0)
             )
         else:
-            worst_balance = max(worst_balance, abs(res.total_probability() - 1.0))
+            # p_loss = 1 - sum |gamma|^2 by construction: balance it against
+            # the loss flux of the oracle response
+            p_flux = oracle_loss_probability(model, env, loss, inp)
+            worst_balance = max(worst_balance, abs(res.p_loss - p_flux))
             worst_passivity = max(worst_passivity, -res.p_loss)
 
     worst_trace = 0.0

@@ -9,9 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import wgqed.cli
+import wgqed.emission
+import wgqed.photonic
 from wgqed import UnknownPresetError
-from wgqed.cli import main, parse_config, preset, serialize_config
+from wgqed.cli import PRESET_NAMES, main, parse_config, preset, serialize_config
 
 
 def read_csv(path):
@@ -245,9 +250,15 @@ class TestOutputsAndExitCodes:
         ({"dark_state_projection": "no"}, "o.csv", "dark_state_projection"),
         ({"dark_state_projection": 1}, "o.csv", "dark_state_projection"),
         ({"dark_state_projection": "true"}, "o.csv", "dark_state_projection"),
+        ({"input": {"direction": "forward", "ground_index": True, "photon_frequency": 1.0}},
+         "o.csv", "input.ground_index"),
+        ({"loss": 5}, "o.csv", "loss"),
+        ({"output": [1]}, "o.csv", "output"),
+        ({"sweep": "theta"}, "o.csv", "sweep"),
     ], ids=["out-in-missing-dir", "out-is-directory", "stop-above-pi", "no-start",
             "string-start", "string-photon-frequency", "projection-string-no",
-            "projection-integer", "projection-string-true"])
+            "projection-integer", "projection-string-true", "boolean-ground-index",
+            "loss-not-an-object", "output-not-an-object", "sweep-not-an-object"])
     def test_invalid_sweep_input_or_output_exits_one(self, monkeypatch, tmp_path, capsys,
                                                      overrides, out, field):
         (tmp_path / "c.json").write_text(json.dumps({"scenario": "ixi-scan", **overrides}))
@@ -286,6 +297,64 @@ class TestOutputsAndExitCodes:
         )
         assert proc.returncode == 0
         assert (tmp_path / "tl.csv").exists()
+
+
+class TestBundleReuse:
+    @pytest.mark.parametrize("scenario", ["two-level", "paradox-emission"])
+    def test_one_coupling_bundle_per_run(self, monkeypatch, tmp_path, scenario):
+        # the rates or the default t_max and the propagation share one bundle
+        original = wgqed.photonic.coupling_bundle
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (wgqed.photonic, wgqed.emission, wgqed.cli):
+            if hasattr(module, "coupling_bundle"):
+                monkeypatch.setattr(module, "coupling_bundle", counting)
+        assert run_cli(monkeypatch, tmp_path, "run", scenario, "--out", "o.csv") == 0
+        assert len(calls) == 1
+
+
+# Values of the wrong type for any field or section of a config.
+_ODD_VALUES = st.sampled_from(
+    [None, True, False, 0, -1, 2.5, "x", "", [], [1], [[1, 0]], {}, {"a": 1}]
+)
+
+
+@st.composite
+def mutated_preset_configs(draw):
+    """A preset's canonical JSON, optionally turned custom, with a drawn
+    sweep length and output grid and up to three fields or sections dropped
+    or replaced by a value of another type."""
+    cfg = json.loads(serialize_config(preset(draw(st.sampled_from(PRESET_NAMES)))))
+    if draw(st.booleans()):
+        cfg["scenario"] = "custom"
+    if cfg["sweep"] is not None:
+        cfg["sweep"]["steps"] = draw(st.integers(-2, 1001))
+    cfg["integrator"]["output_points"] = draw(st.integers(-2, 1001))
+    for _ in range(draw(st.integers(0, 3))):
+        target = cfg
+        key = draw(st.sampled_from(sorted(cfg)))
+        if draw(st.booleans()) and isinstance(cfg.get(key), dict) and cfg[key]:
+            target = cfg[key]
+            key = draw(st.sampled_from(sorted(target)))
+        if draw(st.booleans()):
+            del target[key]
+        else:
+            target[key] = draw(_ODD_VALUES)
+    return cfg
+
+
+class TestExitCodeContract:
+    @settings(max_examples=150, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cfg=mutated_preset_configs())
+    def test_mutated_configs_exit_zero_one_or_two(self, tmp_path, cfg):
+        path = tmp_path / "fuzz.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / "fuzz.out")]) in (0, 1, 2)
 
 
 class TestCustomEmission:

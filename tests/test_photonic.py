@@ -1,4 +1,5 @@
-"""Green's decomposition, loss models, and the coupling bundle."""
+"""Green's tensors, loss models, the effective Hamiltonian and the coupling
+bundle."""
 
 import numpy as np
 import pytest
@@ -10,13 +11,23 @@ from wgqed import (
     ModelValidationError,
     PolarizationVector,
     ScatterInput,
+    SingularResponseError,
     coupling_bundle,
-    greens_decomposition,
     scatter,
     two_level_closed_form,
 )
 
-from conftest import make_env, paradox_model, PARADOX_FIELD, random_model, random_unit_vector
+from conftest import (
+    PARADOX_FIELD,
+    make_env,
+    oracle_field_normalization,
+    oracle_gamma,
+    oracle_greens_tensors,
+    paradox_model,
+    random_loss_tensor,
+    random_model,
+    random_unit_vector,
+)
 
 
 X_DIPOLE = PolarizationVector([1, 0, 0])
@@ -41,7 +52,7 @@ class TestWaveguideEnv:
     def test_density_of_states_scale(self):
         env = make_env([1, 0, 0], a=1.0, v_g=0.1, omega=1.0)
         assert env.z == pytest.approx(5.0)
-        assert env.N == pytest.approx(0.2 / 1j)
+        assert oracle_field_normalization(env) == pytest.approx(0.2 / 1j)
 
     @pytest.mark.parametrize("kwargs", [
         {"a": 0.0}, {"omega": -1.0}, {"v_g": 0.0}, {"epsilon0": 0.0}, {"hbar": -1.0},
@@ -93,26 +104,41 @@ class TestLossModel:
 
 
 class TestGreensDecomposition:
+    """The per-channel Green's tensors of the scattering oracle, and the same
+    channel split seen through the package's effective Hamiltonian."""
+
     def test_matched_linear_field_tensors(self):
         env = make_env([1, 0, 0], a=1.0, v_g=0.1, omega=1.0)
-        dec = greens_decomposition(env, LossModel.none())
+        G_f, G_b, G_loss = oracle_greens_tensors(env, LossModel.none())
         expected = 2.5j * np.diag([1.0, 0.0, 0.0])
-        assert np.allclose(dec.G_f, expected)
-        assert np.allclose(dec.G_b, expected)
-        assert dec.total()[0, 0] == pytest.approx(5j)
+        assert np.allclose(G_f, expected)
+        assert np.allclose(G_b, expected)
+        assert (G_f + G_b + G_loss)[0, 0] == pytest.approx(5j)
+        # the x dipole decays at 2 Im(G_f + G_b)_xx = 10: H_eff = 1 - 5i
+        bundle = coupling_bundle(two_level(), env, LossModel.none())
+        assert bundle.H_eff[0, 0] == pytest.approx(1.0 - 5j)
 
-    def test_zero_field_leaves_only_loss(self):
+    def test_zero_field_leaves_only_loss(self, rng):
         env = make_env([0, 0, 0])
         loss = LossModel.isotropic(0.2)
-        dec = greens_decomposition(env, loss)
-        assert np.allclose(dec.G_f, 0.0) and np.allclose(dec.G_b, 0.0)
-        assert np.allclose(dec.total(), 0.2j * np.eye(3))
+        G_f, G_b, G_loss = oracle_greens_tensors(env, loss)
+        assert np.allclose(G_f, 0.0) and np.allclose(G_b, 0.0)
+        assert np.allclose(G_f + G_b + G_loss, 0.2j * np.eye(3))
+        # with no guided field the damping is the isotropic loss alone:
+        # K = 0.2 sum_n D_n* D_n^T
+        model = random_model(rng, 2, 2)
+        D = model.dipole_array()
+        K = coupling_bundle(model, env, loss).damping_rate_matrix()
+        assert np.allclose(K, 0.2 * np.einsum("nxi,nyi->xy", D.conj(), D), atol=1e-14)
 
     def test_forward_backward_swap_symmetric_for_real_field(self, rng):
         e = rng.normal(size=3)
         env = make_env(e / np.linalg.norm(e))
-        dec = greens_decomposition(env, LossModel.none())
-        assert np.allclose(dec.G_f, dec.G_b)
+        G_f, G_b, _ = oracle_greens_tensors(env, LossModel.none())
+        assert np.allclose(G_f, G_b)
+        rates = coupling_bundle(random_model(rng, 2, 2), env,
+                                LossModel.none()).channel_decay_rates()
+        assert np.allclose(rates["forward"], rates["backward"], rtol=1e-12)
 
 
 class TestCouplingBundle:
@@ -134,16 +160,17 @@ class TestCouplingBundle:
         # |E_f . d_11|^2 = 4 |E_f . d_12|^2 for E_f = (2, i, 0)/sqrt(5)
         bundle = coupling_bundle(paradox_model(), make_env(PARADOX_FIELD),
                                  LossModel.none())
-        diag = np.diag(bundle.Gamma)
-        assert diag[0] / diag[1] == pytest.approx(4.0)
-        assert np.allclose(bundle.Gamma, np.diag([4j, 1j]), atol=1e-14)
+        decay = -np.imag(np.diag(bundle.H_eff))
+        assert decay[0] / decay[1] == pytest.approx(4.0)
+        assert np.allclose(bundle.H_eff, np.diag([1 - 4j, 1 - 1j]), atol=1e-14)
 
     def test_zero_dipoles_give_zero_matrices(self):
         model = EmitterModel.from_arrays([0.0], [1.0, 1.0],
                                          [[[0, 0, 0], [0, 0, 0]]])
         bundle = coupling_bundle(model, make_env([1, 0, 0]),
                                  LossModel.isotropic(0.2))
-        for mat in (bundle.Gamma, bundle.coherent_shift, bundle.damping_rate_matrix()):
+        for mat in (bundle.H_eff - np.diag(model.excited_energies),
+                    bundle.damping_rate_matrix()):
             assert np.max(np.abs(mat)) == 0.0
 
     def test_matched_two_level_total_rate(self):
@@ -176,16 +203,16 @@ class TestCouplingBundle:
             assert abs(forward - backward) < 1e-15
 
     def test_gamma_matches_direct_sandwich(self, rng):
-        # recompute Gamma from the Green's tensor sandwich
+        # recompute the self-energy Gamma from the Green's tensor sandwich:
+        # H_eff is its self-energy form (diag(E) - Gamma^T) / hbar
         model = random_model(rng, 2, 2)
-        env = make_env(random_unit_vector(rng))
-        loss = LossModel.isotropic(0.3)
-        bundle = coupling_bundle(model, env, loss)
-        D = model.dipole_array()
-        dec = greens_decomposition(env, loss)
-        G = dec.G_f + dec.G_b + 0.5 * dec.G_loss
-        direct = -np.einsum("nxi,ij,nyj->xy", D, G.conj(), D.conj()) / env.epsilon0
-        assert np.max(np.abs(bundle.Gamma - direct)) < 1e-13
+        for env in (make_env(random_unit_vector(rng)),
+                    make_env(random_unit_vector(rng), hbar=0.7, epsilon0=1.3, v_g=-0.2)):
+            for loss in (LossModel.isotropic(0.3), random_loss_tensor(rng)):
+                bundle = coupling_bundle(model, env, loss)
+                direct = oracle_gamma(model, env, loss)
+                expected = (np.diag(model.excited_energies) - direct.T) / env.hbar
+                assert np.max(np.abs(bundle.H_eff - expected)) < 1e-13
 
     def test_loss_channels_rebuild_imaginary_loss_sandwich(self, rng):
         # anisotropic passive tensor whose imaginary part has rank 1 or 2, so
@@ -211,10 +238,16 @@ class TestCouplingBundle:
     def test_damping_matrix_consistent_with_gamma(self, rng):
         model = random_model(rng, 2, 3)
         env = make_env(random_unit_vector(rng))
-        bundle = coupling_bundle(model, env, LossModel.isotropic(0.15))
-        go = bundle.Gamma.T
+        loss = LossModel.isotropic(0.15)
+        bundle = coupling_bundle(model, env, loss)
+        go = oracle_gamma(model, env, loss).T
         from_gamma = (go - go.conj().T) / (2j * env.hbar) * 2.0
-        assert np.max(np.abs(bundle.damping_rate_matrix() - from_gamma)) < 1e-13
+        K = bundle.damping_rate_matrix()
+        assert np.max(np.abs(K - from_gamma)) < 1e-13
+        # the channel couplings the fluxes are built from give the same K
+        C = bundle.couplings
+        from_channels = np.einsum("c,cxn,cyn->xy", bundle.rate_scales, C.conj(), C)
+        assert np.max(np.abs(K - from_channels)) < 1e-13
 
     def test_common_energy_shift_leaves_couplings_unchanged(self, rng):
         model = random_model(rng, 2, 2)
@@ -227,15 +260,16 @@ class TestCouplingBundle:
             model.dipole_array(),
         )
         b = coupling_bundle(shifted, env, loss)
-        for name in ("Gamma", "coherent_shift"):
+        for name in ("H_eff", "couplings"):
             assert np.max(np.abs(getattr(a, name) - getattr(b, name))) < 1e-14
 
     def test_reactive_loss_gives_half_sandwich_level_shift(self):
-        # d . Re(G_loss) . d* = 0.3 on a matched dipole shifts the effective
-        # transition energy by +0.15 (coherent_shift enters with a minus sign)
+        # d . Re(G_loss) . d* = 0.3 on a matched dipole gives the self-energy
+        # level shift -0.15, which enters H_eff with a minus sign: the
+        # effective transition energy moves by +0.15
         loss = LossModel.from_array(0.3 * np.eye(3) + 0.2j * np.eye(3))
         bundle = coupling_bundle(two_level(), make_env([1, 0, 0]), loss)
-        assert bundle.coherent_shift[0, 0] == pytest.approx(-0.15)
+        assert 1.0 - bundle.H_eff[0, 0].real == pytest.approx(-0.15)
         assert bundle.total_decay_rates()[0] == pytest.approx(10.2)
 
     def test_damping_is_positive_semidefinite(self, rng):
@@ -245,3 +279,15 @@ class TestCouplingBundle:
             loss = LossModel.isotropic(float(rng.uniform(0, 0.5)))
             K = coupling_bundle(model, env, loss).damping_rate_matrix()
             assert np.min(np.linalg.eigvalsh(K)) > -1e-12
+
+    def test_dark_state_means_one_thing_in_both_solvers(self):
+        # the dark directions scattering reports for the lossless V system at
+        # E_f = x lie in the kernel of the damping matrix emission decays by
+        model = paradox_model()
+        env = make_env([1, 0, 0])
+        with pytest.raises(SingularResponseError) as exc:
+            scatter(model, env, LossModel.none(), ScatterInput(photon_frequency=1.0))
+        dark = exc.value.dark_vectors
+        assert dark.shape == (2, 1)
+        K = coupling_bundle(model, env, LossModel.none()).damping_rate_matrix()
+        assert np.linalg.norm(K @ dark) < 1e-12

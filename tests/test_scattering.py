@@ -19,7 +19,7 @@ from wgqed import (
 
 from conftest import (
     make_env,
-    oracle_response_matrix,
+    oracle_loss_probability,
     oracle_scatter,
     paradox_model,
     random_loss_tensor,
@@ -234,29 +234,22 @@ class TestConservationProperties:
             assert abs(np.sum(np.abs(res.amplitudes) ** 2) - 1.0) < 1e-10
 
     def test_lossy_scattering_is_passive_and_balanced(self, rng):
+        # p_loss is 1 - sum |gamma|^2 by construction, so the balance is
+        # checked against the loss flux of the oracle response instead
         for _ in range(300):
             model, env, loss, inp, s = self._random_case(rng, lossless=False)
             res = scatter(model, env, loss, inp)
             assert res.p_loss > -1e-9
-            assert abs(res.total_probability() - 1.0) < 1e-9
+            assert abs(res.p_loss - oracle_loss_probability(model, env, loss, inp)) < 1e-9
 
     def test_p_loss_matches_loss_flux_quadratic_form(self, rng):
         # independent bookkeeping: p_loss must equal u^dag (J^T / z) u with
         # J the dissipative loss sandwich and u the solved excited response
         for _ in range(50):
             model, env, loss, inp, s = self._random_case(rng, lossless=False)
-            M = oracle_response_matrix(
-                model, env, loss,
-                model.ground_energies[inp.ground_index] + env.hbar * inp.photon_frequency,
-            )
-            D = model.dipole_array()
-            E_in = (env.E_f if inp.direction == "forward" else env.E_b).as_array()
-            in_vec = D[inp.ground_index].conj() @ E_in
-            u = np.linalg.solve(M, in_vec)
-            H_J = np.einsum("nxi,ij,nyj->xy", D, loss.as_array().imag, D.conj())
-            p_direct = float(np.real(u.conj() @ (H_J.T / env.z) @ u))
             res = scatter(model, env, loss, inp)
-            assert res.p_loss == pytest.approx(p_direct, abs=1e-10)
+            assert res.p_loss == pytest.approx(
+                oracle_loss_probability(model, env, loss, inp), abs=1e-10)
 
     def test_unitarity_survives_nonstandard_constants(self, rng):
         # hbar, epsilon0 and the sign of v_g only rescale internals
