@@ -254,6 +254,13 @@ def parse_config(data: dict) -> ScenarioConfig:
         raise ConfigError(
             "loss needs exactly one of 'isotropic' or 'tensor'", field="loss"
         )
+    if "isotropic" in loss and not (_finite_number(loss["isotropic"])
+                                    and loss["isotropic"] >= 0):
+        raise ConfigError(
+            "loss.isotropic must be a finite non-negative number, "
+            f"got {loss['isotropic']!r}",
+            field="loss.isotropic",
+        )
 
     inp = merged["input"]
     _check_keys(inp, {"direction", "ground_index", "photon_frequency"}, "input.")
@@ -261,8 +268,9 @@ def parse_config(data: dict) -> ScenarioConfig:
         raise ConfigError(
             f"input.direction must be one of {MODES}", field="input.direction"
         )
+    inp = {"ground_index": _DEFAULT_INPUT["ground_index"], **inp}
     n_ground = len(emitter["ground_energies"])
-    gi = inp.get("ground_index", 0)
+    gi = inp["ground_index"]
     if isinstance(gi, bool) or not isinstance(gi, int) or not 0 <= gi < n_ground:
         raise ConfigError(
             f"input.ground_index must be an integer in [0, {n_ground}), got {gi!r}",

@@ -8,8 +8,10 @@ solves), while the released population is routed into per-channel
 ground-state accumulators (forward, backward, loss) built from the channel
 couplings. The decay of the excited block and the channel fluxes are thus
 separate bookkeeping, and their sum is checked against 1. The generator does
-not depend on time, so the propagation is exact: one block matrix exponential
-per output time, with no step-size or tolerance setting.
+not depend on time, so the propagation is exact, with no step-size or
+tolerance setting, and every piece of it is sized by the number of excited
+states: one stack of ``exp(-i H_eff t)`` over the output times, and one
+adjoint Lyapunov solve for all the accumulators.
 
 Ground-manifold coherences between different photon channels, and between
 ground states within one channel, are not tracked: the reproduced observables
@@ -40,9 +42,11 @@ _PADE13 = (
     33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
 )
 _THETA13 = 5.371920351148152
-# Output times exponentiated in one stack: bounds the memory of the Pade
-# temporaries on long grids.
-_TIMES_PER_EXPM = 32
+# Relative singular-value cutoff of the Lyapunov solve: drops the directions
+# of pairs of non-decaying modes, which carry no flux and whose singular
+# values are rounding (~2e-16 of the largest), and keeps modes that decay
+# down to 1e-14 times slower than the fastest.
+_LYAPUNOV_RCOND = 1e-14
 
 
 @dataclass(frozen=True)
@@ -81,8 +85,8 @@ class EmissionTrajectory:
 def channel_flux(bundle: CouplingBundle, excited_block: np.ndarray) -> np.ndarray:
     """Probability flux (..., n_ground, 3) out of ``excited_block`` (or a
     stack of blocks, shape (..., n_e, n_e)) into each (ground state, channel)
-    pair. Applied to the time integral of the excited block it gives the
-    accumulated probabilities.
+    pair. It is linear over Hermitian blocks, so its values on the unit
+    matrices give the flux forms the propagator integrates.
 
     One contraction over the stacked channel couplings gives the flux per
     (ground state, channel); the rate scales weight it and the channel
@@ -106,7 +110,7 @@ def _coerce_initial(initial, n_e: int) -> np.ndarray:
             raise NonPhysicalStateError(
                 f"initial superposition norm {norm:.17g} differs from 1 beyond {INITIAL_NORM_TOL}"
             )
-        return np.outer(psi, psi.conj())
+        return psi[:, None] * psi.conj()
     rho = np.asarray(initial, dtype=complex)
     if rho.shape != (n_e, n_e):
         raise NonPhysicalStateError(
@@ -139,8 +143,8 @@ def _expm(A: np.ndarray) -> np.ndarray:
     nearly defective generators.
     """
     b = _PADE13
-    norms = np.max(np.sum(np.abs(A), axis=-2), axis=-1)
-    s = np.ceil(np.log2(np.maximum(norms / _THETA13, 1.0))).astype(int)
+    norms = np.abs(A).sum(axis=-2).max(axis=-1)
+    s = np.ceil(np.log2(np.maximum(norms / _THETA13, 1.0)))
     X = A / (2.0 ** s)[..., None, None]
     ident = np.eye(A.shape[-1])
     X2 = X @ X
@@ -152,7 +156,8 @@ def _expm(A: np.ndarray) -> np.ndarray:
          + b[6] * X6 + b[4] * X4 + b[2] * X2 + b[0] * ident)
     R = np.linalg.solve(V - U, V + U)
     for k in range(int(s.max())):
-        R = np.where((s > k)[..., None, None], R @ R, R)
+        squared = s > k
+        R[squared] = R[squared] @ R[squared]
     return R
 
 
@@ -173,9 +178,11 @@ def evolve(
     finite, strictly increasing grid starting at 0) or at ``output_points``
     uniform samples of ``[0, t_max]``; ``t_max`` defaults to 20 lifetimes of
     the slowest decaying excited state. Every sample is exact to rounding:
-    the generator does not depend on time, so the excited block and its time
-    integral (which the channel accumulators are linear in) follow from one
-    block matrix exponential per output time (Van Loan, IEEE TAC 23, 1978).
+    the generator does not depend on time, so the excited block is
+    ``U rho0 U^dagger`` with ``U = exp(-i H_eff t)``, and each accumulated
+    probability is ``tr(Y (rho0 - rho(t)))``, where ``Y``, the probability of
+    eventually emitting into that channel, solves one adjoint Lyapunov
+    equation (Van Loan, IEEE TAC 23, 1978).
 
     Raises :class:`ValueError` for an invalid time grid or ``t_max`` and
     :class:`NonPhysicalStateError` for a non-finite state or when the total
@@ -199,42 +206,55 @@ def _propagate(bundle: CouplingBundle, initial, t_max: float | None = None,
         t_grid = np.linspace(0.0, horizon, int(output_points))
     else:
         t_grid = np.array(times, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size == 0 or not np.all(np.isfinite(t_grid)):
+    if t_grid.ndim != 1 or t_grid.size == 0 or not np.isfinite(t_grid).all():
         raise ValueError("output times must be a nonempty 1-d array of finite values")
-    if t_grid[0] != 0.0 or np.any(np.diff(t_grid) <= 0):
+    if t_grid[0] != 0.0 or (t_grid[1:] <= t_grid[:-1]).any():
         raise ValueError("output times must start at 0 and be strictly increasing")
 
-    # Generator on [vec rho, vec int_0^t rho] (C-order vec): the excited block
-    # obeys d rho/dt = -i (H_eff rho - rho H_eff^dagger), its integral has
-    # derivative rho.
-    H_eff = bundle.H_eff
-    # Liouvillian -i (H_eff (x) I - I (x) H_eff^*), with the Kronecker
-    # products written as broadcasts over the index pairs (a b),(c d).
-    eye = np.eye(n_e)
+    # With A = i H_eff the excited block obeys d rho/dt = -(A rho + rho A^dagger),
+    # so rho(t) = U rho0 U^dagger with U = exp(-A t).
+    A = 1j * bundle.H_eff
+    U = _expm(-t_grid[:, None, None] * A)
+    rhos = U @ rho0 @ U.conj().swapaxes(-1, -2)
+    rhos[0] = rho0
+
+    # channel_flux is real-linear, so its values on the unit matrices E_ab
+    # and i E_ab give the complex forms F_ab with flux = sum_ab rho_ab F_ab
+    # for every Hermitian rho; that is tr(Q rho) with Q_ba = F_ab.
     n_rho = n_e * n_e
-    L = (H_eff[:, None, :, None] * eye[None, :, None, :]
-         - eye[:, None, :, None] * H_eff.conj()[None, :, None, :])
-    G = np.zeros((2 * n_rho, 2 * n_rho), dtype=complex)
-    G[:n_rho, :n_rho] = -1j * L.reshape(n_rho, n_rho)
-    G[n_rho:, :n_rho] = np.eye(n_rho)
-    y = np.zeros((t_grid.size, 2 * n_rho), dtype=complex)
-    y[0, :n_rho] = rho0.ravel()
-    for k in range(1, t_grid.size, _TIMES_PER_EXPM):
-        ts = t_grid[k:k + _TIMES_PER_EXPM, None, None]
-        y[k:k + _TIMES_PER_EXPM] = _expm(ts * G)[:, :, :n_rho] @ rho0.ravel()
-    rhos = y[:, :n_rho].reshape(-1, n_e, n_e)
-    probs = channel_flux(bundle, y[:, n_rho:].reshape(-1, n_e, n_e))
+    units = np.eye(n_rho) * np.array([1.0, 1j])[:, None, None]
+    f = channel_flux(bundle, units.reshape(2, n_rho, n_e, n_e))
+    F = (f[0] - 1j * f[1]).reshape(n_rho, -1)
+    if not np.isfinite(F).all():
+        raise NonPhysicalStateError("non-finite channel flux in the emission propagation")
+    # Y solves the adjoint Lyapunov equation A^dagger Y + Y A = Q, that is
+    # i (H_eff^dagger Y - Y H_eff) = -Q. Then d/dt tr(Y rho) = -tr(Q rho), so
+    # the accumulated probability is tr(Y (rho0 - rho(t))); Y itself, the
+    # integral of U^dagger Q U over all time, is the probability of ever
+    # emitting into the channel, so |Y| <= 1. The solve is for Z = Y^T,
+    # A^T Z + Z A^* = F, with the Kronecker products as broadcasts over the
+    # index pairs (a b),(c d). The operator is singular only where two
+    # non-decaying modes share a frequency (a dark mode with itself
+    # included); the flux forms vanish there, so the minimum-norm solution
+    # is exact.
+    eye = np.eye(n_e)
+    K = (A.T[:, None, :, None] * eye[None, :, None, :]
+         + eye[:, None, :, None] * A.conj().T[None, :, None, :])
+    Z = np.linalg.lstsq(K.reshape(n_rho, n_rho), F, rcond=_LYAPUNOV_RCOND)[0]
+    released = (rho0 - rhos).reshape(-1, n_rho)
+    probs = (released @ Z).real.reshape(t_grid.size, -1, len(CHANNELS))
+    probs[0] = 0.0
 
     # The excited block decays through the sandwich-built H_eff while the
     # accumulators integrate the channel fluxes: their sum checks one
     # against the other.
-    total = np.trace(rhos, axis1=-2, axis2=-1).real + np.sum(probs, axis=(-2, -1))
-    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(total))):
+    total = rhos.trace(axis1=-2, axis2=-1).real + probs.sum(axis=(-2, -1))
+    if not (np.isfinite(Z).all() and np.isfinite(rhos).all() and np.isfinite(total).all()):
         raise NonPhysicalStateError("non-finite state in the emission propagation")
     k = int(np.argmax(np.abs(total - 1.0)))
     if abs(total[k] - 1.0) > TRACE_DRIFT_TOL:
         raise NonPhysicalStateError(
-            f"total trace drifted to {total[k]!r} at t = {t_grid[k]:.6g} "
+            f"total trace drifted to {total[k]:.17g} at t = {t_grid[k]:.6g} "
             f"(allowed deviation {TRACE_DRIFT_TOL:.1e})"
         )
 

@@ -255,10 +255,16 @@ class TestOutputsAndExitCodes:
         ({"loss": 5}, "o.csv", "loss"),
         ({"output": [1]}, "o.csv", "output"),
         ({"sweep": "theta"}, "o.csv", "sweep"),
+        ({"loss": {"isotropic": True}}, "o.csv", "loss.isotropic"),
+        ({"loss": {"isotropic": "0.2"}}, "o.csv", "loss.isotropic"),
+        ({"loss": {"isotropic": -0.1}}, "o.csv", "loss.isotropic"),
+        ({"loss": {"isotropic": float("nan")}}, "o.csv", "loss.isotropic"),
     ], ids=["out-in-missing-dir", "out-is-directory", "stop-above-pi", "no-start",
             "string-start", "string-photon-frequency", "projection-string-no",
             "projection-integer", "projection-string-true", "boolean-ground-index",
-            "loss-not-an-object", "output-not-an-object", "sweep-not-an-object"])
+            "loss-not-an-object", "output-not-an-object", "sweep-not-an-object",
+            "boolean-isotropic-loss", "string-isotropic-loss", "negative-isotropic-loss",
+            "nan-isotropic-loss"])
     def test_invalid_sweep_input_or_output_exits_one(self, monkeypatch, tmp_path, capsys,
                                                      overrides, out, field):
         (tmp_path / "c.json").write_text(json.dumps({"scenario": "ixi-scan", **overrides}))
@@ -266,6 +272,16 @@ class TestOutputsAndExitCodes:
         err = capsys.readouterr().err
         assert f"(field: {field})" in err
         assert "Traceback" not in err
+
+    def test_missing_ground_index_defaults_to_zero(self, monkeypatch, tmp_path):
+        inp = {"direction": "forward", "photon_frequency": 1.0}
+        for name, given in (("implicit", inp), ("explicit", dict(inp, ground_index=0))):
+            (tmp_path / f"{name}.json").write_text(
+                json.dumps({"scenario": "ixi-scan", "input": given}))
+            assert run_cli(monkeypatch, tmp_path, "run", f"{name}.json",
+                           "--out", f"{name}.csv") == 0
+        assert ((tmp_path / "implicit.csv").read_bytes()
+                == (tmp_path / "explicit.csv").read_bytes())
 
     def test_dark_sweep_point_exits_two_and_flags_theta(
             self, monkeypatch, tmp_path, capsys):
@@ -412,6 +428,19 @@ class TestCustomEmission:
         err = capsys.readouterr().err
         assert "(field: initial_state)" in err
         assert "Traceback" not in err and "np.float64" not in err
+
+    def test_huge_t_max_gives_exact_long_time_split(self, monkeypatch, tmp_path, capsys):
+        # the last sample lies ~1e300 lifetimes out: the excited block has
+        # fully decayed and the accumulators hold the exact totals
+        cfg = {"scenario": "paradox-emission", "integrator": {"t_max": 1e300}}
+        (tmp_path / "em.json").write_text(json.dumps(cfg))
+        assert run_cli(monkeypatch, tmp_path, "run", "em.json", "--out", "em.csv") == 0
+        assert "Traceback" not in capsys.readouterr().err
+        header, data = read_csv(tmp_path / "em.csv")
+        last = dict(zip(header, data[-1]))
+        assert last["p_forward"] == pytest.approx(9 / 50, abs=1e-12)
+        assert last["p_backward"] == pytest.approx(41 / 50, abs=1e-12)
+        assert last["trace"] == pytest.approx(1.0, abs=1e-12)
 
     def test_emission_without_initial_state_rejected(self, monkeypatch, tmp_path, capsys):
         cfg = {

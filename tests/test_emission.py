@@ -21,6 +21,7 @@ from conftest import (
     PARADOX_FIELD,
     PARADOX_STATE,
     make_env,
+    mp_emission,
     oracle_emission,
     paradox_direction_probs,
     paradox_model,
@@ -174,6 +175,18 @@ class TestGeneratorEdgeCases:
         final = traj.states[-1].excited_block
         assert final[0, 1] == pytest.approx(0.5 * np.exp(-1j * (1.0 - 1.2) * 5.0), abs=1e-8)
 
+    def test_nearly_dark_level_decays_over_default_horizon(self):
+        # E_f = x leaves level y only the loss rate 3e-12: the default horizon
+        # spans 20 of its lifetimes, and its population ends in the loss column
+        psi = ExcitedSuperposition.from_sequence([0.6, 0.8])
+        traj = evolve(paradox_model(), make_env([1, 0, 0]), LossModel.isotropic(3e-12), psi)
+        p_f, p_b, p_loss, residual = traj.final_totals
+        assert traj.times[-1] == pytest.approx(20 / 3e-12)
+        assert p_f == pytest.approx(0.18, abs=1e-12)
+        assert p_b == pytest.approx(0.18, abs=1e-12)
+        assert p_loss == pytest.approx(0.64 * (1 - np.exp(-20.0)), abs=1e-11)
+        assert residual == pytest.approx(0.64 * np.exp(-20.0), rel=1e-2)
+
     def test_initial_rates_match_finite_difference(self):
         env = make_env(PARADOX_FIELD)
         loss = LossModel.isotropic(0.1)
@@ -238,6 +251,63 @@ class TestConservation:
             got_probs = np.array([st.ground_mode_probs for st in traj.states])
             assert np.max(np.abs(got_rho - rhos)) < 1e-12
             assert np.max(np.abs(got_probs - probs)) < 1e-12
+
+
+class TestHighPrecisionOracle:
+    """The propagator against a 35-digit exponential of the augmented
+    generator, where the accumulators are hardest to get right: several
+    coupled levels with tensor loss, and two modes whose decay rates differ
+    by four orders of magnitude."""
+
+    @staticmethod
+    def assert_matches_oracle(model, env, loss, psi, times):
+        traj = evolve(model, env, loss, ExcitedSuperposition.from_sequence(psi), times=times)
+        bundle = coupling_bundle(model, env, loss)
+        rhos, probs = mp_emission(bundle, np.outer(psi, psi.conj()), times)
+        got_rho = np.array([st.excited_block for st in traj.states])
+        got_probs = np.array([st.ground_mode_probs for st in traj.states])
+        assert np.max(np.abs(got_rho - rhos)) < 1e-12
+        assert np.max(np.abs(got_probs - probs)) < 1e-12
+        return got_rho, got_probs
+
+    def test_random_lossy_three_level_emitter(self, rng):
+        model = random_model(rng, 2, 3)
+        self.assert_matches_oracle(model, make_env(random_unit_vector(rng)),
+                                   random_loss_tensor(rng), random_state(rng, 3),
+                                   [0.0, 0.1, 0.5, 2.0])
+
+    def test_guided_dark_mode_with_weak_loss(self, rng):
+        # E_f is linear in the dipole plane, so -sin(0.3) x + cos(0.3) y emits
+        # into neither direction; through the 5e-4 loss and the 0.2 detuning
+        # that mixes it with the bright level, it decays ~5000 times slower
+        # than the bright mode
+        model = EmitterModel.from_arrays([0.0], [1.0, 1.2], [[[1, 0, 0], [0, 1, 0]]])
+        env = make_env([np.cos(0.3), np.sin(0.3), 0.0])
+        loss = LossModel.isotropic(5e-4)
+        rates = -2.0 * np.linalg.eigvals(coupling_bundle(model, env, loss).H_eff).imag
+        assert np.max(rates) / np.min(rates) > 1000
+        rho, probs = self.assert_matches_oracle(model, env, loss, random_state(rng, 2),
+                                                [0.0, 0.05, 1.0, 2000.0])
+        # the slow mode, all that is left at t = 1, has mostly emitted by t = 2000
+        populations = np.trace(rho, axis1=1, axis2=2).real
+        assert populations[-1] < 0.5 * populations[2]
+
+    def test_lossless_dark_level_is_spectator(self):
+        # E_f = x: level y is dark, so its population never leaves and the
+        # probabilities are those of the bright level alone, scaled by its
+        # population
+        model = paradox_model()
+        env = make_env([1, 0, 0])
+        psi = np.array([0.6, 0.8j])
+        times = np.linspace(0.0, 2.0, 41)
+        mixed = evolve(model, env, LossModel.none(), ExcitedSuperposition.from_sequence(psi),
+                       times=times)
+        bright = evolve(model, env, LossModel.none(),
+                        ExcitedSuperposition.from_sequence([1.0, 0.0]), times=times)
+        for st, ref in zip(mixed.states, bright.states):
+            assert abs(st.excited_block[1, 1] - 0.64) < 1e-14
+            assert np.max(np.abs(st.ground_mode_probs - 0.36 * ref.ground_mode_probs)) < 1e-14
+        assert mixed.final_totals.residual_excited == pytest.approx(0.64, abs=1e-8)
 
 
 class TestInterfaces:
@@ -308,17 +378,21 @@ class TestInterfaces:
     def test_trace_guard_aborts_on_broken_balance(self, monkeypatch):
         monkeypatch.setattr(
             emission_mod, "channel_flux",
-            lambda bundle, rho: np.zeros((1, 3)),
+            lambda bundle, rho: np.zeros(np.shape(rho)[:-2] + (1, 3)),
         )
         with pytest.raises(NonPhysicalStateError) as exc:
             evolve(two_level(), make_env([1, 0, 0]), LossModel.none(),
                    ExcitedSuperposition.from_sequence([1.0]), t_max=2.0)
         assert exc.value.code == "non-physical-state"
+        # the message prints the trace as a plain number: e^-20 is left at t = 2
+        msg = str(exc.value)
+        assert "np.float64(" not in msg
+        assert float(msg.split("drifted to ")[1].split()[0]) == pytest.approx(np.exp(-20.0))
 
     def test_non_finite_flux_aborts(self, monkeypatch):
         monkeypatch.setattr(
             emission_mod, "channel_flux",
-            lambda bundle, rho: np.full((1, 3), np.nan),
+            lambda bundle, rho: np.full(np.shape(rho)[:-2] + (1, 3), np.nan),
         )
         with pytest.raises(NonPhysicalStateError):
             evolve(two_level(), make_env([1, 0, 0]), LossModel.none(),
