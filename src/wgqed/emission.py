@@ -49,10 +49,11 @@ _THETA13 = 5.371920351148152
 _LYAPUNOV_RCOND = 1e-14
 
 
-@dataclass(frozen=True)
-class EmitterDensityMatrix:
+class EmitterDensityMatrix(NamedTuple):
     """Reduced emitter state at one time: Hermitian excited block plus
-    accumulated ground-state probabilities per radiation channel."""
+    accumulated ground-state probabilities per radiation channel.
+
+    A named tuple of read-only views into the trajectory's stacked arrays."""
 
     excited_block: np.ndarray        # (n_e, n_e) complex Hermitian
     ground_mode_probs: np.ndarray    # (n_g, 3) real, columns ordered as CHANNELS
@@ -126,8 +127,10 @@ def _coerce_initial(initial, n_e: int) -> np.ndarray:
 
 
 def default_t_max(bundle: CouplingBundle, lifetimes: float = DEFAULT_LIFETIMES) -> float:
-    """``lifetimes`` over the smallest nonzero total decay rate."""
-    rates = bundle.total_decay_rates()
+    """``lifetimes`` over the smallest nonzero decay rate of the modes of
+    ``H_eff``, ``-2 Im`` of its eigenvalues. A slow mode that superposes
+    several levels sets the horizon even when every level decays fast."""
+    rates = -2.0 * np.linalg.eigvals(bundle.H_eff).imag
     positive = rates[rates > 1e-12]
     if positive.size == 0:
         return float(lifetimes)
@@ -177,7 +180,7 @@ def evolve(
     density matrix. Output states are stored at ``times`` (a nonempty,
     finite, strictly increasing grid starting at 0) or at ``output_points``
     uniform samples of ``[0, t_max]``; ``t_max`` defaults to 20 lifetimes of
-    the slowest decaying excited state. Every sample is exact to rounding:
+    the slowest decaying mode of ``H_eff``. Every sample is exact to rounding:
     the generator does not depend on time, so the excited block is
     ``U rho0 U^dagger`` with ``U = exp(-i H_eff t)``, and each accumulated
     probability is ``tr(Y (rho0 - rho(t)))``, where ``Y``, the probability of
@@ -260,10 +263,7 @@ def _propagate(bundle: CouplingBundle, initial, t_max: float | None = None,
 
     for arr in (t_grid, rhos, probs):
         arr.setflags(write=False)
-    states = tuple(
-        EmitterDensityMatrix(excited_block=rho, ground_mode_probs=p)
-        for rho, p in zip(rhos, probs)
-    )
+    states = tuple(map(EmitterDensityMatrix, rhos, probs))
 
     last = states[-1]
     p_f, p_b, p_loss = last.channel_totals()

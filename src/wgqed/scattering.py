@@ -22,8 +22,9 @@ call; :func:`scatter` is a batch of one.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -54,12 +55,18 @@ class ScatterInput:
     def __post_init__(self):
         if self.direction not in MODES:
             raise ValueError(f"direction must be one of {MODES}, got {self.direction!r}")
+        if self.photon_frequency is not None and not math.isfinite(self.photon_frequency):
+            raise ValueError(
+                f"photon_frequency must be None or finite, got {self.photon_frequency!r}"
+            )
 
 
-@dataclass(frozen=True)
-class ScatteringResult:
+class ScatteringResult(NamedTuple):
     """Amplitude table gamma[mode, ground] plus the probability scattered out
-    of the waveguide and the energy-conserving output frequencies."""
+    of the waveguide and the energy-conserving output frequencies.
+
+    A named tuple: a sweep builds one per field, so it costs a tuple. The
+    arrays are read-only views into the sweep's stacked results."""
 
     amplitudes: np.ndarray            # (2, n_ground), rows ordered as MODES
     p_loss: float
@@ -167,16 +174,13 @@ def _scatter_fields(
     output_frequencies = omega_f + (ground[r] - ground) / env.hbar
     amplitudes.setflags(write=False)
     output_frequencies.setflags(write=False)
-    return [
-        errors.get(t) or ScatteringResult(
-            amplitudes=amps,
-            p_loss=float(p),
-            output_frequencies=output_frequencies,
-            input_direction=inp.direction,
-            input_ground=r,
-        )
-        for t, (amps, p) in enumerate(zip(amplitudes, p_loss))
+    outcomes: list[ScatteringResult | Exception] = [
+        ScatteringResult(amps, p, output_frequencies, inp.direction, r)
+        for amps, p in zip(amplitudes, p_loss.tolist())
     ]
+    for t, exc in errors.items():
+        outcomes[t] = exc
+    return outcomes
 
 
 def scatter(
@@ -239,13 +243,13 @@ def two_level_closed_form(
     return TwoLevelAmplitudes(t=complex(t), r=complex(r), p_loss=p_loss)
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    """One polarization sweep sample; exactly one of result/error is set."""
+class SweepPoint(NamedTuple):
+    """One polarization sweep sample, a named tuple; exactly one of
+    result/error is set."""
 
     theta: float
     result: Optional[ScatteringResult] = None
-    error: Optional[Exception] = field(default=None, compare=False)
+    error: Optional[Exception] = None
 
     @property
     def failed(self) -> bool:
@@ -267,8 +271,8 @@ def polarization_sweep(
     instead of aborting the sweep; results are returned in grid order.
     """
     thetas = np.asarray(theta_grid, dtype=float)
-    if thetas.size == 0 or not np.all(np.isfinite(thetas)):
-        raise ValueError("theta grid must be nonempty and finite")
+    if thetas.ndim != 1 or thetas.size == 0 or not np.isfinite(thetas).all():
+        raise ValueError("theta grid must be a nonempty 1-d array of finite values")
     if np.min(thetas) < 0.0 or np.max(thetas) > np.pi + 1e-12:
         raise ValueError("theta grid must lie within [0, pi]")
 
@@ -279,7 +283,6 @@ def polarization_sweep(
         model, env_template, loss, inp, fields, dark_state_projection
     )
     return [
-        SweepPoint(theta=float(theta), error=out) if isinstance(out, Exception)
-        else SweepPoint(theta=float(theta), result=out)
-        for theta, out in zip(thetas, outcomes)
+        SweepPoint(theta, None, out) if isinstance(out, Exception) else SweepPoint(theta, out)
+        for theta, out in zip(thetas.tolist(), outcomes)
     ]

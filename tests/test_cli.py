@@ -32,6 +32,17 @@ def run_cli(monkeypatch, tmp_path, *argv):
     return main(list(argv))
 
 
+def run_python(cwd, *argv):
+    """Run a fresh interpreter in ``cwd`` that imports this tree's wgqed."""
+    # a relative PYTHONPATH entry such as "src" would not resolve in cwd
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *argv], cwd=cwd, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+    )
+
+
 CUSTOM_SCATTER = {
     "scenario": "custom",
     "mode": "scattering",
@@ -302,17 +313,23 @@ class TestOutputsAndExitCodes:
         assert abs(complex(rows[0, 3], rows[0, 4])) == pytest.approx(1.0)
 
     def test_module_entry_point(self, tmp_path):
-        # the subprocess runs in tmp_path, where a relative PYTHONPATH entry
-        # such as "src" would not resolve
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "wgqed.cli", "run", "two-level", "--out", "tl.csv"],
-            cwd=tmp_path, capture_output=True, text=True,
-            env=dict(os.environ, PYTHONPATH=pythonpath),
-        )
+        proc = run_python(tmp_path, "-m", "wgqed.cli", "run", "two-level", "--out", "tl.csv")
         assert proc.returncode == 0
         assert (tmp_path / "tl.csv").exists()
+
+    @pytest.mark.parametrize("scenario", PRESET_NAMES)
+    def test_run_does_not_import_numpy_ma(self, tmp_path, scenario):
+        # numpy.ma costs a run ~30 ms of imports; np.unique, for one, pulls it in
+        script = (
+            "import sys, wgqed.cli\n"
+            f"code = wgqed.cli.main(['run', {scenario!r}, '--out', 'out.csv'])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n"
+            "sys.exit(code)\n"
+        )
+        proc = run_python(tmp_path, "-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+        assert (tmp_path / "out.csv").exists()
 
 
 class TestBundleReuse:

@@ -187,6 +187,23 @@ class TestGeneratorEdgeCases:
         assert p_loss == pytest.approx(0.64 * (1 - np.exp(-20.0)), abs=1e-11)
         assert residual == pytest.approx(0.64 * np.exp(-20.0), rel=1e-2)
 
+    def test_default_horizon_follows_slow_superposed_mode(self):
+        # at E_f = (cos 0.3, sin 0.3, 0) each level decays at a guided rate
+        # (9.13 and 0.87), but the superposition orthogonal to E_f couples
+        # only to the loss, 5e-4: the horizon spans 20 lifetimes of that mode
+        E_f = np.array([np.cos(0.3), np.sin(0.3), 0.0])
+        loss = LossModel.isotropic(5e-4)
+        traj = evolve(paradox_model(), make_env(E_f), loss,
+                      ExcitedSuperposition.from_sequence([1.0, 0.0]))
+        assert traj.times[-1] == pytest.approx(20 / 5e-4, rel=1e-9)
+        # level 1 overlaps the dark mode (-sin 0.3, cos 0.3) by sin^2 0.3;
+        # e^-20 of it is left, the rest ends in the loss column
+        dark = np.sin(0.3) ** 2
+        _, _, p_loss, residual = traj.final_totals
+        assert residual == pytest.approx(dark * np.exp(-20.0), rel=1e-6)
+        assert p_loss == pytest.approx(dark * (1 - np.exp(-20.0)) + (1 - dark) * 5e-4 / 10.0005,
+                                       abs=1e-9)
+
     def test_initial_rates_match_finite_difference(self):
         env = make_env(PARADOX_FIELD)
         loss = LossModel.isotropic(0.1)
@@ -365,6 +382,23 @@ class TestInterfaces:
             with pytest.raises(ValueError):
                 evolve(two_level(), make_env([1, 0, 0]), LossModel.none(),
                        ExcitedSuperposition.from_sequence([1.0]), **kwargs)
+
+    def test_states_are_read_only_named_tuples(self):
+        traj = paradox_run(t_max=1.0, output_points=5)
+        st = traj.states[2]
+        assert st._fields == ("excited_block", "ground_mode_probs")
+        block, probs = st
+        assert block is st.excited_block and probs is st.ground_mode_probs
+        with pytest.raises(AttributeError):
+            st.excited_block = np.eye(2)
+        with pytest.raises(AttributeError):
+            st.extra = 0.0
+        for arr in st:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0.0
+        assert type(st.total_trace()) is float
+        assert all(type(p) is float for p in st.channel_totals())
 
     def test_single_time_returns_initial_state(self):
         psi = ExcitedSuperposition.from_sequence(PARADOX_STATE)

@@ -47,6 +47,51 @@ def circular_env():
     return make_env(np.array([1, 1j, 0]) / np.sqrt(2), **X_ENV)
 
 
+class TestScatterInput:
+    @pytest.mark.parametrize("frequency", [np.nan, np.inf, -np.inf])
+    def test_non_finite_photon_frequency_rejected(self, frequency):
+        with pytest.raises(ValueError, match="photon_frequency"):
+            ScatterInput(photon_frequency=frequency)
+
+
+class TestRecords:
+    """The per-sample records are named tuples: fixed field order, no
+    attribute assignment, Python floats and read-only array views."""
+
+    def test_scattering_result(self):
+        res = scatter(two_level(), make_env([1, 0, 0]), LossModel.isotropic(0.2),
+                      ScatterInput())
+        assert res._fields == ("amplitudes", "p_loss", "output_frequencies",
+                               "input_direction", "input_ground")
+        amplitudes, p_loss, _, direction, ground = res
+        assert amplitudes is res.amplitudes and (direction, ground) == ("forward", 0)
+        assert type(p_loss) is float
+        with pytest.raises(AttributeError):
+            res.p_loss = 0.0
+        with pytest.raises(AttributeError):
+            res.extra = 0.0
+        for arr in (res.amplitudes, res.output_frequencies):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_sweep_point(self):
+        pts = polarization_sweep(
+            paradox_model(), make_env([1, 0, 0]), LossModel.none(),
+            ScatterInput(), [0.0, 0.01, 0.02],
+        )
+        assert pts[0]._fields == ("theta", "result", "error")
+        failed, ok = pts[0], pts[1]
+        assert failed.failed and failed.result is None
+        assert isinstance(failed.error, SingularResponseError)
+        assert not ok.failed and ok.error is None
+        assert [type(pt.theta) for pt in pts] == [float] * 3
+        assert [type(pt.result.p_loss) for pt in pts[1:]] == [float] * 2
+        with pytest.raises(AttributeError):
+            ok.theta = 1.0
+        assert not ok.result.amplitudes.flags.writeable
+
+
 class TestTwoLevelClosedForm:
     def test_matched_linear_resonant_lossless_reflects(self):
         t, r, p_loss = two_level_closed_form(
@@ -362,6 +407,12 @@ class TestPolarizationSweep:
         with pytest.raises(ValueError):
             polarization_sweep(paradox_model(), make_env([1, 0, 0]),
                                LossModel.none(), ScatterInput(), [4.0])
+        # a grid that is not 1-d is named as such, not met later as a
+        # reshape or axis error
+        for grid in (np.full((2, 3), 0.5), 0.5):
+            with pytest.raises(ValueError, match="nonempty 1-d array of finite values"):
+                polarization_sweep(paradox_model(), make_env([1, 0, 0]),
+                                   LossModel.none(), ScatterInput(), grid)
 
     def test_sweep_matches_pointwise_scatter(self):
         # lossless V system: theta = 0 and pi/2 are exactly dark (flagged, or
