@@ -55,10 +55,9 @@ class ScatterInput:
     def __post_init__(self):
         if self.direction not in MODES:
             raise ValueError(f"direction must be one of {MODES}, got {self.direction!r}")
-        if self.photon_frequency is not None and not math.isfinite(self.photon_frequency):
-            raise ValueError(
-                f"photon_frequency must be None or finite, got {self.photon_frequency!r}"
-            )
+        freq = self.photon_frequency
+        if freq is not None and not math.isfinite(float(freq)):
+            raise ValueError(f"photon_frequency must be None or finite, got {freq!r}")
 
 
 class ScatteringResult(NamedTuple):
