@@ -25,12 +25,13 @@ run exits 2.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,9 +47,52 @@ from .scattering import (
     two_level_closed_form,
 )
 
-PRESET_NAMES = ("paradox-emission", "isotropic-scan", "ixi-scan", "two-level")
 MODES_OF_OPERATION = ("emission", "scattering", "diagnostic")
 FLOAT_FMT = ".17g"
+
+_SQRT5 = math.sqrt(5.0)
+
+# Unit vectors as [re, im] pairs per component: x, y and i*y.
+_X = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+_Y = [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]
+_IY = [[0.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
+
+# Dipoles are indexed [ground][excited].
+_V_EMITTER = {"ground_energies": [0.0], "excited_energies": [1.0, 1.0],
+              "dipoles": [[_X, _Y]]}
+_IXI_EMITTER = {"ground_energies": [0.0, 0.0], "excited_energies": [1.0, 1.0],
+                "dipoles": [[_X, _IY], [_IY, _X]]}
+_TWO_LEVEL_EMITTER = {"ground_energies": [0.0], "excited_energies": [1.0],
+                      "dipoles": [[_X]]}
+
+_THETA_SWEEP = {"parameter": "theta", "start": 0.0, "stop": math.pi, "steps": 401}
+
+# What every preset shares: an x-polarized field, isotropic loss 0.2 and a
+# forward photon on resonance from ground state 0.
+_PRESET_BASE = {
+    "waveguide": {"a": 1.0, "v_g": 0.1, "omega": 1.0, "E_f": _X},
+    "loss": {"isotropic": 0.2},
+    "input": {"direction": "forward", "ground_index": 0, "photon_frequency": 1.0},
+}
+
+# The fields each preset sets; parse_config fills in the defaults.
+_PRESETS = {
+    "paradox-emission": {
+        **_PRESET_BASE,
+        "mode": "emission",
+        "emitter": _V_EMITTER,
+        "initial_state": [[0.0, 1.0 / _SQRT5], [2.0 / _SQRT5, 0.0]],
+        "waveguide": {"a": 1.0, "v_g": 0.1, "omega": 1.0,
+                      "E_f": [[2.0 / _SQRT5, 0.0], [0.0, 1.0 / _SQRT5], [0.0, 0.0]]},
+        "loss": {"isotropic": 0.0},
+    },
+    "isotropic-scan": {**_PRESET_BASE, "mode": "scattering", "emitter": _V_EMITTER,
+                       "sweep": _THETA_SWEEP},
+    "ixi-scan": {**_PRESET_BASE, "mode": "scattering", "emitter": _IXI_EMITTER,
+                 "sweep": _THETA_SWEEP},
+    "two-level": {**_PRESET_BASE, "mode": "diagnostic", "emitter": _TWO_LEVEL_EMITTER},
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 # Keys a preset-based config file may override; emitter structure stays owned
 # by the preset (exactly one of preset or custom emitter).
@@ -56,11 +100,90 @@ _PRESET_OVERRIDABLE = {
     "loss", "input", "sweep", "integrator", "output", "dark_state_projection",
 }
 
-_INTEGRATOR_DEFAULTS = {"t_max": None, "output_points": 250, "grid": "geometric"}
+# The keys each section allows.
+_KEYS = {
+    "emitter": {"ground_energies", "excited_energies", "dipoles"},
+    "waveguide": {"a", "v_g", "omega", "E_f"},
+    "loss": {"isotropic", "tensor"},
+    "input": {"direction", "ground_index", "photon_frequency"},
+    "sweep": {"parameter", "start", "stop", "steps"},
+    "integrator": {"t_max", "output_points", "grid"},
+    "output": {"path", "format"},
+}
 
-_SCHEMA_KEYS = {
-    "scenario", "mode", "emitter", "initial_state", "waveguide", "loss",
-    "input", "sweep", "integrator", "output", "dark_state_projection",
+# Fields that must be given and not null; those of a section only when the
+# section is given as an object.
+_REQUIRED = (
+    "mode", "emitter", "waveguide", "loss", "input",
+    "emitter.ground_energies", "emitter.excited_energies", "emitter.dipoles",
+    "waveguide.a", "waveguide.v_g", "waveguide.omega", "waveguide.E_f",
+    "input.direction",
+    "sweep.parameter", "sweep.start", "sweep.stop", "sweep.steps",
+)
+
+# Defaults of each section, also of an integrator or output block that is
+# absent or null; those of the top level are the ScenarioConfig defaults.
+_DEFAULTS = {
+    "input": {"ground_index": 0},
+    "integrator": {"t_max": None, "output_points": 250, "grid": "geometric"},
+    "output": {"path": None, "format": "csv"},
+}
+
+
+def _finite_number(value) -> bool:
+    return (not isinstance(value, bool) and isinstance(value, (int, float))
+            and math.isfinite(value))
+
+
+def _integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _object(value) -> bool:
+    return value is None or isinstance(value, dict)
+
+
+def _array(value) -> bool:
+    return isinstance(value, (list, tuple))
+
+
+def _angle(value) -> bool:
+    return _finite_number(value) and 0.0 <= value <= math.pi
+
+
+# field: (rule, what it must be). A rule sees a field only when it is given,
+# and in this order; a check that needs two fields is made when the scenario
+# is built.
+_FIELD_RULES = {
+    "mode": (lambda v: v in MODES_OF_OPERATION, f"one of {MODES_OF_OPERATION}"),
+    "emitter": (_object, "an object"),
+    "waveguide": (_object, "an object"),
+    "loss": (lambda v: isinstance(v, dict) and ("isotropic" in v) != ("tensor" in v),
+             "an object with exactly one of 'isotropic' or 'tensor'"),
+    "input": (_object, "an object"),
+    "sweep": (_object, "an object"),
+    "integrator": (_object, "an object"),
+    "output": (_object, "an object"),
+    "dark_state_projection": (lambda v: isinstance(v, bool), "true or false"),
+    "emitter.ground_energies": (_array, "an array"),
+    "emitter.excited_energies": (_array, "an array"),
+    "emitter.dipoles": (_array, "an array"),
+    "loss.isotropic": (lambda v: _finite_number(v) and v >= 0,
+                       "a finite non-negative number"),
+    "input.direction": (lambda v: v in MODES, f"one of {MODES}"),
+    "input.ground_index": (lambda v: _integer(v) and v >= 0, "a non-negative integer"),
+    "input.photon_frequency": (lambda v: v is None or _finite_number(v),
+                               "null or a finite number"),
+    "sweep.parameter": (lambda v: v == "theta", "'theta'"),
+    "sweep.start": (_angle, "a number within [0, pi]"),
+    "sweep.stop": (_angle, "a number within [0, pi]"),
+    "sweep.steps": (lambda v: _integer(v) and v >= 2, "an integer >= 2"),
+    "integrator.t_max": (lambda v: v is None or _finite_number(v) and v > 0,
+                         "null or a positive finite number"),
+    "integrator.output_points": (lambda v: _integer(v) and v >= 2, "an integer >= 2"),
+    "integrator.grid": (lambda v: v in ("geometric", "linear"), "'geometric' or 'linear'"),
+    "output.path": (lambda v: v is None or isinstance(v, str), "null or a string"),
+    "output.format": (lambda v: v in ("csv", "json"), "csv or json"),
 }
 
 
@@ -74,22 +197,29 @@ def _complex_pair(value, fieldname: str) -> complex:
         ) from exc
 
 
-def _finite_number(value) -> bool:
-    return (not isinstance(value, bool) and isinstance(value, (int, float))
-            and math.isfinite(value))
-
-
-def _check_keys(d: dict, allowed: set[str], context: str) -> None:
+def _check_keys(d: dict, allowed, prefix: str) -> None:
     for key in d:
         if key not in allowed:
-            raise ConfigError(
-                f"invalid schema field {context}{key!r}", field=f"{context}{key}"
-            )
+            name = f"{prefix}{key}"
+            raise ConfigError(f"invalid schema field {name!r}", field=name)
+
+
+class Built(NamedTuple):
+    """The domain objects a scenario describes."""
+
+    model: EmitterModel
+    env: WaveguideEnv
+    loss: LossModel
+    input: ScatterInput
+    initial: ExcitedSuperposition | None
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Fully validated scenario description in canonical plain-data form."""
+    """Fully validated scenario description in canonical plain-data form.
+
+    ``built`` holds the domain objects it describes, built once when the
+    config is made; the checks that need two fields run there."""
 
     scenario: str
     mode: str
@@ -103,79 +233,73 @@ class ScenarioConfig:
     initial_state: list | None = None
     dark_state_projection: bool = False
 
-    # -- construction of domain objects -----------------------------------
+    def __post_init__(self):
+        object.__setattr__(self, "built", _build(self))
 
-    def build_model(self) -> EmitterModel:
-        em = self.emitter
-        dipoles = [
-            [[_complex_pair(c, "emitter.dipoles") for c in vec] for vec in row]
-            for row in em["dipoles"]
-        ]
-        model = EmitterModel.from_arrays(
-            em["ground_energies"], em["excited_energies"], dipoles
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
+_SCHEMA_KEYS = {f.name for f in fields(ScenarioConfig)}
+
+
+def _build(c: ScenarioConfig) -> Built:
+    emission = c.mode == "emission"
+    if emission != (c.initial_state is not None):
+        raise ConfigError(
+            "emission scenarios need an initial_state" if emission
+            else "initial_state is only valid for emission scenarios",
+            field="initial_state",
         )
-        validate(model)
-        return model
-
-    def build_env(self) -> WaveguideEnv:
-        wg = self.waveguide
-        E_f = [_complex_pair(c, "waveguide.E_f") for c in wg["E_f"]]
-        return WaveguideEnv(
-            E_f=E_f, a=wg["a"], v_g=wg["v_g"], omega=wg["omega"],
+    em = c.emitter
+    n_ground = len(em["ground_energies"])
+    if c.input["ground_index"] >= n_ground:
+        raise ConfigError(
+            f"input.ground_index must be an integer in [0, {n_ground}), "
+            f"got {c.input['ground_index']!r}",
+            field="input.ground_index",
         )
-
-    def build_loss(self) -> LossModel:
-        if "isotropic" in self.loss:
-            return LossModel.isotropic(float(self.loss["isotropic"]))
-        tensor = [
-            [_complex_pair(c, "loss.tensor") for c in row]
-            for row in self.loss["tensor"]
-        ]
-        return LossModel.from_array(tensor)
-
-    def build_input(self) -> ScatterInput:
-        return ScatterInput(
-            direction=self.input["direction"],
-            ground_index=int(self.input["ground_index"]),
-            photon_frequency=self.input.get("photon_frequency"),
+    dipoles = [
+        [[_complex_pair(v, "emitter.dipoles") for v in vec] for vec in row]
+        for row in em["dipoles"]
+    ]
+    model = EmitterModel.from_arrays(em["ground_energies"], em["excited_energies"], dipoles)
+    validate(model)
+    if c.mode == "diagnostic" and (model.n_ground, model.n_excited) != (1, 1):
+        raise ConfigError(
+            "the two-level diagnostic needs exactly one ground and one excited state",
+            field="emitter",
         )
-
-    def build_initial(self, n_excited: int) -> ExcitedSuperposition:
-        if self.initial_state is None:
+    wg = c.waveguide
+    env = WaveguideEnv(
+        E_f=[_complex_pair(v, "waveguide.E_f") for v in wg["E_f"]],
+        a=wg["a"], v_g=wg["v_g"], omega=wg["omega"],
+    )
+    if "isotropic" in c.loss:
+        loss = LossModel.isotropic(float(c.loss["isotropic"]))
+    else:
+        loss = LossModel.from_array(
+            [[_complex_pair(v, "loss.tensor") for v in row] for row in c.loss["tensor"]]
+        )
+    inp = ScatterInput(c.input["direction"], c.input["ground_index"],
+                       c.input.get("photon_frequency"))
+    initial = None
+    if c.initial_state is not None:
+        amps = [_complex_pair(v, "initial_state") for v in c.initial_state]
+        if len(amps) != model.n_excited:
             raise ConfigError(
-                "emission scenarios need an initial_state", field="initial_state"
-            )
-        amps = [_complex_pair(c, "initial_state") for c in self.initial_state]
-        if len(amps) != n_excited:
-            raise ConfigError(
-                f"initial_state has {len(amps)} amplitudes for {n_excited} excited states",
+                f"initial_state has {len(amps)} amplitudes for "
+                f"{model.n_excited} excited states",
                 field="initial_state",
             )
-        state = ExcitedSuperposition.from_sequence(amps)
-        norm = state.norm()
+        initial = ExcitedSuperposition.from_sequence(amps)
+        norm = initial.norm()
         if abs(norm - 1.0) > INITIAL_NORM_TOL:
             raise ConfigError(
                 f"initial_state norm {norm:.17g} differs from 1 beyond {INITIAL_NORM_TOL}",
                 field="initial_state",
             )
-        return state
-
-    # -- canonical serialization ------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "mode": self.mode,
-            "emitter": self.emitter,
-            "initial_state": self.initial_state,
-            "waveguide": self.waveguide,
-            "loss": self.loss,
-            "input": self.input,
-            "sweep": self.sweep,
-            "integrator": self.integrator,
-            "output": self.output,
-            "dark_state_projection": self.dark_state_projection,
-        }
+    return Built(model, env, loss, inp, initial)
 
 
 def serialize_config(config: ScenarioConfig) -> str:
@@ -183,300 +307,74 @@ def serialize_config(config: ScenarioConfig) -> str:
     return json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def parse_config(data: dict) -> ScenarioConfig:
-    """Validate a raw configuration dictionary.
-
-    Preset scenarios are expanded first; the file may then override loss,
-    input, sweep, integrator, output and the dark-state-projection flag, but
-    not the emitter itself.
-    """
+def _expand(data) -> dict:
+    """Check the top level of a raw config and fill a preset's fields in
+    under the ones the file gives; a custom config is returned as it is."""
     if not isinstance(data, dict):
         raise ConfigError("configuration must be a JSON object")
     _check_keys(data, _SCHEMA_KEYS, "")
     scenario = data.get("scenario")
     if scenario is None:
         raise ConfigError("missing required field 'scenario'", field="scenario")
+    if scenario == "custom":
+        return data
+    if scenario not in PRESET_NAMES:
+        raise UnknownPresetError(
+            f"unknown preset {scenario!r}; available: {', '.join(PRESET_NAMES)}",
+            field="scenario",
+        )
+    # a copy, so that no caller can change the preset through its config
+    base = dict(copy.deepcopy(_PRESETS[scenario]), scenario=scenario)
+    for key, value in data.items():
+        if key not in _PRESET_OVERRIDABLE and value != base.get(key):
+            raise ConfigError(
+                f"field {key!r} cannot be overridden for preset scenarios; "
+                "exactly one of preset or custom emitter may be given",
+                field=key,
+            )
+    return {**base, **data}
 
-    if scenario != "custom":
-        base = preset(scenario).to_dict()
-        for key, value in data.items():
-            if key == "scenario":
-                continue
-            if key not in _PRESET_OVERRIDABLE and value != base.get(key):
-                raise ConfigError(
-                    f"field {key!r} cannot be overridden for preset scenarios; "
-                    "exactly one of preset or custom emitter may be given",
-                    field=key,
-                )
-            base[key] = value
-        data = base
 
-    merged: dict[str, Any] = {
-        "initial_state": None, "sweep": None,
-        "integrator": {}, "output": {}, "dark_state_projection": False,
-    }
-    merged.update(data)
+def _holder(cfg: dict, name: str) -> tuple[Any, str]:
+    """The object that holds a dotted field name, and the field's key in it."""
+    section, _, key = name.rpartition(".")
+    return (cfg.get(section) if section else cfg), key
 
-    for name in ("emitter", "waveguide", "loss", "input"):
-        if merged.get(name) is None:
+
+def parse_config(data: dict) -> ScenarioConfig:
+    """Validate a raw configuration dictionary and build the scenario.
+
+    Preset scenarios are expanded first; the file may then override loss,
+    input, sweep, integrator, output and the dark-state-projection flag, but
+    not the emitter itself.
+    """
+    cfg = dict(_expand(data))
+    for section, allowed in _KEYS.items():
+        value = cfg.get(section)
+        if value is None and section in _DEFAULTS:
+            value = {}
+        if isinstance(value, dict):
+            _check_keys(value, allowed, f"{section}.")
+            cfg[section] = {**_DEFAULTS.get(section, {}), **value}
+    for name in _REQUIRED:
+        holder, key = _holder(cfg, name)
+        if isinstance(holder, dict) and holder.get(key) is None:
             raise ConfigError(f"missing required field {name!r}", field=name)
-    for name in ("emitter", "waveguide", "loss", "input", "sweep", "integrator", "output"):
-        value = merged.get(name)
-        if value is not None and not isinstance(value, dict):
-            raise ConfigError(f"{name} must be an object, got {value!r}", field=name)
-
-    mode = merged.get("mode")
-    if mode not in MODES_OF_OPERATION:
-        raise ConfigError(
-            f"mode must be one of {MODES_OF_OPERATION}, got {mode!r}", field="mode"
-        )
-
-    emitter = merged["emitter"]
-    _check_keys(emitter, {"ground_energies", "excited_energies", "dipoles"}, "emitter.")
-    for name in ("ground_energies", "excited_energies", "dipoles"):
-        if name not in emitter:
-            raise ConfigError(f"missing field emitter.{name}", field=f"emitter.{name}")
-        if not isinstance(emitter[name], (list, tuple)):
-            raise ConfigError(
-                f"emitter.{name} must be an array, got {emitter[name]!r}",
-                field=f"emitter.{name}",
-            )
-
-    waveguide = merged["waveguide"]
-    _check_keys(waveguide, {"a", "v_g", "omega", "E_f"}, "waveguide.")
-    for name in ("a", "v_g", "omega", "E_f"):
-        if name not in waveguide:
-            raise ConfigError(f"missing field waveguide.{name}", field=f"waveguide.{name}")
-
-    loss = merged["loss"]
-    _check_keys(loss, {"isotropic", "tensor"}, "loss.")
-    if ("isotropic" in loss) == ("tensor" in loss):
-        raise ConfigError(
-            "loss needs exactly one of 'isotropic' or 'tensor'", field="loss"
-        )
-    if "isotropic" in loss and not (_finite_number(loss["isotropic"])
-                                    and loss["isotropic"] >= 0):
-        raise ConfigError(
-            "loss.isotropic must be a finite non-negative number, "
-            f"got {loss['isotropic']!r}",
-            field="loss.isotropic",
-        )
-
-    inp = merged["input"]
-    _check_keys(inp, {"direction", "ground_index", "photon_frequency"}, "input.")
-    if inp.get("direction") not in MODES:
-        raise ConfigError(
-            f"input.direction must be one of {MODES}", field="input.direction"
-        )
-    inp = {"ground_index": _DEFAULT_INPUT["ground_index"], **inp}
-    n_ground = len(emitter["ground_energies"])
-    gi = inp["ground_index"]
-    if isinstance(gi, bool) or not isinstance(gi, int) or not 0 <= gi < n_ground:
-        raise ConfigError(
-            f"input.ground_index must be an integer in [0, {n_ground}), got {gi!r}",
-            field="input.ground_index",
-        )
-    freq = inp.get("photon_frequency")
-    if freq is not None and not _finite_number(freq):
-        raise ConfigError(
-            f"input.photon_frequency must be null or a finite number, got {freq!r}",
-            field="input.photon_frequency",
-        )
-
-    sweep = merged.get("sweep")
-    if sweep is not None:
-        _check_keys(sweep, {"parameter", "start", "stop", "steps"}, "sweep.")
-        if sweep.get("parameter") != "theta":
-            raise ConfigError(
-                "sweep.parameter must be 'theta'", field="sweep.parameter"
-            )
-        steps = sweep.get("steps")
-        if not isinstance(steps, int) or steps < 2:
-            raise ConfigError(
-                f"sweep.steps must be an integer >= 2, got {steps!r}",
-                field="sweep.steps",
-            )
-        for name in ("start", "stop"):
-            value = sweep.get(name)
-            if not (_finite_number(value) and 0.0 <= value <= math.pi):
-                raise ConfigError(
-                    f"sweep.{name} must be a number within [0, pi], got {value!r}",
-                    field=f"sweep.{name}",
-                )
-
-    integrator = dict(merged.get("integrator") or {})
-    _check_keys(integrator, set(_INTEGRATOR_DEFAULTS), "integrator.")
-    integrator = {**_INTEGRATOR_DEFAULTS, **integrator}
-    t_max = integrator["t_max"]
-    if t_max is not None and not (_finite_number(t_max) and t_max > 0):
-        raise ConfigError(
-            f"integrator.t_max must be null or a positive finite number, got {t_max!r}",
-            field="integrator.t_max",
-        )
-    points = integrator["output_points"]
-    if isinstance(points, bool) or not isinstance(points, int) or points < 2:
-        raise ConfigError(
-            f"integrator.output_points must be an integer >= 2, got {points!r}",
-            field="integrator.output_points",
-        )
-    if integrator["grid"] not in ("geometric", "linear"):
-        raise ConfigError(
-            "integrator.grid must be 'geometric' or 'linear'", field="integrator.grid"
-        )
-
-    output = dict(merged.get("output") or {})
-    _check_keys(output, {"path", "format"}, "output.")
-    output.setdefault("path", None)
-    output.setdefault("format", "csv")
-    if output["format"] not in ("csv", "json"):
-        raise ConfigError(
-            f"output.format must be csv or json, got {output['format']!r}",
-            field="output.format",
-        )
-
-    projection = merged["dark_state_projection"]
-    if not isinstance(projection, bool):
-        raise ConfigError(
-            f"dark_state_projection must be true or false, got {projection!r}",
-            field="dark_state_projection",
-        )
-
-    if mode == "emission" and merged.get("initial_state") is None:
-        raise ConfigError(
-            "emission scenarios need an initial_state", field="initial_state"
-        )
-    if mode != "emission" and merged.get("initial_state") is not None:
-        raise ConfigError(
-            "initial_state is only valid for emission scenarios",
-            field="initial_state",
-        )
-
-    config = ScenarioConfig(
-        scenario=scenario,
-        mode=mode,
-        emitter=emitter,
-        initial_state=merged.get("initial_state"),
-        waveguide=waveguide,
-        loss=loss,
-        input=inp,
-        sweep=sweep,
-        integrator=integrator,
-        output=output,
-        dark_state_projection=projection,
-    )
-    # Building the domain objects surfaces model-level problems at parse time.
+    for name, (rule, what) in _FIELD_RULES.items():
+        holder, key = _holder(cfg, name)
+        if isinstance(holder, dict) and key in holder and not rule(holder[key]):
+            raise ConfigError(f"{name} must be {what}, got {holder[key]!r}", field=name)
     try:
-        model = config.build_model()
-        config.build_env()
-        config.build_loss()
-        config.build_input()
-        if mode == "emission":
-            config.build_initial(model.n_excited)
+        return ScenarioConfig(**cfg)
     except ConfigError:
         raise
     except (WgqedError, TypeError, ValueError, KeyError) as exc:
         raise ConfigError(f"configuration does not describe a valid model: {exc}") from exc
-    return config
-
-
-SQRT5 = float(np.sqrt(5.0))
-
-_V_EMITTER = {
-    "ground_energies": [0.0],
-    "excited_energies": [1.0, 1.0],
-    "dipoles": [[
-        [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
-        [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]],
-    ]],
-}
-
-_IXI_EMITTER = {
-    "ground_energies": [0.0, 0.0],
-    "excited_energies": [1.0, 1.0],
-    "dipoles": [
-        [
-            [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
-            [[0.0, 0.0], [0.0, 1.0], [0.0, 0.0]],
-        ],
-        [
-            [[0.0, 0.0], [0.0, 1.0], [0.0, 0.0]],
-            [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
-        ],
-    ],
-}
-
-_TWO_LEVEL_EMITTER = {
-    "ground_energies": [0.0],
-    "excited_energies": [1.0],
-    "dipoles": [[[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]]],
-}
-
-_DEFAULT_WAVEGUIDE = {"a": 1.0, "v_g": 0.1, "omega": 1.0,
-                      "E_f": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
-
-_DEFAULT_INPUT = {"direction": "forward", "ground_index": 0, "photon_frequency": 1.0}
-
-_THETA_SWEEP = {"parameter": "theta", "start": 0.0, "stop": float(np.pi), "steps": 401}
 
 
 def preset(name: str) -> ScenarioConfig:
     """Built-in scenario configurations."""
-    if name == "paradox-emission":
-        raw = {
-            "scenario": name,
-            "mode": "emission",
-            "emitter": _V_EMITTER,
-            "initial_state": [[0.0, 1.0 / SQRT5], [2.0 / SQRT5, 0.0]],
-            "waveguide": {"a": 1.0, "v_g": 0.1, "omega": 1.0,
-                          "E_f": [[2.0 / SQRT5, 0.0], [0.0, 1.0 / SQRT5], [0.0, 0.0]]},
-            "loss": {"isotropic": 0.0},
-            "input": dict(_DEFAULT_INPUT),
-            "output": {"path": None, "format": "csv"},
-        }
-    elif name == "isotropic-scan":
-        raw = {
-            "scenario": name,
-            "mode": "scattering",
-            "emitter": _V_EMITTER,
-            "waveguide": dict(_DEFAULT_WAVEGUIDE),
-            "loss": {"isotropic": 0.2},
-            "input": dict(_DEFAULT_INPUT),
-            "sweep": dict(_THETA_SWEEP),
-            "output": {"path": None, "format": "csv"},
-        }
-    elif name == "ixi-scan":
-        raw = {
-            "scenario": name,
-            "mode": "scattering",
-            "emitter": _IXI_EMITTER,
-            "waveguide": dict(_DEFAULT_WAVEGUIDE),
-            "loss": {"isotropic": 0.2},
-            "input": dict(_DEFAULT_INPUT),
-            "sweep": dict(_THETA_SWEEP),
-            "output": {"path": None, "format": "csv"},
-        }
-    elif name == "two-level":
-        raw = {
-            "scenario": name,
-            "mode": "diagnostic",
-            "emitter": _TWO_LEVEL_EMITTER,
-            "waveguide": dict(_DEFAULT_WAVEGUIDE),
-            "loss": {"isotropic": 0.2},
-            "input": dict(_DEFAULT_INPUT),
-            "output": {"path": None, "format": "csv"},
-        }
-    else:
-        raise UnknownPresetError(
-            f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}"
-        )
-
-    merged: dict[str, Any] = {
-        "initial_state": None, "sweep": None,
-        "integrator": dict(_INTEGRATOR_DEFAULTS),
-        "dark_state_projection": False,
-    }
-    merged.update(raw)
-    return ScenarioConfig(**merged)
+    return parse_config({"scenario": name})
 
 
 # ---------------------------------------------------------------------------
@@ -513,27 +411,17 @@ def _write_table(path: Path, fmt: str, scenario: str,
 def _amplitude_columns(n_ground: int) -> list[str]:
     if n_ground == 1:
         return ["re_t", "im_t", "re_r", "im_r"]
-    cols = []
-    for mode_tag in ("f", "b"):
-        for k in range(n_ground):
-            cols += [f"re_{mode_tag}_g{k + 1}", f"im_{mode_tag}_g{k + 1}"]
-    return cols
+    return [f"{part}_{mode_tag}_g{k + 1}"
+            for mode_tag in ("f", "b") for k in range(n_ground) for part in ("re", "im")]
 
 
 def _amplitude_row(result) -> list[float]:
-    row: list[float] = []
-    for m in range(2):
-        for k in range(result.amplitudes.shape[1]):
-            amp = result.amplitudes[m, k]
-            row += [amp.real, amp.imag]
-    return row
+    """Re and im of each amplitude, forward mode first, then by ground state."""
+    return [part for amp in result.amplitudes.ravel() for part in (amp.real, amp.imag)]
 
 
 def _run_emission(config: ScenarioConfig, out_path: Path, fmt: str) -> int:
-    model = config.build_model()
-    env = config.build_env()
-    loss = config.build_loss()
-    state = config.build_initial(model.n_excited)
+    model, env, loss, _, state = config.built
     integ = config.integrator
 
     bundle = coupling_bundle(model, env, loss)
@@ -565,10 +453,7 @@ def _run_emission(config: ScenarioConfig, out_path: Path, fmt: str) -> int:
 
 
 def _run_sweep(config: ScenarioConfig, out_path: Path, fmt: str) -> int:
-    model = config.build_model()
-    env = config.build_env()
-    loss = config.build_loss()
-    inp = config.build_input()
+    model, env, loss, inp, _ = config.built
     sweep = config.sweep
     thetas = np.linspace(float(sweep["start"]), float(sweep["stop"]), int(sweep["steps"]))
     points = polarization_sweep(
@@ -594,10 +479,7 @@ def _run_sweep(config: ScenarioConfig, out_path: Path, fmt: str) -> int:
 
 
 def _run_single_point(config: ScenarioConfig, out_path: Path, fmt: str) -> int:
-    model = config.build_model()
-    env = config.build_env()
-    loss = config.build_loss()
-    inp = config.build_input()
+    model, env, loss, inp, _ = config.built
     try:
         result = scatter(
             model, env, loss, inp,
@@ -613,16 +495,7 @@ def _run_single_point(config: ScenarioConfig, out_path: Path, fmt: str) -> int:
 
 
 def _run_diagnostic(config: ScenarioConfig, out_path: Path, fmt: str) -> int:
-    model = config.build_model()
-    env = config.build_env()
-    loss = config.build_loss()
-    inp = config.build_input()
-    if model.n_excited != 1 or model.n_ground != 1:
-        raise ConfigError(
-            "the two-level diagnostic needs exactly one ground and one excited state",
-            field="emitter",
-        )
-
+    model, env, loss, inp, _ = config.built
     omega_f = inp.photon_frequency if inp.photon_frequency is not None else env.omega
     detuning = (model.excited_energies[0]
                 - (model.ground_energies[0] + env.hbar * omega_f))
@@ -630,9 +503,8 @@ def _run_diagnostic(config: ScenarioConfig, out_path: Path, fmt: str) -> int:
         t, r, p_loss = two_level_closed_form(model.dipoles[0][0], env, loss, detuning)
         bundle = coupling_bundle(model, env, loss)
         rates = bundle.channel_decay_rates()
-        rate_f = float(rates.get("forward", np.zeros(1))[0])
-        rate_b = float(rates.get("backward", np.zeros(1))[0])
-        rate_l = float(rates.get("loss", np.zeros(1))[0])
+        rate_f, rate_b, rate_l = (float(rates.get(channel, np.zeros(1))[0])
+                                  for channel in ("forward", "backward", "loss"))
         total = rate_f + rate_b + rate_l
         beta_rates = (rate_f + rate_b) / total if total > 0 else float("nan")
 
@@ -690,11 +562,12 @@ def _load_config_source(source: str) -> dict:
             return json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {source!r} is not valid JSON: {exc}") from exc
-    preset(source)  # fail fast on unknown names
     return {"scenario": source}
 
 
 def _apply_overrides(data: dict, args: argparse.Namespace) -> dict:
+    """Fold the command-line flags into an expanded raw config. A section
+    that is not an object is left as it is, for the parse to name."""
     data = dict(data)
     if args.loss is not None:
         data["loss"] = {"isotropic": args.loss}
@@ -702,16 +575,15 @@ def _apply_overrides(data: dict, args: argparse.Namespace) -> dict:
         if data.get("sweep") is None:
             raise ConfigError("--steps given but the scenario has no sweep",
                               field="sweep")
-        data["sweep"] = dict(data["sweep"], steps=args.steps)
+        if isinstance(data["sweep"], dict):
+            data["sweep"] = dict(data["sweep"], steps=args.steps)
     if args.dark_state_projection:
         data["dark_state_projection"] = True
-    output = dict(data.get("output") or {})
-    if args.out is not None:
-        output["path"] = args.out
-    if args.format is not None:
-        output["format"] = args.format
-    if output:
-        data["output"] = output
+    flags = {key: value for key, value in (("path", args.out), ("format", args.format))
+             if value is not None}
+    output = data.get("output") or {}
+    if flags and isinstance(output, dict):
+        data["output"] = {**output, **flags}
     return data
 
 
@@ -738,12 +610,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        data = parse_config(_load_config_source(args.scenario)).to_dict()
-        config = parse_config(_apply_overrides(data, args))
-        return run(config)
+        data = _expand(_load_config_source(args.scenario))
+        return run(parse_config(_apply_overrides(data, args)))
     except ConfigError as exc:
         where = f" (field: {exc.field})" if getattr(exc, "field", None) else ""
         print(f"wgqed: configuration error{where}: {exc}", file=sys.stderr)

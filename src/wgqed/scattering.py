@@ -55,6 +55,9 @@ class ScatterInput:
     def __post_init__(self):
         if self.direction not in MODES:
             raise ValueError(f"direction must be one of {MODES}, got {self.direction!r}")
+        index = self.ground_index
+        if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
+            raise ValueError(f"ground_index must be an integer, got {index!r}")
         freq = self.photon_frequency
         if freq is not None and not math.isfinite(float(freq)):
             raise ValueError(f"photon_frequency must be None or finite, got {freq!r}")

@@ -12,10 +12,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import wgqed
 import wgqed.cli
 import wgqed.emission
+import wgqed.emitter
 import wgqed.photonic
-from wgqed import UnknownPresetError
+from wgqed import ConfigError, UnknownPresetError
 from wgqed.cli import PRESET_NAMES, main, parse_config, preset, serialize_config
 
 
@@ -198,6 +200,18 @@ class TestScatteringScenarios:
 
 
 class TestTwoLevelDiagnostic:
+    def test_diagnostic_needs_two_levels_at_parse(self, monkeypatch, tmp_path, capsys):
+        # a V emitter has two excited states; the parse names the emitter
+        cfg = dict(CUSTOM_SCATTER, mode="diagnostic")
+        del cfg["sweep"]
+        with pytest.raises(ConfigError) as exc:
+            parse_config(cfg)
+        assert exc.value.field == "emitter"
+        (tmp_path / "d.json").write_text(json.dumps(cfg))
+        assert run_cli(monkeypatch, tmp_path, "run", "d.json", "--out", "d.csv") == 1
+        assert "(field: emitter)" in capsys.readouterr().err
+        assert not (tmp_path / "d.csv").exists()
+
     @pytest.mark.parametrize("strength,expected", [("0.2", 10 / 10.2),
                                                    ("0.003", 10 / 10.003)])
     def test_guided_fraction_reported(self, monkeypatch, tmp_path, strength, expected):
@@ -270,12 +284,15 @@ class TestOutputsAndExitCodes:
         ({"loss": {"isotropic": "0.2"}}, "o.csv", "loss.isotropic"),
         ({"loss": {"isotropic": -0.1}}, "o.csv", "loss.isotropic"),
         ({"loss": {"isotropic": float("nan")}}, "o.csv", "loss.isotropic"),
+        ({"scenario": []}, "o.csv", "scenario"),
+        ({"scenario": 5}, "o.csv", "scenario"),
+        ({"scenario": "nope"}, "o.csv", "scenario"),
     ], ids=["out-in-missing-dir", "out-is-directory", "stop-above-pi", "no-start",
             "string-start", "string-photon-frequency", "projection-string-no",
             "projection-integer", "projection-string-true", "boolean-ground-index",
             "loss-not-an-object", "output-not-an-object", "sweep-not-an-object",
             "boolean-isotropic-loss", "string-isotropic-loss", "negative-isotropic-loss",
-            "nan-isotropic-loss"])
+            "nan-isotropic-loss", "list-scenario", "number-scenario", "unknown-scenario"])
     def test_invalid_sweep_input_or_output_exits_one(self, monkeypatch, tmp_path, capsys,
                                                      overrides, out, field):
         (tmp_path / "c.json").write_text(json.dumps({"scenario": "ixi-scan", **overrides}))
@@ -283,6 +300,14 @@ class TestOutputsAndExitCodes:
         err = capsys.readouterr().err
         assert f"(field: {field})" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("path", [True, 5, ["o.csv"]])
+    def test_non_string_output_path_exits_one(self, monkeypatch, tmp_path, capsys, path):
+        (tmp_path / "c.json").write_text(
+            json.dumps({"scenario": "two-level", "output": {"path": path}}))
+        assert run_cli(monkeypatch, tmp_path, "run", "c.json") == 1
+        err = capsys.readouterr().err
+        assert "(field: output.path)" in err and "Traceback" not in err
 
     def test_missing_ground_index_defaults_to_zero(self, monkeypatch, tmp_path):
         inp = {"direction": "forward", "photon_frequency": 1.0}
@@ -348,6 +373,27 @@ class TestBundleReuse:
                 monkeypatch.setattr(module, "coupling_bundle", counting)
         assert run_cli(monkeypatch, tmp_path, "run", scenario, "--out", "o.csv") == 0
         assert len(calls) == 1
+
+
+class TestParseOnce:
+    @pytest.mark.parametrize("scenario", PRESET_NAMES)
+    def test_one_parse_and_one_validate_per_run(self, monkeypatch, tmp_path, scenario):
+        # flags are folded into the raw config, so one parse builds the model
+        calls = {"parse_config": 0, "validate": 0}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            for module in (wgqed, wgqed.emitter, wgqed.cli):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        assert run_cli(monkeypatch, tmp_path, "run", scenario, "--loss", "0.2",
+                       "--out", "o.csv") == 0
+        assert calls == {"parse_config": 1, "validate": 1}
 
 
 # Values of the wrong type for any field or section of a config.

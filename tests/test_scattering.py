@@ -53,6 +53,17 @@ class TestScatterInput:
         with pytest.raises(ValueError, match="photon_frequency"):
             ScatterInput(photon_frequency=frequency)
 
+    @pytest.mark.parametrize("index", [True, False, 0.0, 1.5, "0", None])
+    def test_non_integer_ground_index_rejected(self, index):
+        # a bool is not taken as 0 or 1, a float never reaches array indexing
+        with pytest.raises(ValueError, match="ground_index"):
+            ScatterInput("forward", index)
+
+    def test_numpy_integer_ground_index_accepted(self):
+        inp = ScatterInput("forward", np.int64(1))
+        res = scatter(ixi_model(), circular_env(), LossModel.isotropic(0.2), inp)
+        assert res.input_ground == 1
+
 
 class TestRecords:
     """The per-sample records are named tuples: fixed field order, no
