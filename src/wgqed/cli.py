@@ -151,6 +151,15 @@ def _angle(value) -> bool:
     return _finite_number(value) and 0.0 <= value <= math.pi
 
 
+# Most points a sweep or an emission time grid may have: a config file alone
+# must not make a run take minutes and allocate without bound.
+_MAX_GRID_POINTS = 100_000
+
+
+def _grid_points(value) -> bool:
+    return _integer(value) and 2 <= value <= _MAX_GRID_POINTS
+
+
 # field: (rule, what it must be). A rule sees a field only when it is given,
 # and in this order; a check that needs two fields is made when the scenario
 # is built.
@@ -177,10 +186,10 @@ _FIELD_RULES = {
     "sweep.parameter": (lambda v: v == "theta", "'theta'"),
     "sweep.start": (_angle, "a number within [0, pi]"),
     "sweep.stop": (_angle, "a number within [0, pi]"),
-    "sweep.steps": (lambda v: _integer(v) and v >= 2, "an integer >= 2"),
+    "sweep.steps": (_grid_points, f"an integer in [2, {_MAX_GRID_POINTS}]"),
     "integrator.t_max": (lambda v: v is None or _finite_number(v) and v > 0,
                          "null or a positive finite number"),
-    "integrator.output_points": (lambda v: _integer(v) and v >= 2, "an integer >= 2"),
+    "integrator.output_points": (_grid_points, f"an integer in [2, {_MAX_GRID_POINTS}]"),
     "integrator.grid": (lambda v: v in ("geometric", "linear"), "'geometric' or 'linear'"),
     "output.path": (lambda v: v is None or isinstance(v, str), "null or a string"),
     "output.format": (lambda v: v in ("csv", "json"), "csv or json"),
@@ -382,22 +391,17 @@ def preset(name: str) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), FLOAT_FMT)
-
-
 def _write_table(path: Path, fmt: str, scenario: str,
                  columns: list[str], rows: list[list[float]]) -> None:
     if fmt == "csv":
-        lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join("nan" if np.isnan(v) else _fmt(v) for v in row))
-        text = "\n".join(lines) + "\n"
+        # one %-format per row; it writes nan as "nan"
+        row_fmt = ",".join([f"%{FLOAT_FMT}"] * len(columns))
+        text = "\n".join([",".join(columns), *(row_fmt % tuple(row) for row in rows)]) + "\n"
     else:
         payload = {
             "scenario": scenario,
             "columns": columns,
-            "rows": [[None if np.isnan(v) else float(v) for v in row] for row in rows],
+            "rows": [[None if math.isnan(v) else float(v) for v in row] for row in rows],
         }
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     try:
@@ -415,9 +419,11 @@ def _amplitude_columns(n_ground: int) -> list[str]:
             for mode_tag in ("f", "b") for k in range(n_ground) for part in ("re", "im")]
 
 
-def _amplitude_row(result) -> list[float]:
-    """Re and im of each amplitude, forward mode first, then by ground state."""
-    return [part for amp in result.amplitudes.ravel() for part in (amp.real, amp.imag)]
+def _amplitude_parts(amplitudes: np.ndarray) -> np.ndarray:
+    """Re and im of each amplitude of a (..., 2, n_ground) table, forward
+    mode first, then by ground state: (..., 4 n_ground)."""
+    parts = np.stack((amplitudes.real, amplitudes.imag), axis=-1)
+    return parts.reshape(amplitudes.shape[:-2] + (-1,))
 
 
 def _run_emission(config: ScenarioConfig, out_path: Path, fmt: str) -> int:
@@ -444,11 +450,13 @@ def _run_emission(config: ScenarioConfig, out_path: Path, fmt: str) -> int:
     n_e = model.n_excited
     columns = (["t"] + [f"pop_e{i + 1}" for i in range(n_e)]
                + ["p_forward", "p_backward", "p_loss", "trace"])
-    rows = []
-    for t, st in zip(traj.times, traj.states):
-        pf, pb, pl = st.channel_totals()
-        rows.append([t, *st.excited_populations(), pf, pb, pl, st.total_trace()])
-    _write_table(out_path, fmt, config.scenario, columns, rows)
+    # the states stacked back: excited blocks (T, n_e, n_e), probabilities
+    # (T, n_g, 3); the columns are those of the per-state methods
+    blocks, probs = (np.stack(parts) for parts in zip(*traj.states))
+    trace = blocks.trace(axis1=1, axis2=2).real + probs.reshape(len(probs), -1).sum(axis=1)
+    table = np.column_stack((traj.times, blocks.diagonal(axis1=1, axis2=2).real,
+                             probs.sum(axis=1), trace))
+    _write_table(out_path, fmt, config.scenario, columns, table.tolist())
     return 0
 
 
@@ -462,19 +470,16 @@ def _run_sweep(config: ScenarioConfig, out_path: Path, fmt: str) -> int:
     )
 
     columns = ["theta"] + _amplitude_columns(model.n_ground) + ["p_loss"]
-    rows = []
-    failed = 0
-    for pt in points:
-        if pt.failed:
-            failed += 1
-            print(
-                f"wgqed: sweep point theta={pt.theta!r} failed: {pt.error}",
-                file=sys.stderr,
-            )
-            rows.append([pt.theta] + [float("nan")] * (len(columns) - 1))
-        else:
-            rows.append([pt.theta, *_amplitude_row(pt.result), pt.result.p_loss])
-    _write_table(out_path, fmt, config.scenario, columns, rows)
+    failed = [pt for pt in points if pt.failed]
+    for pt in failed:
+        print(f"wgqed: sweep point theta={pt.theta!r} failed: {pt.error}", file=sys.stderr)
+    # a failed point is a row of nan after its theta
+    blank = (np.full((2, model.n_ground), complex(math.nan, math.nan)), math.nan)
+    amplitudes, p_loss = zip(*[
+        blank if pt.failed else (pt.result.amplitudes, pt.result.p_loss) for pt in points
+    ])
+    table = np.column_stack((thetas, _amplitude_parts(np.stack(amplitudes)), p_loss))
+    _write_table(out_path, fmt, config.scenario, columns, table.tolist())
     return 2 if failed else 0
 
 
@@ -490,7 +495,7 @@ def _run_single_point(config: ScenarioConfig, out_path: Path, fmt: str) -> int:
         return 2
     columns = _amplitude_columns(model.n_ground) + ["p_loss"]
     _write_table(out_path, fmt, config.scenario, columns,
-                 [[*_amplitude_row(result), result.p_loss]])
+                 [[*_amplitude_parts(result.amplitudes).tolist(), result.p_loss]])
     return 0
 
 

@@ -148,6 +148,32 @@ class TestEmissionScenario:
         assert pair[0] == pytest.approx(9 / 50, abs=1e-4)
         assert pair[1] == pytest.approx(41 / 50, abs=1e-4)
 
+    def test_table_rows_are_the_state_methods(self, monkeypatch, tmp_path):
+        # three ground states, so the per-state sums run over several terms
+        dipoles = [[[[1, 0], [0, 0.3], [0, 0]], [[0, 0], [1, 0], [0.2, 0]]],
+                   [[[0.5, 0], [0, 0], [0, 1]], [[0, 0.4], [0.3, 0], [0, 0]]],
+                   [[[0.1, 0], [0.7, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]]]
+        cfg = {
+            "scenario": "custom", "mode": "emission",
+            "emitter": {"ground_energies": [0.0, 0.1, 0.2],
+                        "excited_energies": [1.0, 1.1], "dipoles": dipoles},
+            "waveguide": {"a": 1.0, "v_g": 0.1, "omega": 1.0,
+                          "E_f": [[0.8, 0], [0, 0.6], [0, 0]]},
+            "loss": {"isotropic": 0.1},
+            "input": {"direction": "forward"},
+            "initial_state": [[0.6, 0], [0, 0.8]],
+            "integrator": {"t_max": 3.0, "output_points": 37, "grid": "linear"},
+        }
+        (tmp_path / "em.json").write_text(json.dumps(cfg))
+        assert run_cli(monkeypatch, tmp_path, "run", "em.json", "--out", "em.csv") == 0
+        _, data = read_csv(tmp_path / "em.csv")
+        model, env, loss, _, state = parse_config(cfg).built
+        traj = wgqed.emission.evolve(model, env, loss, state, 3.0, output_points=37)
+        expected = [[t, *st.excited_populations(), *st.channel_totals(), st.total_trace()]
+                    for t, st in zip(traj.times, traj.states)]
+        # 17 significant digits read back to the same doubles
+        assert data.tolist() == np.array(expected).tolist()
+
 
 class TestScatteringScenarios:
     @pytest.mark.parametrize("strength", ["0.2", "0.003"])
@@ -186,6 +212,41 @@ class TestScatteringScenarios:
         assert code == 0
         _, data = read_csv(tmp_path / "s.csv")
         assert data.shape[0] == 11
+
+    @pytest.mark.parametrize("cfg", [CUSTOM_SCATTER, {"scenario": "ixi-scan"}],
+                             ids=["dark-points", "ixi-scan"])
+    def test_table_rows_are_the_sweep_records(self, monkeypatch, tmp_path, cfg):
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        code = run_cli(monkeypatch, tmp_path, "run", "c.json", "--steps", "9", "--out", "s.csv")
+        parsed = parse_config(cfg)
+        model, env, loss, inp, _ = parsed.built
+        thetas = np.linspace(parsed.sweep["start"], parsed.sweep["stop"], 9)
+        points = wgqed.polarization_sweep(model, env, loss, inp, thetas)
+        assert code == (2 if any(pt.failed for pt in points) else 0)
+        expected = [
+            [pt.theta] + [np.nan] * (4 * model.n_ground + 1) if pt.failed else
+            [pt.theta, *np.stack((pt.result.amplitudes.real, pt.result.amplitudes.imag),
+                                 axis=-1).ravel(), pt.result.p_loss]
+            for pt in points
+        ]
+        _, data = read_csv(tmp_path / "s.csv")
+        np.testing.assert_array_equal(data, np.array(expected))
+
+    def test_steps_override_above_cap_exits_one(self, monkeypatch, tmp_path, capsys):
+        code = run_cli(monkeypatch, tmp_path, "run", "isotropic-scan",
+                       "--steps", "100001", "--out", "s.csv")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "(field: sweep.steps)" in err and "[2, 100000]" in err
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_grid_caps_are_inclusive(self):
+        cfg = parse_config({"scenario": "isotropic-scan",
+                            "sweep": dict(preset("isotropic-scan").sweep, steps=100_000)})
+        assert cfg.sweep["steps"] == 100_000
+        cfg = parse_config({"scenario": "paradox-emission",
+                            "integrator": {"output_points": 100_000}})
+        assert cfg.integrator["output_points"] == 100_000
 
     def test_single_point_custom_scattering(self, monkeypatch, tmp_path):
         cfg = dict(CUSTOM_SCATTER)
@@ -242,6 +303,20 @@ class TestOutputsAndExitCodes:
         assert "beta_rates" in payload["columns"]
         assert len(payload["rows"]) == 1
 
+    def test_csv_values_are_17_significant_digits(self, tmp_path):
+        row = [0.1, -0.0, 2.0 / 3.0, 1e-300, 5e-324, 1.7976931348623157e308,
+               float("nan"), float("inf"), -float("inf"), 3]
+        columns = [f"c{k}" for k in range(len(row))]
+        wgqed.cli._write_table(tmp_path / "t.csv", "csv", "x", columns, [row, row[::-1]])
+        lines = (tmp_path / "t.csv").read_text().splitlines()
+        assert lines == [",".join(columns)] + [
+            ",".join("nan" if v != v else format(float(v), ".17g") for v in r)
+            for r in (row, row[::-1])
+        ]
+        wgqed.cli._write_table(tmp_path / "t.json", "json", "x", columns, [row])
+        (read,) = json.loads((tmp_path / "t.json").read_text())["rows"]
+        assert read[6] is None and read[:6] == row[:6]
+
     def test_default_output_path(self, monkeypatch, tmp_path):
         code = run_cli(monkeypatch, tmp_path, "run", "two-level")
         assert code == 0
@@ -287,12 +362,15 @@ class TestOutputsAndExitCodes:
         ({"scenario": []}, "o.csv", "scenario"),
         ({"scenario": 5}, "o.csv", "scenario"),
         ({"scenario": "nope"}, "o.csv", "scenario"),
+        ({"sweep": {"parameter": "theta", "start": 0.0, "stop": 1.0, "steps": 100_001}},
+         "o.csv", "sweep.steps"),
     ], ids=["out-in-missing-dir", "out-is-directory", "stop-above-pi", "no-start",
             "string-start", "string-photon-frequency", "projection-string-no",
             "projection-integer", "projection-string-true", "boolean-ground-index",
             "loss-not-an-object", "output-not-an-object", "sweep-not-an-object",
             "boolean-isotropic-loss", "string-isotropic-loss", "negative-isotropic-loss",
-            "nan-isotropic-loss", "list-scenario", "number-scenario", "unknown-scenario"])
+            "nan-isotropic-loss", "list-scenario", "number-scenario", "unknown-scenario",
+            "too-many-steps"])
     def test_invalid_sweep_input_or_output_exits_one(self, monkeypatch, tmp_path, capsys,
                                                      overrides, out, field):
         (tmp_path / "c.json").write_text(json.dumps({"scenario": "ixi-scan", **overrides}))
@@ -468,7 +546,10 @@ class TestCustomEmission:
         ({"t_max": "abc"}, "integrator.t_max"),
         ({"output_points": 1}, "integrator.output_points"),
         ({"output_points": 2.5}, "integrator.output_points"),
-    ], ids=["negative-t_max", "string-t_max", "one-output-point", "fractional-output-points"])
+        ({"output_points": 100_001}, "integrator.output_points"),
+        ({"output_points": 10**8}, "integrator.output_points"),
+    ], ids=["negative-t_max", "string-t_max", "one-output-point", "fractional-output-points",
+            "too-many-output-points", "1e8-output-points"])
     def test_invalid_integrator_exits_one(self, monkeypatch, tmp_path, capsys,
                                           integrator, field):
         cfg = {"scenario": "paradox-emission", "integrator": integrator}

@@ -1,9 +1,12 @@
 """Scattering amplitudes: exact anchor values, conservation, equivalences."""
 
 
+import warnings
+
 import numpy as np
 import pytest
 
+import wgqed.scattering
 from wgqed import (
     EmitterModel,
     IllConditionedResponseWarning,
@@ -16,6 +19,7 @@ from wgqed import (
     scatter,
     two_level_closed_form,
 )
+from wgqed.scattering import COND_SINGULAR_THRESHOLD, COND_WARN_THRESHOLD, _solve_gate
 
 from conftest import (
     make_env,
@@ -464,3 +468,160 @@ class TestPolarizationSweep:
             env = template.with_field([np.cos(pt.theta), 1j * np.sin(pt.theta), 0])
             ref = scatter(ixi_model(), env, loss, ScatterInput())
             assert np.max(np.abs(pt.result.amplitudes - ref.amplitudes)) < 1e-14
+
+
+def damped_stack(rng, T: int, n: int) -> np.ndarray:
+    """T response slices M = D + iS: a positive semidefinite damping D (the
+    Hermitian part) and a Hermitian shift S, each over many orders of
+    magnitude."""
+    A = rng.normal(size=(T, n, n)) + 1j * rng.normal(size=(T, n, n))
+    B = rng.normal(size=(T, n, n)) + 1j * rng.normal(size=(T, n, n))
+    D = A @ A.conj().swapaxes(-1, -2) * 10.0 ** rng.uniform(-14, 2, size=(T, 1, 1))
+    S = (B + B.conj().swapaxes(-1, -2)) * 10.0 ** rng.uniform(-6, 1, size=(T, 1, 1))
+    return D + 1j * S
+
+
+def cond_oracle_gate(M: np.ndarray):
+    """The gate as np.linalg.cond decides it for every slice."""
+    cond = np.linalg.cond(M)
+    solvable = np.isfinite(cond) & (cond <= COND_SINGULAR_THRESHOLD)
+    return solvable, solvable & (cond > COND_WARN_THRESHOLD), cond
+
+
+def count_singular_values(monkeypatch) -> list:
+    """Slices handed to np.linalg.svd, and to np.linalg.cond, from now on."""
+    slices = []
+    svd, cond = np.linalg.svd, np.linalg.cond
+
+    def counting(fn):
+        def wrapper(a, *args, **kwargs):
+            slices.append(len(a) if np.ndim(a) == 3 else 1)
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "svd", counting(svd))
+    monkeypatch.setattr(np.linalg, "cond", counting(cond))
+    return slices
+
+
+def capture_response_stacks(monkeypatch) -> list:
+    """The response stacks M the scattering engine forms, rebuilt bit for bit
+    from the effective Hamiltonians it assembles."""
+    stacks = []
+    assemble = wgqed.scattering.effective_hamiltonian
+
+    def spy(D, B, detunings, env, loss):
+        H = assemble(D, B, detunings, env, loss)
+        stacks.append((1j * env.epsilon0 * env.hbar / env.z) * H)
+        return H
+
+    monkeypatch.setattr(wgqed.scattering, "effective_hamiltonian", spy)
+    return stacks
+
+
+class TestSolveGate:
+    """The damping certificate spares singular values but changes no
+    decision: which slices are solved in the stack, which warn."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_decisions_match_cond_oracle(self, n):
+        rng = np.random.default_rng(1000 + n)
+        parts = [damped_stack(rng, 300, n), np.zeros((2, n, n), dtype=complex)]
+        dark = damped_stack(rng, 6, n)
+        dark[:, -1, :] = 0.0
+        dark[:, :, -1] = 0.0                     # a level that couples to nothing
+        parts.append(dark)
+        if n >= 2:
+            # Hermitian positive definite slices with a condition number just
+            # either side of each threshold
+            targets = [COND_WARN_THRESHOLD * (1 - 1e-3), COND_WARN_THRESHOLD * (1 + 1e-3),
+                       COND_SINGULAR_THRESHOLD * 0.7, COND_SINGULAR_THRESHOLD * 1.4]
+            for c in targets * 4:
+                Q = random_unitary(rng, n)
+                parts.append(((Q * np.geomspace(1.0, 1.0 / c, n)) @ Q.conj().T)[None])
+        M = np.concatenate(parts)[rng.permutation(sum(len(p) for p in parts))]
+        solvable, warn, cond = cond_oracle_gate(M)
+        assert solvable.any() and not solvable.all()
+        if n >= 2:
+            assert warn.any() and (cond > COND_WARN_THRESHOLD).sum() > warn.sum()
+        active = np.ones(len(M), dtype=bool)
+        # large stacks go through the certificate, small ones do not
+        for size in (len(M), 5):
+            for k in range(0, len(M), size):
+                got = _solve_gate(M[k:k + size], active[k:k + size])
+                np.testing.assert_array_equal(got[0], solvable[k:k + size])
+                np.testing.assert_array_equal(got[1], warn[k:k + size])
+                # a warning reports the condition number cond gives
+                np.testing.assert_array_equal(got[2][got[1]], cond[k:k + size][got[1]])
+
+    def test_inactive_slices_are_never_solved(self):
+        rng = np.random.default_rng(7)
+        M = damped_stack(rng, 40, 2)
+        active = rng.random(40) < 0.5
+        solvable, warn, _ = _solve_gate(M, active)
+        assert not (solvable & ~active).any() and not (warn & ~active).any()
+
+    def test_warnings_and_failures_match_cond_oracle(self, monkeypatch):
+        env = make_env([1, 0, 0], **X_ENV)
+        thetas = np.concatenate(([0.0, 1e-9, 1e-7, 1e-6, 1e-5, np.pi / 2],
+                                 np.linspace(0.05, 3.0, 12)))
+        # a loss tensor with a tolerated negative decay rate of -1e-11 along
+        # the second dipole, and the lossless V system
+        c, s = np.cos(0.3), np.sin(0.3)
+        R = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+        negative = LossModel.from_array(1j * R @ np.diag([1.0, 0.5, -1e-11]) @ R.T)
+        tilted = EmitterModel.from_arrays([0.0], [1.0, 1.0], [[[1, 0, 0], list(R[:, 2])]])
+        cases = [(tilted, negative), (paradox_model(), LossModel.none())]
+        seen_warnings = seen_failures = 0
+        for model, loss in cases:
+            for projection in (False, True):
+                stacks = capture_response_stacks(monkeypatch)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    pts = polarization_sweep(model, env, loss, ScatterInput(), thetas,
+                                             dark_state_projection=projection)
+                monkeypatch.undo()
+                (M,) = stacks
+                solvable, warn, cond = cond_oracle_gate(M)
+                messages = [str(w.message) for w in caught
+                            if issubclass(w.category, IllConditionedResponseWarning)]
+                assert messages == [
+                    f"response matrix condition number {v:.3e} exceeds "
+                    f"{COND_WARN_THRESHOLD:.0e}" for v in cond[warn]
+                ]
+                if not projection:
+                    assert [pt.failed for pt in pts] == (~solvable).tolist()
+                seen_warnings += len(messages)
+                seen_failures += sum(pt.failed for pt in pts)
+        assert seen_warnings > 0 and seen_failures > 0
+
+    @pytest.mark.parametrize("model", [paradox_model(), ixi_model()], ids=["V", "ixi"])
+    def test_lossy_sweep_takes_no_singular_values(self, monkeypatch, model):
+        slices = count_singular_values(monkeypatch)
+        pts = polarization_sweep(model, make_env([1, 0, 0], **X_ENV),
+                                 LossModel.isotropic(0.2), ScatterInput(),
+                                 np.linspace(0.0, np.pi, 401))
+        assert slices == [] and not any(pt.failed for pt in pts)
+
+    def test_lossless_projected_sweep_takes_singular_values_at_dark_points(
+            self, monkeypatch):
+        slices = count_singular_values(monkeypatch)
+        pts = polarization_sweep(paradox_model(), make_env([1, 0, 0], **X_ENV),
+                                 LossModel.none(), ScatterInput(),
+                                 np.linspace(0.0, np.pi, 401), dark_state_projection=True)
+        # theta = 0, pi/2 and pi, where one dipole is dark
+        assert 0 < sum(slices) <= 3 and not any(pt.failed for pt in pts)
+
+    def test_singular_stack_raises_no_floating_point_error(self):
+        thetas = np.linspace(0.0, np.pi, 41)            # holds 0, pi/2 and pi
+        with np.errstate(all="raise"):
+            pts = polarization_sweep(paradox_model(), make_env([1, 0, 0], **X_ENV),
+                                     LossModel.none(), ScatterInput(), thetas,
+                                     dark_state_projection=True)
+            M = np.zeros((12, 2, 2), dtype=complex)
+            M[::2] = np.eye(2)
+            for stack in (M, M[:3]):
+                solvable, warn, cond = _solve_gate(stack, np.ones(len(stack), dtype=bool))
+                assert solvable.tolist() == [k % 2 == 0 for k in range(len(stack))]
+                assert not warn.any() and np.isinf(cond[1::2]).all()
+        assert not any(pt.failed for pt in pts)
