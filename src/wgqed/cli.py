@@ -10,16 +10,17 @@ Presets: ``paradox-emission`` (time-resolved decay of a V emitter prepared in
 a direction-selective superposition), ``isotropic-scan`` and ``ixi-scan``
 (polarization sweeps of the isotropically polarizable V system and of the
 four-level crossed-dipole system), ``two-level`` (matched linear dipole
-diagnostic with rate and guided-fraction summary).
+diagnostic; the guided fraction comes once from the channel rates and once
+from emission's outcome forms).
 
 Emission scenarios take an ``integrator`` block (``t_max``, ``output_points``,
 ``grid``) that only sets the output time grid: the propagation itself is
 exact, with no step size or tolerance to choose.
 
 Exit codes: 0 success, 1 configuration error (including an output path that
-cannot be written), 2 numerical failure. A sweep is solved as one batch; a
-point that fails is written as a row of ``nan`` and named on stderr, and the
-run exits 2.
+cannot be written), 2 numerical failure, named on stderr as ``wgqed: <mode>
+failed: ...``. A failed run writes no file; a sweep, solved as one batch,
+writes a point that fails as a row of ``nan``, names it and exits 2.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Any, NamedTuple, Sequence
 import numpy as np
 
 from .emitter import EmitterModel, ExcitedSuperposition, validate
-from .emission import INITIAL_NORM_TOL, _propagate, default_t_max
+from .emission import INITIAL_NORM_TOL, _outcome_forms, _propagate, default_t_max
 from .errors import ConfigError, UnknownPresetError, WgqedError
 from .photonic import LossModel, WaveguideEnv, coupling_bundle
 from .scattering import (
@@ -426,129 +427,96 @@ def _amplitude_parts(amplitudes: np.ndarray) -> np.ndarray:
     return parts.reshape(amplitudes.shape[:-2] + (-1,))
 
 
-def _run_emission(config: ScenarioConfig, out_path: Path, fmt: str) -> int:
+def _emission_table(config: ScenarioConfig):
     model, env, loss, _, state = config.built
     integ = config.integrator
 
     bundle = coupling_bundle(model, env, loss)
-    t_max = integ["t_max"]
-    if t_max is None:
-        t_max = default_t_max(bundle)
+    t_max = integ["t_max"] or default_t_max(bundle)
     n_pts = integ["output_points"]
     if integ["grid"] == "geometric":
-        first = t_max * 5e-5
-        times = np.concatenate(([0.0], np.geomspace(first, t_max, n_pts - 1)))
+        times = np.concatenate(([0.0], np.geomspace(t_max * 5e-5, t_max, n_pts - 1)))
     else:
         times = np.linspace(0.0, t_max, n_pts)
+    times, blocks, probs = _propagate(bundle, state, times=times)
 
-    try:
-        traj = _propagate(bundle, state, times=times)
-    except WgqedError as exc:
-        print(f"wgqed: emission propagation failed: {exc}", file=sys.stderr)
-        return 2
-
-    n_e = model.n_excited
-    columns = (["t"] + [f"pop_e{i + 1}" for i in range(n_e)]
+    columns = (["t"] + [f"pop_e{i + 1}" for i in range(model.n_excited)]
                + ["p_forward", "p_backward", "p_loss", "trace"])
-    # the states stacked back: excited blocks (T, n_e, n_e), probabilities
-    # (T, n_g, 3); the columns are those of the per-state methods
-    blocks, probs = (np.stack(parts) for parts in zip(*traj.states))
+    # the columns are those of the per-state methods
     trace = blocks.trace(axis1=1, axis2=2).real + probs.reshape(len(probs), -1).sum(axis=1)
-    table = np.column_stack((traj.times, blocks.diagonal(axis1=1, axis2=2).real,
+    table = np.column_stack((times, blocks.diagonal(axis1=1, axis2=2).real,
                              probs.sum(axis=1), trace))
-    _write_table(out_path, fmt, config.scenario, columns, table.tolist())
-    return 0
+    return columns, table.tolist(), []
 
 
-def _run_sweep(config: ScenarioConfig, out_path: Path, fmt: str) -> int:
+def _scattering_table(config: ScenarioConfig):
     model, env, loss, inp, _ = config.built
+    projection = config.dark_state_projection
+    columns = _amplitude_columns(model.n_ground) + ["p_loss"]
+    if config.sweep is None:
+        result = scatter(model, env, loss, inp, dark_state_projection=projection)
+        return columns, [[*_amplitude_parts(result.amplitudes).tolist(), result.p_loss]], []
+
     sweep = config.sweep
     thetas = np.linspace(float(sweep["start"]), float(sweep["stop"]), int(sweep["steps"]))
-    points = polarization_sweep(
-        model, env, loss, inp, thetas,
-        dark_state_projection=config.dark_state_projection,
-    )
-
-    columns = ["theta"] + _amplitude_columns(model.n_ground) + ["p_loss"]
-    failed = [pt for pt in points if pt.failed]
-    for pt in failed:
-        print(f"wgqed: sweep point theta={pt.theta!r} failed: {pt.error}", file=sys.stderr)
+    points = polarization_sweep(model, env, loss, inp, thetas,
+                                dark_state_projection=projection)
+    failures = [f"sweep point theta={pt.theta!r}: {pt.error}" for pt in points if pt.failed]
     # a failed point is a row of nan after its theta
     blank = (np.full((2, model.n_ground), complex(math.nan, math.nan)), math.nan)
     amplitudes, p_loss = zip(*[
         blank if pt.failed else (pt.result.amplitudes, pt.result.p_loss) for pt in points
     ])
     table = np.column_stack((thetas, _amplitude_parts(np.stack(amplitudes)), p_loss))
-    _write_table(out_path, fmt, config.scenario, columns, table.tolist())
-    return 2 if failed else 0
+    return ["theta"] + columns, table.tolist(), failures
 
 
-def _run_single_point(config: ScenarioConfig, out_path: Path, fmt: str) -> int:
-    model, env, loss, inp, _ = config.built
-    try:
-        result = scatter(
-            model, env, loss, inp,
-            dark_state_projection=config.dark_state_projection,
-        )
-    except WgqedError as exc:
-        print(f"wgqed: scattering failed: {exc}", file=sys.stderr)
-        return 2
-    columns = _amplitude_columns(model.n_ground) + ["p_loss"]
-    _write_table(out_path, fmt, config.scenario, columns,
-                 [[*_amplitude_parts(result.amplitudes).tolist(), result.p_loss]])
-    return 0
-
-
-def _run_diagnostic(config: ScenarioConfig, out_path: Path, fmt: str) -> int:
+def _diagnostic_table(config: ScenarioConfig):
     model, env, loss, inp, _ = config.built
     omega_f = inp.photon_frequency if inp.photon_frequency is not None else env.omega
     detuning = (model.excited_energies[0]
                 - (model.ground_energies[0] + env.hbar * omega_f))
-    try:
-        t, r, p_loss = two_level_closed_form(model.dipoles[0][0], env, loss, detuning)
-        bundle = coupling_bundle(model, env, loss)
-        rates = bundle.channel_decay_rates()
-        rate_f, rate_b, rate_l = (float(rates.get(channel, np.zeros(1))[0])
-                                  for channel in ("forward", "backward", "loss"))
-        total = rate_f + rate_b + rate_l
-        beta_rates = (rate_f + rate_b) / total if total > 0 else float("nan")
-
-        traj = _propagate(
-            bundle, ExcitedSuperposition.from_sequence([1.0]),
-            t_max=30.0 / total if total > 0 else 1.0, output_points=11,
-        )
-        emitted = 1.0 - traj.final_totals.residual_excited
-        beta_emission = (
-            (traj.final_totals.p_forward + traj.final_totals.p_backward) / emitted
-            if emitted > 0 else float("nan")
-        )
-    except WgqedError as exc:
-        print(f"wgqed: two-level diagnostic failed: {exc}", file=sys.stderr)
-        return 2
+    t, r, p_loss = two_level_closed_form(model.dipoles[0][0], env, loss, detuning)
+    bundle = coupling_bundle(model, env, loss)
+    rates = bundle.channel_decay_rates()
+    rate_f, rate_b, rate_l = (float(rates.get(channel, np.zeros(1))[0])
+                              for channel in ("forward", "backward", "loss"))
+    total = rate_f + rate_b + rate_l
+    beta_rates = (rate_f + rate_b) / total if total > 0 else float("nan")
+    # tr(Y rho0) per channel at rho0 = |e><e|: from H_eff and the fluxes, not the rates
+    p_f, p_b, p_l = _outcome_forms(bundle)[0, :, 0, 0].real.tolist()
+    emitted = p_f + p_b + p_l
+    beta_emission = (p_f + p_b) / emitted if emitted > 0 else float("nan")
 
     columns = ["re_t", "im_t", "re_r", "im_r", "p_loss",
                "rate_forward", "rate_backward", "rate_loss",
                "beta_rates", "beta_emission"]
     rows = [[t.real, t.imag, r.real, r.imag, p_loss,
              rate_f, rate_b, rate_l, beta_rates, beta_emission]]
-    _write_table(out_path, fmt, config.scenario, columns, rows)
-    return 0
+    return columns, rows, []
+
+
+# The table of each mode: config -> (columns, rows, failures named as nan rows)
+_TABLES = {"emission": _emission_table, "scattering": _scattering_table,
+           "diagnostic": _diagnostic_table}
 
 
 def run(config: ScenarioConfig) -> int:
-    """Execute a validated scenario; writes the output file and returns the
-    exit code (0 success, 2 numerical failure). Raises :class:`ConfigError`
-    naming ``output.path`` when the output file cannot be written."""
+    """Execute a validated scenario; writes the output file, unless the run
+    fails as a whole, and returns the exit code (0 success, 2 numerical
+    failure). Raises :class:`ConfigError` naming ``output.path`` when the
+    output file cannot be written."""
+    try:
+        columns, rows, failures = _TABLES[config.mode](config)
+    except WgqedError as exc:
+        print(f"wgqed: {config.mode} failed: {exc}", file=sys.stderr)
+        return 2
+    for failure in failures:
+        print(f"wgqed: {config.mode} failed: {failure}", file=sys.stderr)
     fmt = config.output["format"]
     path = config.output["path"] or f"{config.scenario}.{fmt}"
-    out_path = Path(path)
-    if config.mode == "emission":
-        return _run_emission(config, out_path, fmt)
-    if config.mode == "diagnostic":
-        return _run_diagnostic(config, out_path, fmt)
-    if config.sweep is not None:
-        return _run_sweep(config, out_path, fmt)
-    return _run_single_point(config, out_path, fmt)
+    _write_table(Path(path), fmt, config.scenario, columns, rows)
+    return 2 if failures else 0
 
 
 # ---------------------------------------------------------------------------

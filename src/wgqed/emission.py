@@ -11,7 +11,10 @@ separate bookkeeping, and their sum is checked against 1. The generator does
 not depend on time, so the propagation is exact, with no step-size or
 tolerance setting, and every piece of it is sized by the number of excited
 states: one stack of ``exp(-i H_eff t)`` over the output times, and one
-adjoint Lyapunov solve for all the accumulators.
+adjoint Lyapunov solve for the outcome forms ``Y``, one per (ground state,
+channel). ``Re tr(Y rho)`` is the probability that the excited block ``rho``
+ever emits there: the accumulators read ``Re tr(Y (rho0 - rho(t)))``, and the
+command line's two-level diagnostic reads ``Y`` alone, with no propagation.
 
 Ground-manifold coherences between different photon channels, and between
 ground states within one channel, are not tracked: the reproduced observables
@@ -126,15 +129,16 @@ def _coerce_initial(initial, n_e: int) -> np.ndarray:
     return rho
 
 
-def default_t_max(bundle: CouplingBundle, lifetimes: float = DEFAULT_LIFETIMES) -> float:
-    """``lifetimes`` over the smallest nonzero decay rate of the modes of
-    ``H_eff``, ``-2 Im`` of its eigenvalues. A slow mode that superposes
-    several levels sets the horizon even when every level decays fast."""
-    rates = -2.0 * np.linalg.eigvals(bundle.H_eff).imag
-    positive = rates[rates > 1e-12]
-    if positive.size == 0:
-        return float(lifetimes)
-    return float(lifetimes / np.min(positive))
+def default_t_max(bundle: CouplingBundle) -> float:
+    """``DEFAULT_LIFETIMES`` over the smallest nonzero decay rate of the modes
+    of ``H_eff``, ``-2 Im`` of its eigenvalues, taken as half of that so that
+    no rate overflows. A slow mode that superposes several levels sets the
+    horizon even when every level decays fast."""
+    half_rates = -np.linalg.eigvals(bundle.H_eff).imag
+    decaying = half_rates[half_rates > 5e-13]
+    if decaying.size == 0:
+        return DEFAULT_LIFETIMES
+    return float(0.5 * DEFAULT_LIFETIMES / np.min(decaying))
 
 
 def _expm(A: np.ndarray) -> np.ndarray:
@@ -143,10 +147,13 @@ def _expm(A: np.ndarray) -> np.ndarray:
     Degree-13 Pade approximant with scaling and squaring (Higham, SIAM J.
     Matrix Anal. Appl. 26, 2005); each matrix is scaled by its own power of
     two. Unlike an eigendecomposition this stays accurate for defective or
-    nearly defective generators.
+    nearly defective generators. Raises :class:`NonPhysicalStateError` where
+    a 1-norm overflows.
     """
     b = _PADE13
     norms = np.abs(A).sum(axis=-2).max(axis=-1)
+    if not np.isfinite(norms).all():
+        raise NonPhysicalStateError("H_eff t overflows at the output times")
     s = np.ceil(np.log2(np.maximum(norms / _THETA13, 1.0)))
     X = A / (2.0 ** s)[..., None, None]
     ident = np.eye(A.shape[-1])
@@ -192,13 +199,48 @@ def evolve(
     trace drifts beyond ``TRACE_DRIFT_TOL``.
     """
     bundle = coupling_bundle(model, env, loss)    # validates the model first
-    return _propagate(bundle, initial, t_max, times, output_points)
+    t_grid, rhos, probs = _propagate(bundle, initial, t_max, times, output_points)
+    totals = DirectionalTotals(*probs[-1].sum(axis=0).tolist(), float(np.trace(rhos[-1]).real))
+    return EmissionTrajectory(t_grid, tuple(map(EmitterDensityMatrix, rhos, probs)), totals)
 
 
+@np.errstate(all="ignore")
+def _outcome_forms(bundle: CouplingBundle) -> np.ndarray:
+    """The outcome forms ``Y`` (n_g, 3, n_e, n_e): PSD, and summed, the
+    identity less the projector on the non-decaying directions."""
+    n_e = bundle.H_eff.shape[0]
+    # channel_flux is real-linear, so its values on the unit matrices E_ab
+    # and i E_ab give the complex forms F_ab with flux = sum_ab rho_ab F_ab
+    # for every Hermitian rho; that is tr(Q rho) with Q_ba = F_ab.
+    n_rho = n_e * n_e
+    units = np.eye(n_rho) * np.array([1.0, 1j])[:, None, None]
+    f = channel_flux(bundle, units.reshape(2, n_rho, n_e, n_e))
+    F = (f[0] - 1j * f[1]).reshape(n_rho, -1)
+    if not np.isfinite(F).all():
+        raise NonPhysicalStateError("non-finite channel flux in the emission propagation")
+    # With A = i H_eff, Y solves the adjoint Lyapunov equation A^dagger Y +
+    # Y A = Q, that is i (H_eff^dagger Y - Y H_eff) = -Q: it is the integral
+    # of U^dagger Q U over all time, with U = exp(-A t). The solve is for
+    # Z = Y^T, A^T Z + Z A^* = F, with the Kronecker products as broadcasts
+    # over the index pairs (a b),(c d). The operator is singular only where
+    # two non-decaying modes share a frequency (a dark mode with itself
+    # included); the flux forms vanish there, so the minimum-norm solution
+    # is exact.
+    A = 1j * bundle.H_eff
+    eye = np.eye(n_e)
+    K = (A.T[:, None, :, None] * eye[None, :, None, :]
+         + eye[:, None, :, None] * A.conj().T[None, :, None, :])
+    Z = np.linalg.lstsq(K.reshape(n_rho, n_rho), F, rcond=_LYAPUNOV_RCOND)[0]
+    # Z[(a b), k] = Y_k[b, a]
+    return Z.T.reshape(-1, len(CHANNELS), n_e, n_e).swapaxes(-1, -2)
+
+
+@np.errstate(all="ignore")
 def _propagate(bundle: CouplingBundle, initial, t_max: float | None = None,
                times: Sequence[float] | None = None, output_points: int = 201):
-    """:func:`evolve` from an assembled coupling bundle, for callers that
-    also need the bundle itself."""
+    """:func:`evolve` from an assembled coupling bundle, as the stacked
+    arrays of its samples: the times (T,), the excited blocks (T, n_e, n_e)
+    and the accumulated probabilities (T, n_g, 3), all read-only."""
     n_e = bundle.H_eff.shape[0]
     rho0 = _coerce_initial(initial, n_e)
 
@@ -221,30 +263,11 @@ def _propagate(bundle: CouplingBundle, initial, t_max: float | None = None,
     rhos = U @ rho0 @ U.conj().swapaxes(-1, -2)
     rhos[0] = rho0
 
-    # channel_flux is real-linear, so its values on the unit matrices E_ab
-    # and i E_ab give the complex forms F_ab with flux = sum_ab rho_ab F_ab
-    # for every Hermitian rho; that is tr(Q rho) with Q_ba = F_ab.
-    n_rho = n_e * n_e
-    units = np.eye(n_rho) * np.array([1.0, 1j])[:, None, None]
-    f = channel_flux(bundle, units.reshape(2, n_rho, n_e, n_e))
-    F = (f[0] - 1j * f[1]).reshape(n_rho, -1)
-    if not np.isfinite(F).all():
-        raise NonPhysicalStateError("non-finite channel flux in the emission propagation")
-    # Y solves the adjoint Lyapunov equation A^dagger Y + Y A = Q, that is
-    # i (H_eff^dagger Y - Y H_eff) = -Q. Then d/dt tr(Y rho) = -tr(Q rho), so
-    # the accumulated probability is tr(Y (rho0 - rho(t))); Y itself, the
-    # integral of U^dagger Q U over all time, is the probability of ever
-    # emitting into the channel, so |Y| <= 1. The solve is for Z = Y^T,
-    # A^T Z + Z A^* = F, with the Kronecker products as broadcasts over the
-    # index pairs (a b),(c d). The operator is singular only where two
-    # non-decaying modes share a frequency (a dark mode with itself
-    # included); the flux forms vanish there, so the minimum-norm solution
-    # is exact.
-    eye = np.eye(n_e)
-    K = (A.T[:, None, :, None] * eye[None, :, None, :]
-         + eye[:, None, :, None] * A.conj().T[None, :, None, :])
-    Z = np.linalg.lstsq(K.reshape(n_rho, n_rho), F, rcond=_LYAPUNOV_RCOND)[0]
-    released = (rho0 - rhos).reshape(-1, n_rho)
+    # d/dt tr(Y rho) = -tr(Q rho), so the accumulated probability is
+    # tr(Y (rho0 - rho(t))) = sum_ab (rho0 - rho(t))_ab Z[(a b), k].
+    Y = _outcome_forms(bundle)
+    Z = Y.swapaxes(-1, -2).reshape(-1, n_e * n_e).T
+    released = (rho0 - rhos).reshape(t_grid.size, -1)
     probs = (released @ Z).real.reshape(t_grid.size, -1, len(CHANNELS))
     probs[0] = 0.0
 
@@ -252,7 +275,7 @@ def _propagate(bundle: CouplingBundle, initial, t_max: float | None = None,
     # accumulators integrate the channel fluxes: their sum checks one
     # against the other.
     total = rhos.trace(axis1=-2, axis2=-1).real + probs.sum(axis=(-2, -1))
-    if not (np.isfinite(Z).all() and np.isfinite(rhos).all() and np.isfinite(total).all()):
+    if not (np.isfinite(Y).all() and np.isfinite(rhos).all() and np.isfinite(total).all()):
         raise NonPhysicalStateError("non-finite state in the emission propagation")
     k = int(np.argmax(np.abs(total - 1.0)))
     if abs(total[k] - 1.0) > TRACE_DRIFT_TOL:
@@ -263,17 +286,7 @@ def _propagate(bundle: CouplingBundle, initial, t_max: float | None = None,
 
     for arr in (t_grid, rhos, probs):
         arr.setflags(write=False)
-    states = tuple(map(EmitterDensityMatrix, rhos, probs))
-
-    last = states[-1]
-    p_f, p_b, p_loss = last.channel_totals()
-    totals = DirectionalTotals(
-        p_forward=p_f,
-        p_backward=p_b,
-        p_loss=p_loss,
-        residual_excited=float(np.trace(last.excited_block).real),
-    )
-    return EmissionTrajectory(times=t_grid, states=states, final_totals=totals)
+    return t_grid, rhos, probs
 
 
 def directional_totals(trajectory: EmissionTrajectory) -> tuple[float, float, float]:

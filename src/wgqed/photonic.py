@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .emitter import EmitterModel, PolarizationVector, _validated_dipoles
-from .errors import ModelValidationError
+from .errors import ModelValidationError, NonPhysicalStateError
 
 CHANNELS = ("forward", "backward", "loss")
 
@@ -75,8 +75,11 @@ class WaveguideEnv:
 
     @property
     def z(self) -> float:
-        """Density-of-states scale a w / (2 |v_g|)."""
-        return self.a * self.omega / (2.0 * abs(self.v_g))
+        """Density-of-states scale a w / (2 |v_g|); raises where it over- or underflows."""
+        z = self.a * self.omega / (2.0 * abs(self.v_g))
+        if not 0.0 < z < np.inf:
+            raise NonPhysicalStateError(f"density-of-states scale a w / (2 |v_g|) is {z}")
+        return z
 
     def with_field(self, E_f) -> "WaveguideEnv":
         return replace(self, E_f=PolarizationVector(E_f))
@@ -236,6 +239,7 @@ def effective_hamiltonian(
     return H_0 - (0.5j * env.z / eps0_hbar) * guided
 
 
+@np.errstate(all="ignore")
 def coupling_bundle(
     model: EmitterModel, env: WaveguideEnv, loss: LossModel
 ) -> CouplingBundle:
@@ -245,11 +249,13 @@ def coupling_bundle(
     A single field frequency is used for every transition, so the couplings
     do not depend on the level energies. The guided channels are the guided
     couplings ``B``; the loss channels are the eigenmodes the
-    :class:`LossModel` kept at construction.
+    :class:`LossModel` kept at construction. An overflowing ``H_eff`` raises.
     """
     D = _validated_dipoles(model)                 # (n_g, n_e, 3)
     B = guided_couplings(D, env.E_f.as_array())   # (2, n_e, n_g)
     H_eff = effective_hamiltonian(D, B, model.excited_energies, env, loss)
+    if not np.isfinite(H_eff).all():
+        raise NonPhysicalStateError("the effective Hamiltonian overflows")
 
     eps0_hbar = env.epsilon0 * env.hbar
     loss_couplings = np.einsum("nxi,ik->kxn", D, loss._modes)

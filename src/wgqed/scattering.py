@@ -48,7 +48,9 @@ import numpy as np
 from .emitter import EmitterModel, PolarizationVector, _validated_dipoles
 from .errors import (
     IllConditionedResponseWarning,
+    NonPhysicalStateError,
     SingularResponseError,
+    WgqedError,
 )
 from .photonic import LossModel, WaveguideEnv, effective_hamiltonian, guided_couplings
 
@@ -111,9 +113,6 @@ class ScatteringResult(NamedTuple):
         other = "backward" if self.input_direction == "forward" else "forward"
         return self.amplitude(other, self.input_ground)
 
-    def total_probability(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2) + self.p_loss)
-
 
 class TwoLevelAmplitudes(NamedTuple):
     t: complex
@@ -125,7 +124,10 @@ def _solve_dark(M: np.ndarray, in_vec: np.ndarray, dark_state_projection: bool) 
     """Solve a singular or ill-conditioned response slice in the subspace
     coupled to some channel, or raise naming the dark directions: the
     eigenvectors of the damping part of ``M`` with coupling below threshold.
+    A slice with a non-finite entry raises :class:`NonPhysicalStateError`.
     """
+    if not np.isfinite(M).all():
+        raise NonPhysicalStateError("response matrix overflows")
     lam, vecs = np.linalg.eigh(0.5 * (M + M.conj().T))
     dark = lam < DARK_COUPLING_THRESHOLD
     if not dark_state_projection:
@@ -172,7 +174,10 @@ def _solve_gate(
     those that warn (above ``COND_WARN_THRESHOLD``), plus the condition
     numbers: exact, except that a certified or inactive slice of a stack
     large enough to certify reads 0, which passes both thresholds as its
-    true value would."""
+    true value would. A non-finite slice is neither; its condition number reads nan."""
+    finite = np.isfinite(M).all(axis=(-2, -1))
+    if not finite.all():    # the certificate and the SVD see the identity instead
+        M = np.where(finite[:, None, None], M, np.eye(M.shape[-1]))
     if len(M) < _CERTIFY_FROM:
         cond = _condition_numbers(M)
     else:
@@ -180,10 +185,12 @@ def _solve_gate(
         exact = np.flatnonzero(active & ~_certified(M))
         if exact.size:
             cond[exact] = _condition_numbers(M[exact])
+    cond[~finite] = np.nan
     solvable = active & (cond <= COND_SINGULAR_THRESHOLD)
     return solvable, solvable & (cond > COND_WARN_THRESHOLD), cond
 
 
+@np.errstate(all="ignore")
 def _scatter_fields(
     model: EmitterModel,
     env: WaveguideEnv,
@@ -194,9 +201,9 @@ def _scatter_fields(
 ) -> tuple[list[ScatteringResult], dict[int, Exception]]:
     """Scatter at every forward field of the stack ``fields`` (T, 3), all
     else shared. Returns a :class:`ScatteringResult` per field and the
-    ``SingularResponseError`` / ``LinAlgError`` of each field that failed, by
-    index; the result at a failed index is meaningless. Only singular or
-    ill-conditioned slices leave the one stacked solve for the dark path.
+    ``WgqedError`` or ``LinAlgError`` of each field that failed, by index;
+    the result at a failed index is meaningless. Only singular,
+    ill-conditioned or overflowing slices leave the one stacked solve.
     """
     D = _validated_dipoles(model)
     n_g = model.n_ground
@@ -218,7 +225,7 @@ def _scatter_fields(
 
     y = np.zeros(in_vec.shape, dtype=complex)
     errors: dict[int, Exception] = {}
-    active = np.linalg.norm(in_vec, axis=1) > 0.0
+    active = (in_vec != 0).any(axis=1)
     solvable, warn, cond = _solve_gate(M, active)
     if solvable.any():
         y[solvable] = np.linalg.solve(M[solvable], in_vec[solvable, :, None])[..., 0]
@@ -226,12 +233,13 @@ def _scatter_fields(
         warnings.warn(
             f"response matrix condition number {cond[t]:.3e} exceeds {COND_WARN_THRESHOLD:.0e}",
             IllConditionedResponseWarning,
-            stacklevel=3,
+            stacklevel=4,    # past the errstate wrapper
         )
-    for t in np.flatnonzero(active & ~solvable):
+    # a non-finite slice fails even with no input: its couplings may overflow too
+    for t in np.flatnonzero(~solvable & (active | np.isnan(cond))):
         try:
             y[t] = _solve_dark(M[t], in_vec[t], dark_state_projection)
-        except (SingularResponseError, np.linalg.LinAlgError) as exc:
+        except (WgqedError, np.linalg.LinAlgError) as exc:
             errors[t] = exc
 
     amplitudes = np.zeros((len(M), 2, n_g), dtype=complex)
@@ -275,6 +283,7 @@ def scatter(
     return result
 
 
+@np.errstate(all="ignore")
 def two_level_closed_form(
     d: PolarizationVector,
     env: WaveguideEnv,
@@ -285,7 +294,8 @@ def two_level_closed_form(
 
     ``detuning`` is the transition energy minus the total input energy, in the
     same units as the level energies. Kept free of the matrix machinery so it
-    can serve as an independent oracle for :func:`scatter`.
+    can serve as an independent oracle for :func:`scatter`. Raises
+    :class:`NonPhysicalStateError` when the denominator overflows.
     """
     if not isinstance(d, PolarizationVector):
         d = PolarizationVector(d)
@@ -298,6 +308,8 @@ def two_level_closed_form(
     X = 0.5 * (abs(a_f) ** 2 + abs(a_b) ** 2)
     loss_term = (0.5j / env.z) * (dv @ loss.as_array().conj() @ dv.conj())
     M = X + loss_term + 1j * env.epsilon0 * float(detuning) / env.z
+    if not np.isfinite(M):
+        raise NonPhysicalStateError("two-level denominator overflows")
     if abs(M) == 0.0:
         raise SingularResponseError(
             "two-level denominator vanishes: zero coupling, zero loss, on resonance",

@@ -36,6 +36,7 @@ from wgqed import (
     two_level_closed_form,
 )
 from wgqed.cli import main as cli_main
+from wgqed.emission import DEFAULT_LIFETIMES
 
 from conftest import (
     make_env,
@@ -405,8 +406,10 @@ def test_criterion_6_conservation():
         loss = LossModel.isotropic(float(rng.uniform(0, 0.5)))
         psi = random_state(rng, model.n_excited)
         bundle = coupling_bundle(model, env, loss)
+        # four lifetimes of the slowest mode
+        t_max = default_t_max(bundle) * (4.0 / DEFAULT_LIFETIMES)
         traj = evolve(model, env, loss, ExcitedSuperposition.from_sequence(psi),
-                      t_max=default_t_max(bundle, lifetimes=4.0), output_points=7)
+                      t_max=t_max, output_points=7)
         traces = np.array([s.total_trace() for s in traj.states])
         worst_trace = max(worst_trace, float(np.max(np.abs(traces - 1.0))))
         exc = np.array([float(np.trace(s.excited_block).real) for s in traj.states])

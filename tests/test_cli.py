@@ -259,6 +259,16 @@ class TestScatteringScenarios:
         assert header == ["re_t", "im_t", "re_r", "im_r", "p_loss"]
         assert data[0, 2] == pytest.approx(-10 / 10.2, abs=1e-12)
 
+    def test_dark_single_point_exits_two_without_a_file(self, monkeypatch, tmp_path, capsys):
+        # E_f = x and no loss: the y level is dark on resonance
+        cfg = dict(CUSTOM_SCATTER)
+        del cfg["sweep"]
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        assert run_cli(monkeypatch, tmp_path, "run", "c.json", "--out", "point.csv") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("wgqed: scattering failed: response matrix is singular")
+        assert not (tmp_path / "point.csv").exists()
+
 
 class TestTwoLevelDiagnostic:
     def test_diagnostic_needs_two_levels_at_parse(self, monkeypatch, tmp_path, capsys):
@@ -286,6 +296,23 @@ class TestTwoLevelDiagnostic:
         assert cols["rate_loss"] == pytest.approx(float(strength), abs=1e-12)
         assert cols["beta_rates"] == pytest.approx(expected, abs=1e-12)
         assert cols["beta_emission"] == pytest.approx(expected, abs=1e-9)
+
+    def test_diagnostic_reads_the_outcome_forms(self, monkeypatch, tmp_path):
+        # beta_emission is tr(Y rho0) of the one bundle: no time evolution
+        calls = {"coupling_bundle": 0, "_propagate": 0}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            for module in (wgqed, wgqed.photonic, wgqed.emission, wgqed.cli):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        assert run_cli(monkeypatch, tmp_path, "run", "two-level", "--out", "tl.csv") == 0
+        assert calls == {"coupling_bundle": 1, "_propagate": 0}
 
 
 class TestOutputsAndExitCodes:
@@ -479,15 +506,53 @@ _ODD_VALUES = st.sampled_from(
     [None, True, False, 0, -1, 2.5, "x", "", [], [1], [[1, 0]], {}, {"a": 1}]
 )
 
+# Magnitudes from 1e-300 to 1e300, and the same with either sign.
+_MAGNITUDES = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+_SIGNED = st.tuples(st.sampled_from([-1.0, 1.0]), _MAGNITUDES).map(lambda p: p[0] * p[1])
+
+# The numeric fields of each section, and those that must be positive.
+_NUMERIC = {
+    "emitter": ("ground_energies", "excited_energies", "dipoles"),
+    "waveguide": ("a", "v_g", "omega", "E_f"),
+    "loss": ("isotropic",),
+    "input": ("photon_frequency",),
+    "integrator": ("t_max",),
+}
+_POSITIVE = {"a", "omega", "isotropic", "t_max"}
+
+
+def _draw_magnitudes(draw, value, positive):
+    """``value`` with each number in it, or a null, replaced by a drawn
+    magnitude or left as it is."""
+    if isinstance(value, list):
+        return [_draw_magnitudes(draw, v, positive) for v in value]
+    if draw(st.booleans()):
+        return draw(_MAGNITUDES if positive else _SIGNED)
+    return value
+
+
+@st.composite
+def scaled_preset_configs(draw):
+    """A preset's canonical JSON with a drawn subset of its numbers replaced
+    by magnitudes from 1e-300 to 1e300; turned custom, it may scale the
+    emitter and the waveguide too. Every such config is valid."""
+    cfg = json.loads(serialize_config(preset(draw(st.sampled_from(PRESET_NAMES)))))
+    sections = ["loss", "input", "integrator"]
+    if draw(st.booleans()):
+        cfg["scenario"] = "custom"
+        sections += ["emitter", "waveguide"]
+    for section in sections:
+        for key in _NUMERIC[section]:
+            cfg[section][key] = _draw_magnitudes(draw, cfg[section][key], key in _POSITIVE)
+    return cfg
+
 
 @st.composite
 def mutated_preset_configs(draw):
-    """A preset's canonical JSON, optionally turned custom, with a drawn
-    sweep length and output grid and up to three fields or sections dropped
-    or replaced by a value of another type."""
-    cfg = json.loads(serialize_config(preset(draw(st.sampled_from(PRESET_NAMES)))))
-    if draw(st.booleans()):
-        cfg["scenario"] = "custom"
+    """A scaled preset config with a drawn sweep length and output grid and
+    up to three fields or sections dropped or replaced by a value of
+    another type."""
+    cfg = draw(scaled_preset_configs())
     if cfg["sweep"] is not None:
         cfg["sweep"]["steps"] = draw(st.integers(-2, 1001))
     cfg["integrator"]["output_points"] = draw(st.integers(-2, 1001))
@@ -504,6 +569,25 @@ def mutated_preset_configs(draw):
     return cfg
 
 
+def _custom_sweep(path, value):
+    """CUSTOM_SCATTER with loss 0.2, so that it runs clean, and the field at
+    ``path`` (keys and indices) set to ``value``."""
+    cfg = json.loads(json.dumps(dict(CUSTOM_SCATTER, loss={"isotropic": 0.2})))
+    *parents, last = path
+    target = cfg
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return cfg
+
+
+_CUSTOM_EMISSION = dict(
+    {key: value for key, value in CUSTOM_SCATTER.items() if key != "sweep"},
+    mode="emission", initial_state=[[1, 0], [0, 0]],
+)
+_HUGE_DIPOLE_EMITTER = _custom_sweep(["emitter", "dipoles", 0, 0, 0, 0], 1e200)["emitter"]
+
+
 class TestExitCodeContract:
     @settings(max_examples=150, derandomize=True, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -512,6 +596,80 @@ class TestExitCodeContract:
         path = tmp_path / "fuzz.json"
         path.write_text(json.dumps(cfg))
         assert main(["run", str(path), "--out", str(tmp_path / "fuzz.out")]) in (0, 1, 2)
+
+    @settings(max_examples=150, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cfg=scaled_preset_configs())
+    def test_any_magnitude_exits_zero_or_two(self, tmp_path, cfg):
+        # the parse accepts every finite number; what overflows is numerical
+        path = tmp_path / "fuzz.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / "fuzz.out")]) in (0, 2)
+
+    @pytest.mark.parametrize("argv,cfg,code,outcome", [
+        (["c.json"], _custom_sweep(["emitter", "dipoles", 0, 0, 0, 0], 1e160), 2, 3),
+        (["c.json"], _custom_sweep(["emitter", "dipoles", 0, 0, 0, 0], 1e200), 2, 3),
+        (["c.json"], _custom_sweep(["emitter", "excited_energies"], [1e308, 1e308]), 0, 0),
+        (["c.json"], _custom_sweep(["input", "photon_frequency"], 1e308), 0, 0),
+        (["c.json"], _custom_sweep(["loss", "isotropic"], 1e308), 0, 0),
+        (["c.json"], _custom_sweep(["waveguide", "v_g"], 1e-300), 2, 1),
+        (["c.json"], dict(_CUSTOM_EMISSION, emitter=_HUGE_DIPOLE_EMITTER), 2,
+         "the effective Hamiltonian overflows"),
+        (["ixi-scan", "--loss", "1e308"], None, 2, 401),
+        (["c.json"], _custom_sweep(["waveguide"], dict(CUSTOM_SCATTER["waveguide"],
+                                                       a=1e-300, omega=1e-300)), 2,
+         "density-of-states scale a w / (2 |v_g|) is 0.0"),
+        (["c.json"], dict(_CUSTOM_EMISSION, integrator={"t_max": 1e300}, emitter=_custom_sweep(
+            ["emitter", "excited_energies"], [1e10, 1e10])["emitter"]), 2,
+         "H_eff t overflows at the output times"),
+        (["c.json"], {"scenario": "custom", "mode": "diagnostic",
+                      "emitter": {"ground_energies": [1e308], "excited_energies": [1.0],
+                                  "dipoles": [[[[1, 0], [0, 0], [0, 0]]]]},
+                      "waveguide": CUSTOM_SCATTER["waveguide"], "loss": {"isotropic": 0.2},
+                      "input": dict(CUSTOM_SCATTER["input"], photon_frequency=1e308)}, 2,
+         "two-level denominator overflows"),
+    ], ids=["dipole-1e160", "dipole-1e200", "excited-energies-1e308",
+            "photon-frequency-1e308", "isotropic-loss-1e308", "v_g-1e-300",
+            "emission-dipole-1e200", "ixi-scan-loss-1e308", "a-omega-1e-300",
+            "emission-t_max-1e300-energies-1e10", "diagnostic-input-energy-overflow"])
+    def test_huge_finite_values_are_numerical_outcomes(
+            self, monkeypatch, tmp_path, capsys, argv, cfg, code, outcome):
+        # each finite value overflows some step of the engine: the run ends
+        # in exit 0 or 2, with no traceback and no RuntimeWarning (an error
+        # under the test settings). Far off resonance, or swamped by loss,
+        # the photon passes. ``outcome`` is the number of failed sweep rows,
+        # or the failure of a run that writes no file.
+        if cfg is not None:
+            (tmp_path / "c.json").write_text(json.dumps(cfg))
+        assert run_cli(monkeypatch, tmp_path, "run", *argv, "--out", "o.csv") == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert all(line.startswith("wgqed: ") for line in err.splitlines())
+        if isinstance(outcome, str):
+            assert outcome in err
+            assert not (tmp_path / "o.csv").exists()
+            return
+        header, data = read_csv(tmp_path / "o.csv")
+        failed = np.isnan(data[:, 1:]).all(axis=1)
+        assert failed.sum() == outcome and np.isfinite(data[~failed]).all()
+        if code == 0:
+            np.testing.assert_allclose(data[:, 1:3], [[1.0, 0.0]] * len(data), atol=1e-12)
+
+    @pytest.mark.parametrize("cfg,mode", [
+        (dict(_CUSTOM_EMISSION, emitter=_HUGE_DIPOLE_EMITTER), "emission"),
+        ({key: value for key, value in CUSTOM_SCATTER.items() if key != "sweep"},
+         "scattering"),
+        (CUSTOM_SCATTER, "scattering"),
+        ({"scenario": "custom", "mode": "diagnostic",
+          "emitter": {"ground_energies": [0.0], "excited_energies": [1.0],
+                      "dipoles": [[[[1e200, 0], [0, 0], [0, 0]]]]},
+          "waveguide": CUSTOM_SCATTER["waveguide"], "loss": {"isotropic": 0.2},
+          "input": CUSTOM_SCATTER["input"]}, "diagnostic"),
+    ], ids=["emission", "single-point", "sweep", "diagnostic"])
+    def test_run_returns_two_on_numerical_failure(self, tmp_path, capsys, cfg, mode):
+        config = parse_config(dict(cfg, output={"path": str(tmp_path / "o.csv")}))
+        assert wgqed.cli.run(config) == 2
+        assert capsys.readouterr().err.startswith(f"wgqed: {mode} failed: ")
 
 
 class TestCustomEmission:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import wgqed.emission as emission_mod
+from wgqed.emission import _outcome_forms
 from wgqed import (
     EmitterModel,
     ExcitedSuperposition,
@@ -12,6 +13,7 @@ from wgqed import (
     NonPhysicalStateError,
     channel_flux,
     coupling_bundle,
+    default_t_max,
     directional_totals,
     evolve,
     outcome_distance,
@@ -438,6 +440,15 @@ class TestInterfaces:
         assert traj.times[-1] == pytest.approx(2.0)  # rate 10
         assert traj.final_totals.residual_excited < 1e-6
 
+    def test_default_horizon_of_an_overflowing_rate(self):
+        # loss and guided decay at 1.5e308 and 1.6e308: their sum overflows
+        # a double, its half does not
+        loss = LossModel.isotropic(1.5e308)
+        bundle = coupling_bundle(two_level(), make_env([4e153, 0, 0]), loss)
+        assert -bundle.H_eff[0, 0].imag == pytest.approx(1.55e308, rel=1e-12)
+        # 20 lifetimes of the rate 2 * 1.55e308
+        assert default_t_max(bundle) == pytest.approx(10.0 / 1.55e308, rel=1e-12, abs=0.0)
+
     def test_outcome_distance_extremes(self):
         traj = paradox_run(t_max=4.0, output_points=21)
         assert outcome_distance(traj, traj) == 0.0
@@ -452,3 +463,78 @@ class TestInterfaces:
         other = evolve(chiral, env, LossModel.none(),
                        ExcitedSuperposition.from_sequence([0.0, 1.0]), t_max=6.0)
         assert outcome_distance(one, other) == pytest.approx(1.0, abs=1e-5)
+
+
+class TestOutcomeForms:
+    """``Re tr(Y rho)`` is the probability that the excited block ``rho``
+    ever emits into a (ground state, channel) pair."""
+
+    @staticmethod
+    def random_instance(rng, k):
+        """Every third instance has a lossless level with no dipoles on a
+        degenerate manifold, so that its dark directions are modes of H_eff;
+        the others are lossy, with at most three excited states per ground
+        state, so that they decay in every direction."""
+        n_g = int(rng.integers(1, 4))
+        n_e = int(rng.integers(1, min(4, 3 * n_g) + 1))
+        dark = k % 3 == 0
+        model = random_model(rng, n_g, n_e, degenerate=dark)
+        if not dark:
+            loss = LossModel.isotropic(float(rng.uniform(0.01, 0.5)))
+            return model, make_env(random_unit_vector(rng)), loss, dark
+        D = model.dipole_array()
+        D[:, 0] = 0.0
+        model = EmitterModel.from_arrays(model.ground_energies, model.excited_energies, D)
+        return model, make_env(random_unit_vector(rng)), LossModel.none(), dark
+
+    @staticmethod
+    def probabilities(Y, psi):
+        return np.einsum("ncab,ba->nc", Y, np.outer(psi, psi.conj())).real
+
+    def test_forms_are_a_povm_short_of_the_dark_directions(self, rng):
+        for k in range(60):
+            model, env, loss, _ = self.random_instance(rng, k)
+            bundle = coupling_bundle(model, env, loss)
+            Y = _outcome_forms(bundle)
+            n_e = model.n_excited
+            assert Y.shape == (model.n_ground, 3, n_e, n_e)
+            rates, vecs = np.linalg.eigh(bundle.damping_rate_matrix())
+            dark = vecs[:, rates < 1e-10 * max(1.0, rates.max())]
+            P_dark = dark @ dark.conj().T
+            assert np.max(np.abs(Y.sum(axis=(0, 1)) - (np.eye(n_e) - P_dark))) < 1e-10
+            assert np.max(np.abs(Y - Y.conj().swapaxes(-1, -2))) < 1e-12
+            assert np.min(np.linalg.eigvalsh(Y)) > -1e-12
+
+    def test_forms_give_the_long_time_probabilities(self, rng):
+        for k in range(60):
+            model, env, loss, dark = self.random_instance(rng, k)
+            psi = random_state(rng, model.n_excited)
+            p = self.probabilities(_outcome_forms(coupling_bundle(model, env, loss)), psi)
+            # the phase of a lossless level with nonzero energy is lost over
+            # a 1e300 horizon, so a dark instance runs for its default one
+            grid = {} if dark else {"times": [0.0, 1e300]}
+            traj = evolve(model, env, loss, ExcitedSuperposition.from_sequence(psi), **grid)
+            tol = 1e-8 if dark else 1e-12
+            assert np.max(np.abs(traj.states[-1].ground_mode_probs - p)) < tol
+            assert np.max(np.abs(np.array(traj.final_totals[:3]) - p.sum(axis=0))) < tol
+
+    def test_outcomes_differ_no_more_than_the_states(self, rng):
+        # Helstrom: a POVM cannot tell two states apart better than their
+        # trace distance allows
+        for k in range(30):
+            model, env, loss, _ = self.random_instance(rng, k)
+            Y = _outcome_forms(coupling_bundle(model, env, loss))
+            a, b = (random_state(rng, model.n_excited) for _ in range(2))
+            diff = np.outer(a, a.conj()) - np.outer(b, b.conj())
+            tv = 0.5 * np.sum(np.abs(self.probabilities(Y, a) - self.probabilities(Y, b)))
+            assert tv <= 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))) + 1e-12
+
+    def test_paradox_directions_are_an_unsharp_measurement(self):
+        # the paradox resolved: the initial flux is strictly forward, yet
+        # the state emits forward with probability 9/50, and no state emits
+        # forward with probability outside [0.1, 0.9]
+        Y = _outcome_forms(coupling_bundle(paradox_model(), make_env(PARADOX_FIELD),
+                                           LossModel.none()))
+        p = self.probabilities(Y, PARADOX_STATE)
+        assert p[0] == pytest.approx([9 / 50, 41 / 50, 0.0], abs=1e-14)
+        assert np.linalg.eigvalsh(Y[0, 0]) == pytest.approx([0.1, 0.9], abs=1e-14)

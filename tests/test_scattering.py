@@ -11,6 +11,7 @@ from wgqed import (
     EmitterModel,
     IllConditionedResponseWarning,
     LossModel,
+    NonPhysicalStateError,
     PolarizationVector,
     ScatterInput,
     SingularResponseError,
@@ -560,6 +561,34 @@ class TestSolveGate:
         active = rng.random(40) < 0.5
         solvable, warn, _ = _solve_gate(M, active)
         assert not (solvable & ~active).any() and not (warn & ~active).any()
+
+    @pytest.mark.parametrize("size", [20, 3], ids=["certified", "small"])
+    def test_non_finite_slices_fail_unseen_by_certificate_and_svd(self, monkeypatch, size):
+        M = damped_stack(np.random.default_rng(9), size, 2)
+        M[1, 0, 0] = np.inf
+        M[2, 1, 0] = np.nan
+        seen = []
+        for name in ("_certified", "_condition_numbers"):
+            original = getattr(wgqed.scattering, name)
+            monkeypatch.setattr(wgqed.scattering, name,
+                                lambda S, f=original: seen.append(S) or f(S))
+        solvable, warn, cond = _solve_gate(M, np.ones(size, dtype=bool))
+        assert seen and all(np.isfinite(S).all() for S in seen)
+        assert not solvable[1:3].any() and not warn[1:3].any() and np.isnan(cond[1:3]).all()
+        assert solvable[[0, *range(3, size)]].all()
+
+    def test_overflowing_response_fails_each_point(self):
+        model = EmitterModel.from_arrays([0.0], [1.0], [[[1e200, 0, 0]]])
+        pts = polarization_sweep(model, make_env([1, 0, 0]), LossModel.isotropic(0.2),
+                                 ScatterInput(), [0.0, 0.1])
+        assert [str(pt.error) for pt in pts] == ["response matrix overflows"] * 2
+
+    def test_overflowing_uncoupled_channel_fails_the_point(self):
+        # the input ground state does not couple to the field, but the
+        # coupling of the other one overflows: the amplitudes are not finite
+        model = EmitterModel.from_arrays([0.0, 0.0], [1.0], [[[0, 1, 0]], [[1e200, 0, 0]]])
+        with pytest.raises(NonPhysicalStateError):
+            scatter(model, make_env([1e200, 0, 0]), LossModel.none(), ScatterInput())
 
     def test_warnings_and_failures_match_cond_oracle(self, monkeypatch):
         env = make_env([1, 0, 0], **X_ENV)
