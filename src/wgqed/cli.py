@@ -434,10 +434,15 @@ def _emission_table(config: ScenarioConfig):
     bundle = coupling_bundle(model, env, loss)
     t_max = integ["t_max"] or default_t_max(bundle)
     n_pts = integ["output_points"]
-    if integ["grid"] == "geometric":
-        times = np.concatenate(([0.0], np.geomspace(t_max * 5e-5, t_max, n_pts - 1)))
-    else:
+    if integ["grid"] == "linear":
         times = np.linspace(0.0, t_max, n_pts)
+    elif t_max * 5e-5 > 0.0:
+        times = np.concatenate(([0.0], np.geomspace(t_max * 5e-5, t_max, n_pts - 1)))
+    else:    # a subnormal t_max rounds the first geometric time to 0
+        times = np.zeros(n_pts)
+    if (np.diff(times) <= 0.0).any():
+        raise WgqedError(f"integrator.t_max {t_max!r} is too small for {n_pts} "
+                         "strictly increasing output times")
     times, blocks, probs = _propagate(bundle, state, times=times)
 
     columns = (["t"] + [f"pop_e{i + 1}" for i in range(model.n_excited)]

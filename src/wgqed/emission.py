@@ -10,11 +10,16 @@ couplings. The decay of the excited block and the channel fluxes are thus
 separate bookkeeping, and their sum is checked against 1. The generator does
 not depend on time, so the propagation is exact, with no step-size or
 tolerance setting, and every piece of it is sized by the number of excited
-states: one stack of ``exp(-i H_eff t)`` over the output times, and one
-adjoint Lyapunov solve for the outcome forms ``Y``, one per (ground state,
-channel). ``Re tr(Y rho)`` is the probability that the excited block ``rho``
-ever emits there: the accumulators read ``Re tr(Y (rho0 - rho(t)))``, and the
-command line's two-level diagnostic reads ``Y`` alone, with no propagation.
+states. One eigendecomposition ``H_eff = V diag(lam) V^-1`` gives the modes,
+each of which only turns and decays, ``exp(-i lam t)``, so the excited blocks
+at all output times come from one matrix product. Where the eigenvectors are
+ill-conditioned (1-norm condition number above ``_MODAL_COND_MAX``, 1e3), as
+near an exceptional point where two modes merge, a Pade exponential of
+``-i H_eff t`` at every output time takes their place. One adjoint Lyapunov
+solve gives the outcome forms ``Y``, one per (ground state, channel).
+``Re tr(Y rho)`` is the probability that the excited block ``rho`` ever emits
+there: the accumulators read ``Re tr(Y (rho0 - rho(t)))``, and the command
+line's two-level diagnostic reads ``Y`` alone, with no propagation.
 
 Ground-manifold coherences between different photon channels, and between
 ground states within one channel, are not tracked: the reproduced observables
@@ -50,6 +55,11 @@ _THETA13 = 5.371920351148152
 # values are rounding (~2e-16 of the largest), and keeps modes that decay
 # down to 1e-14 times slower than the fastest.
 _LYAPUNOV_RCOND = 1e-14
+# Largest 1-norm condition number of the eigenvectors of H_eff at which the
+# propagator takes the modal form. Its error grows with that condition number
+# as about 3e-17 times it (measured against a 35-digit exponential near an
+# exceptional point), so the modal form stays within ~3e-14 of exact here.
+_MODAL_COND_MAX = 1e3
 
 
 class EmitterDensityMatrix(NamedTuple):
@@ -102,7 +112,9 @@ def channel_flux(bundle: CouplingBundle, excited_block: np.ndarray) -> np.ndarra
     return per_channel @ weights
 
 
-def _coerce_initial(initial, n_e: int) -> np.ndarray:
+def _coerce_initial(initial, n_e: int) -> tuple[np.ndarray, np.ndarray]:
+    """The initial excited block ``rho0`` and a factor ``L`` (n_e, r) with
+    ``rho0 = L L^dagger`` to rounding."""
     if isinstance(initial, ExcitedSuperposition):
         psi = initial.as_array()
         if psi.size != n_e:
@@ -114,7 +126,7 @@ def _coerce_initial(initial, n_e: int) -> np.ndarray:
             raise NonPhysicalStateError(
                 f"initial superposition norm {norm:.17g} differs from 1 beyond {INITIAL_NORM_TOL}"
             )
-        return psi[:, None] * psi.conj()
+        return psi[:, None] * psi.conj(), psi[:, None]
     rho = np.asarray(initial, dtype=complex)
     if rho.shape != (n_e, n_e):
         raise NonPhysicalStateError(
@@ -124,36 +136,44 @@ def _coerce_initial(initial, n_e: int) -> np.ndarray:
         raise NonPhysicalStateError("initial density matrix is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > INITIAL_NORM_TOL:
         raise NonPhysicalStateError("initial density matrix trace differs from 1")
-    if np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))) < -1e-10:
+    w, Q = np.linalg.eigh(0.5 * (rho + rho.conj().T))
+    if np.min(w) < -1e-10:
         raise NonPhysicalStateError("initial density matrix is not positive semidefinite")
-    return rho
+    return rho, Q * np.sqrt(np.maximum(w, 0.0))
 
 
-def default_t_max(bundle: CouplingBundle) -> float:
-    """``DEFAULT_LIFETIMES`` over the smallest nonzero decay rate of the modes
-    of ``H_eff``, ``-2 Im`` of its eigenvalues, taken as half of that so that
-    no rate overflows. A slow mode that superposes several levels sets the
-    horizon even when every level decays fast."""
-    half_rates = -np.linalg.eigvals(bundle.H_eff).imag
+def _horizon(lam: np.ndarray) -> float:
+    """``DEFAULT_LIFETIMES`` over the smallest nonzero decay rate, ``-2 Im``
+    of the modes ``lam`` of ``H_eff``, taken as half of that so that no rate
+    overflows."""
+    half_rates = -lam.imag
     decaying = half_rates[half_rates > 5e-13]
     if decaying.size == 0:
         return DEFAULT_LIFETIMES
     return float(0.5 * DEFAULT_LIFETIMES / np.min(decaying))
 
 
+def default_t_max(bundle: CouplingBundle) -> float:
+    """``DEFAULT_LIFETIMES`` over the smallest nonzero decay rate of the modes
+    of ``H_eff``, ``-2 Im`` of its eigenvalues. A slow mode that superposes
+    several levels sets the horizon even when every level decays fast."""
+    return _horizon(np.linalg.eig(bundle.H_eff)[0])
+
+
 def _expm(A: np.ndarray) -> np.ndarray:
-    """Exponential of every matrix in the stack ``A`` (..., n, n).
+    """Exponential of every matrix in the stack ``A`` (..., n, n), whose
+    1-norms the caller has checked to be finite.
 
     Degree-13 Pade approximant with scaling and squaring (Higham, SIAM J.
     Matrix Anal. Appl. 26, 2005); each matrix is scaled by its own power of
     two. Unlike an eigendecomposition this stays accurate for defective or
-    nearly defective generators. Raises :class:`NonPhysicalStateError` where
-    a 1-norm overflows.
+    nearly defective generators: the propagator runs it only where the
+    eigenvectors of ``H_eff`` are too ill-conditioned for the modal form
+    (condition number above ``_MODAL_COND_MAX``) or an eigenvalue is not
+    finite.
     """
     b = _PADE13
     norms = np.abs(A).sum(axis=-2).max(axis=-1)
-    if not np.isfinite(norms).all():
-        raise NonPhysicalStateError("H_eff t overflows at the output times")
     s = np.ceil(np.log2(np.maximum(norms / _THETA13, 1.0)))
     X = A / (2.0 ** s)[..., None, None]
     ident = np.eye(A.shape[-1])
@@ -192,7 +212,10 @@ def evolve(
     ``U rho0 U^dagger`` with ``U = exp(-i H_eff t)``, and each accumulated
     probability is ``tr(Y (rho0 - rho(t)))``, where ``Y``, the probability of
     eventually emitting into that channel, solves one adjoint Lyapunov
-    equation (Van Loan, IEEE TAC 23, 1978).
+    equation (Van Loan, IEEE TAC 23, 1978). ``U`` is
+    ``V diag(exp(-i lam t)) V^-1`` from one eigendecomposition of ``H_eff``
+    when the 1-norm condition number of ``V`` is at most 1e3, and a
+    degree-13 Pade exponential otherwise, near an exceptional point.
 
     Raises :class:`ValueError` for an invalid time grid or ``t_max`` and
     :class:`NonPhysicalStateError` for a non-finite state or when the total
@@ -241,11 +264,13 @@ def _propagate(bundle: CouplingBundle, initial, t_max: float | None = None,
     """:func:`evolve` from an assembled coupling bundle, as the stacked
     arrays of its samples: the times (T,), the excited blocks (T, n_e, n_e)
     and the accumulated probabilities (T, n_g, 3), all read-only."""
-    n_e = bundle.H_eff.shape[0]
-    rho0 = _coerce_initial(initial, n_e)
+    H = bundle.H_eff
+    n_e = H.shape[0]
+    rho0, L = _coerce_initial(initial, n_e)
+    lam, V = np.linalg.eig(H)
 
     if times is None:
-        horizon = default_t_max(bundle) if t_max is None else float(t_max)
+        horizon = _horizon(lam) if t_max is None else float(t_max)
         if not (np.isfinite(horizon) and horizon > 0):
             raise ValueError(f"t_max must be positive and finite, got {horizon}")
         t_grid = np.linspace(0.0, horizon, int(output_points))
@@ -255,26 +280,45 @@ def _propagate(bundle: CouplingBundle, initial, t_max: float | None = None,
         raise ValueError("output times must be a nonempty 1-d array of finite values")
     if t_grid[0] != 0.0 or (t_grid[1:] <= t_grid[:-1]).any():
         raise ValueError("output times must start at 0 and be strictly increasing")
+    # |t H_ij| grows with t, so the last time has the largest 1-norm
+    if not np.isfinite(np.abs(t_grid[-1] * H).sum(axis=0).max()):
+        raise NonPhysicalStateError("H_eff t overflows at the output times")
 
-    # With A = i H_eff the excited block obeys d rho/dt = -(A rho + rho A^dagger),
-    # so rho(t) = U rho0 U^dagger with U = exp(-A t).
-    A = 1j * bundle.H_eff
-    U = _expm(-t_grid[:, None, None] * A)
-    rhos = U @ rho0 @ U.conj().swapaxes(-1, -2)
+    # The excited block obeys d rho/dt = -i (H_eff rho - rho H_eff^dagger),
+    # so rho(t) = U rho0 U^dagger with U = exp(-i H_eff t).
+    try:
+        V_inv = np.linalg.inv(V)
+    except np.linalg.LinAlgError:    # an exactly singular eigenbasis
+        V_inv = np.full_like(V, np.nan)
+    cond = np.abs(V).sum(axis=0).max() * np.abs(V_inv).sum(axis=0).max()
+    if np.isfinite(lam).all() and cond <= _MODAL_COND_MAX:
+        # rho(t) = X X^dagger with X = U L = V diag(phi) C, phi = exp(-i lam t)
+        # and C = V^-1 L: X_ir = sum_a phi_a V_ia C_ar is one product over the
+        # times. Its error grows with cond(V), where that of the mode-basis
+        # block V^-1 rho0 V^-dagger would grow with its square. H_eff is
+        # passive, so a positive Im lam is rounding; clamping it keeps a
+        # non-decaying mode from overflowing at long times.
+        phi = np.exp(-1j * t_grid[:, None] * (lam.real + 1j * np.minimum(lam.imag, 0.0)))
+        VC = (V.T[:, :, None] * (V_inv @ L)[:, None, :]).reshape(n_e, -1)
+        X = (phi @ VC).reshape(t_grid.size, n_e, -1)
+        rhos = np.einsum("tir,tjr->tij", X, X.conj())
+    else:
+        U = _expm(-t_grid[:, None, None] * (1j * H))
+        rhos = U @ rho0 @ U.conj().swapaxes(-1, -2)
     rhos[0] = rho0
 
     # d/dt tr(Y rho) = -tr(Q rho), so the accumulated probability is
-    # tr(Y (rho0 - rho(t))) = sum_ab (rho0 - rho(t))_ab Z[(a b), k].
+    # tr(Y rho0) - tr(Y rho(t)) = sum_ab (rho0 - rho(t))_ab Z[(a b), k]; the
+    # last column of W = [Z | vec I] gives tr rho(t) from the same product.
     Y = _outcome_forms(bundle)
-    Z = Y.swapaxes(-1, -2).reshape(-1, n_e * n_e).T
-    released = (rho0 - rhos).reshape(t_grid.size, -1)
-    probs = (released @ Z).real.reshape(t_grid.size, -1, len(CHANNELS))
-    probs[0] = 0.0
+    W = np.column_stack((Y.swapaxes(-1, -2).reshape(-1, n_e * n_e).T, np.eye(n_e).ravel()))
+    read = (rhos.reshape(t_grid.size, -1) @ W).real
+    probs = (read[0, :-1] - read[:, :-1]).reshape(t_grid.size, -1, len(CHANNELS))
 
     # The excited block decays through the sandwich-built H_eff while the
     # accumulators integrate the channel fluxes: their sum checks one
     # against the other.
-    total = rhos.trace(axis1=-2, axis2=-1).real + probs.sum(axis=(-2, -1))
+    total = read[:, -1] + probs.sum(axis=(-2, -1))
     if not (np.isfinite(Y).all() and np.isfinite(rhos).all() and np.isfinite(total).all()):
         raise NonPhysicalStateError("non-finite state in the emission propagation")
     k = int(np.argmax(np.abs(total - 1.0)))

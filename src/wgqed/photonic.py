@@ -122,8 +122,10 @@ class LossModel:
                 "non-passive-loss-tensor",
                 f"loss tensor induces a negative decay rate (min eig {np.min(rates):.3e})",
             )
-        # Modes at or below the floor emit nothing and get no channel.
-        emitting = rates > 1e-15
+        # Every mode that decays gets a channel: H_eff keeps the whole loss
+        # sandwich, so a rate that is tiny here still carries real decay
+        # when the dipoles are large.
+        emitting = rates > 0.0
         cached = {"_array": arr, "_rates": rates[emitting], "_modes": modes[:, emitting]}
         for name, value in cached.items():
             value.setflags(write=False)

@@ -120,21 +120,29 @@ class TwoLevelAmplitudes(NamedTuple):
     p_loss: float
 
 
-def _solve_dark(M: np.ndarray, in_vec: np.ndarray, dark_state_projection: bool) -> np.ndarray:
-    """Solve a singular or ill-conditioned response slice in the subspace
-    coupled to some channel, or raise naming the dark directions: the
-    eigenvectors of the damping part of ``M`` with coupling below threshold.
-    A slice with a non-finite entry raises :class:`NonPhysicalStateError`.
+def _solve_dark(M: np.ndarray, in_vec: np.ndarray, dark_state_projection: bool,
+                cond: float) -> np.ndarray:
+    """Solve a singular or ill-conditioned response slice, of condition
+    number ``cond``, in the subspace coupled to some channel, or raise naming
+    the dark directions, the eigenvectors of the damping part of ``M`` with
+    coupling below threshold, or saying that there are none. A slice with a
+    non-finite entry raises :class:`NonPhysicalStateError`.
     """
     if not np.isfinite(M).all():
         raise NonPhysicalStateError("response matrix overflows")
     lam, vecs = np.linalg.eigh(0.5 * (M + M.conj().T))
     dark = lam < DARK_COUPLING_THRESHOLD
     if not dark_state_projection:
+        if dark.any():
+            cause = (f"dark excited eigenvector(s) with couplings {lam[dark]} decouple "
+                     "from every channel on resonance")
+        else:
+            cause = (f"its condition number {cond:.3e} exceeds {COND_SINGULAR_THRESHOLD:.0e}, "
+                     "but no excited direction is dark (smallest damping coupling "
+                     f"{lam[0]:.3e})")
         raise SingularResponseError(
-            "response matrix is singular: dark excited eigenvector(s) with "
-            f"couplings {lam[dark]} decouple from every channel on resonance; "
-            "rerun with dark-state projection to solve in the coupled subspace",
+            f"response matrix is singular: {cause}; rerun with dark-state projection "
+            "to solve in the coupled subspace",
             dark_vectors=vecs[:, dark],
         )
     keep = vecs[:, ~dark]
@@ -238,7 +246,7 @@ def _scatter_fields(
     # a non-finite slice fails even with no input: its couplings may overflow too
     for t in np.flatnonzero(~solvable & (active | np.isnan(cond))):
         try:
-            y[t] = _solve_dark(M[t], in_vec[t], dark_state_projection)
+            y[t] = _solve_dark(M[t], in_vec[t], dark_state_projection, cond[t])
         except (WgqedError, np.linalg.LinAlgError) as exc:
             errors[t] = exc
 

@@ -315,6 +315,23 @@ class TestTwoLevelDiagnostic:
         assert calls == {"coupling_bundle": 1, "_propagate": 0}
 
 
+    def test_loss_too_weak_for_the_level_is_counted(self, monkeypatch, tmp_path):
+        # a 1e-16 loss on a 1e5 dipole decays at 1e-6 next to the guided 10
+        cfg = {"scenario": "custom", "mode": "diagnostic",
+               "emitter": {"ground_energies": [0.0], "excited_energies": [1.0],
+                           "dipoles": [[[[1e5, 0], [0, 0], [0, 0]]]]},
+               "waveguide": dict(CUSTOM_SCATTER["waveguide"], E_f=[[1e-5, 0], [0, 0], [0, 0]]),
+               "loss": {"isotropic": 1e-16}, "input": CUSTOM_SCATTER["input"]}
+        (tmp_path / "d.json").write_text(json.dumps(cfg))
+        assert run_cli(monkeypatch, tmp_path, "run", "d.json", "--out", "d.csv") == 0
+        header, data = read_csv(tmp_path / "d.csv")
+        cols = dict(zip(header, data[0]))
+        assert cols["rate_loss"] == pytest.approx(1e-6, rel=1e-12)
+        assert cols["beta_rates"] == pytest.approx(10 / (10 + 1e-6), rel=1e-12)
+        assert cols["beta_emission"] == pytest.approx(10 / (10 + 1e-6), rel=1e-12)
+        assert cols["beta_rates"] < 1.0
+
+
 class TestOutputsAndExitCodes:
     def test_runs_are_deterministic(self, monkeypatch, tmp_path):
         run_cli(monkeypatch, tmp_path, "run", "ixi-scan", "--out", "a.csv")
@@ -441,6 +458,22 @@ class TestOutputsAndExitCodes:
         assert code == 0
         _, rows = read_csv(tmp_path / "d.csv")
         assert abs(complex(rows[0, 3], rows[0, 4])) == pytest.approx(1.0)
+
+    def test_far_detuned_level_is_named_not_dark(self, monkeypatch, tmp_path, capsys):
+        # a level at 1e308 only stops taking part: the slices are singular
+        # to working precision, but no excited direction is dark
+        cfg = _custom_sweep(["emitter", "excited_energies"], [1e308, 1.0])
+        (tmp_path / "far.json").write_text(json.dumps(cfg))
+        assert run_cli(monkeypatch, tmp_path, "run", "far.json", "--out", "f.csv") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 3
+        for line in err:
+            assert "condition number" in line and "exceeds 1e+15" in line
+            assert "no excited direction is dark" in line and "couplings []" not in line
+        _, rows = read_csv(tmp_path / "f.csv")
+        assert np.isnan(rows[:, 1:]).all()
+        assert run_cli(monkeypatch, tmp_path, "run", "far.json", "--dark-state-projection",
+                       "--out", "p.csv") == 0
 
     def test_module_entry_point(self, tmp_path):
         proc = run_python(tmp_path, "-m", "wgqed.cli", "run", "two-level", "--out", "tl.csv")
@@ -743,6 +776,21 @@ class TestCustomEmission:
         assert last["p_forward"] == pytest.approx(9 / 50, abs=1e-12)
         assert last["p_backward"] == pytest.approx(41 / 50, abs=1e-12)
         assert last["trace"] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("integrator", [
+        {"t_max": 1e-320},
+        {"t_max": 1e-321, "grid": "linear"},
+    ], ids=["geometric-first-time-0", "linear-equal-times"])
+    def test_subnormal_t_max_exits_two(self, monkeypatch, tmp_path, capsys, integrator):
+        # the parse takes any finite positive t_max, but these round the
+        # output grid to equal times: a numerical failure, not a traceback
+        cfg = {"scenario": "paradox-emission", "integrator": integrator}
+        (tmp_path / "em.json").write_text(json.dumps(cfg))
+        assert run_cli(monkeypatch, tmp_path, "run", "em.json", "--out", "em.csv") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("wgqed: emission failed: integrator.t_max ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "em.csv").exists()
 
     def test_emission_without_initial_state_rejected(self, monkeypatch, tmp_path, capsys):
         cfg = {

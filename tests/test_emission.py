@@ -141,6 +141,17 @@ class TestTwoLevelEmission:
         assert (pf + pb) / emitted == pytest.approx(10.0 / (10.0 + strength), abs=1e-9)
         assert pf == pytest.approx(pb, abs=1e-12)
 
+    def test_loss_too_weak_for_the_level_still_has_a_channel(self):
+        # a 1e-16 loss on a 1e5 dipole decays at 1e-6: the loss channel must
+        # collect what H_eff releases, or the trace check fails
+        model = EmitterModel.from_arrays([0.0], [1.0], [[[1e5, 0, 0]]])
+        traj = evolve(model, make_env([1e-5, 0, 0]), LossModel.isotropic(1e-16),
+                      ExcitedSuperposition.from_sequence([1.0]), t_max=2.0)
+        p_f, p_b, p_loss, _ = traj.final_totals
+        emitted = 1.0 - np.exp(-(10.0 + 1e-6) * 2.0)
+        assert p_loss == pytest.approx(1e-6 / (10.0 + 1e-6) * emitted, rel=1e-9)
+        assert p_f + p_b == pytest.approx(10.0 / (10.0 + 1e-6) * emitted, rel=1e-12)
+
     def test_rate_scales_inversely_with_hbar(self):
         env = make_env([1, 0, 0], hbar=2.0)
         traj = evolve(two_level(), env, LossModel.none(),
@@ -187,7 +198,7 @@ class TestGeneratorEdgeCases:
         assert p_f == pytest.approx(0.18, abs=1e-12)
         assert p_b == pytest.approx(0.18, abs=1e-12)
         assert p_loss == pytest.approx(0.64 * (1 - np.exp(-20.0)), abs=1e-11)
-        assert residual == pytest.approx(0.64 * np.exp(-20.0), rel=1e-2)
+        assert residual == pytest.approx(0.64 * np.exp(-20.0), rel=1e-12)
 
     def test_default_horizon_follows_slow_superposed_mode(self):
         # at E_f = (cos 0.3, sin 0.3, 0) each level decays at a guided rate
@@ -327,6 +338,91 @@ class TestHighPrecisionOracle:
             assert abs(st.excited_block[1, 1] - 0.64) < 1e-14
             assert np.max(np.abs(st.ground_mode_probs - 0.36 * ref.ground_mode_probs)) < 1e-14
         assert mixed.final_totals.residual_excited == pytest.approx(0.64, abs=1e-8)
+
+
+def counting(monkeypatch, owner, name):
+    """Replace ``owner.name`` with a wrapper that counts its calls."""
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+class TestExceptionalPoint:
+    """Two parallel x dipoles, lossless, at E_f = x: H_eff = diag(0, delta) -
+    5i [[1, 1], [1, 1]], whose two modes merge at delta = Gamma = 10. Near
+    there the eigenvectors are nearly parallel, with condition number about
+    1.4 / sqrt(|delta / Gamma - 1|), and at Gamma H_eff is defective. The
+    modal form loses about that condition number times 3e-17, so the
+    propagator runs the Pade exponential beyond ``_MODAL_COND_MAX``."""
+
+    GAMMA = 10.0
+    PSI = np.array([0.6, 0.8])
+    TIMES = [0.0, 0.05, 0.3, 1.0, 3.0]
+
+    def oracle_error(self, offset):
+        model = EmitterModel.from_arrays([0.0], [0.0, self.GAMMA * (1.0 + offset)],
+                                         [[[1, 0, 0], [1, 0, 0]]])
+        env = make_env([1, 0, 0])
+        traj = evolve(model, env, LossModel.none(),
+                      ExcitedSuperposition.from_sequence(self.PSI), times=self.TIMES)
+        rhos, probs = mp_emission(coupling_bundle(model, env, LossModel.none()),
+                                  np.outer(self.PSI, self.PSI), self.TIMES)
+        got_rho = np.array([st.excited_block for st in traj.states])
+        got_probs = np.array([st.ground_mode_probs for st in traj.states])
+        return max(np.max(np.abs(got_rho - rhos)), np.max(np.abs(got_probs - probs)))
+
+    @pytest.mark.parametrize("offset,pade", [
+        (-1e-2, False), (-1e-4, False), (1e-5, False), (-1e-7, True), (1e-13, True),
+        (0.0, True),
+    ], ids=["cond-14", "cond-141", "cond-447", "cond-4e3", "cond-4e6", "defective"])
+    def test_matches_oracle_on_both_sides_of_the_gate(self, monkeypatch, offset, pade):
+        expm_calls = counting(monkeypatch, emission_mod, "_expm")
+        assert self.oracle_error(offset) < 1e-12
+        assert expm_calls == (["_expm"] if pade else [])
+
+    @pytest.mark.parametrize("offset", [-1e-13, 1e-13, 0.0])
+    def test_modal_form_alone_misses_near_the_exceptional_point(self, monkeypatch, offset):
+        # the gate is what keeps these exact: with it open, the modal form
+        # runs at every condition number and misses the oracle
+        monkeypatch.setattr(emission_mod, "_MODAL_COND_MAX", np.inf)
+        assert self.oracle_error(offset) > 1e-12
+
+    def test_singular_eigenbasis_takes_the_pade_path(self, monkeypatch):
+        # an eigenbasis that cannot be inverted at all goes to Pade too
+        reference = paradox_run(t_max=3.0, output_points=31)
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig",
+                            lambda H: (eig(H)[0], eig(H)[1][:, [0, 0]]))
+        expm_calls = counting(monkeypatch, emission_mod, "_expm")
+        traj = paradox_run(t_max=3.0, output_points=31)
+        assert expm_calls == ["_expm"]
+        for st, ref in zip(traj.states, reference.states):
+            assert np.max(np.abs(st.excited_block - ref.excited_block)) < 1e-14
+            assert np.max(np.abs(st.ground_mode_probs - ref.ground_mode_probs)) < 1e-14
+
+    def test_growing_mode_from_rounding_is_held(self, monkeypatch):
+        # H_eff is passive: a dark mode whose eigenvalue rounds to a positive
+        # imaginary part must neither grow nor overflow at t = 1e300
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig",
+                            lambda H: (eig(H)[0] + [0.0, 1e-16j], eig(H)[1]))
+        traj = evolve(paradox_model(), make_env([1, 0, 0]), LossModel.none(),
+                      ExcitedSuperposition.from_sequence([0.6, 0.8]), times=[0.0, 1e300])
+        assert traj.final_totals == pytest.approx((0.18, 0.18, 0.0, 0.64), abs=1e-15)
+
+    def test_default_horizon_and_propagation_share_one_eigendecomposition(self, monkeypatch):
+        bundle = coupling_bundle(paradox_model(), make_env(PARADOX_FIELD), LossModel.none())
+        eig_calls = counting(monkeypatch, np.linalg, "eig")
+        eigvals_calls = counting(monkeypatch, np.linalg, "eigvals")
+        times, _, _ = emission_mod._propagate(
+            bundle, ExcitedSuperposition.from_sequence(PARADOX_STATE))
+        assert times[-1] == pytest.approx(10.0)    # 20 lifetimes of the rate 2
+        assert (eig_calls, eigvals_calls) == (["eig"], [])
 
 
 class TestInterfaces:
@@ -481,11 +577,11 @@ class TestOutcomeForms:
         model = random_model(rng, n_g, n_e, degenerate=dark)
         if not dark:
             loss = LossModel.isotropic(float(rng.uniform(0.01, 0.5)))
-            return model, make_env(random_unit_vector(rng)), loss, dark
+            return model, make_env(random_unit_vector(rng)), loss
         D = model.dipole_array()
         D[:, 0] = 0.0
         model = EmitterModel.from_arrays(model.ground_energies, model.excited_energies, D)
-        return model, make_env(random_unit_vector(rng)), LossModel.none(), dark
+        return model, make_env(random_unit_vector(rng)), LossModel.none()
 
     @staticmethod
     def probabilities(Y, psi):
@@ -493,7 +589,7 @@ class TestOutcomeForms:
 
     def test_forms_are_a_povm_short_of_the_dark_directions(self, rng):
         for k in range(60):
-            model, env, loss, _ = self.random_instance(rng, k)
+            model, env, loss = self.random_instance(rng, k)
             bundle = coupling_bundle(model, env, loss)
             Y = _outcome_forms(bundle)
             n_e = model.n_excited
@@ -507,22 +603,19 @@ class TestOutcomeForms:
 
     def test_forms_give_the_long_time_probabilities(self, rng):
         for k in range(60):
-            model, env, loss, dark = self.random_instance(rng, k)
+            model, env, loss = self.random_instance(rng, k)
             psi = random_state(rng, model.n_excited)
             p = self.probabilities(_outcome_forms(coupling_bundle(model, env, loss)), psi)
-            # the phase of a lossless level with nonzero energy is lost over
-            # a 1e300 horizon, so a dark instance runs for its default one
-            grid = {} if dark else {"times": [0.0, 1e300]}
-            traj = evolve(model, env, loss, ExcitedSuperposition.from_sequence(psi), **grid)
-            tol = 1e-8 if dark else 1e-12
-            assert np.max(np.abs(traj.states[-1].ground_mode_probs - p)) < tol
-            assert np.max(np.abs(np.array(traj.final_totals[:3]) - p.sum(axis=0))) < tol
+            traj = evolve(model, env, loss, ExcitedSuperposition.from_sequence(psi),
+                          times=[0.0, 1e300])
+            assert np.max(np.abs(traj.states[-1].ground_mode_probs - p)) < 1e-12
+            assert np.max(np.abs(np.array(traj.final_totals[:3]) - p.sum(axis=0))) < 1e-12
 
     def test_outcomes_differ_no_more_than_the_states(self, rng):
         # Helstrom: a POVM cannot tell two states apart better than their
         # trace distance allows
         for k in range(30):
-            model, env, loss, _ = self.random_instance(rng, k)
+            model, env, loss = self.random_instance(rng, k)
             Y = _outcome_forms(coupling_bundle(model, env, loss))
             a, b = (random_state(rng, model.n_excited) for _ in range(2))
             diff = np.outer(a, a.conj()) - np.outer(b, b.conj())
