@@ -358,7 +358,12 @@ def parse_config(data: dict) -> ScenarioConfig:
     input, sweep, integrator, output and the dark-state-projection flag, but
     not the emitter itself.
     """
-    cfg = dict(_expand(data))
+    return _parse(_expand(data))
+
+
+def _parse(data: dict) -> ScenarioConfig:
+    """:func:`parse_config` of a config that :func:`_expand` has expanded."""
+    cfg = dict(data)
     for section, allowed in _KEYS.items():
         value = cfg.get(section)
         if value is None and section in _DEFAULTS:
@@ -484,7 +489,7 @@ def _diagnostic_table(config: ScenarioConfig):
     t, r, p_loss = two_level_closed_form(model.dipoles[0][0], env, loss, detuning)
     bundle = coupling_bundle(model, env, loss)
     rates = bundle.channel_decay_rates()
-    rate_f, rate_b, rate_l = (float(rates.get(channel, np.zeros(1))[0])
+    rate_f, rate_b, rate_l = (float(rates[channel][0])
                               for channel in ("forward", "backward", "loss"))
     total = rate_f + rate_b + rate_l
     beta_rates = (rate_f + rate_b) / total if total > 0 else float("nan")
@@ -591,7 +596,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         data = _expand(_load_config_source(args.scenario))
-        return run(parse_config(_apply_overrides(data, args)))
+        return run(_parse(_apply_overrides(data, args)))
     except ConfigError as exc:
         where = f" (field: {exc.field})" if getattr(exc, "field", None) else ""
         print(f"wgqed: configuration error{where}: {exc}", file=sys.stderr)

@@ -5,9 +5,11 @@ traced out: the excited block evolves under the non-Hermitian effective
 Hamiltonian ``H_eff`` of the coupling bundle (built by
 :func:`wgqed.photonic.effective_hamiltonian`, whose resolvent scattering
 solves), while the released population is routed into per-channel
-ground-state accumulators (forward, backward, loss) built from the channel
-couplings. The decay of the excited block and the channel fluxes are thus
-separate bookkeeping, and their sum is checked against 1. The generator does
+ground-state accumulators (forward, backward, loss) through the bundle's
+flux forms ``Q``, one per (ground state, channel), whose ``tr(Q rho)`` is the
+rate at which ``rho`` emits there. ``H_eff`` and the forms are built apart,
+so the decay of the excited block and the channel fluxes are separate
+bookkeeping, and their sum is checked against 1. The generator does
 not depend on time, so the propagation is exact, with no step-size or
 tolerance setting, and every piece of it is sized by the number of excited
 states. One eigendecomposition ``H_eff = V diag(lam) V^-1`` gives the modes,
@@ -16,7 +18,7 @@ at all output times come from one matrix product. Where the eigenvectors are
 ill-conditioned (1-norm condition number above ``_MODAL_COND_MAX``, 1e3), as
 near an exceptional point where two modes merge, a Pade exponential of
 ``-i H_eff t`` at every output time takes their place. One adjoint Lyapunov
-solve gives the outcome forms ``Y``, one per (ground state, channel).
+solve gives the outcome forms ``Y``, the time integrals of the flux forms.
 ``Re tr(Y rho)`` is the probability that the excited block ``rho`` ever emits
 there: the accumulators read ``Re tr(Y (rho0 - rho(t)))``, and the command
 line's two-level diagnostic reads ``Y`` alone, with no propagation.
@@ -53,7 +55,8 @@ _THETA13 = 5.371920351148152
 # Relative singular-value cutoff of the Lyapunov solve: drops the directions
 # of pairs of non-decaying modes, which carry no flux and whose singular
 # values are rounding (~2e-16 of the largest), and keeps modes that decay
-# down to 1e-14 times slower than the fastest.
+# down to 1e-14 times slower than the fastest. _held applies the same cutoff
+# to the modes of the propagation.
 _LYAPUNOV_RCOND = 1e-14
 # Largest 1-norm condition number of the eigenvectors of H_eff at which the
 # propagator takes the modal form. Its error grows with that condition number
@@ -99,17 +102,9 @@ class EmissionTrajectory:
 def channel_flux(bundle: CouplingBundle, excited_block: np.ndarray) -> np.ndarray:
     """Probability flux (..., n_ground, 3) out of ``excited_block`` (or a
     stack of blocks, shape (..., n_e, n_e)) into each (ground state, channel)
-    pair. It is linear over Hermitian blocks, so its values on the unit
-    matrices give the flux forms the propagator integrates.
-
-    One contraction over the stacked channel couplings gives the flux per
-    (ground state, channel); the rate scales weight it and the channel
-    columns sum it into the labels of :data:`CHANNELS`.
-    """
-    C = bundle.couplings
-    per_channel = np.real(np.einsum("cxn,...xy,cyn->...nc", C, excited_block, C.conj()))
-    weights = bundle.rate_scales[:, None] * np.eye(len(CHANNELS))[bundle.columns]
-    return per_channel @ weights
+    pair, columns ordered as :data:`CHANNELS`: ``tr(Q rho)`` with the flux
+    forms ``Q`` of the bundle."""
+    return np.real(np.einsum("ncxy,...yx->...nc", bundle.flux_forms, excited_block))
 
 
 def _coerce_initial(initial, n_e: int) -> tuple[np.ndarray, np.ndarray]:
@@ -142,22 +137,33 @@ def _coerce_initial(initial, n_e: int) -> tuple[np.ndarray, np.ndarray]:
     return rho, Q * np.sqrt(np.maximum(w, 0.0))
 
 
+def _held(lam: np.ndarray) -> np.ndarray:
+    """The modes ``lam`` of ``H_eff`` that count as non-decaying: those the
+    Lyapunov solve drops, whose rate ``-2 Im lam_a = |lam_a - lam_a*|`` lies
+    below ``_LYAPUNOV_RCOND`` times the largest ``|lam_a - lam_b*|``. A
+    positive ``Im lam`` (rounding; ``H_eff`` is passive) and a nan count as
+    held too. The quarters keep the spread from overflowing."""
+    quarter = 0.25 * lam
+    spread = np.abs(quarter[:, None] - quarter.conj()).max()
+    return ~(-lam.imag > 2.0 * _LYAPUNOV_RCOND * spread)
+
+
 def _horizon(lam: np.ndarray) -> float:
-    """``DEFAULT_LIFETIMES`` over the smallest nonzero decay rate, ``-2 Im``
-    of the modes ``lam`` of ``H_eff``, taken as half of that so that no rate
-    overflows."""
-    half_rates = -lam.imag
-    decaying = half_rates[half_rates > 5e-13]
+    """``DEFAULT_LIFETIMES`` over the smallest decay rate, ``-2 Im`` of the
+    modes ``lam`` of ``H_eff`` that are not held, taken as half of that so
+    that no rate overflows."""
+    decaying = -lam.imag[~_held(lam)]
     if decaying.size == 0:
         return DEFAULT_LIFETIMES
     return float(0.5 * DEFAULT_LIFETIMES / np.min(decaying))
 
 
 def default_t_max(bundle: CouplingBundle) -> float:
-    """``DEFAULT_LIFETIMES`` over the smallest nonzero decay rate of the modes
-    of ``H_eff``, ``-2 Im`` of its eigenvalues. A slow mode that superposes
-    several levels sets the horizon even when every level decays fast."""
-    return _horizon(np.linalg.eig(bundle.H_eff)[0])
+    """``DEFAULT_LIFETIMES`` over the smallest decay rate of the modes of
+    ``H_eff``, ``-2 Im`` of its eigenvalues, among the modes that decay at
+    all. A slow mode that superposes several levels sets the horizon even
+    when every level decays fast."""
+    return _horizon(bundle._eig[0])
 
 
 def _expm(A: np.ndarray) -> np.ndarray:
@@ -231,31 +237,27 @@ def evolve(
 def _outcome_forms(bundle: CouplingBundle) -> np.ndarray:
     """The outcome forms ``Y`` (n_g, 3, n_e, n_e): PSD, and summed, the
     identity less the projector on the non-decaying directions."""
-    n_e = bundle.H_eff.shape[0]
-    # channel_flux is real-linear, so its values on the unit matrices E_ab
-    # and i E_ab give the complex forms F_ab with flux = sum_ab rho_ab F_ab
-    # for every Hermitian rho; that is tr(Q rho) with Q_ba = F_ab.
-    n_rho = n_e * n_e
-    units = np.eye(n_rho) * np.array([1.0, 1j])[:, None, None]
-    f = channel_flux(bundle, units.reshape(2, n_rho, n_e, n_e))
-    F = (f[0] - 1j * f[1]).reshape(n_rho, -1)
-    if not np.isfinite(F).all():
+    Q = bundle.flux_forms
+    if not np.isfinite(Q).all():
         raise NonPhysicalStateError("non-finite channel flux in the emission propagation")
+    n_e = Q.shape[-1]
+    n_rho = n_e * n_e
     # With A = i H_eff, Y solves the adjoint Lyapunov equation A^dagger Y +
     # Y A = Q, that is i (H_eff^dagger Y - Y H_eff) = -Q: it is the integral
     # of U^dagger Q U over all time, with U = exp(-A t). The solve is for
-    # Z = Y^T, A^T Z + Z A^* = F, with the Kronecker products as broadcasts
-    # over the index pairs (a b),(c d). The operator is singular only where
-    # two non-decaying modes share a frequency (a dark mode with itself
-    # included); the flux forms vanish there, so the minimum-norm solution
-    # is exact.
+    # Z = Y^T, A^T Z + Z A^* = F with F[(a b), k] = Q_k[b, a], the
+    # Kronecker products as broadcasts over the index pairs (a b),(c d).
+    # The operator is singular only where two non-decaying modes share a
+    # frequency (a dark mode with itself included); the flux forms vanish
+    # there, so the minimum-norm solution is exact.
     A = 1j * bundle.H_eff
     eye = np.eye(n_e)
     K = (A.T[:, None, :, None] * eye[None, :, None, :]
          + eye[:, None, :, None] * A.conj().T[None, :, None, :])
+    F = Q.swapaxes(-1, -2).reshape(-1, n_rho).T
     Z = np.linalg.lstsq(K.reshape(n_rho, n_rho), F, rcond=_LYAPUNOV_RCOND)[0]
     # Z[(a b), k] = Y_k[b, a]
-    return Z.T.reshape(-1, len(CHANNELS), n_e, n_e).swapaxes(-1, -2)
+    return Z.T.reshape(Q.shape).swapaxes(-1, -2)
 
 
 @np.errstate(all="ignore")
@@ -267,7 +269,7 @@ def _propagate(bundle: CouplingBundle, initial, t_max: float | None = None,
     H = bundle.H_eff
     n_e = H.shape[0]
     rho0, L = _coerce_initial(initial, n_e)
-    lam, V = np.linalg.eig(H)
+    lam, V = bundle._eig
 
     if times is None:
         horizon = _horizon(lam) if t_max is None else float(t_max)
@@ -295,10 +297,9 @@ def _propagate(bundle: CouplingBundle, initial, t_max: float | None = None,
         # rho(t) = X X^dagger with X = U L = V diag(phi) C, phi = exp(-i lam t)
         # and C = V^-1 L: X_ir = sum_a phi_a V_ia C_ar is one product over the
         # times. Its error grows with cond(V), where that of the mode-basis
-        # block V^-1 rho0 V^-dagger would grow with its square. H_eff is
-        # passive, so a positive Im lam is rounding; clamping it keeps a
-        # non-decaying mode from overflowing at long times.
-        phi = np.exp(-1j * t_grid[:, None] * (lam.real + 1j * np.minimum(lam.imag, 0.0)))
+        # block V^-1 rho0 V^-dagger would grow with its square. A held mode
+        # only turns, as the outcome forms take it, and cannot overflow.
+        phi = np.exp(-1j * t_grid[:, None] * np.where(_held(lam), lam.real, lam))
         VC = (V.T[:, :, None] * (V_inv @ L)[:, None, :]).reshape(n_e, -1)
         X = (phi @ VC).reshape(t_grid.size, n_e, -1)
         rhos = np.einsum("tir,tjr->tij", X, X.conj())

@@ -1,6 +1,6 @@
 """Waveguide photonic environment: the guided couplings and the one effective
-Hamiltonian both solvers read, and the coupling bundle consumed by the
-emission solver and the two-level diagnostic.
+Hamiltonian both solvers read, and the coupling bundle (``H_eff`` and the
+flux forms) consumed by the emission solver and the two-level diagnostic.
 
 Conventions
 -----------
@@ -28,6 +28,7 @@ Hamiltonian of the excited manifold is assembled: emission exponentiates it
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -92,15 +93,12 @@ class LossModel:
 
     The imaginary part must induce a non-negative decay rate for every dipole
     (passivity); the real part produces level shifts. Construction keeps the
-    tensor as a read-only array and the eigenmodes of the imaginary part with
-    positive rate, the loss channels of :func:`coupling_bundle`; neither
-    takes part in equality, hashing or the repr.
+    tensor as a read-only array, which takes no part in equality, hashing or
+    the repr.
     """
 
     tensor: tuple[tuple[complex, ...], ...]
     _array: np.ndarray = field(init=False, compare=False, repr=False)
-    _rates: np.ndarray = field(init=False, compare=False, repr=False)    # (k,)
-    _modes: np.ndarray = field(init=False, compare=False, repr=False)    # (3, k)
 
     def __post_init__(self):
         arr = np.array(self.tensor, dtype=complex)
@@ -116,20 +114,14 @@ class LossModel:
                 "non-symmetric-loss-tensor",
                 "loss tensor must be symmetric (reciprocal medium)",
             )
-        rates, modes = np.linalg.eigh(arr.imag)
-        if np.min(rates) < -LOSS_PASSIVITY_TOL * scale:
+        min_rate = np.linalg.eigvalsh(arr.imag)[0]
+        if min_rate < -LOSS_PASSIVITY_TOL * scale:
             raise ModelValidationError(
                 "non-passive-loss-tensor",
-                f"loss tensor induces a negative decay rate (min eig {np.min(rates):.3e})",
+                f"loss tensor induces a negative decay rate (min eig {min_rate:.3e})",
             )
-        # Every mode that decays gets a channel: H_eff keeps the whole loss
-        # sandwich, so a rate that is tiny here still carries real decay
-        # when the dipoles are large.
-        emitting = rates > 0.0
-        cached = {"_array": arr, "_rates": rates[emitting], "_modes": modes[:, emitting]}
-        for name, value in cached.items():
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
+        arr.setflags(write=False)
+        object.__setattr__(self, "_array", arr)
         object.__setattr__(self, "tensor", tuple(map(tuple, arr.tolist())))
 
     @classmethod
@@ -164,29 +156,35 @@ class LossModel:
 @dataclass(frozen=True)
 class CouplingBundle:
     """The effective Hamiltonian of one emitter in one environment and its
-    radiation channels, as the emission solver consumes them.
+    flux forms, as the emission solver consumes them.
 
     ``H_eff`` is the output of :func:`effective_hamiltonian` at the
-    environment's field. The radiation channels are stacked:
-    ``couplings[c, x, n]`` is the amplitude with which excited state x decays
-    to ground state n into channel c, ``rate_scales[c]`` turns its
-    mod-squared contraction with an excited-state amplitude vector into a
-    rate, and ``columns[c]`` indexes the channel's label in :data:`CHANNELS`.
-    The forward and backward guided channels come first, then one loss
-    channel per emitting eigenmode of the loss tensor.
+    environment's field. ``flux_forms[n, c]`` is the Hermitian PSD form ``Q``
+    whose ``tr(Q rho)`` is the rate at which the excited block ``rho`` emits
+    into ground state n through channel c, ordered as :data:`CHANNELS`: the
+    guided ``(z / eps0 hbar) B_m* B_m^T`` of the forward and the backward
+    couplings of :func:`guided_couplings`, then the loss ``D_n* Im(G_loss)
+    D_n^T / (eps0 hbar)``.
     """
 
     H_eff: np.ndarray               # (n_e, n_e) non-Hermitian, rate units
-    couplings: np.ndarray           # (channel, n_e, n_g)
-    rate_scales: np.ndarray         # (channel,)
-    columns: np.ndarray             # (channel,) index into CHANNELS
+    flux_forms: np.ndarray          # (n_g, 3, n_e, n_e) Hermitian PSD
+
+    @cached_property
+    def _eig(self) -> tuple[np.ndarray, np.ndarray]:
+        """``np.linalg.eig(H_eff)``, taken once per bundle, so the default
+        horizon and the propagation read the same modes."""
+        lam, V = np.linalg.eig(self.H_eff)
+        lam.setflags(write=False)
+        V.setflags(write=False)
+        return lam, V
 
     def damping_rate_matrix(self) -> np.ndarray:
         """Hermitian PSD matrix K = i (H_eff - H_eff^H) with dpop/dt =
         -K-weighted decay (rate units).
 
-        Built from the dipole sandwiches of ``H_eff``, not from the channel
-        couplings, so the emission fluxes and the total excited decay are
+        Built from the dipole sandwiches of ``H_eff``, not from the flux
+        forms, so the emission fluxes and the total excited decay are
         independent bookkeeping that must balance.
         """
         return 1j * (self.H_eff - self.H_eff.conj().T)
@@ -196,14 +194,11 @@ class CouplingBundle:
         return np.real(np.diag(self.damping_rate_matrix()))
 
     def channel_decay_rates(self) -> dict[str, np.ndarray]:
-        """Per-channel decay rate of each excited state, keyed by the labels
-        of the channels present."""
-        C = self.couplings
-        rates = self.rate_scales[:, None] * np.real(np.einsum("cxn,cxn->cx", C, C.conj()))
-        # Not np.unique: its first call in a process imports numpy.ma, which
-        # costs the command line ~30 ms per run.
-        return {CHANNELS[k]: rates[self.columns == k].sum(axis=0)
-                for k in dict.fromkeys(self.columns.tolist())}
+        """Decay rate of each excited state into each channel of
+        :data:`CHANNELS`, summed over the ground states: the diagonals of the
+        flux forms."""
+        rates = np.diagonal(self.flux_forms, axis1=-2, axis2=-1).real.sum(axis=0)
+        return dict(zip(CHANNELS, rates))
 
 
 def guided_couplings(D: np.ndarray, E_f) -> np.ndarray:
@@ -245,13 +240,13 @@ def effective_hamiltonian(
 def coupling_bundle(
     model: EmitterModel, env: WaveguideEnv, loss: LossModel
 ) -> CouplingBundle:
-    """Assemble the effective Hamiltonian and the radiation channels of one
-    emitter in one environment.
+    """Assemble the effective Hamiltonian and the flux forms of one emitter
+    in one environment.
 
-    A single field frequency is used for every transition, so the couplings
-    do not depend on the level energies. The guided channels are the guided
-    couplings ``B``; the loss channels are the eigenmodes the
-    :class:`LossModel` kept at construction. An overflowing ``H_eff`` raises.
+    A single field frequency is used for every transition, so neither
+    depends on the level energies. The forms are built from the dipoles
+    apart from ``H_eff``, so that emission can check one against the other.
+    An overflowing ``H_eff`` raises.
     """
     D = _validated_dipoles(model)                 # (n_g, n_e, 3)
     B = guided_couplings(D, env.E_f.as_array())   # (2, n_e, n_g)
@@ -260,14 +255,11 @@ def coupling_bundle(
         raise NonPhysicalStateError("the effective Hamiltonian overflows")
 
     eps0_hbar = env.epsilon0 * env.hbar
-    loss_couplings = np.einsum("nxi,ik->kxn", D, loss._modes)
-    couplings = np.concatenate((B, loss_couplings))
-    wg_scale = env.z / eps0_hbar
-    rate_scales = np.concatenate(([wg_scale, wg_scale], loss._rates / eps0_hbar))
-    columns = np.array([0, 1] + [2] * loss._rates.size)
+    b = B.transpose(2, 0, 1)                      # (n_g, 2, n_e)
+    guided = (env.z / eps0_hbar) * (b.conj()[..., :, None] * b[..., None, :])
+    lost = D.conj() @ loss.as_array().imag @ D.swapaxes(-1, -2) / eps0_hbar
+    flux_forms = np.concatenate((guided, lost[:, None]), axis=1)
 
-    for arr in (H_eff, couplings, rate_scales, columns):
+    for arr in (H_eff, flux_forms):
         arr.setflags(write=False)
-    return CouplingBundle(
-        H_eff=H_eff, couplings=couplings, rate_scales=rate_scales, columns=columns,
-    )
+    return CouplingBundle(H_eff=H_eff, flux_forms=flux_forms)

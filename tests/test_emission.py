@@ -1,5 +1,7 @@
 """Emission dynamics: anchor scenarios, conservation laws, channel routing."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,32 @@ class TestParadoxScenario:
         rates = flux.sum(axis=0)
         assert min(rates[0], rates[1]) < 1e-14      # one direction exactly dark
         assert max(rates[0], rates[1]) == pytest.approx(3.2, rel=1e-12)
+
+    def test_flux_is_the_trace_against_the_flux_forms(self, rng):
+        for _ in range(10):
+            model = random_model(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+            ef = random_unit_vector(rng)
+            env = make_env(ef, hbar=0.7, epsilon0=1.3)
+            loss = random_loss_tensor(rng)
+            bundle = coupling_bundle(model, env, loss)
+            n_e = model.n_excited
+            A = rng.normal(size=(4, n_e, n_e)) + 1j * rng.normal(size=(4, n_e, n_e))
+            rhos = A @ A.conj().swapaxes(-1, -2)
+            expected = np.trace(bundle.flux_forms[None] @ rhos[:, None, None],
+                                axis1=-2, axis2=-1).real
+            assert np.max(np.abs(channel_flux(bundle, rhos) - expected)) < 1e-12
+            # a pure state emits from its dipole v_n = sum_x psi_x d_nx:
+            # (z / eps0 hbar) |E* . v_n|^2 per guided mode E, and
+            # v_n^dagger Im(G) v_n / (eps0 hbar) into loss
+            psi = random_state(rng, n_e)
+            v = np.einsum("nxi,x->ni", model.dipole_array(), psi)
+            direct = np.column_stack((
+                env.z * np.abs(v @ ef.conj()) ** 2,
+                env.z * np.abs(v @ ef) ** 2,
+                np.einsum("ni,ij,nj->n", v.conj(), loss.as_array().imag, v).real,
+            )) / (env.epsilon0 * env.hbar)
+            flux = channel_flux(bundle, np.outer(psi, psi.conj()))
+            assert np.max(np.abs(flux - direct)) < 1e-12
 
     def test_direction_probabilities_match_closed_form(self):
         traj = paradox_run(t_max=3.0, output_points=61)
@@ -415,6 +443,23 @@ class TestExceptionalPoint:
                       ExcitedSuperposition.from_sequence([0.6, 0.8]), times=[0.0, 1e300])
         assert traj.final_totals == pytest.approx((0.18, 0.18, 0.0, 0.64), abs=1e-15)
 
+    # (a, b) for two parallel x dipoles, drawn uniformly from [0.2, 2]
+    @pytest.mark.parametrize("a, b", [
+        (1.347, 0.686), (0.274, 0.23), (1.664, 1.843), (1.292, 1.513),
+        (1.179, 1.883), (1.669, 0.205), (1.743, 0.26), (1.513, 0.516),
+        (1.754, 1.175), (0.739, 0.961), (0.251, 0.424), (1.407, 1.365),
+    ])
+    def test_rounded_dark_mode_is_held_as_the_outcome_forms_hold_it(self, a, b):
+        # eig gives the dark mode (b, -a) an imaginary part of rounding size;
+        # the Lyapunov cutoff takes it as never emitting, so the propagation
+        # must not decay it either, or the trace drifts by t = 1e15
+        model = EmitterModel.from_arrays([0.0], [1.0, 1.0], [[[a, 0, 0], [b, 0, 0]]])
+        traj = evolve(model, make_env([1, 0, 0]), LossModel.none(),
+                      ExcitedSuperposition.from_sequence([1.0, 0.0]), times=[0.0, 1e15])
+        dark = b * b / (a * a + b * b)
+        expected = (0.5 * (1 - dark), 0.5 * (1 - dark), 0.0, dark)
+        assert traj.final_totals == pytest.approx(expected, abs=1e-14)
+
     def test_default_horizon_and_propagation_share_one_eigendecomposition(self, monkeypatch):
         bundle = coupling_bundle(paradox_model(), make_env(PARADOX_FIELD), LossModel.none())
         eig_calls = counting(monkeypatch, np.linalg, "eig")
@@ -423,6 +468,17 @@ class TestExceptionalPoint:
             bundle, ExcitedSuperposition.from_sequence(PARADOX_STATE))
         assert times[-1] == pytest.approx(10.0)    # 20 lifetimes of the rate 2
         assert (eig_calls, eigvals_calls) == (["eig"], [])
+
+
+def with_forms(monkeypatch, value):
+    """Make every coupling bundle that ``evolve`` builds carry flux forms
+    filled with ``value``, leaving ``H_eff`` as it is."""
+    build = emission_mod.coupling_bundle
+
+    def patched(*args):
+        bundle = build(*args)
+        return replace(bundle, flux_forms=np.full_like(bundle.flux_forms, value))
+    monkeypatch.setattr(emission_mod, "coupling_bundle", patched)
 
 
 class TestInterfaces:
@@ -508,10 +564,7 @@ class TestInterfaces:
         assert np.all(traj.states[0].ground_mode_probs == 0.0)
 
     def test_trace_guard_aborts_on_broken_balance(self, monkeypatch):
-        monkeypatch.setattr(
-            emission_mod, "channel_flux",
-            lambda bundle, rho: np.zeros(np.shape(rho)[:-2] + (1, 3)),
-        )
+        with_forms(monkeypatch, 0.0)
         with pytest.raises(NonPhysicalStateError) as exc:
             evolve(two_level(), make_env([1, 0, 0]), LossModel.none(),
                    ExcitedSuperposition.from_sequence([1.0]), t_max=2.0)
@@ -522,11 +575,8 @@ class TestInterfaces:
         assert float(msg.split("drifted to ")[1].split()[0]) == pytest.approx(np.exp(-20.0))
 
     def test_non_finite_flux_aborts(self, monkeypatch):
-        monkeypatch.setattr(
-            emission_mod, "channel_flux",
-            lambda bundle, rho: np.full(np.shape(rho)[:-2] + (1, 3), np.nan),
-        )
-        with pytest.raises(NonPhysicalStateError):
+        with_forms(monkeypatch, np.nan)
+        with pytest.raises(NonPhysicalStateError, match="non-finite channel flux"):
             evolve(two_level(), make_env([1, 0, 0]), LossModel.none(),
                    ExcitedSuperposition.from_sequence([1.0]), t_max=2.0)
 

@@ -215,9 +215,10 @@ class TestCouplingBundle:
                 assert np.max(np.abs(bundle.H_eff - expected)) < 1e-13
 
     def test_loss_channels_rebuild_imaginary_loss_sandwich(self, rng):
-        # anisotropic passive tensor whose imaginary part has rank 1 or 2, so
-        # eigenmodes of zero rate are dropped; summed over the loss channels,
-        # rate * C* C^T must equal sum_n D_n* Im(G) D_n^T / (hbar eps0)
+        # anisotropic passive tensor whose imaginary part has rank 1 or 2;
+        # summed over the ground states, the loss forms must equal
+        # sum_n D_n* Im(G) D_n^T / (hbar eps0), built here from the eigenmodes
+        # of Im(G) with positive rate
         env = make_env(random_unit_vector(rng), hbar=0.7, epsilon0=1.3)
         for rank in (1, 2):
             for _ in range(10):
@@ -227,13 +228,14 @@ class TestCouplingBundle:
                 loss = LossModel.from_array(tensor)
                 model = random_model(rng, 2, 3)
                 bundle = coupling_bundle(model, env, loss)
-                lossy = bundle.columns == CHANNELS.index("loss")
-                C = bundle.couplings[lossy]
-                rebuilt = np.einsum("c,cxn,cyn->xy", bundle.rate_scales[lossy], C.conj(), C)
-                D = model.dipole_array()
-                direct = np.einsum("nxi,ij,nyj->xy", D.conj(), tensor.imag, D)
+                forms = bundle.flux_forms[:, CHANNELS.index("loss")].sum(axis=0)
+                rates, modes = np.linalg.eigh(tensor.imag)
+                keep = rates > 1e-12
+                assert keep.sum() == rank
+                C = np.einsum("nxi,ik->kxn", model.dipole_array(), modes[:, keep])
+                direct = np.einsum("k,kxn,kyn->xy", rates[keep], C.conj(), C)
                 direct /= env.hbar * env.epsilon0
-                assert np.max(np.abs(rebuilt - direct)) < 1e-13
+                assert np.max(np.abs(forms - direct)) < 1e-13
 
     def test_damping_matrix_consistent_with_gamma(self, rng):
         model = random_model(rng, 2, 3)
@@ -244,10 +246,10 @@ class TestCouplingBundle:
         from_gamma = (go - go.conj().T) / (2j * env.hbar) * 2.0
         K = bundle.damping_rate_matrix()
         assert np.max(np.abs(K - from_gamma)) < 1e-13
-        # the channel couplings the fluxes are built from give the same K
-        C = bundle.couplings
-        from_channels = np.einsum("c,cxn,cyn->xy", bundle.rate_scales, C.conj(), C)
-        assert np.max(np.abs(K - from_channels)) < 1e-13
+        # the flux forms, built apart from H_eff, sum to the same K
+        from_forms = bundle.flux_forms.sum(axis=(0, 1))
+        assert np.max(np.abs(K - from_forms)) < 1e-13
+        assert np.max(np.abs(from_forms - from_gamma)) < 1e-13
 
     def test_common_energy_shift_leaves_couplings_unchanged(self, rng):
         model = random_model(rng, 2, 2)
@@ -260,7 +262,7 @@ class TestCouplingBundle:
             model.dipole_array(),
         )
         b = coupling_bundle(shifted, env, loss)
-        for name in ("H_eff", "couplings"):
+        for name in ("H_eff", "flux_forms"):
             assert np.max(np.abs(getattr(a, name) - getattr(b, name))) < 1e-14
 
     def test_reactive_loss_gives_half_sandwich_level_shift(self):
@@ -279,6 +281,26 @@ class TestCouplingBundle:
             loss = LossModel.isotropic(float(rng.uniform(0, 0.5)))
             K = coupling_bundle(model, env, loss).damping_rate_matrix()
             assert np.min(np.linalg.eigvalsh(K)) > -1e-12
+
+    def test_flux_forms_are_hermitian_psd(self, rng):
+        for _ in range(30):
+            n_g, n_e = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            model = random_model(rng, n_g, n_e)
+            env = make_env(random_unit_vector(rng), hbar=0.7, epsilon0=1.3)
+            for loss in (LossModel.isotropic(float(rng.uniform(0, 0.5))),
+                         random_loss_tensor(rng)):
+                Q = coupling_bundle(model, env, loss).flux_forms
+                assert Q.shape == (n_g, len(CHANNELS), n_e, n_e)
+                assert not Q.flags.writeable
+                scale = max(1.0, np.max(np.abs(Q)))
+                assert np.max(np.abs(Q - Q.conj().swapaxes(-1, -2))) < 1e-14 * scale
+                assert np.min(np.linalg.eigvalsh(Q)) > -1e-13 * scale
+
+    def test_lossless_rates_have_a_zero_loss_entry(self):
+        rates = coupling_bundle(two_level(), make_env([1, 0, 0]),
+                                LossModel.none()).channel_decay_rates()
+        assert tuple(rates) == CHANNELS
+        assert [rates[c].tolist() for c in CHANNELS] == [[5.0], [5.0], [0.0]]
 
     def test_dark_state_means_one_thing_in_both_solvers(self):
         # the dark directions scattering reports for the lossless V system at
