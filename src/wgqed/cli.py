@@ -358,12 +358,7 @@ def parse_config(data: dict) -> ScenarioConfig:
     input, sweep, integrator, output and the dark-state-projection flag, but
     not the emitter itself.
     """
-    return _parse(_expand(data))
-
-
-def _parse(data: dict) -> ScenarioConfig:
-    """:func:`parse_config` of a config that :func:`_expand` has expanded."""
-    cfg = dict(data)
+    cfg = dict(_expand(data))
     for section, allowed in _KEYS.items():
         value = cfg.get(section)
         if value is None and section in _DEFAULTS:
@@ -596,7 +591,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         data = _expand(_load_config_source(args.scenario))
-        return run(_parse(_apply_overrides(data, args)))
+        return run(parse_config(_apply_overrides(data, args)))
     except ConfigError as exc:
         where = f" (field: {exc.field})" if getattr(exc, "field", None) else ""
         print(f"wgqed: configuration error{where}: {exc}", file=sys.stderr)

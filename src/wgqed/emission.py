@@ -52,12 +52,12 @@ _PADE13 = (
     33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
 )
 _THETA13 = 5.371920351148152
-# Relative singular-value cutoff of the Lyapunov solve: drops the directions
-# of pairs of non-decaying modes, which carry no flux and whose singular
-# values are rounding (~2e-16 of the largest), and keeps modes that decay
-# down to 1e-14 times slower than the fastest. _held applies the same cutoff
-# to the modes of the propagation.
-_LYAPUNOV_RCOND = 1e-14
+# Decay rate, in units of the excited-state count times eps times the
+# largest |H_eff_ij|, at or below which a mode of H_eff is rounding and
+# counts as non-decaying. eig puts the rate of a dark mode at up to ~0.75 of
+# these units (two parallel dipoles); a mode that decays faster is resolved
+# and decays, and a slower one cannot be told from a dark mode.
+_ROUNDING_RATE = 2.0
 # Largest 1-norm condition number of the eigenvectors of H_eff at which the
 # propagator takes the modal form. Its error grows with that condition number
 # as about 3e-17 times it (measured against a 35-digit exponential near an
@@ -137,22 +137,26 @@ def _coerce_initial(initial, n_e: int) -> tuple[np.ndarray, np.ndarray]:
     return rho, Q * np.sqrt(np.maximum(w, 0.0))
 
 
-def _held(lam: np.ndarray) -> np.ndarray:
-    """The modes ``lam`` of ``H_eff`` that count as non-decaying: those the
-    Lyapunov solve drops, whose rate ``-2 Im lam_a = |lam_a - lam_a*|`` lies
-    below ``_LYAPUNOV_RCOND`` times the largest ``|lam_a - lam_b*|``. A
-    positive ``Im lam`` (rounding; ``H_eff`` is passive) and a nan count as
-    held too. The quarters keep the spread from overflowing."""
-    quarter = 0.25 * lam
-    spread = np.abs(quarter[:, None] - quarter.conj()).max()
-    return ~(-lam.imag > 2.0 * _LYAPUNOV_RCOND * spread)
+def _rounding_rate(H: np.ndarray) -> float:
+    """The decay rate at or below which a mode of ``H`` is rounding: the
+    rate the modal phases hold and the singular value the Lyapunov solve
+    drops. Taken from the largest entry, so that it cannot overflow."""
+    return _ROUNDING_RATE * H.shape[0] * np.finfo(float).eps * np.abs(H).max()
 
 
-def _horizon(lam: np.ndarray) -> float:
+def _held(lam: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """The modes ``lam`` of ``H`` that count as non-decaying: those whose
+    rate ``-2 Im lam`` is at most :func:`_rounding_rate`. A positive
+    ``Im lam`` (rounding; ``H_eff`` is passive) and a nan count as held
+    too."""
+    return ~(-lam.imag > 0.5 * _rounding_rate(H))
+
+
+def _horizon(lam: np.ndarray, H: np.ndarray) -> float:
     """``DEFAULT_LIFETIMES`` over the smallest decay rate, ``-2 Im`` of the
-    modes ``lam`` of ``H_eff`` that are not held, taken as half of that so
-    that no rate overflows."""
-    decaying = -lam.imag[~_held(lam)]
+    modes ``lam`` of ``H`` that are not held, taken as half of that so that
+    no rate overflows."""
+    decaying = -lam.imag[~_held(lam, H)]
     if decaying.size == 0:
         return DEFAULT_LIFETIMES
     return float(0.5 * DEFAULT_LIFETIMES / np.min(decaying))
@@ -163,7 +167,7 @@ def default_t_max(bundle: CouplingBundle) -> float:
     ``H_eff``, ``-2 Im`` of its eigenvalues, among the modes that decay at
     all. A slow mode that superposes several levels sets the horizon even
     when every level decays fast."""
-    return _horizon(bundle._eig[0])
+    return _horizon(np.linalg.eig(bundle.H_eff)[0], bundle.H_eff)
 
 
 def _expm(A: np.ndarray) -> np.ndarray:
@@ -249,13 +253,18 @@ def _outcome_forms(bundle: CouplingBundle) -> np.ndarray:
     # Kronecker products as broadcasts over the index pairs (a b),(c d).
     # The operator is singular only where two non-decaying modes share a
     # frequency (a dark mode with itself included); the flux forms vanish
-    # there, so the minimum-norm solution is exact.
+    # there, so the minimum-norm solution is exact. For a normal H_eff the
+    # singular value of a mode with itself is that mode's rate, so the solve
+    # drops the singular values that _held would hold as rates.
     A = 1j * bundle.H_eff
     eye = np.eye(n_e)
     K = (A.T[:, None, :, None] * eye[None, :, None, :]
          + eye[:, None, :, None] * A.conj().T[None, :, None, :])
     F = Q.swapaxes(-1, -2).reshape(-1, n_rho).T
-    Z = np.linalg.lstsq(K.reshape(n_rho, n_rho), F, rcond=_LYAPUNOV_RCOND)[0]
+    K = K.reshape(n_rho, n_rho)
+    rate = _rounding_rate(bundle.H_eff)
+    top = np.linalg.svd(K, compute_uv=False)[0]    # lstsq's cutoff is relative to it
+    Z = np.linalg.lstsq(K, F, rcond=rate / top if top > rate else 1.0)[0]
     # Z[(a b), k] = Y_k[b, a]
     return Z.T.reshape(Q.shape).swapaxes(-1, -2)
 
@@ -269,10 +278,10 @@ def _propagate(bundle: CouplingBundle, initial, t_max: float | None = None,
     H = bundle.H_eff
     n_e = H.shape[0]
     rho0, L = _coerce_initial(initial, n_e)
-    lam, V = bundle._eig
+    lam, V = np.linalg.eig(H)
 
     if times is None:
-        horizon = _horizon(lam) if t_max is None else float(t_max)
+        horizon = _horizon(lam, H) if t_max is None else float(t_max)
         if not (np.isfinite(horizon) and horizon > 0):
             raise ValueError(f"t_max must be positive and finite, got {horizon}")
         t_grid = np.linspace(0.0, horizon, int(output_points))
@@ -299,7 +308,7 @@ def _propagate(bundle: CouplingBundle, initial, t_max: float | None = None,
         # times. Its error grows with cond(V), where that of the mode-basis
         # block V^-1 rho0 V^-dagger would grow with its square. A held mode
         # only turns, as the outcome forms take it, and cannot overflow.
-        phi = np.exp(-1j * t_grid[:, None] * np.where(_held(lam), lam.real, lam))
+        phi = np.exp(-1j * t_grid[:, None] * np.where(_held(lam, H), lam.real, lam))
         VC = (V.T[:, :, None] * (V_inv @ L)[:, None, :]).reshape(n_e, -1)
         X = (phi @ VC).reshape(t_grid.size, n_e, -1)
         rhos = np.einsum("tir,tjr->tij", X, X.conj())

@@ -28,7 +28,6 @@ Hamiltonian of the excited manifold is assembled: emission exponentiates it
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -169,15 +168,6 @@ class CouplingBundle:
 
     H_eff: np.ndarray               # (n_e, n_e) non-Hermitian, rate units
     flux_forms: np.ndarray          # (n_g, 3, n_e, n_e) Hermitian PSD
-
-    @cached_property
-    def _eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """``np.linalg.eig(H_eff)``, taken once per bundle, so the default
-        horizon and the propagation read the same modes."""
-        lam, V = np.linalg.eig(self.H_eff)
-        lam.setflags(write=False)
-        V.setflags(write=False)
-        return lam, V
 
     def damping_rate_matrix(self) -> np.ndarray:
         """Hermitian PSD matrix K = i (H_eff - H_eff^H) with dpop/dt =

@@ -512,25 +512,12 @@ class TestBundleReuse:
         assert run_cli(monkeypatch, tmp_path, "run", scenario, "--out", "o.csv") == 0
         assert len(calls) == 1
 
-    def test_one_eigendecomposition_per_emission_run(self, monkeypatch, tmp_path):
-        # the default t_max and the propagation read the modes of one bundle
-        eig = np.linalg.eig
-        calls = []
-
-        def counting(H):
-            calls.append(H.shape)
-            return eig(H)
-        monkeypatch.setattr(np.linalg, "eig", counting)
-        assert run_cli(monkeypatch, tmp_path, "run", "paradox-emission", "--out", "o.csv") == 0
-        assert calls == [(2, 2)]
-
 
 class TestParseOnce:
     @pytest.mark.parametrize("scenario", PRESET_NAMES)
     def test_one_parse_and_one_validate_per_run(self, monkeypatch, tmp_path, scenario):
-        # flags are folded into the expanded config, so one parse builds the
-        # model; the command line parses through the private _parse
-        calls = {"_parse": 0, "validate": 0}
+        # flags are folded into the raw config, so one parse builds the model
+        calls = {"parse_config": 0, "validate": 0}
 
         def counting(name, original):
             def wrapper(*args, **kwargs):
@@ -544,23 +531,7 @@ class TestParseOnce:
                     monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         assert run_cli(monkeypatch, tmp_path, "run", scenario, "--loss", "0.2",
                        "--out", "o.csv") == 0
-        assert calls == {"_parse": 1, "validate": 1}
-
-    @pytest.mark.parametrize("scenario, argv", [
-        *[(name, ()) for name in PRESET_NAMES],
-        ("ixi-scan", ("--steps", "11")),
-    ])
-    def test_one_preset_expansion_per_run(self, monkeypatch, tmp_path, scenario, argv):
-        # the flags are folded into the expanded config, which is not expanded again
-        expand = wgqed.cli._expand
-        calls = []
-
-        def counting(data):
-            calls.append(data.get("scenario"))
-            return expand(data)
-        monkeypatch.setattr(wgqed.cli, "_expand", counting)
-        assert run_cli(monkeypatch, tmp_path, "run", scenario, *argv, "--out", "o.csv") == 0
-        assert calls == [scenario]
+        assert calls == {"parse_config": 1, "validate": 1}
 
 
 # Values of the wrong type for any field or section of a config.

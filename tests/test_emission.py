@@ -228,6 +228,19 @@ class TestGeneratorEdgeCases:
         assert p_loss == pytest.approx(0.64 * (1 - np.exp(-20.0)), abs=1e-11)
         assert residual == pytest.approx(0.64 * np.exp(-20.0), rel=1e-12)
 
+    def test_nearly_dark_detuned_level_decays_over_default_horizon(self):
+        # detuned by 999, level y keeps its loss rate 3e-12, far below the
+        # spread of H_eff but well above its rounding: the mode is not held,
+        # so it sets the horizon and its population ends in the loss column
+        model = EmitterModel.from_arrays([0.0], [1.0, 1000.0], [[[1, 0, 0], [0, 1, 0]]])
+        psi = ExcitedSuperposition.from_sequence([0.6, 0.8])
+        traj = evolve(model, make_env([1, 0, 0]), LossModel.isotropic(3e-12), psi)
+        p_f, p_b, p_loss, residual = traj.final_totals
+        assert traj.times[-1] == pytest.approx(20 / 3e-12)
+        assert p_f == pytest.approx(0.18, abs=1e-12)
+        assert p_loss == pytest.approx(0.64 * (1 - np.exp(-20.0)), abs=1e-11)
+        assert residual == pytest.approx(0.64 * np.exp(-20.0), rel=1e-12)
+
     def test_default_horizon_follows_slow_superposed_mode(self):
         # at E_f = (cos 0.3, sin 0.3, 0) each level decays at a guided rate
         # (9.13 and 0.87), but the superposition orthogonal to E_f couples
@@ -451,7 +464,7 @@ class TestExceptionalPoint:
     ])
     def test_rounded_dark_mode_is_held_as_the_outcome_forms_hold_it(self, a, b):
         # eig gives the dark mode (b, -a) an imaginary part of rounding size;
-        # the Lyapunov cutoff takes it as never emitting, so the propagation
+        # the Lyapunov solve drops it as never emitting, so the propagation
         # must not decay it either, or the trace drifts by t = 1e15
         model = EmitterModel.from_arrays([0.0], [1.0, 1.0], [[[a, 0, 0], [b, 0, 0]]])
         traj = evolve(model, make_env([1, 0, 0]), LossModel.none(),
