@@ -9,7 +9,6 @@ from .emitter import (
     PolarizationVector,
     effective_dipole,
     rotate_excited_basis,
-    validate,
 )
 from .emission import (
     CHANNELS,
@@ -88,6 +87,5 @@ __all__ = [
     "rotate_excited_basis",
     "scatter",
     "two_level_closed_form",
-    "validate",
     "__version__",
 ]

@@ -117,7 +117,7 @@ def _coerce_initial(initial, n_e: int) -> tuple[np.ndarray, np.ndarray]:
                 f"initial superposition has {psi.size} amplitudes for {n_e} excited states"
             )
         norm = initial.norm()
-        if abs(norm - 1.0) > INITIAL_NORM_TOL:
+        if not (abs(norm - 1.0) <= INITIAL_NORM_TOL):
             raise NonPhysicalStateError(
                 f"initial superposition norm {norm:.17g} differs from 1 beyond {INITIAL_NORM_TOL}"
             )
@@ -127,12 +127,14 @@ def _coerce_initial(initial, n_e: int) -> tuple[np.ndarray, np.ndarray]:
         raise NonPhysicalStateError(
             f"initial density matrix must be {n_e} x {n_e}, got {rho.shape}"
         )
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
+    if not np.isfinite(rho).all():
+        raise NonPhysicalStateError("initial density matrix has a non-finite entry")
+    if not (np.max(np.abs(rho - rho.conj().T)) <= 1e-12):
         raise NonPhysicalStateError("initial density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > INITIAL_NORM_TOL:
+    if not (abs(np.trace(rho).real - 1.0) <= INITIAL_NORM_TOL):
         raise NonPhysicalStateError("initial density matrix trace differs from 1")
     w, Q = np.linalg.eigh(0.5 * (rho + rho.conj().T))
-    if np.min(w) < -1e-10:
+    if not (np.min(w) >= -1e-10):
         raise NonPhysicalStateError("initial density matrix is not positive semidefinite")
     return rho, Q * np.sqrt(np.maximum(w, 0.0))
 
@@ -231,7 +233,7 @@ def evolve(
     :class:`NonPhysicalStateError` for a non-finite state or when the total
     trace drifts beyond ``TRACE_DRIFT_TOL``.
     """
-    bundle = coupling_bundle(model, env, loss)    # validates the model first
+    bundle = coupling_bundle(model, env, loss)
     t_grid, rhos, probs = _propagate(bundle, initial, t_max, times, output_points)
     totals = DirectionalTotals(*probs[-1].sum(axis=0).tolist(), float(np.trace(rhos[-1]).real))
     return EmissionTrajectory(t_grid, tuple(map(EmitterDensityMatrix, rhos, probs)), totals)

@@ -9,7 +9,8 @@ absent entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -37,7 +38,8 @@ class PolarizationVector:
     def __init__(self, components: Sequence[complex] | complex, *rest: complex):
         if rest:
             components = (components, *rest)  # type: ignore[assignment]
-        arr = np.asarray(components, dtype=complex).reshape(-1)
+        # a copy, so that a later write to the caller's array cannot change it
+        arr = np.asarray(components, dtype=complex).flatten()
         if arr.size == 2:
             arr = np.append(arr, 0.0 + 0.0j)
         if arr.size != 3:
@@ -70,6 +72,9 @@ class PolarizationVector:
             return NotImplemented
         return bool(np.array_equal(self._c, other._c))
 
+    def __hash__(self) -> int:
+        return hash(self.components)
+
     def __repr__(self) -> str:
         return f"PolarizationVector({self.components!r})"
 
@@ -77,11 +82,49 @@ class PolarizationVector:
 @dataclass(frozen=True)
 class EmitterModel:
     """Level energies plus the dipole matrix ``dipoles[n][m]`` linking ground
-    state ``n`` to excited state ``m``. Immutable after construction."""
+    state ``n`` to excited state ``m``. Immutable after construction.
+
+    Construction checks the model and raises :class:`ModelValidationError`
+    with code ``empty-manifold``, ``dimension-mismatch`` or
+    ``non-finite-entry``. The shapes are checked before the dipole array is
+    built, so a ragged dipole matrix is reported as a dimension mismatch.
+    The array is kept read-only and takes no part in equality, hashing or
+    the repr.
+    """
 
     ground_energies: tuple[float, ...]
     excited_energies: tuple[float, ...]
     dipoles: tuple[tuple[PolarizationVector, ...], ...]
+    _array: np.ndarray = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        n_g, n_e = len(self.ground_energies), len(self.excited_energies)
+        if n_g < 1 or n_e < 1:
+            raise ModelValidationError(
+                "empty-manifold",
+                f"need at least one ground and one excited state, got {n_g} x {n_e}",
+            )
+        if len(self.dipoles) != n_g:
+            raise ModelValidationError(
+                "dimension-mismatch",
+                f"dipole matrix has {len(self.dipoles)} rows for {n_g} ground states",
+            )
+        for n, row in enumerate(self.dipoles):
+            if len(row) != n_e:
+                raise ModelValidationError(
+                    "dimension-mismatch",
+                    f"dipole row {n} has {len(row)} entries for {n_e} excited states",
+                )
+        if not all(map(math.isfinite, self.ground_energies + self.excited_energies)):
+            raise ModelValidationError("non-finite-entry", "level energies must be finite")
+        D = np.array([[vec.as_array() for vec in row] for row in self.dipoles], dtype=complex)
+        if not np.isfinite(D).all():
+            n, m = np.argwhere(~np.isfinite(D).all(axis=-1))[0]
+            raise ModelValidationError(
+                "non-finite-entry", f"dipole ({n}, {m}) has a non-finite component"
+            )
+        D.setflags(write=False)
+        object.__setattr__(self, "_array", D)
 
     @classmethod
     def from_arrays(cls, ground_energies, excited_energies, dipoles) -> "EmitterModel":
@@ -104,10 +147,8 @@ class EmitterModel:
         return len(self.excited_energies)
 
     def dipole_array(self) -> np.ndarray:
-        """Dipoles as a complex (n_ground, n_excited, 3) array."""
-        return np.array(
-            [[vec.as_array() for vec in row] for row in self.dipoles], dtype=complex
-        )
+        """Read-only complex (n_ground, n_excited, 3) array of the dipoles."""
+        return self._array
 
 
 @dataclass(frozen=True)
@@ -127,53 +168,6 @@ class ExcitedSuperposition:
         return float(np.sqrt(np.sum(np.abs(self.as_array()) ** 2)))
 
 
-def validate(model: EmitterModel) -> None:
-    """Check the structural invariants of an emitter model.
-
-    Raises :class:`ModelValidationError` with code ``empty-manifold``,
-    ``dimension-mismatch`` or ``non-finite-entry``; returns ``None`` when the
-    model is well formed.
-    """
-    _validated_dipoles(model)
-
-
-def _validated_dipoles(model: EmitterModel) -> np.ndarray:
-    """:func:`validate` the model and return its (n_g, n_e, 3) dipole array.
-
-    The shape checks run before the array is built, so a ragged dipole
-    matrix is reported as a dimension mismatch.
-    """
-    n_g = len(model.ground_energies)
-    n_e = len(model.excited_energies)
-    if n_g < 1 or n_e < 1:
-        raise ModelValidationError(
-            "empty-manifold",
-            f"need at least one ground and one excited state, got {n_g} x {n_e}",
-        )
-    if len(model.dipoles) != n_g:
-        raise ModelValidationError(
-            "dimension-mismatch",
-            f"dipole matrix has {len(model.dipoles)} rows for {n_g} ground states",
-        )
-    for n, row in enumerate(model.dipoles):
-        if len(row) != n_e:
-            raise ModelValidationError(
-                "dimension-mismatch",
-                f"dipole row {n} has {len(row)} entries for {n_e} excited states",
-            )
-    energies = np.array(model.ground_energies + model.excited_energies, dtype=float)
-    if not np.isfinite(energies).all():
-        raise ModelValidationError("non-finite-entry", "level energies must be finite")
-    D = model.dipole_array()
-    finite = np.isfinite(D).all(axis=-1)
-    if not finite.all():
-        n, m = np.argwhere(~finite)[0]
-        raise ModelValidationError(
-            "non-finite-entry", f"dipole ({n}, {m}) has a non-finite component"
-        )
-    return D
-
-
 def effective_dipole(
     model: EmitterModel, ground_index: int, state: ExcitedSuperposition
 ) -> PolarizationVector:
@@ -182,6 +176,8 @@ def effective_dipole(
 
     Linear in the amplitudes.
     """
+    if isinstance(ground_index, bool) or not isinstance(ground_index, (int, np.integer)):
+        raise ValueError(f"ground_index must be an integer, got {ground_index!r}")
     if not 0 <= ground_index < model.n_ground:
         raise IndexError(
             f"ground index {ground_index} out of range for {model.n_ground} ground states"
@@ -196,6 +192,7 @@ def effective_dipole(
     return PolarizationVector(amps @ row)
 
 
+@np.errstate(all="ignore")
 def rotate_excited_basis(model: EmitterModel, U) -> EmitterModel:
     """Re-express the model in a rotated excited-state basis.
 
@@ -205,7 +202,6 @@ def rotate_excited_basis(model: EmitterModel, U) -> EmitterModel:
     degenerate excited manifold, where it commutes with the bare Hamiltonian;
     anything else is rejected rather than silently rotated.
     """
-    D = _validated_dipoles(model)  # (n_g, n_e, 3)
     U = np.asarray(U, dtype=complex)
     n_e = model.n_excited
     if U.shape != (n_e, n_e):
@@ -213,7 +209,7 @@ def rotate_excited_basis(model: EmitterModel, U) -> EmitterModel:
             f"rotation must be {n_e} x {n_e}, got {U.shape}"
         )
     defect = np.max(np.abs(U @ U.conj().T - np.eye(n_e)))
-    if defect > UNITARY_TOL:
+    if not (defect <= UNITARY_TOL):
         raise NonUnitaryMatrixError(
             f"matrix is not unitary (max |U U^dag - 1| = {defect:.3e})"
         )
@@ -223,7 +219,7 @@ def rotate_excited_basis(model: EmitterModel, U) -> EmitterModel:
         raise NonDegenerateManifoldError(
             f"excited manifold is not degenerate (energy spread {spread:.3e})"
         )
-    rotated = np.einsum("ax,nxi->nai", U, D)
+    rotated = np.einsum("ax,nxi->nai", U, model.dipole_array())
     return EmitterModel.from_arrays(
         model.ground_energies, model.excited_energies, rotated
     )

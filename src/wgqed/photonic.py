@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .emitter import EmitterModel, PolarizationVector, _validated_dipoles
+from .emitter import EmitterModel, PolarizationVector
 from .errors import ModelValidationError, NonPhysicalStateError
 
 CHANNELS = ("forward", "backward", "loss")
@@ -238,7 +238,7 @@ def coupling_bundle(
     apart from ``H_eff``, so that emission can check one against the other.
     An overflowing ``H_eff`` raises.
     """
-    D = _validated_dipoles(model)                 # (n_g, n_e, 3)
+    D = model.dipole_array()                      # (n_g, n_e, 3)
     B = guided_couplings(D, env.E_f.as_array())   # (2, n_e, n_g)
     H_eff = effective_hamiltonian(D, B, model.excited_energies, env, loss)
     if not np.isfinite(H_eff).all():

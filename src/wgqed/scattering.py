@@ -45,7 +45,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .emitter import EmitterModel, PolarizationVector, _validated_dipoles
+from .emitter import EmitterModel, PolarizationVector
 from .errors import (
     IllConditionedResponseWarning,
     NonPhysicalStateError,
@@ -213,7 +213,7 @@ def _scatter_fields(
     the result at a failed index is meaningless. Only singular,
     ill-conditioned or overflowing slices leave the one stacked solve.
     """
-    D = _validated_dipoles(model)
+    D = model.dipole_array()
     n_g = model.n_ground
     r = inp.ground_index
     if not 0 <= r < n_g:

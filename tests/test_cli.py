@@ -515,9 +515,11 @@ class TestBundleReuse:
 
 class TestParseOnce:
     @pytest.mark.parametrize("scenario", PRESET_NAMES)
-    def test_one_parse_and_one_validate_per_run(self, monkeypatch, tmp_path, scenario):
-        # flags are folded into the raw config, so one parse builds the model
-        calls = {"parse_config": 0, "validate": 0}
+    def test_one_parse_and_one_model_check_per_run(self, monkeypatch, tmp_path, scenario):
+        # flags are folded into the raw config, so one parse builds the model,
+        # and the model checks itself once, when it is built; the solvers
+        # read its checked dipole array
+        calls = {"parse_config": 0, "model_check": 0}
 
         def counting(name, original):
             def wrapper(*args, **kwargs):
@@ -525,13 +527,13 @@ class TestParseOnce:
                 return original(*args, **kwargs)
             return wrapper
 
-        for name in calls:
-            for module in (wgqed, wgqed.emitter, wgqed.cli):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        monkeypatch.setattr(wgqed.cli, "parse_config",
+                            counting("parse_config", wgqed.cli.parse_config))
+        monkeypatch.setattr(wgqed.EmitterModel, "__post_init__",
+                            counting("model_check", wgqed.EmitterModel.__post_init__))
         assert run_cli(monkeypatch, tmp_path, "run", scenario, "--loss", "0.2",
                        "--out", "o.csv") == 0
-        assert calls == {"parse_config": 1, "validate": 1}
+        assert calls == {"parse_config": 1, "model_check": 1}
 
 
 # Values of the wrong type for any field or section of a config.
@@ -602,10 +604,10 @@ def mutated_preset_configs(draw):
     return cfg
 
 
-def _custom_sweep(path, value):
-    """CUSTOM_SCATTER with loss 0.2, so that it runs clean, and the field at
-    ``path`` (keys and indices) set to ``value``."""
-    cfg = json.loads(json.dumps(dict(CUSTOM_SCATTER, loss={"isotropic": 0.2})))
+def _with(cfg, path, value):
+    """A deep copy of ``cfg`` with the field at ``path`` (keys and indices)
+    set to ``value``."""
+    cfg = json.loads(json.dumps(cfg))
     *parents, last = path
     target = cfg
     for key in parents:
@@ -614,10 +616,38 @@ def _custom_sweep(path, value):
     return cfg
 
 
+# CUSTOM_SCATTER with loss 0.2, so that it runs clean
+_CLEAN_SWEEP = dict(CUSTOM_SCATTER, loss={"isotropic": 0.2})
+
+
+def _custom_sweep(path, value):
+    """_CLEAN_SWEEP with the field at ``path`` set to ``value``."""
+    return _with(_CLEAN_SWEEP, path, value)
+
+
 _CUSTOM_EMISSION = dict(
     {key: value for key, value in CUSTOM_SCATTER.items() if key != "sweep"},
     mode="emission", initial_state=[[1, 0], [0, 0]],
 )
+_LOSS_TENSOR = {"tensor": [[[0, 0.2 if i == j else 0] for j in range(3)] for i in range(3)]}
+# every numeric field of a config, with a config that runs clean around it
+_NUMERIC_FIELDS = [
+    (_CLEAN_SWEEP, ["emitter", "ground_energies", 0]),
+    (_CLEAN_SWEEP, ["emitter", "excited_energies", 1]),
+    (_CLEAN_SWEEP, ["emitter", "dipoles", 0, 1, 1, 0]),
+    (_CLEAN_SWEEP, ["emitter", "dipoles", 0, 0, 2, 1]),
+    (_CLEAN_SWEEP, ["waveguide", "a"]),
+    (_CLEAN_SWEEP, ["waveguide", "v_g"]),
+    (_CLEAN_SWEEP, ["waveguide", "omega"]),
+    (_CLEAN_SWEEP, ["waveguide", "E_f", 1, 1]),
+    (_CLEAN_SWEEP, ["loss", "isotropic"]),
+    (_custom_sweep(["loss"], _LOSS_TENSOR), ["loss", "tensor", 1, 1, 1]),
+    (_CLEAN_SWEEP, ["input", "photon_frequency"]),
+    (_CLEAN_SWEEP, ["sweep", "start"]),
+    (_CLEAN_SWEEP, ["sweep", "stop"]),
+    (dict(_CUSTOM_EMISSION, integrator={"t_max": 2.0}), ["integrator", "t_max"]),
+    (_CUSTOM_EMISSION, ["initial_state", 0, 0]),
+]
 _HUGE_DIPOLE_EMITTER = _custom_sweep(["emitter", "dipoles", 0, 0, 0, 0], 1e200)["emitter"]
 
 
@@ -687,6 +717,28 @@ class TestExitCodeContract:
         assert failed.sum() == outcome and np.isfinite(data[~failed]).all()
         if code == 0:
             np.testing.assert_allclose(data[:, 1:3], [[1.0, 0.0]] * len(data), atol=1e-12)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
+                             ids=["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("cfg,path", _NUMERIC_FIELDS,
+                             ids=[".".join(map(str, path)) for _, path in _NUMERIC_FIELDS])
+    def test_non_finite_json_number_exits_one(self, monkeypatch, tmp_path, capsys,
+                                              cfg, path, value):
+        # Python's json reads NaN, Infinity and -Infinity; each is a config
+        # error wherever it stands, and no output is written
+        text = json.dumps(_with(cfg, path, value))
+        assert ("NaN" if value != value else "Infinity") in text
+        (tmp_path / "c.json").write_text(text)
+        assert run_cli(monkeypatch, tmp_path, "run", "c.json", "--out", "o.csv") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("wgqed: configuration error") and "Traceback" not in err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_clean_configs_around_numeric_fields_run(self, monkeypatch, tmp_path):
+        # the configs the non-finite test starts from are valid as they are
+        for k, (cfg, _) in enumerate(_NUMERIC_FIELDS):
+            (tmp_path / f"{k}.json").write_text(json.dumps(cfg))
+            assert run_cli(monkeypatch, tmp_path, "run", f"{k}.json", "--out", f"{k}.csv") == 0
 
     @pytest.mark.parametrize("cfg,mode", [
         (dict(_CUSTOM_EMISSION, emitter=_HUGE_DIPOLE_EMITTER), "emission"),

@@ -519,11 +519,22 @@ class TestInterfaces:
 
     def test_model_error_precedes_initial_state_error(self):
         # a non-finite dipole and an unnormalized state: the model is named
-        model = EmitterModel.from_arrays([0.0], [1.0], [[[np.nan, 0, 0]]])
+        # when it is built, before any evolve can see the state
         with pytest.raises(ModelValidationError) as exc:
-            evolve(model, make_env([1, 0, 0]), LossModel.none(),
-                   ExcitedSuperposition.from_sequence([0.5]))
+            EmitterModel.from_arrays([0.0], [1.0], [[[np.nan, 0, 0]]])
         assert exc.value.code == "non-finite-entry"
+
+    @pytest.mark.parametrize("initial,message", [
+        (ExcitedSuperposition.from_sequence([np.nan, 1.0]), "initial superposition norm nan"),
+        (np.array([[np.nan, 0], [0, 1]], dtype=complex), "initial density matrix has a non-finite"),
+        (np.array([[1, np.inf], [np.inf, 0]], dtype=complex),
+         "initial density matrix has a non-finite"),
+    ], ids=["nan-superposition", "nan-density-matrix", "inf-density-matrix"])
+    def test_non_finite_initial_state_named(self, initial, message):
+        # every comparison with nan is false: the checks are written so that
+        # nan fails them, and the error names the initial state
+        with pytest.raises(NonPhysicalStateError, match=message):
+            evolve(paradox_model(), make_env([1, 0, 0]), LossModel.none(), initial)
 
     def test_non_hermitian_density_matrix_rejected(self):
         rho = np.array([[0.5, 0.5], [0.1, 0.5]], dtype=complex)
@@ -641,7 +652,7 @@ class TestOutcomeForms:
         if not dark:
             loss = LossModel.isotropic(float(rng.uniform(0.01, 0.5)))
             return model, make_env(random_unit_vector(rng)), loss
-        D = model.dipole_array()
+        D = model.dipole_array().copy()
         D[:, 0] = 0.0
         model = EmitterModel.from_arrays(model.ground_energies, model.excited_energies, D)
         return model, make_env(random_unit_vector(rng)), LossModel.none()

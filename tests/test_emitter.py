@@ -6,18 +6,15 @@ import pytest
 from wgqed import (
     EmitterModel,
     ExcitedSuperposition,
-    LossModel,
     ModelValidationError,
     NonDegenerateManifoldError,
     NonUnitaryMatrixError,
     PolarizationVector,
-    coupling_bundle,
     effective_dipole,
     rotate_excited_basis,
-    validate,
 )
 
-from conftest import make_env, random_model, random_unitary
+from conftest import random_model, random_unitary
 
 
 def v_system() -> EmitterModel:
@@ -51,70 +48,99 @@ class TestPolarizationVector:
         with pytest.raises(ValueError):
             v.as_array()[0] = 2.0
 
+    def test_later_write_to_the_input_array_leaves_it_alone(self):
+        a = np.array([1, 0, 0], dtype=complex)
+        v = PolarizationVector(a)
+        a[0] = 2.0
+        assert v == PolarizationVector([1, 0, 0])
+
 
 class TestValidate:
+    """The model checks itself when it is built."""
+
     def test_well_formed_v_system(self):
-        validate(v_system())  # 1 ground, 2 excited, 2 dipoles
+        D = v_system().dipole_array()  # 1 ground, 2 excited, 2 dipoles
+        np.testing.assert_array_equal(D, [[[1, 0, 0], [0, 1, 0]]])
+        assert D.dtype == complex
+
+    def test_dipole_array_is_read_only(self):
+        with pytest.raises(ValueError):
+            v_system().dipole_array()[0, 0, 0] = 2.0
+
+    def test_later_write_to_the_input_array_leaves_the_model_alone(self):
+        # the dipoles and the checked array must not drift apart
+        D = np.array([[[1, 0, 0], [0, 1, 0]]], dtype=complex)
+        model = EmitterModel.from_arrays([0.0], [1.0, 1.0], D)
+        D[0, 0, 0] = np.nan
+        assert model == v_system()
+        np.testing.assert_array_equal(model.dipole_array(), v_system().dipole_array())
+
+    def test_array_leaves_equality_hash_and_repr_alone(self):
+        a, b = v_system(), v_system()
+        assert a == b and hash(a) == hash(b)
+        assert a != EmitterModel.from_arrays([0.0], [1.0, 1.0], [[[1, 0, 0], [0, 0, 1]]])
+        assert "_array" not in repr(a) and "array(" not in repr(a)
 
     def test_dipole_row_count_mismatch(self):
         vec = PolarizationVector([1, 0, 0])
-        model = EmitterModel(
-            ground_energies=(0.0,),
-            excited_energies=(1.0,),
-            dipoles=((vec,), (vec,)),  # 2 x 1 dipole matrix, 1 ground declared
-        )
         with pytest.raises(ModelValidationError) as exc:
-            validate(model)
+            EmitterModel(
+                ground_energies=(0.0,),
+                excited_energies=(1.0,),
+                dipoles=((vec,), (vec,)),  # 2 x 1 dipole matrix, 1 ground declared
+            )
         assert exc.value.code == "dimension-mismatch"
+        assert str(exc.value) == "dipole matrix has 2 rows for 1 ground states"
 
     def test_ragged_row_rejected(self):
         vec = PolarizationVector([1, 0, 0])
-        model = EmitterModel(
-            ground_energies=(0.0,),
-            excited_energies=(1.0, 1.0),
-            dipoles=((vec,),),
-        )
         with pytest.raises(ModelValidationError) as exc:
-            validate(model)
+            EmitterModel(
+                ground_energies=(0.0,),
+                excited_energies=(1.0, 1.0),
+                dipoles=((vec,),),
+            )
         assert exc.value.code == "dimension-mismatch"
+        assert str(exc.value) == "dipole row 0 has 1 entries for 2 excited states"
+
+    @pytest.mark.parametrize("ground,excited", [([np.nan], [1.0]), ([0.0], [np.inf])])
+    def test_non_finite_energy_rejected(self, ground, excited):
+        with pytest.raises(ModelValidationError) as exc:
+            EmitterModel.from_arrays(ground, excited, [[[1, 0, 0]]])
+        assert exc.value.code == "non-finite-entry"
+        assert str(exc.value) == "level energies must be finite"
 
     def test_nan_dipole_rejected(self):
-        model = EmitterModel.from_arrays([0.0], [1.0], [[[np.nan, 0, 0]]])
         with pytest.raises(ModelValidationError) as exc:
-            validate(model)
+            EmitterModel.from_arrays([0.0], [1.0], [[[np.nan, 0, 0]]])
         assert exc.value.code == "non-finite-entry"
 
     def test_first_non_finite_dipole_in_row_major_order_named(self):
         D = np.ones((2, 2, 3), dtype=complex)
         D[1, 0, 0] = np.nan
         D[0, 1, 2] = complex(0.0, np.inf)
-        model = EmitterModel.from_arrays([0.0, 0.0], [1.0, 1.0], D)
         with pytest.raises(ModelValidationError) as exc:
-            validate(model)
+            EmitterModel.from_arrays([0.0, 0.0], [1.0, 1.0], D)
         assert exc.value.code == "non-finite-entry"
-        assert "dipole (0, 1)" in str(exc.value)
+        assert str(exc.value) == "dipole (0, 1) has a non-finite component"
 
     def test_ragged_rows_reported_before_non_finite_entries(self):
         # rows of unequal length cannot form a dipole array; the mismatch is
         # reported as such, not as a numpy error or a non-finite entry
         vec = PolarizationVector([1, 0, 0])
         bad = PolarizationVector([np.nan, 0, 0])
-        model = EmitterModel(
-            ground_energies=(0.0, 0.0),
-            excited_energies=(1.0, 1.0),
-            dipoles=((bad, vec), (vec,)),
-        )
-        for check in (validate, lambda m: coupling_bundle(m, make_env([1, 0, 0]),
-                                                           LossModel.none())):
-            with pytest.raises(ModelValidationError) as exc:
-                check(model)
-            assert exc.value.code == "dimension-mismatch"
+        with pytest.raises(ModelValidationError) as exc:
+            EmitterModel(
+                ground_energies=(0.0, 0.0),
+                excited_energies=(1.0, 1.0),
+                dipoles=((bad, vec), (vec,)),
+            )
+        assert exc.value.code == "dimension-mismatch"
 
     @pytest.mark.parametrize("ground,excited", [((), (1.0,)), ((0.0,), ())])
     def test_empty_manifold_rejected(self, ground, excited):
-        model = EmitterModel(ground_energies=ground, excited_energies=excited, dipoles=())
         with pytest.raises(ModelValidationError) as exc:
-            validate(model)
+            EmitterModel(ground_energies=ground, excited_energies=excited, dipoles=())
         assert exc.value.code == "empty-manifold"
 
 
@@ -156,6 +182,19 @@ class TestEffectiveDipole:
         with pytest.raises(IndexError):
             effective_dipole(v_system(), 3, state)
 
+    @pytest.mark.parametrize("index", [False, True, 1.0, 0.0, "0"])
+    def test_non_integer_ground_index_rejected(self, index):
+        # a bool or a float would index the dipole array as a mask or fail
+        # inside numpy; the message is the one ScatterInput gives
+        model = EmitterModel.from_arrays([0.0, 0.0], [1.0], [[[1, 0, 0]], [[0, 1, 0]]])
+        state = ExcitedSuperposition.from_sequence([1.0])
+        with pytest.raises(ValueError, match=f"ground_index must be an integer, got {index!r}"):
+            effective_dipole(model, index, state)
+
+    def test_numpy_integer_ground_index_accepted(self):
+        state = ExcitedSuperposition.from_sequence([1.0, 0.0])
+        assert effective_dipole(v_system(), np.int64(0), state) == PolarizationVector([1, 0, 0])
+
 
 class TestRotateExcitedBasis:
     def test_identity_leaves_model_unchanged(self):
@@ -185,6 +224,19 @@ class TestRotateExcitedBasis:
     def test_non_unitary_rejected(self):
         with pytest.raises(NonUnitaryMatrixError):
             rotate_excited_basis(v_system(), [[1, 0], [0, 2]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_rotation_rejected(self, bad):
+        U = np.eye(2, dtype=complex)
+        U[0, 1] = bad
+        with pytest.raises(NonUnitaryMatrixError, match="not unitary"):
+            rotate_excited_basis(v_system(), U)
+
+    def test_overflowing_rotation_rejected(self):
+        # finite entries whose U U^dagger overflows to inf - inf = nan, so
+        # the defect is nan: the check is written so that nan fails it
+        with pytest.raises(NonUnitaryMatrixError, match="not unitary"):
+            rotate_excited_basis(v_system(), [[1e300, 1e300], [1e300, -1e300]])
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(NonUnitaryMatrixError):
