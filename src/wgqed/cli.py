@@ -132,8 +132,12 @@ _DEFAULTS = {
 
 
 def _finite_number(value) -> bool:
-    return (not isinstance(value, bool) and isinstance(value, (int, float))
-            and math.isfinite(value))
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:       # a JSON integer beyond the float range
+        return False
 
 
 def _integer(value) -> bool:
@@ -146,6 +150,10 @@ def _object(value) -> bool:
 
 def _array(value) -> bool:
     return isinstance(value, (list, tuple))
+
+
+def _finite_numbers(value) -> bool:
+    return _array(value) and all(map(_finite_number, value))
 
 
 def _angle(value) -> bool:
@@ -175,9 +183,12 @@ _FIELD_RULES = {
     "integrator": (_object, "an object"),
     "output": (_object, "an object"),
     "dark_state_projection": (lambda v: isinstance(v, bool), "true or false"),
-    "emitter.ground_energies": (_array, "an array"),
-    "emitter.excited_energies": (_array, "an array"),
+    "emitter.ground_energies": (_finite_numbers, "an array of finite numbers"),
+    "emitter.excited_energies": (_finite_numbers, "an array of finite numbers"),
     "emitter.dipoles": (_array, "an array"),
+    "waveguide.a": (_finite_number, "a finite number"),
+    "waveguide.v_g": (_finite_number, "a finite number"),
+    "waveguide.omega": (_finite_number, "a finite number"),
     "loss.isotropic": (lambda v: _finite_number(v) and v >= 0,
                        "a finite non-negative number"),
     "input.direction": (lambda v: v in MODES, f"one of {MODES}"),
@@ -198,13 +209,12 @@ _FIELD_RULES = {
 
 
 def _complex_pair(value, fieldname: str) -> complex:
-    try:
-        re, im = value
-        return complex(float(re), float(im))
-    except (TypeError, ValueError) as exc:
+    if not (_array(value) and len(value) == 2 and all(map(_finite_number, value))):
         raise ConfigError(
-            f"{fieldname}: expected a [re, im] pair, got {value!r}", field=fieldname
-        ) from exc
+            f"{fieldname}: expected a [re, im] pair of finite numbers, got {value!r}",
+            field=fieldname,
+        )
+    return complex(*value)
 
 
 def _check_keys(d: dict, allowed, prefix: str) -> None:

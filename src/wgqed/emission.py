@@ -32,6 +32,7 @@ diagonal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -218,25 +219,29 @@ def evolve(
     ``initial`` is an :class:`ExcitedSuperposition` or an excited-block
     density matrix. Output states are stored at ``times`` (a nonempty,
     finite, strictly increasing grid starting at 0) or at ``output_points``
-    uniform samples of ``[0, t_max]``; ``t_max`` defaults to 20 lifetimes of
-    the slowest decaying mode of ``H_eff``. Every sample is exact to rounding:
-    the generator does not depend on time, so the excited block is
-    ``U rho0 U^dagger`` with ``U = exp(-i H_eff t)``, and each accumulated
-    probability is ``tr(Y (rho0 - rho(t)))``, where ``Y``, the probability of
-    eventually emitting into that channel, solves one adjoint Lyapunov
-    equation (Van Loan, IEEE TAC 23, 1978). ``U`` is
+    uniform samples of ``[0, t_max]``, not both; ``t_max`` defaults to 20
+    lifetimes of the slowest decaying mode of ``H_eff``. Every sample is
+    exact to rounding: the generator does not depend on time, so the excited
+    block is ``U rho0 U^dagger`` with ``U = exp(-i H_eff t)``, and each
+    accumulated probability is ``tr(Y (rho0 - rho(t)))``, where ``Y``, the
+    probability of eventually emitting into that channel, solves one adjoint
+    Lyapunov equation (Van Loan, IEEE TAC 23, 1978). ``U`` is
     ``V diag(exp(-i lam t)) V^-1`` from one eigendecomposition of ``H_eff``
     when the 1-norm condition number of ``V`` is at most 1e3, and a
     degree-13 Pade exponential otherwise, near an exceptional point.
 
-    Raises :class:`ValueError` for an invalid time grid or ``t_max`` and
+    Raises :class:`ValueError` for an invalid time grid, ``t_max`` or
+    ``output_points``, or for both ``t_max`` and ``times``, and
     :class:`NonPhysicalStateError` for a non-finite state or when the total
     trace drifts beyond ``TRACE_DRIFT_TOL``.
     """
     bundle = coupling_bundle(model, env, loss)
     t_grid, rhos, probs = _propagate(bundle, initial, t_max, times, output_points)
     totals = DirectionalTotals(*probs[-1].sum(axis=0).tolist(), float(np.trace(rhos[-1]).real))
-    return EmissionTrajectory(t_grid, tuple(map(EmitterDensityMatrix, rhos, probs)), totals)
+    # tuple.__new__ over zipped fields builds the records without a Python
+    # frame per record.
+    states = tuple(map(tuple.__new__, repeat(EmitterDensityMatrix), zip(rhos, probs)))
+    return EmissionTrajectory(t_grid, states, totals)
 
 
 @np.errstate(all="ignore")
@@ -279,6 +284,13 @@ def _propagate(bundle: CouplingBundle, initial, t_max: float | None = None,
     and the accumulated probabilities (T, n_g, 3), all read-only."""
     H = bundle.H_eff
     n_e = H.shape[0]
+    if t_max is not None and times is not None:
+        raise ValueError("give t_max or times, not both")
+    if isinstance(t_max, bool):
+        raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
+    if (isinstance(output_points, bool) or not isinstance(output_points, (int, np.integer))
+            or output_points < 1):
+        raise ValueError(f"output_points must be a positive integer, got {output_points!r}")
     rho0, L = _coerce_initial(initial, n_e)
     lam, V = np.linalg.eig(H)
 
@@ -286,7 +298,7 @@ def _propagate(bundle: CouplingBundle, initial, t_max: float | None = None,
         horizon = _horizon(lam, H) if t_max is None else float(t_max)
         if not (np.isfinite(horizon) and horizon > 0):
             raise ValueError(f"t_max must be positive and finite, got {horizon}")
-        t_grid = np.linspace(0.0, horizon, int(output_points))
+        t_grid = np.linspace(0.0, horizon, output_points)
     else:
         t_grid = np.array(times, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0 or not np.isfinite(t_grid).all():

@@ -38,6 +38,7 @@ stack too small for the certificate to pay, get their singular values.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from itertools import repeat
@@ -82,8 +83,9 @@ class ScatterInput:
         if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
             raise ValueError(f"ground_index must be an integer, got {index!r}")
         freq = self.photon_frequency
-        if freq is not None and not math.isfinite(float(freq)):
-            raise ValueError(f"photon_frequency must be None or finite, got {freq!r}")
+        if freq is not None and (isinstance(freq, bool) or not isinstance(freq, numbers.Real)
+                                 or not math.isfinite(freq)):
+            raise ValueError(f"photon_frequency must be None or a finite number, got {freq!r}")
 
 
 class ScatteringResult(NamedTuple):
@@ -168,10 +170,7 @@ def _condition_numbers(M: np.ndarray) -> np.ndarray:
     """``np.linalg.cond(M)`` of the stack ``M`` (T, n, n): the ratio of the
     extreme singular values, ``inf`` where the smallest is zero."""
     s = np.linalg.svd(M, compute_uv=False)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        cond = s[:, 0] / s[:, -1]
-    cond[np.isnan(cond)] = np.inf                 # 0 / 0: the zero matrix
-    return cond
+    return np.divide(s[:, 0], s[:, -1], out=np.full(len(s), np.inf), where=s[:, -1] > 0)
 
 
 def _solve_gate(
@@ -184,7 +183,8 @@ def _solve_gate(
     large enough to certify reads 0, which passes both thresholds as its
     true value would. A non-finite slice is neither; its condition number reads nan."""
     finite = np.isfinite(M).all(axis=(-2, -1))
-    if not finite.all():    # the certificate and the SVD see the identity instead
+    all_finite = finite.all()
+    if not all_finite:      # the certificate and the SVD see the identity instead
         M = np.where(finite[:, None, None], M, np.eye(M.shape[-1]))
     if len(M) < _CERTIFY_FROM:
         cond = _condition_numbers(M)
@@ -193,7 +193,8 @@ def _solve_gate(
         exact = np.flatnonzero(active & ~_certified(M))
         if exact.size:
             cond[exact] = _condition_numbers(M[exact])
-    cond[~finite] = np.nan
+    if not all_finite:
+        cond[~finite] = np.nan
     solvable = active & (cond <= COND_SINGULAR_THRESHOLD)
     return solvable, solvable & (cond > COND_WARN_THRESHOLD), cond
 
@@ -231,20 +232,27 @@ def _scatter_fields(
     detunings = np.asarray(model.excited_energies, dtype=float) - E_int
     M = (1j * env.epsilon0 * env.hbar / env.z) * effective_hamiltonian(D, B, detunings, env, loss)
 
-    y = np.zeros(in_vec.shape, dtype=complex)
     errors: dict[int, Exception] = {}
     active = (in_vec != 0).any(axis=1)
     solvable, warn, cond = _solve_gate(M, active)
-    if solvable.any():
-        y[solvable] = np.linalg.solve(M[solvable], in_vec[solvable, :, None])[..., 0]
-    for t in np.flatnonzero(warn):
-        warnings.warn(
-            f"response matrix condition number {cond[t]:.3e} exceeds {COND_WARN_THRESHOLD:.0e}",
-            IllConditionedResponseWarning,
-            stacklevel=4,    # past the errstate wrapper
-        )
-    # a non-finite slice fails even with no input: its couplings may overflow too
-    for t in np.flatnonzero(~solvable & (active | np.isnan(cond))):
+    # the usual case: no slice to mask out, so the stack is solved as it is
+    if solvable.all():
+        y = np.linalg.solve(M, in_vec[..., None])[..., 0]
+        failed = ()
+    else:
+        y = np.zeros(in_vec.shape, dtype=complex)
+        if solvable.any():
+            y[solvable] = np.linalg.solve(M[solvable], in_vec[solvable, :, None])[..., 0]
+        # a non-finite slice fails even with no input: its couplings may overflow too
+        failed = np.flatnonzero(~solvable & (active | np.isnan(cond)))
+    if warn.any():
+        for t in np.flatnonzero(warn):
+            warnings.warn(
+                f"response matrix condition number {cond[t]:.3e} exceeds {COND_WARN_THRESHOLD:.0e}",
+                IllConditionedResponseWarning,
+                stacklevel=4,    # past the errstate wrapper
+            )
+    for t in failed:
         try:
             y[t] = _solve_dark(M[t], in_vec[t], dark_state_projection, cond[t])
         except (WgqedError, np.linalg.LinAlgError) as exc:

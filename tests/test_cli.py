@@ -423,6 +423,31 @@ class TestOutputsAndExitCodes:
         assert f"(field: {field})" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("path,value,field", [
+        (["emitter", "dipoles", 0, 0, 0], ["1", 0], "emitter.dipoles"),
+        (["waveguide", "E_f", 0], [True, False], "waveguide.E_f"),
+        (["loss"], {"tensor": [[["0.2", "0"]] * 3] * 3}, "loss.tensor"),
+        (["waveguide", "a"], True, "waveguide.a"),
+        (["waveguide", "v_g"], "0.1", "waveguide.v_g"),
+        (["waveguide", "omega"], "1", "waveguide.omega"),
+        (["emitter", "excited_energies", 1], "1", "emitter.excited_energies"),
+        (["emitter", "ground_energies", 0], True, "emitter.ground_energies"),
+        (["waveguide", "a"], 10 ** 400, "waveguide.a"),
+        (["loss", "isotropic"], 10 ** 400, "loss.isotropic"),
+    ], ids=["string-dipole-part", "boolean-field-parts", "string-loss-tensor",
+            "boolean-a", "string-v_g", "string-omega", "string-excited-energy",
+            "boolean-ground-energy", "integer-a-beyond-float-range",
+            "integer-isotropic-loss-beyond-float-range"])
+    def test_non_number_in_numeric_field_exits_one(self, monkeypatch, tmp_path, capsys,
+                                                   path, value, field):
+        # every number of a config is a finite JSON number: no string, bool
+        # or integer beyond the float range is converted on the way
+        (tmp_path / "c.json").write_text(json.dumps(_custom_sweep(path, value)))
+        assert run_cli(monkeypatch, tmp_path, "run", "c.json", "--out", "o.csv") == 1
+        err = capsys.readouterr().err
+        assert f"(field: {field})" in err and "Traceback" not in err
+        assert not (tmp_path / "o.csv").exists()
+
     @pytest.mark.parametrize("path", [True, 5, ["o.csv"]])
     def test_non_string_output_path_exits_one(self, monkeypatch, tmp_path, capsys, path):
         (tmp_path / "c.json").write_text(

@@ -542,22 +542,29 @@ class TestInterfaces:
             evolve(paradox_model(), make_env([1, 0, 0]), LossModel.none(), rho)
 
     def test_times_must_start_at_zero(self):
+        # each bad argument, and what the message names
         bad_grids = [
-            dict(times=[0.5, 1.0]),
-            dict(times=[0.0, 0.5, 0.2]),
-            dict(times=[0.0, 0.0, 1.0]),
-            dict(times=[]),
-            dict(times=[[0.0, 1.0]]),
-            dict(times=[0.0, np.nan]),
-            dict(times=[0.0, np.inf]),
-            dict(t_max=-1.0),
-            dict(t_max=0.0),
-            dict(t_max=np.inf),
-            dict(t_max=np.nan),
-            dict(t_max=1.0, output_points=0),
+            (dict(times=[0.5, 1.0]), "output times"),
+            (dict(times=[0.0, 0.5, 0.2]), "output times"),
+            (dict(times=[0.0, 0.0, 1.0]), "output times"),
+            (dict(times=[]), "output times"),
+            (dict(times=[[0.0, 1.0]]), "output times"),
+            (dict(times=[0.0, np.nan]), "output times"),
+            (dict(times=[0.0, np.inf]), "output times"),
+            (dict(t_max=-1.0), "t_max"),
+            (dict(t_max=0.0), "t_max"),
+            (dict(t_max=np.inf), "t_max"),
+            (dict(t_max=np.nan), "t_max"),
+            (dict(t_max=True), "t_max"),
+            (dict(t_max=1.0, output_points=0), "output_points"),
+            (dict(t_max=1.0, output_points=2.5), "output_points"),
+            (dict(t_max=1.0, output_points=True), "output_points"),
+            (dict(output_points=-3), "output_points"),
+            # t_max would be silently ignored
+            (dict(t_max=1.0, times=[0.0, 5.0]), "t_max or times"),
         ]
-        for kwargs in bad_grids:
-            with pytest.raises(ValueError):
+        for kwargs, named in bad_grids:
+            with pytest.raises(ValueError, match=named):
                 evolve(two_level(), make_env([1, 0, 0]), LossModel.none(),
                        ExcitedSuperposition.from_sequence([1.0]), **kwargs)
 

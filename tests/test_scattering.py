@@ -20,7 +20,12 @@ from wgqed import (
     scatter,
     two_level_closed_form,
 )
-from wgqed.scattering import COND_SINGULAR_THRESHOLD, COND_WARN_THRESHOLD, _solve_gate
+from wgqed.scattering import (
+    COND_SINGULAR_THRESHOLD,
+    COND_WARN_THRESHOLD,
+    _scatter_fields,
+    _solve_gate,
+)
 
 from conftest import (
     make_env,
@@ -55,6 +60,12 @@ def circular_env():
 class TestScatterInput:
     @pytest.mark.parametrize("frequency", [np.nan, np.inf, -np.inf])
     def test_non_finite_photon_frequency_rejected(self, frequency):
+        with pytest.raises(ValueError, match="photon_frequency"):
+            ScatterInput(photon_frequency=frequency)
+
+    @pytest.mark.parametrize("frequency", [True, False, "1.0", 1j])
+    def test_non_number_photon_frequency_rejected(self, frequency):
+        # a bool is not taken as 1.0 or 0.0, nor a string parsed
         with pytest.raises(ValueError, match="photon_frequency"):
             ScatterInput(photon_frequency=frequency)
 
@@ -520,6 +531,63 @@ def capture_response_stacks(monkeypatch) -> list:
     return stacks
 
 
+def count_solves(monkeypatch) -> tuple[list, list]:
+    """Stacks handed to np.linalg.solve, and slices to _solve_dark, from now on."""
+    solves, dark = [], []
+    solve, solve_dark = np.linalg.solve, wgqed.scattering._solve_dark
+
+    def counting_solve(a, b):
+        solves.append(len(a) if np.ndim(a) == 3 else 1)
+        return solve(a, b)
+
+    def counting_dark(M, *args):
+        dark.append(M)
+        return solve_dark(M, *args)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    monkeypatch.setattr(wgqed.scattering, "_solve_dark", counting_dark)
+    return solves, dark
+
+
+# forward fields of the lossless V system: a warning slice (condition number
+# near 1e14), a dark one, one that no dipole absorbs, one whose response
+# overflows, and ordinary ones
+_WARN_FIELD = [np.cos(1e-7), 1j * np.sin(1e-7), 0.0]
+_DARK_FIELD, _INACTIVE_FIELD, _OVERFLOW_FIELD = [1, 0, 0], [0, 0, 1], [1e200, 0, 0]
+
+
+def scatter_stack_and_alone(fields, projection: bool):
+    """The stacked engine at every field, and :func:`scatter` at each field
+    alone: for each, the (amplitude bytes, p_loss, error) of every field and
+    the warning messages, in order."""
+    model, template = paradox_model(), make_env([1, 0, 0], **X_ENV)
+    loss, inp = LossModel.none(), ScatterInput()
+
+    def outcome(result, error):
+        if error is not None:
+            return None, None, (type(error), str(error))
+        return result.amplitudes.tobytes(), result.p_loss.hex(), None
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        results, errors = _scatter_fields(model, template, loss, inp,
+                                          np.array(fields, dtype=complex), projection)
+    stacked = [outcome(res, errors.get(t)) for t, res in enumerate(results)]
+    stacked_warnings = [str(w.message) for w in caught]
+    alone, alone_warnings = [], []
+    for field in fields:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                res, exc = scatter(model, template.with_field(field), loss, inp,
+                                   dark_state_projection=projection), None
+            except (SingularResponseError, NonPhysicalStateError) as error:
+                res, exc = None, error
+        alone.append(outcome(res, exc))
+        alone_warnings += [str(w.message) for w in caught]
+    return stacked, stacked_warnings, alone, alone_warnings
+
+
 class TestSolveGate:
     """The damping certificate spares singular values but changes no
     decision: which slices are solved in the stack, which warn."""
@@ -577,6 +645,39 @@ class TestSolveGate:
         assert not solvable[1:3].any() and not warn[1:3].any() and np.isnan(cond[1:3]).all()
         assert solvable[[0, *range(3, size)]].all()
 
+    @pytest.mark.parametrize("size", [12, 3], ids=["certified", "small"])
+    def test_solvable_stack_is_one_solve(self, monkeypatch, size):
+        # every slice solvable: the whole stack goes to one np.linalg.solve,
+        # nothing to _solve_dark, and the warning slice warns exactly once
+        rng = np.random.default_rng(31)
+        fields = [random_unit_vector(rng) for _ in range(size - 1)]
+        fields.insert(size // 2, _WARN_FIELD)
+        solves, dark = count_solves(monkeypatch)
+        stacked, stacked_warnings, alone, alone_warnings = scatter_stack_and_alone(
+            fields, projection=False)
+        assert solves[0] == size and len(solves) == size + 1 and dark == []
+        assert len(stacked_warnings) == 1 and stacked_warnings == alone_warnings
+        assert stacked == alone and all(err is None for _, _, err in stacked)
+
+    @pytest.mark.parametrize("projection", [False, True], ids=["plain", "projected"])
+    def test_mixed_stack_matches_each_slice_alone(self, monkeypatch, projection):
+        rng = np.random.default_rng(32)
+        fields = [random_unit_vector(rng) for _ in range(6)]
+        for k, field in ((1, _DARK_FIELD), (3, _OVERFLOW_FIELD), (4, _WARN_FIELD),
+                         (6, _INACTIVE_FIELD)):
+            fields.insert(k, field)
+        stacks = capture_response_stacks(monkeypatch)
+        stacked, stacked_warnings, alone, alone_warnings = scatter_stack_and_alone(
+            fields, projection)
+        monkeypatch.undo()
+        cond = np.linalg.cond(stacks[0][4])
+        assert COND_WARN_THRESHOLD < cond <= COND_SINGULAR_THRESHOLD
+        assert np.allclose(stacks[0][6], 0.0) and not np.isfinite(stacks[0][3]).all()
+        assert stacked == alone and stacked_warnings == alone_warnings
+        assert len(stacked_warnings) == 1
+        failed = [t for t, (_, _, err) in enumerate(stacked) if err is not None]
+        assert failed == ([3] if projection else [1, 3])
+
     def test_overflowing_response_fails_each_point(self):
         model = EmitterModel.from_arrays([0.0], [1.0], [[[1e200, 0, 0]]])
         pts = polarization_sweep(model, make_env([1, 0, 0]), LossModel.isotropic(0.2),
@@ -626,11 +727,14 @@ class TestSolveGate:
 
     @pytest.mark.parametrize("model", [paradox_model(), ixi_model()], ids=["V", "ixi"])
     def test_lossy_sweep_takes_no_singular_values(self, monkeypatch, model):
+        # and is one stacked solve
         slices = count_singular_values(monkeypatch)
+        solves, dark = count_solves(monkeypatch)
         pts = polarization_sweep(model, make_env([1, 0, 0], **X_ENV),
                                  LossModel.isotropic(0.2), ScatterInput(),
                                  np.linspace(0.0, np.pi, 401))
         assert slices == [] and not any(pt.failed for pt in pts)
+        assert solves == [401] and dark == []
 
     def test_lossless_projected_sweep_takes_singular_values_at_dark_points(
             self, monkeypatch):
