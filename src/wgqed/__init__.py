@@ -17,7 +17,6 @@ from .emission import (
     EmitterDensityMatrix,
     channel_flux,
     default_t_max,
-    directional_totals,
     evolve,
     outcome_distance,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "channel_flux",
     "coupling_bundle",
     "default_t_max",
-    "directional_totals",
     "effective_dipole",
     "evolve",
     "outcome_distance",

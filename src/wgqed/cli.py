@@ -36,7 +36,7 @@ from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
-from .emitter import EmitterModel, ExcitedSuperposition
+from .emitter import EmitterModel, ExcitedSuperposition, _as_float
 from .emission import INITIAL_NORM_TOL, _outcome_forms, _propagate, default_t_max
 from .errors import ConfigError, UnknownPresetError, WgqedError
 from .photonic import LossModel, WaveguideEnv, coupling_bundle
@@ -132,12 +132,7 @@ _DEFAULTS = {
 
 
 def _finite_number(value) -> bool:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:       # a JSON integer beyond the float range
-        return False
+    return isinstance(value, (int, float)) and math.isfinite(_as_float(value))
 
 
 def _integer(value) -> bool:
@@ -490,7 +485,7 @@ def _diagnostic_table(config: ScenarioConfig):
     omega_f = inp.photon_frequency if inp.photon_frequency is not None else env.omega
     detuning = (model.excited_energies[0]
                 - (model.ground_energies[0] + env.hbar * omega_f))
-    t, r, p_loss = two_level_closed_form(model.dipoles[0][0], env, loss, detuning)
+    t, r, p_loss = two_level_closed_form(model.dipole_array()[0, 0], env, loss, detuning)
     bundle = coupling_bundle(model, env, loss)
     rates = bundle.channel_decay_rates()
     rate_f, rate_b, rate_l = (float(rates[channel][0])

@@ -10,7 +10,8 @@ absent entries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import InitVar, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -23,6 +24,16 @@ from .errors import (
 
 UNITARY_TOL = 1e-10
 DEGENERACY_TOL = 1e-9
+
+
+def _as_float(value) -> float:
+    """``value`` as a float, or nan where it is a bool, not a real number or
+    beyond the float range, so that one finiteness check rejects them all."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        return float(value) if real else math.nan
+    except OverflowError:
+        return math.nan
 
 
 class PolarizationVector:
@@ -50,19 +61,12 @@ class PolarizationVector:
         arr.setflags(write=False)
         self._c = arr
 
-    @property
-    def components(self) -> tuple[complex, complex, complex]:
-        return (complex(self._c[0]), complex(self._c[1]), complex(self._c[2]))
-
     def as_array(self) -> np.ndarray:
         """Read-only ndarray view of the three components."""
         return self._c
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self._c) ** 2)))
-
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self._c.view(float))))
 
     def conjugated(self) -> "PolarizationVector":
         return PolarizationVector(np.conj(self._c))
@@ -73,70 +77,84 @@ class PolarizationVector:
         return bool(np.array_equal(self._c, other._c))
 
     def __hash__(self) -> int:
-        return hash(self.components)
+        return hash((self._c + 0.0).tobytes())    # + 0.0 turns -0.0 into 0.0
 
     def __repr__(self) -> str:
-        return f"PolarizationVector({self.components!r})"
+        return f"PolarizationVector({self._c.tolist()!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class EmitterModel:
-    """Level energies plus the dipole matrix ``dipoles[n][m]`` linking ground
-    state ``n`` to excited state ``m``. Immutable after construction.
-
-    Construction checks the model and raises :class:`ModelValidationError`
-    with code ``empty-manifold``, ``dimension-mismatch`` or
-    ``non-finite-entry``. The shapes are checked before the dipole array is
-    built, so a ragged dipole matrix is reported as a dimension mismatch.
-    The array is kept read-only and takes no part in equality, hashing or
-    the repr.
+    """Level energies plus the dipoles ``D[n, m]`` linking ground state
+    ``n`` to excited state ``m``, kept as one read-only complex (n_ground,
+    n_excited, 3) array copied from ``dipoles`` (two-component dipoles lie in
+    the x-y plane). Immutable; equality and hashing come from the energies
+    and the array. Construction raises :class:`ModelValidationError` with
+    code ``empty-manifold``, ``dimension-mismatch`` or ``non-finite-entry``;
+    the row count and lengths are checked before numpy sees the dipoles.
     """
 
     ground_energies: tuple[float, ...]
     excited_energies: tuple[float, ...]
-    dipoles: tuple[tuple[PolarizationVector, ...], ...]
-    _array: np.ndarray = field(init=False, compare=False, repr=False)
+    dipoles: InitVar[Sequence]
+    _array: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        n_g, n_e = len(self.ground_energies), len(self.excited_energies)
+    def __post_init__(self, dipoles):
+        try:
+            ground, excited = (tuple(map(float, energies))
+                               for energies in (self.ground_energies, self.excited_energies))
+        except (TypeError, ValueError, OverflowError):
+            raise ModelValidationError("non-finite-entry",
+                                       "level energies must be finite") from None
+        n_g, n_e = len(ground), len(excited)
         if n_g < 1 or n_e < 1:
-            raise ModelValidationError(
-                "empty-manifold",
-                f"need at least one ground and one excited state, got {n_g} x {n_e}",
-            )
-        if len(self.dipoles) != n_g:
-            raise ModelValidationError(
-                "dimension-mismatch",
-                f"dipole matrix has {len(self.dipoles)} rows for {n_g} ground states",
-            )
-        for n, row in enumerate(self.dipoles):
-            if len(row) != n_e:
-                raise ModelValidationError(
-                    "dimension-mismatch",
-                    f"dipole row {n} has {len(row)} entries for {n_e} excited states",
-                )
-        if not all(map(math.isfinite, self.ground_energies + self.excited_energies)):
+            raise ModelValidationError("empty-manifold", "need at least one ground and one "
+                                       f"excited state, got {n_g} x {n_e}")
+        try:
+            rows = [len(row) for row in dipoles]
+        except TypeError:       # not a nested sequence: reported with the shape below
+            rows = None
+        if rows is not None and len(rows) != n_g:
+            raise ModelValidationError("dimension-mismatch", f"dipole matrix has {len(rows)} "
+                                       f"rows for {n_g} ground states")
+        for n, size in enumerate(rows or ()):
+            if size != n_e:
+                raise ModelValidationError("dimension-mismatch", f"dipole row {n} has {size} "
+                                           f"entries for {n_e} excited states")
+        try:
+            D = None if rows is None else np.array(dipoles, dtype=complex)
+        except (TypeError, ValueError, OverflowError):
+            D = None
+        if D is None or D.ndim != 3 or D.shape[2] not in (2, 3):
+            raise ModelValidationError("dimension-mismatch",
+                                       f"dipoles must form an ({n_g}, {n_e}, 3) array of numbers")
+        if D.shape[2] == 2:
+            D = np.concatenate((D, np.zeros((n_g, n_e, 1))), axis=2)
+        if not all(map(math.isfinite, ground + excited)):
             raise ModelValidationError("non-finite-entry", "level energies must be finite")
-        D = np.array([[vec.as_array() for vec in row] for row in self.dipoles], dtype=complex)
         if not np.isfinite(D).all():
             n, m = np.argwhere(~np.isfinite(D).all(axis=-1))[0]
-            raise ModelValidationError(
-                "non-finite-entry", f"dipole ({n}, {m}) has a non-finite component"
-            )
+            raise ModelValidationError("non-finite-entry",
+                                       f"dipole ({n}, {m}) has a non-finite component")
         D.setflags(write=False)
-        object.__setattr__(self, "_array", D)
+        for name, value in (("ground_energies", ground), ("excited_energies", excited),
+                            ("_array", D)):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        # + 0.0 turns -0.0 into 0.0, so that equal arrays have equal bytes
+        return self.ground_energies, self.excited_energies, (self._array + 0.0).tobytes()
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if isinstance(other, EmitterModel) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @classmethod
     def from_arrays(cls, ground_energies, excited_energies, dipoles) -> "EmitterModel":
         """Build from array-likes; ``dipoles`` is (n_ground, n_excited, 2 or 3)."""
-        rows = tuple(
-            tuple(PolarizationVector(vec) for vec in row) for row in dipoles
-        )
-        return cls(
-            ground_energies=tuple(float(e) for e in ground_energies),
-            excited_energies=tuple(float(e) for e in excited_energies),
-            dipoles=rows,
-        )
+        return cls(ground_energies, excited_energies, dipoles)
 
     @property
     def n_ground(self) -> int:

@@ -27,11 +27,12 @@ Hamiltonian of the excited manifold is assembled: emission exponentiates it
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .emitter import EmitterModel, PolarizationVector
+from .emitter import EmitterModel, PolarizationVector, _as_float
 from .errors import ModelValidationError, NonPhysicalStateError
 
 CHANNELS = ("forward", "backward", "loss")
@@ -55,18 +56,14 @@ class WaveguideEnv:
     def __post_init__(self):
         if not isinstance(self.E_f, PolarizationVector):
             object.__setattr__(self, "E_f", PolarizationVector(self.E_f))
-        if not self.E_f.is_finite():
+        if not np.isfinite(self.E_f.as_array()).all():
             raise ModelValidationError("non-finite-entry", "E_f has non-finite components")
-        for name in ("a", "omega", "epsilon0", "hbar"):
-            val = getattr(self, name)
-            if not np.isfinite(val) or val <= 0:
-                raise ModelValidationError(
-                    "invalid-environment", f"{name} must be positive and finite, got {val}"
-                )
-        if not np.isfinite(self.v_g) or self.v_g == 0:
-            raise ModelValidationError(
-                "invalid-environment", f"v_g must be nonzero and finite, got {self.v_g}"
-            )
+        for name in ("a", "omega", "epsilon0", "hbar", "v_g"):
+            val = _as_float(getattr(self, name))
+            if not (math.isfinite(val) and (val != 0 if name == "v_g" else val > 0)):
+                rule = "nonzero" if name == "v_g" else "positive"
+                raise ModelValidationError("invalid-environment", f"{name} must be {rule} "
+                                           f"and finite, got {getattr(self, name)!r}")
 
     @property
     def E_b(self) -> PolarizationVector:
@@ -81,34 +78,35 @@ class WaveguideEnv:
             raise NonPhysicalStateError(f"density-of-states scale a w / (2 |v_g|) is {z}")
         return z
 
-    def with_field(self, E_f) -> "WaveguideEnv":
-        return replace(self, E_f=PolarizationVector(E_f))
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class LossModel:
     """Non-guided contribution to the Green's tensor, stored as a symmetric
     complex 3x3 matrix in rate normalization (see module docstring).
 
     The imaginary part must induce a non-negative decay rate for every dipole
-    (passivity); the real part produces level shifts. Construction keeps the
-    tensor as a read-only array, which takes no part in equality, hashing or
-    the repr.
+    (passivity); the real part produces level shifts. Construction copies
+    ``tensor`` once into a read-only array, which is the one stored field:
+    equality, hashing and the repr come from it.
     """
 
-    tensor: tuple[tuple[complex, ...], ...]
-    _array: np.ndarray = field(init=False, compare=False, repr=False)
+    tensor: np.ndarray
 
+    @np.errstate(all="ignore")      # huge finite entries may overflow the checks
     def __post_init__(self):
-        arr = np.array(self.tensor, dtype=complex)
+        try:
+            arr = np.array(self.tensor, dtype=complex)
+        except (TypeError, ValueError, OverflowError):
+            raise ModelValidationError("dimension-mismatch",
+                                       "loss tensor must be a 3x3 array of numbers") from None
         if arr.shape != (3, 3):
             raise ModelValidationError(
                 "dimension-mismatch", f"loss tensor must be 3x3, got {arr.shape}"
             )
-        if not np.all(np.isfinite(arr.view(float))):
+        if not np.isfinite(arr).all():
             raise ModelValidationError("non-finite-entry", "loss tensor has non-finite entries")
-        scale = max(1.0, float(np.max(np.abs(arr))))
-        if np.max(np.abs(arr - arr.T)) > LOSS_SYMMETRY_TOL * scale:
+        scale = max(1.0, float(np.abs(arr).max()))
+        if np.abs(arr - arr.T).max() > LOSS_SYMMETRY_TOL * scale:
             raise ModelValidationError(
                 "non-symmetric-loss-tensor",
                 "loss tensor must be symmetric (reciprocal medium)",
@@ -120,8 +118,17 @@ class LossModel:
                 f"loss tensor induces a negative decay rate (min eig {min_rate:.3e})",
             )
         arr.setflags(write=False)
-        object.__setattr__(self, "_array", arr)
-        object.__setattr__(self, "tensor", tuple(map(tuple, arr.tolist())))
+        object.__setattr__(self, "tensor", arr)
+
+    def _key(self) -> bytes:
+        # + 0.0 turns -0.0 into 0.0, so that equal arrays have equal bytes
+        return (self.tensor + 0.0).tobytes()
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if isinstance(other, LossModel) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @classmethod
     def none(cls) -> "LossModel":
@@ -131,11 +138,14 @@ class LossModel:
     def isotropic(cls, strength: float) -> "LossModel":
         """Dipole-independent loss: G_loss = i * strength * identity, i.e. two
         (in fact three) equally coupled orthogonal loss modes."""
-        if strength < 0:
-            raise ModelValidationError(
-                "non-passive-loss-tensor", f"loss strength must be >= 0, got {strength}"
-            )
-        return cls.from_array(1j * float(strength) * np.eye(3))
+        s = _as_float(strength)
+        if not math.isfinite(s):
+            raise ModelValidationError("non-finite-entry",
+                                       f"loss strength must be a finite number, got {strength!r}")
+        if s < 0:
+            raise ModelValidationError("non-passive-loss-tensor",
+                                       f"loss strength must be >= 0, got {strength}")
+        return cls(1j * s * np.eye(3))
 
     @classmethod
     def from_array(cls, tensor) -> "LossModel":
@@ -144,12 +154,7 @@ class LossModel:
 
     def as_array(self) -> np.ndarray:
         """Read-only complex 3x3 array of the tensor."""
-        return self._array
-
-    def rate_for(self, dipole: PolarizationVector, env: WaveguideEnv) -> float:
-        """Loss decay rate induced on a single dipole."""
-        d = dipole.as_array()
-        return float(np.imag(d @ self.as_array() @ d.conj()) / (env.hbar * env.epsilon0))
+        return self.tensor
 
 
 @dataclass(frozen=True)
@@ -178,10 +183,6 @@ class CouplingBundle:
         independent bookkeeping that must balance.
         """
         return 1j * (self.H_eff - self.H_eff.conj().T)
-
-    def total_decay_rates(self) -> np.ndarray:
-        """Total spontaneous decay rate of each excited state (all channels)."""
-        return np.real(np.diag(self.damping_rate_matrix()))
 
     def channel_decay_rates(self) -> dict[str, np.ndarray]:
         """Decay rate of each excited state into each channel of

@@ -38,7 +38,6 @@ stack too small for the certificate to pay, get their singular values.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from itertools import repeat
@@ -46,7 +45,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .emitter import EmitterModel, PolarizationVector
+from .emitter import EmitterModel, PolarizationVector, _as_float
 from .errors import (
     IllConditionedResponseWarning,
     NonPhysicalStateError,
@@ -83,8 +82,7 @@ class ScatterInput:
         if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
             raise ValueError(f"ground_index must be an integer, got {index!r}")
         freq = self.photon_frequency
-        if freq is not None and (isinstance(freq, bool) or not isinstance(freq, numbers.Real)
-                                 or not math.isfinite(freq)):
+        if freq is not None and not math.isfinite(_as_float(freq)):
             raise ValueError(f"photon_frequency must be None or a finite number, got {freq!r}")
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from wgqed import (
     EmitterModel,
@@ -24,6 +25,14 @@ from wgqed import (
     WaveguideEnv,
     channel_flux,
 )
+
+
+# Library arguments of every kind: numbers of any size (nan and inf among
+# them), bools, complex numbers, strings, None, and nested ragged lists.
+FUZZ_LEAVES = st.one_of(st.floats(), st.integers(-10**400, 10**400), st.booleans(),
+                        st.complex_numbers(), st.text(max_size=3), st.none())
+ARGUMENTS = st.recursive(FUZZ_LEAVES, lambda inner: st.lists(inner, max_size=3),
+                         max_leaves=27)
 
 
 def make_env(E_f, **kwargs) -> WaveguideEnv:

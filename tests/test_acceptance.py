@@ -29,7 +29,6 @@ from wgqed import (
     ScatterInput,
     coupling_bundle,
     default_t_max,
-    directional_totals,
     evolve,
     rotate_excited_basis,
     scatter,
@@ -313,7 +312,7 @@ def test_criterion_4_guided_fraction():
         traj = evolve(model, env, LossModel.isotropic(strength),
                       ExcitedSuperposition.from_sequence([1.0]),
                       t_max=3.5, output_points=9)
-        pf, pb, _ = directional_totals(traj)
+        pf, pb, _ = traj.final_totals[:3]
         beta = (pf + pb) / (1.0 - traj.final_totals.residual_excited)
         expected = 10.0 / (10.0 + strength)
         results[strength] = (beta, expected)
@@ -342,7 +341,7 @@ def test_criterion_5_oracle_equivalence():
         omega_f = float(rng.uniform(0.5, 1.5))
         res = scatter(model, env, loss, ScatterInput(photon_frequency=omega_f))
         detuning = model.excited_energies[0] - model.ground_energies[0] - omega_f
-        t, r, _ = two_level_closed_form(model.dipoles[0][0], env, loss, detuning)
+        t, r, _ = two_level_closed_form(model.dipole_array()[0, 0], env, loss, detuning)
         worst_closed = max(worst_closed,
                            abs(res.transmission - t), abs(res.reflection - r))
 

@@ -16,7 +16,6 @@ from wgqed import (
     channel_flux,
     coupling_bundle,
     default_t_max,
-    directional_totals,
     evolve,
     outcome_distance,
 )
@@ -105,7 +104,7 @@ class TestParadoxScenario:
 
     def test_long_time_split_is_41_to_9(self):
         traj = paradox_run()
-        pf, pb, pl = directional_totals(traj)
+        pf, pb, pl = traj.final_totals[:3]
         pair = sorted([pf, pb])
         assert pair[0] == pytest.approx(9.0 / 50.0, abs=2e-6)
         assert pair[1] == pytest.approx(41.0 / 50.0, abs=2e-6)
@@ -115,8 +114,8 @@ class TestParadoxScenario:
     def test_mirrored_state_gives_mirrored_totals(self):
         fwd = paradox_run()
         bwd = paradox_run(state=np.array([-1j, 2.0]) / np.sqrt(5.0))
-        a = directional_totals(fwd)
-        b = directional_totals(bwd)
+        a = fwd.final_totals[:3]
+        b = bwd.final_totals[:3]
         assert a[0] == pytest.approx(b[1], abs=1e-6)
         assert a[1] == pytest.approx(b[0], abs=1e-6)
 
@@ -164,7 +163,7 @@ class TestTwoLevelEmission:
         traj = evolve(two_level(), make_env([1, 0, 0]), LossModel.isotropic(strength),
                       ExcitedSuperposition.from_sequence([1.0]),
                       t_max=3.5, output_points=21)
-        pf, pb, pl = directional_totals(traj)
+        pf, pb, pl = traj.final_totals[:3]
         emitted = 1.0 - traj.final_totals.residual_excited
         assert (pf + pb) / emitted == pytest.approx(10.0 / (10.0 + strength), abs=1e-9)
         assert pf == pytest.approx(pb, abs=1e-12)
@@ -196,7 +195,7 @@ class TestTwoLevelEmission:
             env = make_env(ef)
             traj = evolve(model, env, LossModel.none(),
                           ExcitedSuperposition.from_sequence([1.0]), output_points=31)
-            pf, pb, _ = directional_totals(traj)
+            pf, pb, _ = traj.final_totals[:3]
             wf = abs(d @ ef.conj()) ** 2
             wb = abs(d @ ef) ** 2
             assert pf / pb == pytest.approx(wf / wb, rel=1e-8)
@@ -556,6 +555,9 @@ class TestInterfaces:
             (dict(t_max=np.inf), "t_max"),
             (dict(t_max=np.nan), "t_max"),
             (dict(t_max=True), "t_max"),
+            (dict(t_max="1.0", output_points=3), "t_max"),
+            (dict(t_max=1j), "t_max"),
+            (dict(t_max=10**400), "t_max"),
             (dict(t_max=1.0, output_points=0), "output_points"),
             (dict(t_max=1.0, output_points=2.5), "output_points"),
             (dict(t_max=1.0, output_points=True), "output_points"),

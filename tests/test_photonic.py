@@ -3,6 +3,8 @@ bundle."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wgqed import (
     CHANNELS,
@@ -18,6 +20,8 @@ from wgqed import (
 )
 
 from conftest import (
+    ARGUMENTS,
+    FUZZ_LEAVES,
     PARADOX_FIELD,
     make_env,
     oracle_field_normalization,
@@ -61,6 +65,29 @@ class TestWaveguideEnv:
         with pytest.raises(ModelValidationError):
             make_env([1, 0, 0], **kwargs)
 
+    @pytest.mark.parametrize("name", ["a", "v_g", "omega", "epsilon0", "hbar"])
+    @pytest.mark.parametrize("value", [True, False, "1.0", 1j, None, 10**400, -10**400])
+    def test_non_number_parameters_rejected_naming_the_field(self, name, value):
+        with pytest.raises(ModelValidationError, match=f"^{name} must be") as exc:
+            make_env([1, 0, 0], **{name: value})
+        assert exc.value.code == "invalid-environment"
+
+    def test_numpy_and_integer_parameters_accepted(self):
+        env = make_env([1, 0, 0], a=np.float64(2.0), v_g=-1, omega=np.int64(3))
+        assert env.z == pytest.approx(3.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.fixed_dictionaries(
+        {}, optional={name: FUZZ_LEAVES for name in ("a", "v_g", "omega", "epsilon0", "hbar")}))
+    def test_any_scalar_builds_or_raises_a_validation_error(self, values):
+        try:
+            env = make_env([1, 0, 0], **values)
+        except ModelValidationError as exc:
+            assert exc.code == "invalid-environment"
+            return
+        for name in values:
+            assert np.isfinite(getattr(env, name))
+
 
 class TestLossModel:
     def test_isotropic_tensor(self):
@@ -87,20 +114,71 @@ class TestLossModel:
         with pytest.raises(ValueError):
             arr[0, 0] = 1.0
 
-    def test_cached_modes_leave_equality_hash_and_repr_alone(self):
+    def test_later_write_to_the_input_array_leaves_it_alone(self):
+        t = 0.2j * np.eye(3)
+        loss = LossModel.from_array(t)
+        t[0, 0] = np.nan
+        assert loss == LossModel.isotropic(0.2)
+        assert loss.as_array()[0, 0] == 0.2j
+
+    def test_signed_zeros_hash_equal(self):
+        t = 0.2j * np.eye(3)
+        t[0, 1] = t[1, 0] = complex(-0.0, -0.0)
+        a, b = LossModel.from_array(t), LossModel.isotropic(0.2)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_loss_model_is_frozen(self):
+        with pytest.raises(AttributeError):
+            LossModel.none().tensor = np.zeros((3, 3))
+
+    @pytest.mark.parametrize("tensor,message", [
+        (np.eye(2), "loss tensor must be 3x3, got (2, 2)"),
+        ([[0.2j, 0, 0], [0, 0.2j], [0, 0, 0.2j]], "loss tensor must be a 3x3 array of numbers"),
+        ([["x"] * 3] * 3, "loss tensor must be a 3x3 array of numbers"),
+        ([[10**400] * 3] * 3, "loss tensor must be a 3x3 array of numbers"),
+    ])
+    def test_wrongly_shaped_tensor_rejected(self, tensor, message):
+        with pytest.raises(ModelValidationError) as exc:
+            LossModel.from_array(tensor)
+        assert exc.value.code == "dimension-mismatch"
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("strength", [True, False, "0.2", 1j, None, 10**400, np.nan, np.inf])
+    def test_isotropic_takes_only_a_finite_number(self, strength):
+        with pytest.raises(ModelValidationError, match="loss strength must be a finite number"):
+            LossModel.isotropic(strength)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tensor=st.one_of(ARGUMENTS, st.lists(st.lists(FUZZ_LEAVES, min_size=3, max_size=3),
+                                                min_size=3, max_size=3)),
+           strength=FUZZ_LEAVES)
+    def test_any_argument_builds_or_raises_a_validation_error(self, tensor, strength):
+        # never a TypeError, an OverflowError, a numpy error or a warning
+        for build in (lambda: LossModel.from_array(tensor), lambda: LossModel.isotropic(strength)):
+            try:
+                loss = build()
+            except ModelValidationError:
+                continue
+            assert loss.as_array().shape == (3, 3) and not loss.as_array().flags.writeable
+            assert hash(loss) == hash(LossModel.from_array(loss.as_array()))
+
+    def test_equality_hash_and_repr_come_from_the_array(self):
         a = LossModel.isotropic(0.2)
         b = LossModel.from_array(0.2j * np.eye(3))
         assert a == b and hash(a) == hash(b)
-        assert hash(a) == hash((a.tensor,))
+        assert a.tensor is a.as_array()
         assert a != LossModel.isotropic(0.3)
-        assert repr(a) == f"LossModel(tensor={a.tensor!r})"
+        assert repr(a) == f"LossModel(tensor={a.as_array()!r})"
 
     def test_rate_on_unit_dipole_equals_strength(self, rng):
+        # the loss channel of a single transition decays at the strength
         env = make_env([1, 0, 0])
         loss = LossModel.isotropic(0.37)
         for _ in range(10):
-            d = PolarizationVector(random_unit_vector(rng))
-            assert loss.rate_for(d, env) == pytest.approx(0.37, rel=1e-12)
+            model = EmitterModel.from_arrays([0.0], [1.0], [[random_unit_vector(rng)]])
+            rates = coupling_bundle(model, env, loss).channel_decay_rates()
+            assert rates["loss"][0] == pytest.approx(0.37, rel=1e-12)
 
 
 class TestGreensDecomposition:
@@ -178,7 +256,7 @@ class TestCouplingBundle:
         env = make_env([1, 0, 0], v_g=0.1)
         bundle = coupling_bundle(two_level(), env, LossModel.none())
         expected = per_direction_rate([1, 0, 0], [1, 0, 0]) * 2
-        assert bundle.total_decay_rates()[0] == pytest.approx(expected)
+        assert bundle.damping_rate_matrix()[0, 0].real == pytest.approx(expected)
         assert expected == pytest.approx(10.0)
 
     def test_channel_rates_match_direction_formula(self, rng):
@@ -272,7 +350,7 @@ class TestCouplingBundle:
         loss = LossModel.from_array(0.3 * np.eye(3) + 0.2j * np.eye(3))
         bundle = coupling_bundle(two_level(), make_env([1, 0, 0]), loss)
         assert 1.0 - bundle.H_eff[0, 0].real == pytest.approx(-0.15)
-        assert bundle.total_decay_rates()[0] == pytest.approx(10.2)
+        assert bundle.damping_rate_matrix()[0, 0].real == pytest.approx(10.2)
 
     def test_damping_is_positive_semidefinite(self, rng):
         for _ in range(30):
