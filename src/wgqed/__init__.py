@@ -18,7 +18,7 @@ from .emission import (
     channel_flux,
     default_t_max,
     evolve,
-    outcome_distance,
+    outcome_forms,
 )
 from .errors import (
     ConfigError,
@@ -80,7 +80,7 @@ __all__ = [
     "default_t_max",
     "effective_dipole",
     "evolve",
-    "outcome_distance",
+    "outcome_forms",
     "polarization_sweep",
     "rotate_excited_basis",
     "scatter",

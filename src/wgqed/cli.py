@@ -30,14 +30,14 @@ import copy
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
 from .emitter import EmitterModel, ExcitedSuperposition, _as_float
-from .emission import INITIAL_NORM_TOL, _outcome_forms, _propagate, default_t_max
+from .emission import INITIAL_NORM_TOL, _propagate, default_t_max, outcome_forms
 from .errors import ConfigError, UnknownPresetError, WgqedError
 from .photonic import LossModel, WaveguideEnv, coupling_bundle
 from .scattering import (
@@ -411,7 +411,7 @@ def _write_table(path: Path, fmt: str, scenario: str,
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     try:
         path.write_text(text)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:    # ValueError: a NUL byte in the path
         raise ConfigError(
             f"cannot write output file {str(path)!r}: {exc}", field="output.path"
         ) from exc
@@ -424,9 +424,11 @@ def _amplitude_columns(n_ground: int) -> list[str]:
             for mode_tag in ("f", "b") for k in range(n_ground) for part in ("re", "im")]
 
 
-def _amplitude_parts(amplitudes: np.ndarray) -> np.ndarray:
-    """Re and im of each amplitude of a (..., 2, n_ground) table, forward
-    mode first, then by ground state: (..., 4 n_ground)."""
+def _amplitude_parts(amplitudes: np.ndarray, backward_first: bool) -> np.ndarray:
+    """Re and im of each amplitude of a (..., 2, n_ground) table by mode, the
+    forward one first unless ``backward_first``, then by ground state:
+    (..., 4 n_ground)."""
+    amplitudes = amplitudes[..., ::-1, :] if backward_first else amplitudes
     parts = np.stack((amplitudes.real, amplitudes.imag), axis=-1)
     return parts.reshape(amplitudes.shape[:-2] + (-1,))
 
@@ -462,9 +464,11 @@ def _scattering_table(config: ScenarioConfig):
     model, env, loss, inp, _ = config.built
     projection = config.dark_state_projection
     columns = _amplitude_columns(model.n_ground) + ["p_loss"]
+    # with one ground state the columns are t and r, which follow the input mode
+    flip = model.n_ground == 1 and inp.direction == "backward"
     if config.sweep is None:
         result = scatter(model, env, loss, inp, dark_state_projection=projection)
-        return columns, [[*_amplitude_parts(result.amplitudes).tolist(), result.p_loss]], []
+        return columns, [[*_amplitude_parts(result.amplitudes, flip).tolist(), result.p_loss]], []
 
     sweep = config.sweep
     thetas = np.linspace(float(sweep["start"]), float(sweep["stop"]), int(sweep["steps"]))
@@ -476,7 +480,7 @@ def _scattering_table(config: ScenarioConfig):
     amplitudes, p_loss = zip(*[
         blank if pt.failed else (pt.result.amplitudes, pt.result.p_loss) for pt in points
     ])
-    table = np.column_stack((thetas, _amplitude_parts(np.stack(amplitudes)), p_loss))
+    table = np.column_stack((thetas, _amplitude_parts(np.stack(amplitudes), flip), p_loss))
     return ["theta"] + columns, table.tolist(), failures
 
 
@@ -485,7 +489,9 @@ def _diagnostic_table(config: ScenarioConfig):
     omega_f = inp.photon_frequency if inp.photon_frequency is not None else env.omega
     detuning = (model.excited_energies[0]
                 - (model.ground_energies[0] + env.hbar * omega_f))
-    t, r, p_loss = two_level_closed_form(model.dipole_array()[0, 0], env, loss, detuning)
+    # a backward photon is the forward one in the time-reversed field
+    env_in = env if inp.direction == "forward" else replace(env, E_f=env.E_b)
+    t, r, p_loss = two_level_closed_form(model.dipole_array()[0, 0], env_in, loss, detuning)
     bundle = coupling_bundle(model, env, loss)
     rates = bundle.channel_decay_rates()
     rate_f, rate_b, rate_l = (float(rates[channel][0])
@@ -493,7 +499,7 @@ def _diagnostic_table(config: ScenarioConfig):
     total = rate_f + rate_b + rate_l
     beta_rates = (rate_f + rate_b) / total if total > 0 else float("nan")
     # tr(Y rho0) per channel at rho0 = |e><e|: from H_eff and the fluxes, not the rates
-    p_f, p_b, p_l = _outcome_forms(bundle)[0, :, 0, 0].real.tolist()
+    p_f, p_b, p_l = outcome_forms(bundle)[0, :, 0, 0].real.tolist()
     emitted = p_f + p_b + p_l
     beta_emission = (p_f + p_b) / emitted if emitted > 0 else float("nan")
 
@@ -535,16 +541,16 @@ def run(config: ScenarioConfig) -> int:
 
 def _load_config_source(source: str) -> dict:
     path = Path(source)
-    if path.suffix == ".json" or path.exists():
-        try:
-            text = path.read_text()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {source!r}: {exc}") from exc
-        try:
-            return json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {source!r} is not valid JSON: {exc}") from exc
-    return {"scenario": source}
+    try:    # exists() too raises for a name the OS cannot take
+        data = path.read_bytes() if path.suffix == ".json" or path.exists() else None
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config file {source!r}: {exc}") from exc
+    if data is None:
+        return {"scenario": source}
+    try:    # bytes that are not UTF-8 and over-long integers are ValueErrors
+        return json.loads(data)
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"config file {source!r} is not valid JSON: {exc}") from exc
 
 
 def _apply_overrides(data: dict, args: argparse.Namespace) -> dict:

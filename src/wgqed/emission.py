@@ -75,16 +75,6 @@ class EmitterDensityMatrix(NamedTuple):
     excited_block: np.ndarray        # (n_e, n_e) complex Hermitian
     ground_mode_probs: np.ndarray    # (n_g, 3) real, columns ordered as CHANNELS
 
-    def total_trace(self) -> float:
-        return float(np.trace(self.excited_block).real + np.sum(self.ground_mode_probs))
-
-    def excited_populations(self) -> np.ndarray:
-        return np.real(np.diag(self.excited_block))
-
-    def channel_totals(self) -> tuple[float, float, float]:
-        sums = np.sum(self.ground_mode_probs, axis=0)
-        return (float(sums[0]), float(sums[1]), float(sums[2]))
-
 
 class DirectionalTotals(NamedTuple):
     p_forward: float
@@ -245,9 +235,16 @@ def evolve(
 
 
 @np.errstate(all="ignore")
-def _outcome_forms(bundle: CouplingBundle) -> np.ndarray:
-    """The outcome forms ``Y`` (n_g, 3, n_e, n_e): PSD, and summed, the
-    identity less the projector on the non-decaying directions."""
+def outcome_forms(bundle: CouplingBundle) -> np.ndarray:
+    """The outcome forms ``Y`` (n_g, 3, n_e, n_e) of emission, channels
+    ordered as :data:`CHANNELS`: ``Re tr(Y[n, c] rho)`` is the probability
+    that an emitter whose excited block is ``rho`` ever emits into channel
+    ``c`` and ends in ground state ``n``. Each form is PSD, and summed they
+    are the identity less the projector on the non-decaying directions: with
+    that projector the forms are a measurement (POVM) of the excited state,
+    so the outcome distributions of two states differ in total variation by
+    no more than the trace distance of the states.
+    """
     Q = bundle.flux_forms
     if not np.isfinite(Q).all():
         raise NonPhysicalStateError("non-finite channel flux in the emission propagation")
@@ -333,7 +330,7 @@ def _propagate(bundle: CouplingBundle, initial, t_max: float | None = None,
     # d/dt tr(Y rho) = -tr(Q rho), so the accumulated probability is
     # tr(Y rho0) - tr(Y rho(t)) = sum_ab (rho0 - rho(t))_ab Z[(a b), k]; the
     # last column of W = [Z | vec I] gives tr rho(t) from the same product.
-    Y = _outcome_forms(bundle)
+    Y = outcome_forms(bundle)
     W = np.column_stack((Y.swapaxes(-1, -2).reshape(-1, n_e * n_e).T, np.eye(n_e).ravel()))
     read = (rhos.reshape(t_grid.size, -1) @ W).real
     probs = (read[0, :-1] - read[:, :-1]).reshape(t_grid.size, -1, len(CHANNELS))
@@ -355,8 +352,3 @@ def _propagate(bundle: CouplingBundle, initial, t_max: float | None = None,
         arr.setflags(write=False)
     return t_grid, rhos, probs
 
-
-def outcome_distance(traj_a: EmissionTrajectory, traj_b: EmissionTrajectory) -> float:
-    """Total-variation distance between the final (P_f, P_b, P_loss) outcome
-    distributions of two runs. Ranges over [0, 1] for fully decayed states."""
-    return float(0.5 * np.abs(np.subtract(traj_a.final_totals[:3], traj_b.final_totals[:3])).sum())

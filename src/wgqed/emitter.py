@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import InitVar, dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -36,7 +36,56 @@ def _as_float(value) -> float:
         return math.nan
 
 
-class PolarizationVector:
+def _as_complex_array(value, message: str) -> np.ndarray:
+    """A new complex array of ``value``. Raises :class:`ModelValidationError`
+    ``dimension-mismatch`` with ``message`` where it is not an array of
+    numbers: where it holds a bool, a string or any other non-number, has
+    ragged rows or goes beyond the complex range. A numeric ndarray is
+    judged by its dtype alone."""
+    try:
+        if not (isinstance(value, np.ndarray) and value.dtype.kind in "iufc"):
+            value = np.array(value, dtype=object)
+            if not all(isinstance(v, numbers.Complex) and not isinstance(v, bool)
+                       for v in value.flat):
+                raise TypeError
+        return value.astype(complex)
+    except (TypeError, ValueError, OverflowError):
+        raise ModelValidationError("dimension-mismatch", message) from None
+
+
+class _Value:
+    """An immutable value, rebuilt through its constructor from the checked
+    keyword arguments ``_args()``: equality, hashing, the repr, pickling and
+    copying all come from them. Arrays among them are read-only, and compare
+    and hash by their bytes with signed zeros made equal."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        # + 0.0 turns -0.0 into 0.0, so that equal arrays have equal bytes
+        return tuple((a + 0.0).tobytes() if isinstance(a, np.ndarray) else a
+                     for a in self._args().values())
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name, *value):
+        raise FrozenInstanceError(f"cannot change {name!r}: {type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(self._args().values())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={value!r}" for name, value in self._args().items())
+        return f"{type(self).__name__}({args})"
+
+
+class PolarizationVector(_Value):
     """Complex 3-vector in real space.
 
     One container serves both local mode fields and transition dipoles; the
@@ -50,62 +99,48 @@ class PolarizationVector:
         if rest:
             components = (components, *rest)  # type: ignore[assignment]
         # a copy, so that a later write to the caller's array cannot change it
-        arr = np.asarray(components, dtype=complex).flatten()
+        arr = _as_complex_array(components, "polarization vector components must be numbers")
+        arr = arr.flatten()     # not ravel: a view would keep a second array alive
         if arr.size == 2:
             arr = np.append(arr, 0.0 + 0.0j)
         if arr.size != 3:
-            raise ModelValidationError(
-                "dimension-mismatch",
-                f"a polarization vector has 3 components, got {arr.size}",
-            )
+            raise ModelValidationError("dimension-mismatch",
+                                       f"a polarization vector has 3 components, got {arr.size}")
         arr.setflags(write=False)
-        self._c = arr
+        object.__setattr__(self, "_c", arr)
+
+    def _args(self) -> dict:
+        return {"components": self._c}
 
     def as_array(self) -> np.ndarray:
         """Read-only ndarray view of the three components."""
         return self._c
 
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self._c) ** 2)))
-
     def conjugated(self) -> "PolarizationVector":
         return PolarizationVector(np.conj(self._c))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PolarizationVector):
-            return NotImplemented
-        return bool(np.array_equal(self._c, other._c))
 
-    def __hash__(self) -> int:
-        return hash((self._c + 0.0).tobytes())    # + 0.0 turns -0.0 into 0.0
-
-    def __repr__(self) -> str:
-        return f"PolarizationVector({self._c.tolist()!r})"
-
-
-@dataclass(frozen=True, slots=True, eq=False)
-class EmitterModel:
+class EmitterModel(_Value):
     """Level energies plus the dipoles ``D[n, m]`` linking ground state
     ``n`` to excited state ``m``, kept as one read-only complex (n_ground,
     n_excited, 3) array copied from ``dipoles`` (two-component dipoles lie in
-    the x-y plane). Immutable; equality and hashing come from the energies
-    and the array. Construction raises :class:`ModelValidationError` with
-    code ``empty-manifold``, ``dimension-mismatch`` or ``non-finite-entry``;
-    the row count and lengths are checked before numpy sees the dipoles.
+    the x-y plane). Construction raises :class:`ModelValidationError`, in
+    this order: ``non-finite-entry`` for an energy that is not a finite real
+    number, ``empty-manifold``, ``dimension-mismatch`` where the dipoles are
+    not an array of numbers of that shape (the row count and lengths are
+    checked before numpy sees them), and ``non-finite-entry`` for a dipole.
     """
 
-    ground_energies: tuple[float, ...]
-    excited_energies: tuple[float, ...]
-    dipoles: InitVar[Sequence]
-    _array: np.ndarray = field(init=False)
+    __slots__ = ("ground_energies", "excited_energies", "_array")
 
-    def __post_init__(self, dipoles):
+    def __init__(self, ground_energies, excited_energies, dipoles):
         try:
-            ground, excited = (tuple(map(float, energies))
-                               for energies in (self.ground_energies, self.excited_energies))
-        except (TypeError, ValueError, OverflowError):
-            raise ModelValidationError("non-finite-entry",
-                                       "level energies must be finite") from None
+            ground, excited = (tuple(map(_as_float, energies))
+                               for energies in (ground_energies, excited_energies))
+        except TypeError:
+            ground = excited = (math.nan,)
+        if not all(map(math.isfinite, ground + excited)):
+            raise ModelValidationError("non-finite-entry", "level energies must be finite")
         n_g, n_e = len(ground), len(excited)
         if n_g < 1 or n_e < 1:
             raise ModelValidationError("empty-manifold", "need at least one ground and one "
@@ -121,17 +156,12 @@ class EmitterModel:
             if size != n_e:
                 raise ModelValidationError("dimension-mismatch", f"dipole row {n} has {size} "
                                            f"entries for {n_e} excited states")
-        try:
-            D = None if rows is None else np.array(dipoles, dtype=complex)
-        except (TypeError, ValueError, OverflowError):
-            D = None
-        if D is None or D.ndim != 3 or D.shape[2] not in (2, 3):
-            raise ModelValidationError("dimension-mismatch",
-                                       f"dipoles must form an ({n_g}, {n_e}, 3) array of numbers")
+        message = f"dipoles must form an ({n_g}, {n_e}, 3) array of numbers"
+        D = _as_complex_array(dipoles, message)
+        if D.ndim != 3 or D.shape[2] not in (2, 3):
+            raise ModelValidationError("dimension-mismatch", message)
         if D.shape[2] == 2:
             D = np.concatenate((D, np.zeros((n_g, n_e, 1))), axis=2)
-        if not all(map(math.isfinite, ground + excited)):
-            raise ModelValidationError("non-finite-entry", "level energies must be finite")
         if not np.isfinite(D).all():
             n, m = np.argwhere(~np.isfinite(D).all(axis=-1))[0]
             raise ModelValidationError("non-finite-entry",
@@ -141,15 +171,9 @@ class EmitterModel:
                             ("_array", D)):
             object.__setattr__(self, name, value)
 
-    def _key(self) -> tuple:
-        # + 0.0 turns -0.0 into 0.0, so that equal arrays have equal bytes
-        return self.ground_energies, self.excited_energies, (self._array + 0.0).tobytes()
-
-    def __eq__(self, other) -> bool:
-        return self._key() == other._key() if isinstance(other, EmitterModel) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+    def _args(self) -> dict:
+        return {"ground_energies": self.ground_energies,
+                "excited_energies": self.excited_energies, "dipoles": self._array}
 
     @classmethod
     def from_arrays(cls, ground_energies, excited_energies, dipoles) -> "EmitterModel":
@@ -177,7 +201,11 @@ class ExcitedSuperposition:
 
     @classmethod
     def from_sequence(cls, amplitudes) -> "ExcitedSuperposition":
-        return cls(tuple(complex(a) for a in np.asarray(amplitudes, dtype=complex)))
+        message = "amplitudes must form a 1-d array of numbers"
+        arr = _as_complex_array(amplitudes, message)
+        if arr.ndim != 1:
+            raise ModelValidationError("dimension-mismatch", message)
+        return cls(tuple(arr.tolist()))
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.amplitudes, dtype=complex)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .emitter import EmitterModel, PolarizationVector, _as_float
+from .emitter import EmitterModel, PolarizationVector, _as_complex_array, _as_float, _Value
 from .errors import ModelValidationError, NonPhysicalStateError
 
 CHANNELS = ("forward", "backward", "loss")
@@ -79,8 +79,7 @@ class WaveguideEnv:
         return z
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class LossModel:
+class LossModel(_Value):
     """Non-guided contribution to the Green's tensor, stored as a symmetric
     complex 3x3 matrix in rate normalization (see module docstring).
 
@@ -90,45 +89,29 @@ class LossModel:
     equality, hashing and the repr come from it.
     """
 
-    tensor: np.ndarray
+    __slots__ = ("tensor",)
 
     @np.errstate(all="ignore")      # huge finite entries may overflow the checks
-    def __post_init__(self):
-        try:
-            arr = np.array(self.tensor, dtype=complex)
-        except (TypeError, ValueError, OverflowError):
-            raise ModelValidationError("dimension-mismatch",
-                                       "loss tensor must be a 3x3 array of numbers") from None
+    def __init__(self, tensor):
+        arr = _as_complex_array(tensor, "loss tensor must be a 3x3 array of numbers")
         if arr.shape != (3, 3):
-            raise ModelValidationError(
-                "dimension-mismatch", f"loss tensor must be 3x3, got {arr.shape}"
-            )
+            raise ModelValidationError("dimension-mismatch",
+                                       f"loss tensor must be 3x3, got {arr.shape}")
         if not np.isfinite(arr).all():
             raise ModelValidationError("non-finite-entry", "loss tensor has non-finite entries")
         scale = max(1.0, float(np.abs(arr).max()))
         if np.abs(arr - arr.T).max() > LOSS_SYMMETRY_TOL * scale:
-            raise ModelValidationError(
-                "non-symmetric-loss-tensor",
-                "loss tensor must be symmetric (reciprocal medium)",
-            )
+            raise ModelValidationError("non-symmetric-loss-tensor",
+                                       "loss tensor must be symmetric (reciprocal medium)")
         min_rate = np.linalg.eigvalsh(arr.imag)[0]
         if min_rate < -LOSS_PASSIVITY_TOL * scale:
-            raise ModelValidationError(
-                "non-passive-loss-tensor",
-                f"loss tensor induces a negative decay rate (min eig {min_rate:.3e})",
-            )
+            raise ModelValidationError("non-passive-loss-tensor", "loss tensor induces a "
+                                       f"negative decay rate (min eig {min_rate:.3e})")
         arr.setflags(write=False)
         object.__setattr__(self, "tensor", arr)
 
-    def _key(self) -> bytes:
-        # + 0.0 turns -0.0 into 0.0, so that equal arrays have equal bytes
-        return (self.tensor + 0.0).tobytes()
-
-    def __eq__(self, other) -> bool:
-        return self._key() == other._key() if isinstance(other, LossModel) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+    def _args(self) -> dict:
+        return {"tensor": self.tensor}
 
     @classmethod
     def none(cls) -> "LossModel":
@@ -173,16 +156,6 @@ class CouplingBundle:
 
     H_eff: np.ndarray               # (n_e, n_e) non-Hermitian, rate units
     flux_forms: np.ndarray          # (n_g, 3, n_e, n_e) Hermitian PSD
-
-    def damping_rate_matrix(self) -> np.ndarray:
-        """Hermitian PSD matrix K = i (H_eff - H_eff^H) with dpop/dt =
-        -K-weighted decay (rate units).
-
-        Built from the dipole sandwiches of ``H_eff``, not from the flux
-        forms, so the emission fluxes and the total excited decay are
-        independent bookkeeping that must balance.
-        """
-        return 1j * (self.H_eff - self.H_eff.conj().T)
 
     def channel_decay_rates(self) -> dict[str, np.ndarray]:
         """Decay rate of each excited state into each channel of

@@ -13,6 +13,8 @@ closed-form expressions.
 
 from __future__ import annotations
 
+import numbers
+
 import mpmath
 import numpy as np
 import pytest
@@ -35,8 +37,22 @@ ARGUMENTS = st.recursive(FUZZ_LEAVES, lambda inner: st.lists(inner, max_size=3),
                          max_leaves=27)
 
 
+def numbers_only(value) -> bool:
+    """Whether every leaf of a nested list is a number and none a bool."""
+    if isinstance(value, list):
+        return all(map(numbers_only, value))
+    return isinstance(value, numbers.Complex) and not isinstance(value, bool)
+
+
 def make_env(E_f, **kwargs) -> WaveguideEnv:
     return WaveguideEnv(E_f=PolarizationVector(E_f), **kwargs)
+
+
+def damping_matrix(bundle) -> np.ndarray:
+    """The Hermitian PSD damping matrix ``K = i (H_eff - H_eff^dagger)`` of a
+    coupling bundle: the total decay of the excited block, read from
+    ``H_eff`` apart from the flux forms."""
+    return 1j * (bundle.H_eff - bundle.H_eff.conj().T)
 
 
 def random_unit_vector(rng, planar: bool = False) -> np.ndarray:

@@ -409,7 +409,8 @@ def test_criterion_6_conservation():
         t_max = default_t_max(bundle) * (4.0 / DEFAULT_LIFETIMES)
         traj = evolve(model, env, loss, ExcitedSuperposition.from_sequence(psi),
                       t_max=t_max, output_points=7)
-        traces = np.array([s.total_trace() for s in traj.states])
+        traces = np.array([s.excited_block.trace().real + s.ground_mode_probs.sum()
+                           for s in traj.states])
         worst_trace = max(worst_trace, float(np.max(np.abs(traces - 1.0))))
         exc = np.array([float(np.trace(s.excited_block).real) for s in traj.states])
         worst_monotone = max(worst_monotone, float(np.max(np.diff(exc))))

@@ -169,7 +169,8 @@ class TestEmissionScenario:
         _, data = read_csv(tmp_path / "em.csv")
         model, env, loss, _, state = parse_config(cfg).built
         traj = wgqed.emission.evolve(model, env, loss, state, 3.0, output_points=37)
-        expected = [[t, *st.excited_populations(), *st.channel_totals(), st.total_trace()]
+        expected = [[t, *st.excited_block.diagonal().real, *st.ground_mode_probs.sum(axis=0),
+                     st.excited_block.trace().real + st.ground_mode_probs.sum()]
                     for t, st in zip(traj.times, traj.states)]
         # 17 significant digits read back to the same doubles
         assert data.tolist() == np.array(expected).tolist()
@@ -248,6 +249,30 @@ class TestScatteringScenarios:
                             "integrator": {"output_points": 100_000}})
         assert cfg.integrator["output_points"] == 100_000
 
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    @pytest.mark.parametrize("sweep", [
+        None, {"parameter": "theta", "start": 0.0, "stop": 1.0, "steps": 3},
+    ], ids=["single-point", "sweep"])
+    def test_t_and_r_columns_follow_the_input_mode(self, monkeypatch, tmp_path,
+                                                   direction, sweep):
+        cfg = {"scenario": "isotropic-scan", "sweep": sweep,
+               "input": {"direction": direction, "photon_frequency": 1.0}}
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        assert run_cli(monkeypatch, tmp_path, "run", "c.json", "--out", "o.csv") == 0
+        header, data = read_csv(tmp_path / "o.csv")
+        model, env, loss, inp, _ = parse_config(cfg).built
+        if sweep is None:
+            results = [wgqed.scatter(model, env, loss, inp)]
+        else:
+            points = wgqed.polarization_sweep(model, env, loss, inp, np.linspace(0, 1, 3))
+            results = [pt.result for pt in points]
+        for row, res in zip(data, results):
+            cols = dict(zip(header, row))
+            assert complex(cols["re_t"], cols["im_t"]) == res.transmission
+            assert complex(cols["re_r"], cols["im_r"]) == res.reflection
+            assert cols["p_loss"] == res.p_loss
+        assert len(data) == len(results)
+
     def test_single_point_custom_scattering(self, monkeypatch, tmp_path):
         cfg = dict(CUSTOM_SCATTER)
         del cfg["sweep"]
@@ -296,6 +321,30 @@ class TestTwoLevelDiagnostic:
         assert cols["rate_loss"] == pytest.approx(float(strength), abs=1e-12)
         assert cols["beta_rates"] == pytest.approx(expected, abs=1e-12)
         assert cols["beta_emission"] == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_closed_form_follows_the_input_direction(self, monkeypatch, tmp_path, direction):
+        # a circular dipole in an elliptical field couples to the two
+        # directions unequally; the rates stay those of the lab frame
+        cfg = {"scenario": "custom", "mode": "diagnostic",
+               "emitter": {"ground_energies": [0.0], "excited_energies": [1.0],
+                           "dipoles": [[[[0.5 ** 0.5, 0], [0, 0.5 ** 0.5], [0, 0]]]]},
+               "waveguide": dict(CUSTOM_SCATTER["waveguide"], E_f=[[0.6, 0], [0, 0.8], [0, 0]]),
+               "loss": {"isotropic": 0.2},
+               "input": {"direction": direction, "photon_frequency": 1.0}}
+        (tmp_path / "d.json").write_text(json.dumps(cfg))
+        assert run_cli(monkeypatch, tmp_path, "run", "d.json", "--out", "d.csv") == 0
+        header, data = read_csv(tmp_path / "d.csv")
+        cols = dict(zip(header, data[0]))
+        model, env, loss, inp, _ = parse_config(cfg).built
+        res = wgqed.scatter(model, env, loss, inp)
+        assert complex(cols["re_t"], cols["im_t"]) == pytest.approx(res.transmission, abs=1e-12)
+        assert complex(cols["re_r"], cols["im_r"]) == pytest.approx(res.reflection, abs=1e-12)
+        assert cols["p_loss"] == pytest.approx(res.p_loss, abs=1e-12)
+        rates = wgqed.coupling_bundle(model, env, loss).channel_decay_rates()
+        assert (cols["rate_forward"], cols["rate_backward"]) == (rates["forward"][0],
+                                                                  rates["backward"][0])
+        assert cols["rate_forward"] > 10 * cols["rate_backward"]
 
     def test_diagnostic_reads_the_outcome_forms(self, monkeypatch, tmp_path):
         # beta_emission is tr(Y rho0) of the one bundle: no time evolution
@@ -554,8 +603,8 @@ class TestParseOnce:
 
         monkeypatch.setattr(wgqed.cli, "parse_config",
                             counting("parse_config", wgqed.cli.parse_config))
-        monkeypatch.setattr(wgqed.EmitterModel, "__post_init__",
-                            counting("model_check", wgqed.EmitterModel.__post_init__))
+        monkeypatch.setattr(wgqed.EmitterModel, "__init__",
+                            counting("model_check", wgqed.EmitterModel.__init__))
         assert run_cli(monkeypatch, tmp_path, "run", scenario, "--loss", "0.2",
                        "--out", "o.csv") == 0
         assert calls == {"parse_config": 1, "model_check": 1}
@@ -677,6 +726,34 @@ _HUGE_DIPOLE_EMITTER = _custom_sweep(["emitter", "dipoles", 0, 0, 0, 0], 1e200)[
 
 
 class TestExitCodeContract:
+    @pytest.mark.parametrize("files,argv", [
+        ({"deep.json": b"[" * 100_000 + b"]" * 100_000}, ["deep.json"]),
+        ({"big.json": b'{"scenario": "two-level", "loss": {"isotropic": 1'
+                      + b"0" * 5000 + b"}}"}, ["big.json"]),
+        ({"latin.json": '{"scenario": "two-l\xe9vel"}'.encode("latin-1")}, ["latin.json"]),
+        ({}, ["x" * 300]),
+        ({"nul.json": b'{"scenario": "two-level", "output": {"path": "o\\u0000.csv"}}'},
+         ["nul.json"]),
+        ({"dir.json/x": b""}, ["dir.json"]),
+        ({"list.json": b"[1]"}, ["list.json"]),
+        ({"ragged.json": json.dumps(dict(CUSTOM_SCATTER, emitter=dict(
+            CUSTOM_SCATTER["emitter"], dipoles=[[[[1, 0], [0, 0], [0, 0]]]]))).encode()},
+         ["ragged.json"]),
+        ({}, ["two-level", "--steps", "5"]),
+    ], ids=["json-deeper-than-the-recursion-limit", "integer-of-5000-digits", "not-utf-8",
+            "name-longer-than-the-os-allows", "nul-in-output-path", "directory-as-config",
+            "config-not-an-object", "ragged-custom-dipoles", "steps-without-a-sweep"])
+    def test_bad_config_source_exits_one_without_a_traceback(self, tmp_path, files, argv):
+        for name, content in files.items():
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_bytes(content)
+        before = sorted(tmp_path.rglob("*"))
+        proc = run_python(tmp_path, "-m", "wgqed.cli", "run", *argv)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("wgqed: configuration error")
+        assert "Traceback" not in proc.stderr
+        assert sorted(tmp_path.rglob("*")) == before    # no output file
+
     @settings(max_examples=150, derandomize=True, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(cfg=mutated_preset_configs())
@@ -828,7 +905,8 @@ class TestCustomEmission:
 
     @pytest.mark.parametrize("initial_state", [
         [[0.6, 0.0], [0.8000000001, 0.0]],
-    ], ids=["norm-off-by-8e-11"])
+        [[1.0, 0.0]],
+    ], ids=["norm-off-by-8e-11", "one-amplitude-for-two-levels"])
     def test_invalid_initial_state_exits_one(self, monkeypatch, tmp_path, capsys,
                                              initial_state):
         # the config check and the propagator share one norm tolerance, so a

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import wgqed.emission as emission_mod
-from wgqed.emission import _outcome_forms
 from wgqed import (
     EmitterModel,
     ExcitedSuperposition,
@@ -17,12 +16,13 @@ from wgqed import (
     coupling_bundle,
     default_t_max,
     evolve,
-    outcome_distance,
+    outcome_forms,
 )
 
 from conftest import (
     PARADOX_FIELD,
     PARADOX_STATE,
+    damping_matrix,
     make_env,
     mp_emission,
     oracle_emission,
@@ -40,6 +40,12 @@ def two_level() -> EmitterModel:
     return EmitterModel.from_arrays([0.0], [1.0], [[[1, 0, 0]]])
 
 
+def total_variation(traj_a, traj_b) -> float:
+    """Total-variation distance between the final (P_f, P_b, P_loss)
+    outcome distributions of two runs."""
+    return 0.5 * np.abs(np.subtract(traj_a.final_totals[:3], traj_b.final_totals[:3])).sum()
+
+
 def paradox_run(state=None, **kwargs):
     psi = ExcitedSuperposition.from_sequence(PARADOX_STATE if state is None else state)
     return evolve(paradox_model(), make_env(PARADOX_FIELD), LossModel.none(), psi, **kwargs)
@@ -50,12 +56,12 @@ class TestParadoxScenario:
 
     def test_initial_populations(self):
         traj = paradox_run(t_max=1.0, output_points=11)
-        assert np.allclose(traj.states[0].excited_populations(), [0.2, 0.8], atol=1e-12)
+        assert np.allclose(traj.states[0].excited_block.diagonal().real, [0.2, 0.8], atol=1e-12)
 
     def test_populations_follow_four_to_one_rates(self):
         traj = paradox_run(t_max=2.0, output_points=41)
         p1, p2 = paradox_populations(traj.times)
-        pops = np.array([s.excited_populations() for s in traj.states])
+        pops = np.array([s.excited_block.diagonal().real for s in traj.states])
         assert np.max(np.abs(pops[:, 0] - p1)) < 1e-12
         assert np.max(np.abs(pops[:, 1] - p2)) < 1e-12
 
@@ -97,7 +103,7 @@ class TestParadoxScenario:
     def test_direction_probabilities_match_closed_form(self):
         traj = paradox_run(t_max=3.0, output_points=61)
         sup, enh = paradox_direction_probs(traj.times)
-        totals = np.array([s.channel_totals() for s in traj.states])
+        totals = np.array([s.ground_mode_probs.sum(axis=0) for s in traj.states])
         directions = np.sort(totals[:, :2], axis=1)
         expected = np.sort(np.column_stack([sup, enh]), axis=1)
         assert np.max(np.abs(directions - expected)) < 1e-12
@@ -136,7 +142,7 @@ class TestParadoxScenario:
         assert ra[dark_a] < 1e-14 and rb[dark_b] < 1e-14
         assert dark_a != dark_b
 
-        tv = outcome_distance(paradox_run(state=psi_a), paradox_run(state=psi_b))
+        tv = total_variation(paradox_run(state=psi_a), paradox_run(state=psi_b))
         assert tv == pytest.approx(16.0 / 25.0, abs=1e-3)
 
 
@@ -145,14 +151,14 @@ class TestTwoLevelEmission:
         traj = evolve(two_level(), make_env([1, 0, 0]), LossModel.none(),
                       ExcitedSuperposition.from_sequence([1.0]), t_max=1.5,
                       output_points=61)
-        pops = np.array([s.excited_populations()[0] for s in traj.states])
+        pops = np.array([s.excited_block[0, 0].real for s in traj.states])
         assert np.max(np.abs(pops - np.exp(-10.0 * traj.times))) < 1e-12
 
     def test_matched_linear_splits_evenly_between_directions(self):
         traj = evolve(two_level(), make_env([1, 0, 0]), LossModel.none(),
                       ExcitedSuperposition.from_sequence([1.0]), t_max=1.5,
                       output_points=61)
-        totals = np.array([s.channel_totals() for s in traj.states])
+        totals = np.array([s.ground_mode_probs.sum(axis=0) for s in traj.states])
         expected = 0.5 * (1.0 - np.exp(-10.0 * traj.times))
         assert np.max(np.abs(totals[:, 0] - expected)) < 1e-12
         assert np.max(np.abs(totals[:, 1] - expected)) < 1e-12
@@ -184,7 +190,7 @@ class TestTwoLevelEmission:
         traj = evolve(two_level(), env, LossModel.none(),
                       ExcitedSuperposition.from_sequence([1.0]), t_max=2.0,
                       output_points=21)
-        pops = np.array([s.excited_populations()[0] for s in traj.states])
+        pops = np.array([s.excited_block[0, 0].real for s in traj.states])
         assert np.max(np.abs(pops - np.exp(-5.0 * traj.times))) < 1e-12
 
     def test_direction_split_matches_field_overlaps(self, rng):
@@ -209,7 +215,7 @@ class TestGeneratorEdgeCases:
         traj = evolve(model, make_env([1, 0, 0]), LossModel.none(), psi,
                       t_max=5.0, output_points=11)
         for st in traj.states:
-            assert np.allclose(st.excited_populations(), [0.5, 0.5], atol=1e-12)
+            assert np.allclose(st.excited_block.diagonal().real, [0.5, 0.5], atol=1e-12)
             assert np.max(np.abs(st.ground_mode_probs)) == 0.0
         # detuned levels still precess the coherence: rho12 ~ exp(-i(E1-E2)t)
         final = traj.states[-1].excited_block
@@ -294,7 +300,8 @@ class TestConservation:
             traj = evolve(model, make_env(random_unit_vector(rng)), loss,
                           ExcitedSuperposition.from_sequence(random_state(rng, model.n_excited)),
                           output_points=31)
-            traces = np.array([s.total_trace() for s in traj.states])
+            traces = np.array([s.excited_block.trace().real + s.ground_mode_probs.sum()
+                               for s in traj.states])
             assert np.max(np.abs(traces - 1.0)) < 100 * 1e-9
 
     def test_excited_population_never_increases(self, rng):
@@ -528,8 +535,15 @@ class TestInterfaces:
         (np.array([[np.nan, 0], [0, 1]], dtype=complex), "initial density matrix has a non-finite"),
         (np.array([[1, np.inf], [np.inf, 0]], dtype=complex),
          "initial density matrix has a non-finite"),
-    ], ids=["nan-superposition", "nan-density-matrix", "inf-density-matrix"])
-    def test_non_finite_initial_state_named(self, initial, message):
+        (ExcitedSuperposition.from_sequence([1.0]),
+         "initial superposition has 1 amplitudes for 2 excited states"),
+        (np.eye(3), r"initial density matrix must be 2 x 2, got \(3, 3\)"),
+        (np.eye(2), "initial density matrix trace differs from 1"),
+        (np.diag([1.5, -0.5]), "initial density matrix is not positive semidefinite"),
+    ], ids=["nan-superposition", "nan-density-matrix", "inf-density-matrix",
+            "superposition-of-one-level", "density-matrix-of-three-levels", "trace-two",
+            "negative-population"])
+    def test_invalid_initial_state_named(self, initial, message):
         # every comparison with nan is false: the checks are written so that
         # nan fails them, and the error names the initial state
         with pytest.raises(NonPhysicalStateError, match=message):
@@ -584,8 +598,6 @@ class TestInterfaces:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0, 0] = 0.0
-        assert type(st.total_trace()) is float
-        assert all(type(p) is float for p in st.channel_totals())
 
     def test_single_time_returns_initial_state(self):
         psi = ExcitedSuperposition.from_sequence(PARADOX_STATE)
@@ -618,6 +630,10 @@ class TestInterfaces:
                       ExcitedSuperposition.from_sequence([1.0]))
         assert traj.times[-1] == pytest.approx(2.0)  # rate 10
         assert traj.final_totals.residual_excited < 1e-6
+        # where no mode decays, the horizon is twenty time units
+        frozen = EmitterModel.from_arrays([0.0], [1.0], [[[0, 0, 0]]])
+        assert default_t_max(coupling_bundle(frozen, make_env([1, 0, 0]),
+                                             LossModel.isotropic(0.2))) == 20.0
 
     def test_default_horizon_of_an_overflowing_rate(self):
         # loss and guided decay at 1.5e308 and 1.6e308: their sum overflows
@@ -628,9 +644,9 @@ class TestInterfaces:
         # 20 lifetimes of the rate 2 * 1.55e308
         assert default_t_max(bundle) == pytest.approx(10.0 / 1.55e308, rel=1e-12, abs=0.0)
 
-    def test_outcome_distance_extremes(self):
+    def test_total_variation_extremes(self):
         traj = paradox_run(t_max=4.0, output_points=21)
-        assert outcome_distance(traj, traj) == 0.0
+        assert total_variation(traj, traj) == 0.0
         # fully chiral dipoles emit in exactly one direction each
         chiral = EmitterModel.from_arrays(
             [0.0], [1.0, 1.0],
@@ -641,7 +657,7 @@ class TestInterfaces:
                      ExcitedSuperposition.from_sequence([1.0, 0.0]), t_max=6.0)
         other = evolve(chiral, env, LossModel.none(),
                        ExcitedSuperposition.from_sequence([0.0, 1.0]), t_max=6.0)
-        assert outcome_distance(one, other) == pytest.approx(1.0, abs=1e-5)
+        assert total_variation(one, other) == pytest.approx(1.0, abs=1e-5)
 
 
 class TestOutcomeForms:
@@ -674,10 +690,10 @@ class TestOutcomeForms:
         for k in range(60):
             model, env, loss = self.random_instance(rng, k)
             bundle = coupling_bundle(model, env, loss)
-            Y = _outcome_forms(bundle)
+            Y = outcome_forms(bundle)
             n_e = model.n_excited
             assert Y.shape == (model.n_ground, 3, n_e, n_e)
-            rates, vecs = np.linalg.eigh(bundle.damping_rate_matrix())
+            rates, vecs = np.linalg.eigh(damping_matrix(bundle))
             dark = vecs[:, rates < 1e-10 * max(1.0, rates.max())]
             P_dark = dark @ dark.conj().T
             assert np.max(np.abs(Y.sum(axis=(0, 1)) - (np.eye(n_e) - P_dark))) < 1e-10
@@ -688,7 +704,7 @@ class TestOutcomeForms:
         for k in range(60):
             model, env, loss = self.random_instance(rng, k)
             psi = random_state(rng, model.n_excited)
-            p = self.probabilities(_outcome_forms(coupling_bundle(model, env, loss)), psi)
+            p = self.probabilities(outcome_forms(coupling_bundle(model, env, loss)), psi)
             traj = evolve(model, env, loss, ExcitedSuperposition.from_sequence(psi),
                           times=[0.0, 1e300])
             assert np.max(np.abs(traj.states[-1].ground_mode_probs - p)) < 1e-12
@@ -699,7 +715,7 @@ class TestOutcomeForms:
         # trace distance allows
         for k in range(30):
             model, env, loss = self.random_instance(rng, k)
-            Y = _outcome_forms(coupling_bundle(model, env, loss))
+            Y = outcome_forms(coupling_bundle(model, env, loss))
             a, b = (random_state(rng, model.n_excited) for _ in range(2))
             diff = np.outer(a, a.conj()) - np.outer(b, b.conj())
             tv = 0.5 * np.sum(np.abs(self.probabilities(Y, a) - self.probabilities(Y, b)))
@@ -709,7 +725,7 @@ class TestOutcomeForms:
         # the paradox resolved: the initial flux is strictly forward, yet
         # the state emits forward with probability 9/50, and no state emits
         # forward with probability outside [0.1, 0.9]
-        Y = _outcome_forms(coupling_bundle(paradox_model(), make_env(PARADOX_FIELD),
+        Y = outcome_forms(coupling_bundle(paradox_model(), make_env(PARADOX_FIELD),
                                            LossModel.none()))
         p = self.probabilities(Y, PARADOX_STATE)
         assert p[0] == pytest.approx([9 / 50, 41 / 50, 0.0], abs=1e-14)

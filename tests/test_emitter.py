@@ -1,4 +1,9 @@
-"""Emitter model construction, validation, effective dipoles, basis rotation."""
+"""Emitter model construction, validation, effective dipoles, basis rotation,
+and the immutable value types."""
+
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -8,6 +13,7 @@ from hypothesis import strategies as st
 from wgqed import (
     EmitterModel,
     ExcitedSuperposition,
+    LossModel,
     ModelValidationError,
     NonDegenerateManifoldError,
     NonUnitaryMatrixError,
@@ -16,7 +22,7 @@ from wgqed import (
     rotate_excited_basis,
 )
 
-from conftest import ARGUMENTS, FUZZ_LEAVES, random_model, random_unitary
+from conftest import ARGUMENTS, FUZZ_LEAVES, numbers_only, random_model, random_unitary
 
 
 def v_system() -> EmitterModel:
@@ -27,7 +33,7 @@ class TestPolarizationVector:
     def test_components_and_norm(self):
         v = PolarizationVector([3, 4j, 0])
         assert v.as_array().tolist() == [3 + 0j, 4j, 0j]
-        assert v.norm() == pytest.approx(5.0)
+        assert np.linalg.norm(v.as_array()) == pytest.approx(5.0)
 
     def test_two_component_input_embeds_in_plane(self):
         v = PolarizationVector([1, 1j])
@@ -40,6 +46,34 @@ class TestPolarizationVector:
         with pytest.raises(ModelValidationError) as exc:
             PolarizationVector([1, 2, 3, 4])
         assert exc.value.code == "dimension-mismatch"
+
+    @pytest.mark.parametrize("components", [
+        ["1", 0, 0], [True, 0, 0], [None, 0, 0], "abc", object(), [[1, 0], [0]],
+        np.array(["1", "0", "0"]), np.array([True, False, False]), [10**400, 0, 0],
+    ], ids=["numeric-string", "bool", "none", "string", "object", "ragged",
+            "string-array", "bool-array", "beyond-complex-range"])
+    def test_non_number_components_rejected(self, components):
+        with pytest.raises(ModelValidationError) as exc:
+            PolarizationVector(components)
+        assert exc.value.code == "dimension-mismatch"
+        assert str(exc.value) == "polarization vector components must be numbers"
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.float32, np.complex64, object])
+    def test_numeric_arrays_of_any_kind_accepted(self, dtype):
+        v = PolarizationVector(np.array([1, 0, 2], dtype=dtype))
+        assert v == PolarizationVector([1, 0, 2]) and v.as_array().dtype == complex
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=st.one_of(ARGUMENTS, st.lists(FUZZ_LEAVES, min_size=1, max_size=3)))
+    def test_any_argument_builds_or_raises_a_validation_error(self, value):
+        # never a TypeError, an OverflowError or a numpy error, and nothing
+        # but numbers builds
+        for build in (PolarizationVector, ExcitedSuperposition.from_sequence):
+            try:
+                build(value)
+            except ModelValidationError:
+                continue
+            assert numbers_only(value)
 
     def test_conjugated(self):
         v = PolarizationVector([1, 1j, 0])
@@ -116,6 +150,10 @@ class TestValidate:
         (1, [[[[1, 0, 0]]]]),           # one level too deep
         (2, [[[1, 0], [0, 1, 0]]]),     # vectors of unequal length
         (1, [[["x", 0, 0]]]),           # not a number
+        (1, [[["1", "0j", 0]]]),        # numeric strings
+        (1, [[[True, 0, 0]]]),          # a bool
+        (1, np.array([[[True, False, False]]])),
+        (1, np.array([[["1", "0", "0"]]])),
         (1, [[[10**400, 0, 0]]]),       # beyond the complex range
         (1, [[None]]),
         (1, 5),
@@ -163,7 +201,8 @@ class TestValidate:
             EmitterModel(ground_energies=ground, excited_energies=excited, dipoles=())
         assert exc.value.code == "empty-manifold"
 
-    @pytest.mark.parametrize("energy", [None, "x", 1j, 10**400, [0.0]])
+    @pytest.mark.parametrize("energy", [None, "x", "0.5", True, np.bool_(False), 1j, 10**400,
+                                        [0.0]])
     def test_non_number_energy_rejected(self, energy):
         with pytest.raises(ModelValidationError) as exc:
             EmitterModel.from_arrays([energy], [1.0], [[[1, 0, 0]]])
@@ -176,11 +215,13 @@ class TestValidate:
            dipoles=st.one_of(ARGUMENTS, st.lists(FUZZ_LEAVES, min_size=2, max_size=3)
                              .map(lambda vec: [[vec]])))
     def test_any_argument_builds_or_raises_a_validation_error(self, ground, excited, dipoles):
-        # never a TypeError, an OverflowError or a numpy error
+        # never a TypeError, an OverflowError or a numpy error, and nothing
+        # but numbers builds
         try:
             model = EmitterModel.from_arrays(ground, excited, dipoles)
         except ModelValidationError:
             return
+        assert numbers_only(ground) and numbers_only(excited) and numbers_only(dipoles)
         D = model.dipole_array()
         assert D.shape == (model.n_ground, model.n_excited, 3) and not D.flags.writeable
         assert np.isfinite(D).all() and hash(model) == hash(EmitterModel.from_arrays(
@@ -202,7 +243,8 @@ class TestEffectiveDipole:
 
     def test_balanced_orthogonal_arms_have_unit_norm(self):
         state = ExcitedSuperposition.from_sequence(np.array([1, 1]) / np.sqrt(2))
-        assert effective_dipole(v_system(), 0, state).norm() == pytest.approx(1.0)
+        d = effective_dipole(v_system(), 0, state).as_array()
+        assert np.linalg.norm(d) == pytest.approx(1.0)
 
     def test_linearity_in_amplitudes(self, rng):
         model = random_model(rng, 2, 3)
@@ -219,6 +261,12 @@ class TestEffectiveDipole:
                 * effective_dipole(model, 1, ExcitedSuperposition.from_sequence(b)).as_array()
             )
             assert np.max(np.abs(lhs - rhs)) < 1e-14 * max(1.0, np.max(np.abs(rhs)))
+
+    def test_amplitude_count_must_match_the_model(self):
+        with pytest.raises(ModelValidationError) as exc:
+            effective_dipole(v_system(), 0, ExcitedSuperposition.from_sequence([1.0]))
+        assert exc.value.code == "dimension-mismatch"
+        assert str(exc.value) == "superposition has 1 amplitudes for 2 excited states"
 
     def test_ground_index_out_of_range(self):
         state = ExcitedSuperposition.from_sequence([1.0, 0.0])
@@ -290,3 +338,47 @@ class TestRotateExcitedBasis:
         )
         with pytest.raises(NonDegenerateManifoldError):
             rotate_excited_basis(model, np.eye(2))
+
+
+# One value of each immutable type, and its read-only array.
+_VALUES = [
+    (PolarizationVector([1, -0.0, 2j]), PolarizationVector.as_array),
+    (v_system(), EmitterModel.dipole_array),
+    (LossModel.from_array(0.3 * np.eye(3) + 0.2j * np.eye(3)), LossModel.as_array),
+]
+_VALUE_IDS = ["PolarizationVector", "EmitterModel", "LossModel"]
+
+
+class TestValueTypes:
+    """Polarization vectors, emitter models and loss models are values: no
+    attribute can change, and a copy is an equal, hash-equal value whose
+    array is read-only."""
+
+    @pytest.mark.parametrize("value,array", _VALUES, ids=_VALUE_IDS)
+    @pytest.mark.parametrize("duplicate", [
+        lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy,
+    ], ids=["pickle", "copy", "deepcopy"])
+    def test_copies_are_equal_read_only_values(self, value, array, duplicate):
+        other = duplicate(value)
+        assert type(other) is type(value)
+        assert other == value and hash(other) == hash(value)
+        assert not array(other).flags.writeable
+        np.testing.assert_array_equal(array(other), array(value))
+
+    @pytest.mark.parametrize("value,array", _VALUES, ids=_VALUE_IDS)
+    def test_no_attribute_can_be_set_or_deleted(self, value, array):
+        before = hash(value)
+        with pytest.raises(FrozenInstanceError):
+            value.extra = 0
+        for name in value.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert hash(value) == before
+
+    def test_values_of_different_types_are_unequal(self):
+        vector = PolarizationVector([0, 0, 0])
+        loss = LossModel.from_array(np.zeros((3, 3)))
+        assert vector != loss and vector != vector.as_array().tolist()
+        assert np.array_equal(vector.as_array(), loss.as_array()[0])

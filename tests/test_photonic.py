@@ -13,6 +13,7 @@ from wgqed import (
     ModelValidationError,
     PolarizationVector,
     ScatterInput,
+    WaveguideEnv,
     SingularResponseError,
     coupling_bundle,
     scatter,
@@ -23,7 +24,9 @@ from conftest import (
     ARGUMENTS,
     FUZZ_LEAVES,
     PARADOX_FIELD,
+    damping_matrix,
     make_env,
+    numbers_only,
     oracle_field_normalization,
     oracle_gamma,
     oracle_greens_tensors,
@@ -72,19 +75,33 @@ class TestWaveguideEnv:
             make_env([1, 0, 0], **{name: value})
         assert exc.value.code == "invalid-environment"
 
+    @pytest.mark.parametrize("E_f,code", [
+        (object(), "dimension-mismatch"), ("abc", "dimension-mismatch"),
+        (["1", 0, 0], "dimension-mismatch"), ([True, 0, 0], "dimension-mismatch"),
+        ([np.nan, 0, 0], "non-finite-entry"), ([0, 1j * np.inf, 0], "non-finite-entry"),
+    ], ids=["object", "string", "numeric-string", "bool", "nan", "inf"])
+    def test_field_of_non_numbers_or_non_finite_numbers_rejected(self, E_f, code):
+        with pytest.raises(ModelValidationError) as exc:
+            WaveguideEnv(E_f=E_f)
+        assert exc.value.code == code
+
     def test_numpy_and_integer_parameters_accepted(self):
         env = make_env([1, 0, 0], a=np.float64(2.0), v_g=-1, omega=np.int64(3))
         assert env.z == pytest.approx(3.0)
 
     @settings(max_examples=200, deadline=None)
     @given(values=st.fixed_dictionaries(
-        {}, optional={name: FUZZ_LEAVES for name in ("a", "v_g", "omega", "epsilon0", "hbar")}))
-    def test_any_scalar_builds_or_raises_a_validation_error(self, values):
+        {}, optional={name: FUZZ_LEAVES for name in ("a", "v_g", "omega", "epsilon0", "hbar")}),
+           E_f=st.one_of(st.just([1, 0, 0]), ARGUMENTS,
+                         st.lists(FUZZ_LEAVES, min_size=3, max_size=3)))
+    def test_any_argument_builds_or_raises_a_validation_error(self, values, E_f):
+        # the field is checked first; only numbers build
         try:
-            env = make_env([1, 0, 0], **values)
+            env = WaveguideEnv(E_f=E_f, **values)
         except ModelValidationError as exc:
-            assert exc.code == "invalid-environment"
+            assert exc.code == "invalid-environment" or E_f != [1, 0, 0]
             return
+        assert numbers_only(E_f) and np.isfinite(env.E_f.as_array()).all()
         for name in values:
             assert np.isfinite(getattr(env, name))
 
@@ -137,6 +154,12 @@ class TestLossModel:
         ([[0.2j, 0, 0], [0, 0.2j], [0, 0, 0.2j]], "loss tensor must be a 3x3 array of numbers"),
         ([["x"] * 3] * 3, "loss tensor must be a 3x3 array of numbers"),
         ([[10**400] * 3] * 3, "loss tensor must be a 3x3 array of numbers"),
+        ([["0.2j", 0, 0], [0, "0.2j", 0], [0, 0, "0.2j"]],
+         "loss tensor must be a 3x3 array of numbers"),
+        ("0.2", "loss tensor must be a 3x3 array of numbers"),
+        ([[True, False, False]] * 3, "loss tensor must be a 3x3 array of numbers"),
+        (np.eye(3, dtype=bool), "loss tensor must be a 3x3 array of numbers"),
+        (True, "loss tensor must be a 3x3 array of numbers"),
     ])
     def test_wrongly_shaped_tensor_rejected(self, tensor, message):
         with pytest.raises(ModelValidationError) as exc:
@@ -154,12 +177,14 @@ class TestLossModel:
                                                 min_size=3, max_size=3)),
            strength=FUZZ_LEAVES)
     def test_any_argument_builds_or_raises_a_validation_error(self, tensor, strength):
-        # never a TypeError, an OverflowError, a numpy error or a warning
-        for build in (lambda: LossModel.from_array(tensor), lambda: LossModel.isotropic(strength)):
+        # never a TypeError, an OverflowError, a numpy error or a warning,
+        # and nothing but numbers builds
+        for arg, build in ((tensor, LossModel.from_array), (strength, LossModel.isotropic)):
             try:
-                loss = build()
+                loss = build(arg)
             except ModelValidationError:
                 continue
+            assert numbers_only(arg)
             assert loss.as_array().shape == (3, 3) and not loss.as_array().flags.writeable
             assert hash(loss) == hash(LossModel.from_array(loss.as_array()))
 
@@ -206,7 +231,7 @@ class TestGreensDecomposition:
         # K = 0.2 sum_n D_n* D_n^T
         model = random_model(rng, 2, 2)
         D = model.dipole_array()
-        K = coupling_bundle(model, env, loss).damping_rate_matrix()
+        K = damping_matrix(coupling_bundle(model, env, loss))
         assert np.allclose(K, 0.2 * np.einsum("nxi,nyi->xy", D.conj(), D), atol=1e-14)
 
     def test_forward_backward_swap_symmetric_for_real_field(self, rng):
@@ -248,7 +273,7 @@ class TestCouplingBundle:
         bundle = coupling_bundle(model, make_env([1, 0, 0]),
                                  LossModel.isotropic(0.2))
         for mat in (bundle.H_eff - np.diag(model.excited_energies),
-                    bundle.damping_rate_matrix()):
+                    damping_matrix(bundle)):
             assert np.max(np.abs(mat)) == 0.0
 
     def test_matched_two_level_total_rate(self):
@@ -256,7 +281,7 @@ class TestCouplingBundle:
         env = make_env([1, 0, 0], v_g=0.1)
         bundle = coupling_bundle(two_level(), env, LossModel.none())
         expected = per_direction_rate([1, 0, 0], [1, 0, 0]) * 2
-        assert bundle.damping_rate_matrix()[0, 0].real == pytest.approx(expected)
+        assert damping_matrix(bundle)[0, 0].real == pytest.approx(expected)
         assert expected == pytest.approx(10.0)
 
     def test_channel_rates_match_direction_formula(self, rng):
@@ -322,7 +347,7 @@ class TestCouplingBundle:
         bundle = coupling_bundle(model, env, loss)
         go = oracle_gamma(model, env, loss).T
         from_gamma = (go - go.conj().T) / (2j * env.hbar) * 2.0
-        K = bundle.damping_rate_matrix()
+        K = damping_matrix(bundle)
         assert np.max(np.abs(K - from_gamma)) < 1e-13
         # the flux forms, built apart from H_eff, sum to the same K
         from_forms = bundle.flux_forms.sum(axis=(0, 1))
@@ -350,14 +375,14 @@ class TestCouplingBundle:
         loss = LossModel.from_array(0.3 * np.eye(3) + 0.2j * np.eye(3))
         bundle = coupling_bundle(two_level(), make_env([1, 0, 0]), loss)
         assert 1.0 - bundle.H_eff[0, 0].real == pytest.approx(-0.15)
-        assert bundle.damping_rate_matrix()[0, 0].real == pytest.approx(10.2)
+        assert damping_matrix(bundle)[0, 0].real == pytest.approx(10.2)
 
     def test_damping_is_positive_semidefinite(self, rng):
         for _ in range(30):
             model = random_model(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
             env = make_env(random_unit_vector(rng))
             loss = LossModel.isotropic(float(rng.uniform(0, 0.5)))
-            K = coupling_bundle(model, env, loss).damping_rate_matrix()
+            K = damping_matrix(coupling_bundle(model, env, loss))
             assert np.min(np.linalg.eigvalsh(K)) > -1e-12
 
     def test_flux_forms_are_hermitian_psd(self, rng):
@@ -389,5 +414,5 @@ class TestCouplingBundle:
             scatter(model, env, LossModel.none(), ScatterInput(photon_frequency=1.0))
         dark = exc.value.dark_vectors
         assert dark.shape == (2, 1)
-        K = coupling_bundle(model, env, LossModel.none()).damping_rate_matrix()
+        K = damping_matrix(coupling_bundle(model, env, LossModel.none()))
         assert np.linalg.norm(K @ dark) < 1e-12

@@ -76,6 +76,18 @@ class TestScatterInput:
         with pytest.raises(ValueError, match="ground_index"):
             ScatterInput("forward", index)
 
+    @pytest.mark.parametrize("direction", ["sideways", "Forward", None])
+    def test_unknown_direction_rejected(self, direction):
+        with pytest.raises(ValueError, match="direction must be one of"):
+            ScatterInput(direction)
+
+    @pytest.mark.parametrize("index", [1, 5])
+    def test_ground_index_beyond_the_model_rejected(self, index):
+        # an index the input takes but the model has no ground state for
+        with pytest.raises(IndexError, match=f"ground index {index} out of range"):
+            scatter(two_level(), make_env([1, 0, 0]), LossModel.isotropic(0.2),
+                    ScatterInput("forward", index))
+
     def test_numpy_integer_ground_index_accepted(self):
         inp = ScatterInput("forward", np.int64(1))
         res = scatter(ixi_model(), circular_env(), LossModel.isotropic(0.2), inp)
