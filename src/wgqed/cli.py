@@ -32,13 +32,13 @@ import math
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Any, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .emitter import EmitterModel, ExcitedSuperposition, _as_float
 from .emission import INITIAL_NORM_TOL, _propagate, default_t_max, outcome_forms
-from .errors import ConfigError, UnknownPresetError, WgqedError
+from .errors import ConfigError, ModelValidationError, UnknownPresetError, WgqedError
 from .photonic import LossModel, WaveguideEnv, coupling_bundle
 from .scattering import (
     MODES,
@@ -101,35 +101,6 @@ _PRESET_OVERRIDABLE = {
     "loss", "input", "sweep", "integrator", "output", "dark_state_projection",
 }
 
-# The keys each section allows.
-_KEYS = {
-    "emitter": {"ground_energies", "excited_energies", "dipoles"},
-    "waveguide": {"a", "v_g", "omega", "E_f"},
-    "loss": {"isotropic", "tensor"},
-    "input": {"direction", "ground_index", "photon_frequency"},
-    "sweep": {"parameter", "start", "stop", "steps"},
-    "integrator": {"t_max", "output_points", "grid"},
-    "output": {"path", "format"},
-}
-
-# Fields that must be given and not null; those of a section only when the
-# section is given as an object.
-_REQUIRED = (
-    "mode", "emitter", "waveguide", "loss", "input",
-    "emitter.ground_energies", "emitter.excited_energies", "emitter.dipoles",
-    "waveguide.a", "waveguide.v_g", "waveguide.omega", "waveguide.E_f",
-    "input.direction",
-    "sweep.parameter", "sweep.start", "sweep.stop", "sweep.steps",
-)
-
-# Defaults of each section, also of an integrator or output block that is
-# absent or null; those of the top level are the ScenarioConfig defaults.
-_DEFAULTS = {
-    "input": {"ground_index": 0},
-    "integrator": {"t_max": None, "output_points": 250, "grid": "geometric"},
-    "output": {"path": None, "format": "csv"},
-}
-
 
 def _finite_number(value) -> bool:
     return isinstance(value, (int, float)) and math.isfinite(_as_float(value))
@@ -147,8 +118,12 @@ def _array(value) -> bool:
     return isinstance(value, (list, tuple))
 
 
-def _finite_numbers(value) -> bool:
-    return _array(value) and all(map(_finite_number, value))
+def _positive(value) -> bool:
+    return _finite_number(value) and value > 0
+
+
+def _energies(value) -> bool:
+    return _array(value) and len(value) > 0 and all(map(_finite_number, value))
 
 
 def _angle(value) -> bool:
@@ -164,46 +139,64 @@ def _grid_points(value) -> bool:
     return _integer(value) and 2 <= value <= _MAX_GRID_POINTS
 
 
-# field: (rule, what it must be). A rule sees a field only when it is given,
-# and in this order; a check that needs two fields is made when the scenario
-# is built.
-_FIELD_RULES = {
-    "mode": (lambda v: v in MODES_OF_OPERATION, f"one of {MODES_OF_OPERATION}"),
-    "emitter": (_object, "an object"),
-    "waveguide": (_object, "an object"),
+_GRID = f"an integer in [2, {_MAX_GRID_POINTS}]"
+
+# Markers of a field with no default: one that must be given and not null,
+# and one that may be left out.
+_NEEDED, _OPTIONAL = object(), object()
+
+# The config schema, one entry per dotted field: (rule, what it must be, its
+# default or a marker). A section comes before its fields, which are the only
+# keys it allows. A field that is absent, or a section that is null, takes
+# its default; a rule sees every other value, in this order. A check that
+# needs two fields is made when the scenario is built.
+_FIELDS = {
+    "mode": (lambda v: v in MODES_OF_OPERATION, f"one of {MODES_OF_OPERATION}", _NEEDED),
+    "emitter": (_object, "an object", _NEEDED),
+    "emitter.ground_energies": (_energies, "a nonempty array of finite numbers", _NEEDED),
+    "emitter.excited_energies": (_energies, "a nonempty array of finite numbers", _NEEDED),
+    "emitter.dipoles": (_array, "an array", _NEEDED),
+    "waveguide": (_object, "an object", _NEEDED),
+    "waveguide.a": (_positive, "a positive finite number", _NEEDED),
+    "waveguide.v_g": (lambda v: _finite_number(v) and v != 0, "a nonzero finite number",
+                      _NEEDED),
+    "waveguide.omega": (_positive, "a positive finite number", _NEEDED),
+    "waveguide.E_f": (_array, "an array", _NEEDED),
     "loss": (lambda v: isinstance(v, dict) and ("isotropic" in v) != ("tensor" in v),
-             "an object with exactly one of 'isotropic' or 'tensor'"),
-    "input": (_object, "an object"),
-    "sweep": (_object, "an object"),
-    "integrator": (_object, "an object"),
-    "output": (_object, "an object"),
-    "dark_state_projection": (lambda v: isinstance(v, bool), "true or false"),
-    "emitter.ground_energies": (_finite_numbers, "an array of finite numbers"),
-    "emitter.excited_energies": (_finite_numbers, "an array of finite numbers"),
-    "emitter.dipoles": (_array, "an array"),
-    "waveguide.a": (_finite_number, "a finite number"),
-    "waveguide.v_g": (_finite_number, "a finite number"),
-    "waveguide.omega": (_finite_number, "a finite number"),
+             "an object with exactly one of 'isotropic' or 'tensor'", _NEEDED),
     "loss.isotropic": (lambda v: _finite_number(v) and v >= 0,
-                       "a finite non-negative number"),
-    "input.direction": (lambda v: v in MODES, f"one of {MODES}"),
-    "input.ground_index": (lambda v: _integer(v) and v >= 0, "a non-negative integer"),
+                       "a finite non-negative number", _OPTIONAL),
+    "loss.tensor": (_array, "an array", _OPTIONAL),
+    "input": (_object, "an object", _NEEDED),
+    "input.direction": (lambda v: v in MODES, f"one of {MODES}", _NEEDED),
+    "input.ground_index": (lambda v: _integer(v) and v >= 0, "a non-negative integer", 0),
     "input.photon_frequency": (lambda v: v is None or _finite_number(v),
-                               "null or a finite number"),
-    "sweep.parameter": (lambda v: v == "theta", "'theta'"),
-    "sweep.start": (_angle, "a number within [0, pi]"),
-    "sweep.stop": (_angle, "a number within [0, pi]"),
-    "sweep.steps": (_grid_points, f"an integer in [2, {_MAX_GRID_POINTS}]"),
-    "integrator.t_max": (lambda v: v is None or _finite_number(v) and v > 0,
-                         "null or a positive finite number"),
-    "integrator.output_points": (_grid_points, f"an integer in [2, {_MAX_GRID_POINTS}]"),
-    "integrator.grid": (lambda v: v in ("geometric", "linear"), "'geometric' or 'linear'"),
-    "output.path": (lambda v: v is None or isinstance(v, str), "null or a string"),
-    "output.format": (lambda v: v in ("csv", "json"), "csv or json"),
+                               "null or a finite number", _OPTIONAL),
+    "sweep": (_object, "an object", None),
+    "sweep.parameter": (lambda v: v == "theta", "'theta'", _NEEDED),
+    "sweep.start": (_angle, "a number within [0, pi]", _NEEDED),
+    "sweep.stop": (_angle, "a number within [0, pi]", _NEEDED),
+    "sweep.steps": (_grid_points, _GRID, _NEEDED),
+    "integrator": (_object, "an object", {}),
+    "integrator.t_max": (lambda v: v is None or _positive(v),
+                         "null or a positive finite number", None),
+    "integrator.output_points": (_grid_points, _GRID, 250),
+    "integrator.grid": (lambda v: v in ("geometric", "linear"), "'geometric' or 'linear'",
+                        "geometric"),
+    "output": (_object, "an object", {}),
+    "output.path": (lambda v: v is None or isinstance(v, str), "null or a string", None),
+    "output.format": (lambda v: v in ("csv", "json"), "csv or json", "csv"),
+    "initial_state": (lambda v: v is None or _array(v), "null or an array", None),
+    "dark_state_projection": (lambda v: isinstance(v, bool), "true or false", False),
 }
 
 
-def _complex_pair(value, fieldname: str) -> complex:
+def _complex_pairs(value, fieldname: str, depth: int):
+    """``value`` with each [re, im] pair ``depth`` arrays deep made a complex
+    number; a level above the pairs that is no array is left for the
+    constructor to reject."""
+    if depth:
+        return [_complex_pairs(v, fieldname, depth - 1) for v in value] if _array(value) else value
     if not (_array(value) and len(value) == 2 and all(map(_finite_number, value))):
         raise ConfigError(
             f"{fieldname}: expected a [re, im] pair of finite numbers, got {value!r}",
@@ -212,10 +205,20 @@ def _complex_pair(value, fieldname: str) -> complex:
     return complex(*value)
 
 
+def _named(fieldname: str, build, *args):
+    """``build(*args)``, with a constructor's check that fails named as a
+    fault of ``fieldname``."""
+    try:
+        return build(*args)
+    except ModelValidationError as exc:
+        raise ConfigError(f"configuration does not describe a valid model: {exc}",
+                          field=fieldname) from exc
+
+
 def _check_keys(d: dict, allowed, prefix: str) -> None:
     for key in d:
-        if key not in allowed:
-            name = f"{prefix}{key}"
+        name = f"{prefix}{key}"
+        if name not in allowed:
             raise ConfigError(f"invalid schema field {name!r}", field=name)
 
 
@@ -274,38 +277,26 @@ def _build(c: ScenarioConfig) -> Built:
             f"got {c.input['ground_index']!r}",
             field="input.ground_index",
         )
-    dipoles = [
-        [[_complex_pair(v, "emitter.dipoles") for v in vec] for vec in row]
-        for row in em["dipoles"]
-    ]
-    model = EmitterModel.from_arrays(em["ground_energies"], em["excited_energies"], dipoles)
+    model = _named("emitter.dipoles", EmitterModel, em["ground_energies"],
+                   em["excited_energies"], _complex_pairs(em["dipoles"], "emitter.dipoles", 3))
     if c.mode == "diagnostic" and (model.n_ground, model.n_excited) != (1, 1):
-        raise ConfigError(
-            "the two-level diagnostic needs exactly one ground and one excited state",
-            field="emitter",
-        )
+        raise ConfigError("the two-level diagnostic needs exactly one ground and one "
+                          "excited state", field="emitter")
     wg = c.waveguide
-    env = WaveguideEnv(
-        E_f=[_complex_pair(v, "waveguide.E_f") for v in wg["E_f"]],
-        a=wg["a"], v_g=wg["v_g"], omega=wg["omega"],
-    )
+    env = _named("waveguide.E_f", WaveguideEnv, _complex_pairs(wg["E_f"], "waveguide.E_f", 1),
+                 wg["a"], wg["v_g"], wg["omega"])
     if "isotropic" in c.loss:
         loss = LossModel.isotropic(float(c.loss["isotropic"]))
     else:
-        loss = LossModel.from_array(
-            [[_complex_pair(v, "loss.tensor") for v in row] for row in c.loss["tensor"]]
-        )
+        loss = _named("loss.tensor", LossModel, _complex_pairs(c.loss["tensor"], "loss.tensor", 2))
     inp = ScatterInput(c.input["direction"], c.input["ground_index"],
                        c.input.get("photon_frequency"))
     initial = None
     if c.initial_state is not None:
-        amps = [_complex_pair(v, "initial_state") for v in c.initial_state]
+        amps = _complex_pairs(c.initial_state, "initial_state", 1)
         if len(amps) != model.n_excited:
-            raise ConfigError(
-                f"initial_state has {len(amps)} amplitudes for "
-                f"{model.n_excited} excited states",
-                field="initial_state",
-            )
+            raise ConfigError(f"initial_state has {len(amps)} amplitudes for "
+                              f"{model.n_excited} excited states", field="initial_state")
         initial = ExcitedSuperposition.from_sequence(amps)
         norm = initial.norm()
         if not (abs(norm - 1.0) <= INITIAL_NORM_TOL):
@@ -349,12 +340,6 @@ def _expand(data) -> dict:
     return {**base, **data}
 
 
-def _holder(cfg: dict, name: str) -> tuple[Any, str]:
-    """The object that holds a dotted field name, and the field's key in it."""
-    section, _, key = name.rpartition(".")
-    return (cfg.get(section) if section else cfg), key
-
-
 def parse_config(data: dict) -> ScenarioConfig:
     """Validate a raw configuration dictionary and build the scenario.
 
@@ -363,27 +348,24 @@ def parse_config(data: dict) -> ScenarioConfig:
     not the emitter itself.
     """
     cfg = dict(_expand(data))
-    for section, allowed in _KEYS.items():
-        value = cfg.get(section)
-        if value is None and section in _DEFAULTS:
-            value = {}
-        if isinstance(value, dict):
-            _check_keys(value, allowed, f"{section}.")
-            cfg[section] = {**_DEFAULTS.get(section, {}), **value}
-    for name in _REQUIRED:
-        holder, key = _holder(cfg, name)
-        if isinstance(holder, dict) and holder.get(key) is None:
+    for name, (rule, what, default) in _FIELDS.items():
+        section, _, key = name.rpartition(".")
+        holder = cfg.get(section) if section else cfg
+        if not isinstance(holder, dict):    # a field of a section that is null or no object
+            continue
+        value = holder.get(key)
+        if value is None and default is _NEEDED:
             raise ConfigError(f"missing required field {name!r}", field=name)
-    for name, (rule, what) in _FIELD_RULES.items():
-        holder, key = _holder(cfg, name)
-        if isinstance(holder, dict) and key in holder and not rule(holder[key]):
-            raise ConfigError(f"{name} must be {what}, got {holder[key]!r}", field=name)
-    try:
-        return ScenarioConfig(**cfg)
-    except ConfigError:
-        raise
-    except (WgqedError, TypeError, ValueError, KeyError) as exc:
-        raise ConfigError(f"configuration does not describe a valid model: {exc}") from exc
+        if key not in holder or value is None and isinstance(default, dict):
+            if default is _OPTIONAL:
+                continue
+            value = holder[key] = default
+        if not rule(value):
+            raise ConfigError(f"{name} must be {what}, got {value!r}", field=name)
+        if isinstance(value, dict):         # a section: only its fields, in a copy to fill in
+            _check_keys(value, _FIELDS, f"{name}.")
+            holder[key] = dict(value)
+    return ScenarioConfig(**cfg)
 
 
 def preset(name: str) -> ScenarioConfig:
@@ -453,7 +435,7 @@ def _emission_table(config: ScenarioConfig):
 
     columns = (["t"] + [f"pop_e{i + 1}" for i in range(model.n_excited)]
                + ["p_forward", "p_backward", "p_loss", "trace"])
-    # the columns are those of the per-state methods
+    # the trace is the excited populations plus every emitted probability
     trace = blocks.trace(axis1=1, axis2=2).real + probs.reshape(len(probs), -1).sum(axis=1)
     table = np.column_stack((times, blocks.diagonal(axis1=1, axis2=2).real,
                              probs.sum(axis=1), trace))

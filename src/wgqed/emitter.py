@@ -195,17 +195,22 @@ class EmitterModel(_Value):
 
 @dataclass(frozen=True)
 class ExcitedSuperposition:
-    """Complex amplitudes over the excited manifold."""
+    """Complex amplitudes over the excited manifold, kept as a tuple.
+    Construction raises :class:`ModelValidationError` ``dimension-mismatch``
+    where ``amplitudes`` is not a 1-d array of numbers."""
 
     amplitudes: tuple[complex, ...]
 
-    @classmethod
-    def from_sequence(cls, amplitudes) -> "ExcitedSuperposition":
+    def __post_init__(self):
         message = "amplitudes must form a 1-d array of numbers"
-        arr = _as_complex_array(amplitudes, message)
+        arr = _as_complex_array(self.amplitudes, message)
         if arr.ndim != 1:
             raise ModelValidationError("dimension-mismatch", message)
-        return cls(tuple(arr.tolist()))
+        object.__setattr__(self, "amplitudes", tuple(arr.tolist()))
+
+    @classmethod
+    def from_sequence(cls, amplitudes) -> "ExcitedSuperposition":
+        return cls(amplitudes)
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.amplitudes, dtype=complex)

@@ -55,7 +55,11 @@ class WaveguideEnv:
 
     def __post_init__(self):
         if not isinstance(self.E_f, PolarizationVector):
-            object.__setattr__(self, "E_f", PolarizationVector(self.E_f))
+            try:
+                object.__setattr__(self, "E_f", PolarizationVector(self.E_f))
+            except ModelValidationError as exc:
+                raise ModelValidationError(exc.code, "E_f must be 2 or 3 numbers, "
+                                           f"got {self.E_f!r}") from None
         if not np.isfinite(self.E_f.as_array()).all():
             raise ModelValidationError("non-finite-entry", "E_f has non-finite components")
         for name in ("a", "omega", "epsilon0", "hbar", "v_g"):

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -122,6 +123,14 @@ class TestConfigParsing:
         with pytest.raises(Exception) as exc:
             parse_config(bad)
         assert "ground_index" in str(exc.value)
+
+    def test_readme_field_table_is_the_schema(self):
+        # the README's config table lists every field of the schema, in its order
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("| field | must be |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+        names = [name for row in table.splitlines()
+                 for name in re.findall(r"`([^`]+)`", row.split("|")[1])]
+        assert names == list(wgqed.cli._FIELDS)
 
     def test_preset_emitter_override_rejected(self):
         bad = {"scenario": "isotropic-scan",
@@ -725,7 +734,42 @@ _NUMERIC_FIELDS = [
 _HUGE_DIPOLE_EMITTER = _custom_sweep(["emitter", "dipoles", 0, 0, 0, 0], 1e200)["emitter"]
 
 
+_ROW = CUSTOM_SCATTER["emitter"]["dipoles"][0]
+_TENSOR_SWEEP = _custom_sweep(["loss"], _LOSS_TENSOR)
+# configs that each field's rule, or the constructor it feeds, rejects
+_FAULTS = [
+    (_custom_sweep(["waveguide", "a"], -1), "waveguide.a"),
+    (_custom_sweep(["waveguide", "omega"], 0), "waveguide.omega"),
+    (_custom_sweep(["waveguide", "v_g"], 0), "waveguide.v_g"),
+    (_custom_sweep(["waveguide", "E_f"], [[1, 0], [0, 0], [0, 0], [0, 0]]), "waveguide.E_f"),
+    (_custom_sweep(["waveguide", "E_f"], 5), "waveguide.E_f"),
+    (_custom_sweep(["emitter", "ground_energies"], []), "emitter.ground_energies"),
+    (_custom_sweep(["emitter", "excited_energies"], []), "emitter.excited_energies"),
+    (_custom_sweep(["emitter", "dipoles"], [_ROW, _ROW]), "emitter.dipoles"),
+    (_custom_sweep(["emitter", "dipoles"], [[5]]), "emitter.dipoles"),
+    (_with(_TENSOR_SWEEP, ["loss", "tensor"], [[[0, 0.2], [0, 0]], [[0, 0], [0, 0.2]]]),
+     "loss.tensor"),
+    (_with(_TENSOR_SWEEP, ["loss", "tensor", 0, 1], [0.1, 0]), "loss.tensor"),
+    (_with(_TENSOR_SWEEP, ["loss", "tensor", 2, 2], [0, -0.5]), "loss.tensor"),
+    (_with(_TENSOR_SWEEP, ["loss", "tensor"], 5), "loss.tensor"),
+    (dict(_CUSTOM_EMISSION, initial_state=5), "initial_state"),
+]
+_FAULT_IDS = ["negative-a", "zero-omega", "zero-v_g", "four-field-components",
+              "field-not-an-array", "no-ground-energy", "no-excited-energy",
+              "two-dipole-rows-for-one-ground-state", "dipole-row-of-a-number",
+              "2x2-loss-tensor", "non-symmetric-loss-tensor", "non-passive-loss-tensor",
+              "loss-tensor-not-an-array", "initial-state-not-an-array"]
+
+
 class TestExitCodeContract:
+    @pytest.mark.parametrize("cfg,field", _FAULTS, ids=_FAULT_IDS)
+    def test_each_fault_is_named(self, monkeypatch, tmp_path, capsys, cfg, field):
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        assert run_cli(monkeypatch, tmp_path, "run", "c.json", "--out", "o.csv") == 1
+        err = capsys.readouterr().err
+        assert f"(field: {field})" in err and "Traceback" not in err
+        assert not (tmp_path / "o.csv").exists()
+
     @pytest.mark.parametrize("files,argv", [
         ({"deep.json": b"[" * 100_000 + b"]" * 100_000}, ["deep.json"]),
         ({"big.json": b'{"scenario": "two-level", "loss": {"isotropic": 1'

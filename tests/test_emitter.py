@@ -53,10 +53,14 @@ class TestPolarizationVector:
     ], ids=["numeric-string", "bool", "none", "string", "object", "ragged",
             "string-array", "bool-array", "beyond-complex-range"])
     def test_non_number_components_rejected(self, components):
-        with pytest.raises(ModelValidationError) as exc:
-            PolarizationVector(components)
-        assert exc.value.code == "dimension-mismatch"
-        assert str(exc.value) == "polarization vector components must be numbers"
+        for build, message in (
+            (PolarizationVector, "polarization vector components must be numbers"),
+            (ExcitedSuperposition, "amplitudes must form a 1-d array of numbers"),
+        ):
+            with pytest.raises(ModelValidationError) as exc:
+                build(components)
+            assert exc.value.code == "dimension-mismatch"
+            assert str(exc.value) == message
 
     @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.float32, np.complex64, object])
     def test_numeric_arrays_of_any_kind_accepted(self, dtype):
@@ -68,7 +72,8 @@ class TestPolarizationVector:
     def test_any_argument_builds_or_raises_a_validation_error(self, value):
         # never a TypeError, an OverflowError or a numpy error, and nothing
         # but numbers builds
-        for build in (PolarizationVector, ExcitedSuperposition.from_sequence):
+        for build in (PolarizationVector, ExcitedSuperposition,
+                      ExcitedSuperposition.from_sequence):
             try:
                 build(value)
             except ModelValidationError:
@@ -261,6 +266,16 @@ class TestEffectiveDipole:
                 * effective_dipole(model, 1, ExcitedSuperposition.from_sequence(b)).as_array()
             )
             assert np.max(np.abs(lhs - rhs)) < 1e-14 * max(1.0, np.max(np.abs(rhs)))
+
+    @pytest.mark.parametrize("amplitudes", [[[1, 0]], np.ones((2, 1)), 1.0])
+    def test_superposition_must_be_one_dimensional(self, amplitudes):
+        # directly or through from_sequence; non-numbers are rejected in
+        # TestPolarizationVector
+        for build in (ExcitedSuperposition, ExcitedSuperposition.from_sequence):
+            with pytest.raises(ModelValidationError,
+                               match="amplitudes must form a 1-d array of numbers"):
+                build(amplitudes)
+        assert ExcitedSuperposition(np.array([1, 0])).amplitudes == (1 + 0j, 0j)
 
     def test_amplitude_count_must_match_the_model(self):
         with pytest.raises(ModelValidationError) as exc:

@@ -79,9 +79,11 @@ class TestWaveguideEnv:
         (object(), "dimension-mismatch"), ("abc", "dimension-mismatch"),
         (["1", 0, 0], "dimension-mismatch"), ([True, 0, 0], "dimension-mismatch"),
         ([np.nan, 0, 0], "non-finite-entry"), ([0, 1j * np.inf, 0], "non-finite-entry"),
-    ], ids=["object", "string", "numeric-string", "bool", "nan", "inf"])
+        ([1, 0, 0, 0], "dimension-mismatch"),
+    ], ids=["object", "string", "numeric-string", "bool", "nan", "inf", "four-components"])
     def test_field_of_non_numbers_or_non_finite_numbers_rejected(self, E_f, code):
-        with pytest.raises(ModelValidationError) as exc:
+        # named like the scalar fields
+        with pytest.raises(ModelValidationError, match="^E_f ") as exc:
             WaveguideEnv(E_f=E_f)
         assert exc.value.code == code
 
@@ -99,7 +101,9 @@ class TestWaveguideEnv:
         try:
             env = WaveguideEnv(E_f=E_f, **values)
         except ModelValidationError as exc:
-            assert exc.code == "invalid-environment" or E_f != [1, 0, 0]
+            # [True, 0, 0] == [1, 0, 0] as well, but it is no field of numbers
+            valid_field = numbers_only(E_f) and E_f == [1, 0, 0]
+            assert exc.code == "invalid-environment" or not valid_field
             return
         assert numbers_only(E_f) and np.isfinite(env.E_f.as_array()).all()
         for name in values:
@@ -166,6 +170,12 @@ class TestLossModel:
             LossModel.from_array(tensor)
         assert exc.value.code == "dimension-mismatch"
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("entry", [np.inf, np.nan, complex(0, -np.inf)])
+    def test_non_finite_tensor_rejected(self, entry):
+        with pytest.raises(ModelValidationError, match="non-finite entries") as exc:
+            LossModel(np.full((3, 3), entry))
+        assert exc.value.code == "non-finite-entry"
 
     @pytest.mark.parametrize("strength", [True, False, "0.2", 1j, None, 10**400, np.nan, np.inf])
     def test_isotropic_takes_only_a_finite_number(self, strength):
