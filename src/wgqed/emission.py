@@ -31,7 +31,6 @@ diagonal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple, Sequence
 
@@ -83,8 +82,7 @@ class DirectionalTotals(NamedTuple):
     residual_excited: float
 
 
-@dataclass(frozen=True)
-class EmissionTrajectory:
+class EmissionTrajectory(NamedTuple):
     times: np.ndarray
     states: tuple[EmitterDensityMatrix, ...]
     final_totals: DirectionalTotals
@@ -137,19 +135,19 @@ def _rounding_rate(H: np.ndarray) -> float:
     return _ROUNDING_RATE * H.shape[0] * np.finfo(float).eps * np.abs(H).max()
 
 
-def _held(lam: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """The modes ``lam`` of ``H`` that count as non-decaying: those whose
-    rate ``-2 Im lam`` is at most :func:`_rounding_rate`. A positive
-    ``Im lam`` (rounding; ``H_eff`` is passive) and a nan count as held
-    too."""
-    return ~(-lam.imag > 0.5 * _rounding_rate(H))
+def _held(lam: np.ndarray, rate: float) -> np.ndarray:
+    """The modes ``lam`` that count as non-decaying: those whose rate ``-2
+    Im lam`` is at most the rounding rate ``rate`` of their matrix. A
+    positive ``Im lam`` (rounding; ``H_eff`` is passive) and a nan count as
+    held too."""
+    return ~(-lam.imag > 0.5 * rate)
 
 
-def _horizon(lam: np.ndarray, H: np.ndarray) -> float:
+def _horizon(lam: np.ndarray, rate: float) -> float:
     """``DEFAULT_LIFETIMES`` over the smallest decay rate, ``-2 Im`` of the
-    modes ``lam`` of ``H`` that are not held, taken as half of that so that
-    no rate overflows."""
-    decaying = -lam.imag[~_held(lam, H)]
+    modes ``lam`` that are not held at the rounding rate ``rate``, taken as
+    half of that so that no rate overflows."""
+    decaying = -lam.imag[~_held(lam, rate)]
     if decaying.size == 0:
         return DEFAULT_LIFETIMES
     return float(0.5 * DEFAULT_LIFETIMES / np.min(decaying))
@@ -160,7 +158,8 @@ def default_t_max(bundle: CouplingBundle) -> float:
     ``H_eff``, ``-2 Im`` of its eigenvalues, among the modes that decay at
     all. A slow mode that superposes several levels sets the horizon even
     when every level decays fast."""
-    return _horizon(np.linalg.eig(bundle.H_eff)[0], bundle.H_eff)
+    H = bundle.H_eff
+    return _horizon(np.linalg.eig(H)[0], _rounding_rate(H))
 
 
 def _expm(A: np.ndarray) -> np.ndarray:
@@ -245,6 +244,15 @@ def outcome_forms(bundle: CouplingBundle) -> np.ndarray:
     so the outcome distributions of two states differ in total variation by
     no more than the trace distance of the states.
     """
+    Z = _lyapunov(bundle, _rounding_rate(bundle.H_eff))
+    return Z.T.reshape(bundle.flux_forms.shape).swapaxes(-1, -2)
+
+
+def _lyapunov(bundle: CouplingBundle, rate: float) -> np.ndarray:
+    """The outcome forms of :func:`outcome_forms` as the solution ``Z``
+    (n_e * n_e, n_g * 3) of their Lyapunov equation, ``Z[(a b), k] = Y_k[b,
+    a]``, with ``rate`` the rounding rate of ``H_eff``. The caller ignores
+    floating-point errors."""
     Q = bundle.flux_forms
     if not np.isfinite(Q).all():
         raise NonPhysicalStateError("non-finite channel flux in the emission propagation")
@@ -266,11 +274,8 @@ def outcome_forms(bundle: CouplingBundle) -> np.ndarray:
          + eye[:, None, :, None] * A.conj().T[None, :, None, :])
     F = Q.swapaxes(-1, -2).reshape(-1, n_rho).T
     K = K.reshape(n_rho, n_rho)
-    rate = _rounding_rate(bundle.H_eff)
     top = np.linalg.svd(K, compute_uv=False)[0]    # lstsq's cutoff is relative to it
-    Z = np.linalg.lstsq(K, F, rcond=rate / top if top > rate else 1.0)[0]
-    # Z[(a b), k] = Y_k[b, a]
-    return Z.T.reshape(Q.shape).swapaxes(-1, -2)
+    return np.linalg.lstsq(K, F, rcond=rate / top if top > rate else 1.0)[0]
 
 
 @np.errstate(all="ignore")
@@ -288,13 +293,19 @@ def _propagate(bundle: CouplingBundle, initial, t_max: float | None = None,
         raise ValueError(f"output_points must be a positive integer, got {output_points!r}")
     rho0, L = _coerce_initial(initial, n_e)
     lam, V = np.linalg.eig(H)
+    rate = _rounding_rate(H)
 
     if times is None:
-        horizon = _horizon(lam, H) if t_max is None else _as_float(t_max)
+        horizon = _horizon(lam, rate) if t_max is None else _as_float(t_max)
         if not (np.isfinite(horizon) and horizon > 0):
             raise ValueError("t_max must be positive and finite, got "
                              f"{horizon if t_max is None else t_max!r}")
-        t_grid = np.linspace(0.0, horizon, output_points)
+        # np.linspace(0, horizon, output_points) to the bit, without its
+        # overhead; where the step underflows to 0 both fail the check below
+        t_grid = np.arange(output_points, dtype=float)
+        if output_points > 1:
+            t_grid *= horizon / (output_points - 1)
+            t_grid[-1] = horizon
     else:
         t_grid = np.array(times, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0 or not np.isfinite(t_grid).all():
@@ -318,7 +329,7 @@ def _propagate(bundle: CouplingBundle, initial, t_max: float | None = None,
         # times. Its error grows with cond(V), where that of the mode-basis
         # block V^-1 rho0 V^-dagger would grow with its square. A held mode
         # only turns, as the outcome forms take it, and cannot overflow.
-        phi = np.exp(-1j * t_grid[:, None] * np.where(_held(lam, H), lam.real, lam))
+        phi = np.exp(-1j * t_grid[:, None] * np.where(_held(lam, rate), lam.real, lam))
         VC = (V.T[:, :, None] * (V_inv @ L)[:, None, :]).reshape(n_e, -1)
         X = (phi @ VC).reshape(t_grid.size, n_e, -1)
         rhos = np.einsum("tir,tjr->tij", X, X.conj())
@@ -330,8 +341,10 @@ def _propagate(bundle: CouplingBundle, initial, t_max: float | None = None,
     # d/dt tr(Y rho) = -tr(Q rho), so the accumulated probability is
     # tr(Y rho0) - tr(Y rho(t)) = sum_ab (rho0 - rho(t))_ab Z[(a b), k]; the
     # last column of W = [Z | vec I] gives tr rho(t) from the same product.
-    Y = outcome_forms(bundle)
-    W = np.column_stack((Y.swapaxes(-1, -2).reshape(-1, n_e * n_e).T, np.eye(n_e).ravel()))
+    Z = _lyapunov(bundle, rate)
+    W = np.zeros((n_e * n_e, Z.shape[1] + 1), dtype=complex)
+    W[:, :-1] = Z
+    W[::n_e + 1, -1] = 1.0
     read = (rhos.reshape(t_grid.size, -1) @ W).real
     probs = (read[0, :-1] - read[:, :-1]).reshape(t_grid.size, -1, len(CHANNELS))
 
@@ -339,7 +352,7 @@ def _propagate(bundle: CouplingBundle, initial, t_max: float | None = None,
     # accumulators integrate the channel fluxes: their sum checks one
     # against the other.
     total = read[:, -1] + probs.sum(axis=(-2, -1))
-    if not (np.isfinite(Y).all() and np.isfinite(rhos).all() and np.isfinite(total).all()):
+    if not (np.isfinite(Z).all() and np.isfinite(rhos).all() and np.isfinite(total).all()):
         raise NonPhysicalStateError("non-finite state in the emission propagation")
     k = int(np.argmax(np.abs(total - 1.0)))
     if abs(total[k] - 1.0) > TRACE_DRIFT_TOL:

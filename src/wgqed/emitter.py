@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
 from typing import Sequence
 
 import numpy as np
@@ -193,30 +193,37 @@ class EmitterModel(_Value):
         return self._array
 
 
-@dataclass(frozen=True)
-class ExcitedSuperposition:
-    """Complex amplitudes over the excited manifold, kept as a tuple.
-    Construction raises :class:`ModelValidationError` ``dimension-mismatch``
-    where ``amplitudes`` is not a 1-d array of numbers."""
+class ExcitedSuperposition(_Value):
+    """Complex amplitudes over the excited manifold, kept as a tuple and as
+    the read-only complex array it was checked as. Construction raises
+    :class:`ModelValidationError` ``dimension-mismatch`` where
+    ``amplitudes`` is not a 1-d array of numbers."""
 
-    amplitudes: tuple[complex, ...]
+    __slots__ = ("amplitudes", "_array")
 
-    def __post_init__(self):
+    def __init__(self, amplitudes):
         message = "amplitudes must form a 1-d array of numbers"
-        arr = _as_complex_array(self.amplitudes, message)
+        arr = _as_complex_array(amplitudes, message)
         if arr.ndim != 1:
             raise ModelValidationError("dimension-mismatch", message)
+        arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", tuple(arr.tolist()))
+        object.__setattr__(self, "_array", arr)
+
+    def _args(self) -> dict:
+        return {"amplitudes": self.amplitudes}
 
     @classmethod
     def from_sequence(cls, amplitudes) -> "ExcitedSuperposition":
         return cls(amplitudes)
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.amplitudes, dtype=complex)
+        """Read-only complex array of the amplitudes."""
+        return self._array
 
     def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.as_array()) ** 2)))
+        """Euclidean norm of the amplitudes, scaled so that no square overflows."""
+        return math.hypot(*self._array.view(float).tolist())
 
 
 def effective_dipole(

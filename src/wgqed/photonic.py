@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -144,18 +145,17 @@ class LossModel(_Value):
         return self.tensor
 
 
-@dataclass(frozen=True)
-class CouplingBundle:
+class CouplingBundle(NamedTuple):
     """The effective Hamiltonian of one emitter in one environment and its
     flux forms, as the emission solver consumes them.
 
     ``H_eff`` is the output of :func:`effective_hamiltonian` at the
-    environment's field. ``flux_forms[n, c]`` is the Hermitian PSD form ``Q``
-    whose ``tr(Q rho)`` is the rate at which the excited block ``rho`` emits
-    into ground state n through channel c, ordered as :data:`CHANNELS`: the
-    guided ``(z / eps0 hbar) B_m* B_m^T`` of the forward and the backward
-    couplings of :func:`guided_couplings`, then the loss ``D_n* Im(G_loss)
-    D_n^T / (eps0 hbar)``.
+    environment's field. ``flux_forms[n, c]`` is the Hermitian PSD form ``Q =
+    D_n* T_c D_n^T`` whose ``tr(Q rho)`` is the rate at which the excited
+    block ``rho`` emits into ground state n through channel c, ordered as
+    :data:`CHANNELS`. ``T_c`` is the channel's 3x3 tensor: ``(z / eps0 hbar)
+    E_f E_f^dagger`` forward, its conjugate backward and ``Im(G_loss) / (eps0
+    hbar)`` for loss.
     """
 
     H_eff: np.ndarray               # (n_e, n_e) non-Hermitian, rate units
@@ -223,10 +223,13 @@ def coupling_bundle(
         raise NonPhysicalStateError("the effective Hamiltonian overflows")
 
     eps0_hbar = env.epsilon0 * env.hbar
-    b = B.transpose(2, 0, 1)                      # (n_g, 2, n_e)
-    guided = (env.z / eps0_hbar) * (b.conj()[..., :, None] * b[..., None, :])
-    lost = D.conj() @ loss.as_array().imag @ D.swapaxes(-1, -2) / eps0_hbar
-    flux_forms = np.concatenate((guided, lost[:, None]), axis=1)
+    E_f = env.E_f.as_array()
+    T = np.empty((3, 3, 3), dtype=complex)       # the channel tensors, ordered as CHANNELS
+    np.multiply(E_f[:, None], E_f.conj(), out=T[0])
+    T[0] *= env.z / eps0_hbar
+    np.conjugate(T[0], out=T[1])
+    np.divide(loss.as_array().imag, eps0_hbar, out=T[2])
+    flux_forms = np.einsum("nai,cij,nbj->ncab", D.conj(), T, D)
 
     for arr in (H_eff, flux_forms):
         arr.setflags(write=False)

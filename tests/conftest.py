@@ -163,6 +163,21 @@ def oracle_gamma(model: EmitterModel, env: WaveguideEnv, loss: LossModel) -> np.
     return -np.einsum("nxi,ij,nyj->xy", D, G.conj(), D.conj()) / env.epsilon0
 
 
+def oracle_flux_forms(model: EmitterModel, env: WaveguideEnv, loss: LossModel) -> np.ndarray:
+    """Flux forms (n_g, 3, n_e, n_e) ordered as CHANNELS, built without the
+    channel tensors: per direction the outer products ``(z / eps0 hbar) b*
+    b^T`` of the guided couplings ``b_x = E* . d_{nx}`` (E = E_f forward, E_b =
+    E_f* backward), then the loss sandwich ``D_n* Im(G_loss) D_n^T / (eps0
+    hbar)``."""
+    D = model.dipole_array()
+    E_f = env.E_f.as_array()
+    eps0_hbar = env.epsilon0 * env.hbar
+    b = np.einsum("nxi,mi->nmx", D, np.stack((E_f.conj(), E_f)))
+    guided = (env.z / eps0_hbar) * (b.conj()[..., :, None] * b[..., None, :])
+    lost = D.conj() @ loss.as_array().imag @ D.swapaxes(-1, -2) / eps0_hbar
+    return np.concatenate((guided, lost[:, None]), axis=1)
+
+
 def oracle_response_matrix(model: EmitterModel, env: WaveguideEnv, loss: LossModel,
                            E_int: float) -> np.ndarray:
     Delta = np.diag(np.asarray(model.excited_energies, dtype=float) - E_int)

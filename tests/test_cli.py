@@ -963,6 +963,18 @@ class TestCustomEmission:
         assert "(field: initial_state)" in err
         assert "Traceback" not in err and "np.float64" not in err
 
+    def test_huge_initial_state_prints_only_the_configuration_error(self, tmp_path):
+        # a fresh interpreter, with the default warning filters, would print
+        # an overflow in the norm check before the error
+        cfg = dict(preset("paradox-emission").to_dict(), scenario="custom",
+                   initial_state=[[1e308, 0], [0, 0]])
+        (tmp_path / "em.json").write_text(json.dumps(cfg))
+        proc = run_python(tmp_path, "-m", "wgqed.cli", "run", "em.json", "--out", "em.csv")
+        assert proc.returncode == 1
+        assert proc.stderr == ("wgqed: configuration error (field: initial_state): "
+                               "initial_state norm 1e+308 differs from 1 beyond 1e-12\n")
+        assert not (tmp_path / "em.csv").exists()
+
     def test_huge_t_max_gives_exact_long_time_split(self, monkeypatch, tmp_path, capsys):
         # the last sample lies ~1e300 lifetimes out: the excited block has
         # fully decayed and the accumulators hold the exact totals

@@ -1,7 +1,5 @@
 """Emission dynamics: anchor scenarios, conservation laws, channel routing."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -488,6 +486,17 @@ class TestExceptionalPoint:
         assert times[-1] == pytest.approx(10.0)    # 20 lifetimes of the rate 2
         assert (eig_calls, eigvals_calls) == (["eig"], [])
 
+    def test_one_evolve_decomposes_and_solves_once(self, monkeypatch):
+        # t_max given: one eig and one inv for the modes, one svd and one
+        # lstsq for the outcome forms, and one rounding rate for the held
+        # modes and the Lyapunov cutoff
+        counted = [counting(monkeypatch, np.linalg, name)
+                   for name in ("eig", "inv", "svd", "lstsq")]
+        counted.append(counting(monkeypatch, emission_mod, "_rounding_rate"))
+        evolve(paradox_model(), make_env(PARADOX_FIELD), LossModel.isotropic(0.2),
+               ExcitedSuperposition(PARADOX_STATE), t_max=4.0, output_points=7)
+        assert counted == [["eig"], ["inv"], ["svd"], ["lstsq"], ["_rounding_rate"]]
+
 
 def with_forms(monkeypatch, value):
     """Make every coupling bundle that ``evolve`` builds carry flux forms
@@ -496,7 +505,7 @@ def with_forms(monkeypatch, value):
 
     def patched(*args):
         bundle = build(*args)
-        return replace(bundle, flux_forms=np.full_like(bundle.flux_forms, value))
+        return bundle._replace(flux_forms=np.full_like(bundle.flux_forms, value))
     monkeypatch.setattr(emission_mod, "coupling_bundle", patched)
 
 
@@ -583,6 +592,23 @@ class TestInterfaces:
             with pytest.raises(ValueError, match=named):
                 evolve(two_level(), make_env([1, 0, 0]), LossModel.none(),
                        ExcitedSuperposition.from_sequence([1.0]), **kwargs)
+
+    def test_uniform_grid_is_linspace_to_the_bit(self, rng):
+        horizons = [1e-300, 1e300, 1.0, 2.0 / 3.0, *(10.0 ** rng.uniform(-300, 300, 12))]
+        state = ExcitedSuperposition([1.0])
+        for n in (1, 2, 7, 201):
+            for t_max in horizons:
+                traj = evolve(two_level(), make_env([1, 0, 0]), LossModel.none(), state,
+                              t_max=float(t_max), output_points=n)
+                assert traj.times.tobytes() == np.linspace(0.0, t_max, n).tobytes()
+
+    @pytest.mark.parametrize("n", [3, 7, 201])
+    def test_subnormal_t_max_gives_a_grid_that_does_not_rise(self, n):
+        # t_max / (n - 1) underflows to 0, so np.linspace would repeat a time too
+        assert not (np.diff(np.linspace(0.0, 5e-324, n)) > 0).all()
+        with pytest.raises(ValueError, match="strictly increasing"):
+            evolve(two_level(), make_env([1, 0, 0]), LossModel.none(),
+                   ExcitedSuperposition([1.0]), t_max=5e-324, output_points=n)
 
     def test_states_are_read_only_named_tuples(self):
         traj = paradox_run(t_max=1.0, output_points=5)

@@ -2,6 +2,7 @@
 and the immutable value types."""
 
 import copy
+import math
 import pickle
 from dataclasses import FrozenInstanceError
 
@@ -277,6 +278,27 @@ class TestEffectiveDipole:
                 build(amplitudes)
         assert ExcitedSuperposition(np.array([1, 0])).amplitudes == (1 + 0j, 0j)
 
+    @pytest.mark.parametrize("amplitudes,norm", [
+        ([1e308, 0], 1e308),
+        ([1e308j, -1e308], math.hypot(1e308, 1e308)),
+        ([1.7e308 + 1.7e308j, 0], math.inf),
+        ([3e-200, 4e-200j], 5e-200),
+        ([0.6, 0.8j], 1.0),
+    ], ids=["huge", "huge-pair", "beyond-the-float-range", "tiny", "unit"])
+    def test_norm_neither_overflows_nor_underflows(self, amplitudes, norm):
+        # a square of these would overflow (a RuntimeWarning, an error in
+        # tier-1) or underflow to 0
+        assert ExcitedSuperposition(amplitudes).norm() == pytest.approx(norm, rel=1e-15, abs=0.0)
+
+    def test_superposition_keeps_a_read_only_copy_of_its_array(self):
+        a = np.array([1j, 2.0]) / np.sqrt(5.0)
+        state = ExcitedSuperposition(a)
+        expected = tuple(a.tolist())
+        a[0] = 0.0
+        arr = state.as_array()
+        assert arr is state.as_array() and not arr.flags.writeable
+        assert state.amplitudes == expected and tuple(arr.tolist()) == expected
+
     def test_amplitude_count_must_match_the_model(self):
         with pytest.raises(ModelValidationError) as exc:
             effective_dipole(v_system(), 0, ExcitedSuperposition.from_sequence([1.0]))
@@ -360,14 +382,15 @@ _VALUES = [
     (PolarizationVector([1, -0.0, 2j]), PolarizationVector.as_array),
     (v_system(), EmitterModel.dipole_array),
     (LossModel.from_array(0.3 * np.eye(3) + 0.2j * np.eye(3)), LossModel.as_array),
+    (ExcitedSuperposition([1j, -0.0]), ExcitedSuperposition.as_array),
 ]
-_VALUE_IDS = ["PolarizationVector", "EmitterModel", "LossModel"]
+_VALUE_IDS = ["PolarizationVector", "EmitterModel", "LossModel", "ExcitedSuperposition"]
 
 
 class TestValueTypes:
-    """Polarization vectors, emitter models and loss models are values: no
-    attribute can change, and a copy is an equal, hash-equal value whose
-    array is read-only."""
+    """Polarization vectors, emitter models, loss models and excited
+    superpositions are values: no attribute can change, and a copy is an
+    equal, hash-equal value whose array is read-only."""
 
     @pytest.mark.parametrize("value,array", _VALUES, ids=_VALUE_IDS)
     @pytest.mark.parametrize("duplicate", [

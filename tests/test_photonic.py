@@ -1,6 +1,8 @@
 """Green's tensors, loss models, the effective Hamiltonian and the coupling
 bundle."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,7 @@ from conftest import (
     make_env,
     numbers_only,
     oracle_field_normalization,
+    oracle_flux_forms,
     oracle_gamma,
     oracle_greens_tensors,
     paradox_model,
@@ -408,6 +411,33 @@ class TestCouplingBundle:
                 scale = max(1.0, np.max(np.abs(Q)))
                 assert np.max(np.abs(Q - Q.conj().swapaxes(-1, -2))) < 1e-14 * scale
                 assert np.min(np.linalg.eigvalsh(Q)) > -1e-13 * scale
+
+    def test_flux_forms_match_the_guided_coupling_outer_products(self, rng):
+        # the one contraction D_n* T_c D_n^T against the oracle's outer
+        # products and loss sandwich: equal to the rounding of either, a few
+        # eps of the same sums taken over absolute values
+        eps = np.finfo(float).eps
+        for n_g, n_e in itertools.product((1, 2, 3), repeat=2):
+            for _ in range(4):
+                model = random_model(rng, n_g, n_e)
+                env = make_env(random_unit_vector(rng), hbar=0.7, epsilon0=1.3, v_g=-0.2)
+                for loss in (LossModel.none(), LossModel.isotropic(0.3),
+                             random_loss_tensor(rng)):
+                    bundle = coupling_bundle(model, env, loss)
+                    expected = oracle_flux_forms(model, env, loss)
+                    E = np.abs(env.E_f.as_array())
+                    guided = np.outer(E, E) * env.z
+                    T = np.stack((guided, guided, np.abs(loss.as_array().imag)))
+                    D = np.abs(model.dipole_array())
+                    sums = np.einsum("nai,cij,nbj->ncab", D, T, D) / (env.epsilon0 * env.hbar)
+                    assert np.all(np.abs(bundle.flux_forms - expected) <= 8 * eps * sums)
+                    rates = bundle.channel_decay_rates()
+                    expected_rates = np.diagonal(expected, axis1=-2, axis2=-1).real.sum(axis=0)
+                    sum_rates = np.diagonal(sums, axis1=-2, axis2=-1).sum(axis=0)
+                    assert tuple(rates) == CHANNELS
+                    for c, name in enumerate(CHANNELS):
+                        assert np.all(np.abs(rates[name] - expected_rates[c])
+                                      <= 8 * eps * sum_rates[c])
 
     def test_lossless_rates_have_a_zero_loss_entry(self):
         rates = coupling_bundle(two_level(), make_env([1, 0, 0]),
