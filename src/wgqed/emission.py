@@ -36,7 +36,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .emitter import EmitterModel, ExcitedSuperposition, _as_float
+from .emitter import EmitterModel, ExcitedSuperposition, _as_complex_array, _as_float, _as_grid
 from .errors import NonPhysicalStateError
 from .photonic import CHANNELS, CouplingBundle, LossModel, WaveguideEnv, coupling_bundle
 
@@ -111,7 +111,7 @@ def _coerce_initial(initial, n_e: int) -> tuple[np.ndarray, np.ndarray]:
                 f"initial superposition norm {norm:.17g} differs from 1 beyond {INITIAL_NORM_TOL}"
             )
         return psi[:, None] * psi.conj(), psi[:, None]
-    rho = np.asarray(initial, dtype=complex)
+    rho = _as_complex_array(initial, "initial density matrix must be an array of numbers")
     if rho.shape != (n_e, n_e):
         raise NonPhysicalStateError(
             f"initial density matrix must be {n_e} x {n_e}, got {rho.shape}"
@@ -273,9 +273,9 @@ def _lyapunov(bundle: CouplingBundle, rate: float) -> np.ndarray:
     K = (A.T[:, None, :, None] * eye[None, :, None, :]
          + eye[:, None, :, None] * A.conj().T[None, :, None, :])
     F = Q.swapaxes(-1, -2).reshape(-1, n_rho).T
-    K = K.reshape(n_rho, n_rho)
-    top = np.linalg.svd(K, compute_uv=False)[0]    # lstsq's cutoff is relative to it
-    return np.linalg.lstsq(K, F, rcond=rate / top if top > rate else 1.0)[0]
+    U, s, Vh = np.linalg.svd(K.reshape(n_rho, n_rho))
+    keep = s > rate
+    return (Vh[keep].conj().T / s[keep]) @ (U[:, keep].conj().T @ F)
 
 
 @np.errstate(all="ignore")
@@ -307,9 +307,7 @@ def _propagate(bundle: CouplingBundle, initial, t_max: float | None = None,
             t_grid *= horizon / (output_points - 1)
             t_grid[-1] = horizon
     else:
-        t_grid = np.array(times, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size == 0 or not np.isfinite(t_grid).all():
-        raise ValueError("output times must be a nonempty 1-d array of finite values")
+        t_grid = _as_grid(times, "output times")
     if t_grid[0] != 0.0 or (t_grid[1:] <= t_grid[:-1]).any():
         raise ValueError("output times must start at 0 and be strictly increasing")
     # |t H_ij| grows with t, so the last time has the largest 1-norm
@@ -317,25 +315,24 @@ def _propagate(bundle: CouplingBundle, initial, t_max: float | None = None,
         raise NonPhysicalStateError("H_eff t overflows at the output times")
 
     # The excited block obeys d rho/dt = -i (H_eff rho - rho H_eff^dagger),
-    # so rho(t) = U rho0 U^dagger with U = exp(-i H_eff t).
+    # so rho(t) = X X^dagger with X = U L and U = exp(-i H_eff t).
     try:
         V_inv = np.linalg.inv(V)
     except np.linalg.LinAlgError:    # an exactly singular eigenbasis
         V_inv = np.full_like(V, np.nan)
     cond = np.abs(V).sum(axis=0).max() * np.abs(V_inv).sum(axis=0).max()
     if np.isfinite(lam).all() and cond <= _MODAL_COND_MAX:
-        # rho(t) = X X^dagger with X = U L = V diag(phi) C, phi = exp(-i lam t)
-        # and C = V^-1 L: X_ir = sum_a phi_a V_ia C_ar is one product over the
-        # times. Its error grows with cond(V), where that of the mode-basis
-        # block V^-1 rho0 V^-dagger would grow with its square. A held mode
-        # only turns, as the outcome forms take it, and cannot overflow.
+        # X = V diag(phi) C with phi = exp(-i lam t) and C = V^-1 L: X_ir =
+        # sum_a phi_a V_ia C_ar is one product over the times. Its error
+        # grows with cond(V), where that of the mode-basis block V^-1 rho0
+        # V^-dagger would grow with its square. A held mode only turns, as
+        # the outcome forms take it, and cannot overflow.
         phi = np.exp(-1j * t_grid[:, None] * np.where(_held(lam, rate), lam.real, lam))
         VC = (V.T[:, :, None] * (V_inv @ L)[:, None, :]).reshape(n_e, -1)
         X = (phi @ VC).reshape(t_grid.size, n_e, -1)
-        rhos = np.einsum("tir,tjr->tij", X, X.conj())
     else:
-        U = _expm(-t_grid[:, None, None] * (1j * H))
-        rhos = U @ rho0 @ U.conj().swapaxes(-1, -2)
+        X = _expm(-t_grid[:, None, None] * (1j * H)) @ L
+    rhos = np.einsum("tir,tjr->tij", X, X.conj())
     rhos[0] = rho0
 
     # d/dt tr(Y rho) = -tr(Q rho), so the accumulated probability is

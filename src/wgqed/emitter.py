@@ -53,6 +53,22 @@ def _as_complex_array(value, message: str) -> np.ndarray:
         raise ModelValidationError("dimension-mismatch", message) from None
 
 
+def _as_grid(values, name: str) -> np.ndarray:
+    """A new 1-d float array of ``values``, each taken by :func:`_as_float`.
+    Raises :class:`ValueError` naming ``name`` where it is not a nonempty 1-d
+    array of finite values. A numeric ndarray is judged by its dtype alone."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        grid = values.astype(float)
+    else:
+        try:
+            grid = np.array([_as_float(v) for v in values])
+        except TypeError:       # not iterable
+            grid = np.array(math.nan)
+    if grid.ndim != 1 or grid.size == 0 or not np.isfinite(grid).all():
+        raise ValueError(f"{name} must be a nonempty 1-d array of finite values")
+    return grid
+
+
 class _Value:
     """An immutable value, rebuilt through its constructor from the checked
     keyword arguments ``_args()``: equality, hashing, the repr, pickling and
@@ -95,9 +111,7 @@ class PolarizationVector(_Value):
 
     __slots__ = ("_c",)
 
-    def __init__(self, components: Sequence[complex] | complex, *rest: complex):
-        if rest:
-            components = (components, *rest)  # type: ignore[assignment]
+    def __init__(self, components: Sequence[complex]):
         # a copy, so that a later write to the caller's array cannot change it
         arr = _as_complex_array(components, "polarization vector components must be numbers")
         arr = arr.flatten()     # not ravel: a view would keep a second array alive
@@ -260,7 +274,10 @@ def rotate_excited_basis(model: EmitterModel, U) -> EmitterModel:
     degenerate excited manifold, where it commutes with the bare Hamiltonian;
     anything else is rejected rather than silently rotated.
     """
-    U = np.asarray(U, dtype=complex)
+    try:
+        U = _as_complex_array(U, "rotation must be an array of numbers")
+    except ModelValidationError as exc:
+        raise NonUnitaryMatrixError(str(exc)) from None
     n_e = model.n_excited
     if U.shape != (n_e, n_e):
         raise NonUnitaryMatrixError(

@@ -45,7 +45,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .emitter import EmitterModel, PolarizationVector, _as_float
+from .emitter import EmitterModel, PolarizationVector, _as_float, _as_grid
 from .errors import (
     IllConditionedResponseWarning,
     NonPhysicalStateError,
@@ -171,6 +171,12 @@ def _condition_numbers(M: np.ndarray) -> np.ndarray:
     return np.divide(s[:, 0], s[:, -1], out=np.full(len(s), np.inf), where=s[:, -1] > 0)
 
 
+def _identity_outside(keep: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """``M`` with the identity in each slice ``keep`` drops; ``M`` itself if none."""
+    every = np.count_nonzero(keep) == len(keep)     # keep.all() at a third of its fixed cost
+    return M if every else np.where(keep[:, None, None], M, np.eye(M.shape[-1]))
+
+
 def _solve_gate(
     M: np.ndarray, active: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -181,9 +187,7 @@ def _solve_gate(
     large enough to certify reads 0, which passes both thresholds as its
     true value would. A non-finite slice is neither; its condition number reads nan."""
     finite = np.isfinite(M).all(axis=(-2, -1))
-    all_finite = finite.all()
-    if not all_finite:      # the certificate and the SVD see the identity instead
-        M = np.where(finite[:, None, None], M, np.eye(M.shape[-1]))
+    M = _identity_outside(finite, M)    # the certificate and the SVD see the identity
     if len(M) < _CERTIFY_FROM:
         cond = _condition_numbers(M)
     else:
@@ -191,8 +195,7 @@ def _solve_gate(
         exact = np.flatnonzero(active & ~_certified(M))
         if exact.size:
             cond[exact] = _condition_numbers(M[exact])
-    if not all_finite:
-        cond[~finite] = np.nan
+    cond[~finite] = np.nan
     solvable = active & (cond <= COND_SINGULAR_THRESHOLD)
     return solvable, solvable & (cond > COND_WARN_THRESHOLD), cond
 
@@ -209,8 +212,8 @@ def _scatter_fields(
     """Scatter at every forward field of the stack ``fields`` (T, 3), all
     else shared. Returns a :class:`ScatteringResult` per field and the
     ``WgqedError`` or ``LinAlgError`` of each field that failed, by index;
-    the result at a failed index is meaningless. Only singular,
-    ill-conditioned or overflowing slices leave the one stacked solve.
+    the result at a failed index is meaningless. Singular and overflowing
+    slices are solved alone after the one stacked solve.
     """
     D = model.dipole_array()
     n_g = model.n_ground
@@ -233,16 +236,11 @@ def _scatter_fields(
     errors: dict[int, Exception] = {}
     active = (in_vec != 0).any(axis=1)
     solvable, warn, cond = _solve_gate(M, active)
-    # the usual case: no slice to mask out, so the stack is solved as it is
-    if solvable.all():
-        y = np.linalg.solve(M, in_vec[..., None])[..., 0]
-        failed = ()
-    else:
-        y = np.zeros(in_vec.shape, dtype=complex)
-        if solvable.any():
-            y[solvable] = np.linalg.solve(M[solvable], in_vec[solvable, :, None])[..., 0]
-        # a non-finite slice fails even with no input: its couplings may overflow too
-        failed = np.flatnonzero(~solvable & (active | np.isnan(cond)))
+    # one solve; a slice it must not take reads y = 0 if inactive, else is solved below
+    M_solved = _identity_outside(solvable, M)
+    y = np.linalg.solve(M_solved, in_vec[..., None])[..., 0]
+    # a non-finite slice fails even with no input: its couplings may overflow too
+    failed = () if M_solved is M else np.flatnonzero(~solvable & (active | np.isnan(cond)))
     if warn.any():
         for t in np.flatnonzero(warn):
             warnings.warn(
@@ -321,7 +319,10 @@ def two_level_closed_form(
     a_b = dv @ eb.conj()
     X = 0.5 * (abs(a_f) ** 2 + abs(a_b) ** 2)
     loss_term = (0.5j / env.z) * (dv @ loss.as_array().conj() @ dv.conj())
-    M = X + loss_term + 1j * env.epsilon0 * float(detuning) / env.z
+    delta = _as_float(detuning)
+    if math.isnan(delta):
+        raise ValueError(f"detuning must be a real number, got {detuning!r}")
+    M = X + loss_term + 1j * env.epsilon0 * delta / env.z
     if not np.isfinite(M):
         raise NonPhysicalStateError("two-level denominator overflows")
     if abs(M) == 0.0:
@@ -363,9 +364,7 @@ def polarization_sweep(
     The whole grid is solved as one batch. Failed points are flagged in place
     instead of aborting the sweep; results are returned in grid order.
     """
-    thetas = np.asarray(theta_grid, dtype=float)
-    if thetas.ndim != 1 or thetas.size == 0 or not np.isfinite(thetas).all():
-        raise ValueError("theta grid must be a nonempty 1-d array of finite values")
+    thetas = _as_grid(theta_grid, "theta grid")
     if np.min(thetas) < 0.0 or np.max(thetas) > np.pi + 1e-12:
         raise ValueError("theta grid must lie within [0, pi]")
 

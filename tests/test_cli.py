@@ -466,13 +466,14 @@ class TestOutputsAndExitCodes:
         ({"scenario": "nope"}, "o.csv", "scenario"),
         ({"sweep": {"parameter": "theta", "start": 0.0, "stop": 1.0, "steps": 100_001}},
          "o.csv", "sweep.steps"),
+        (dict(CUSTOM_SCATTER, initial_state=[[1, 0], [0, 0]]), "o.csv", "initial_state"),
     ], ids=["out-in-missing-dir", "out-is-directory", "stop-above-pi", "no-start",
             "string-start", "string-photon-frequency", "projection-string-no",
             "projection-integer", "projection-string-true", "boolean-ground-index",
             "loss-not-an-object", "output-not-an-object", "sweep-not-an-object",
             "boolean-isotropic-loss", "string-isotropic-loss", "negative-isotropic-loss",
             "nan-isotropic-loss", "list-scenario", "number-scenario", "unknown-scenario",
-            "too-many-steps"])
+            "too-many-steps", "initial-state-in-scattering"])
     def test_invalid_sweep_input_or_output_exits_one(self, monkeypatch, tmp_path, capsys,
                                                      overrides, out, field):
         (tmp_path / "c.json").write_text(json.dumps({"scenario": "ixi-scan", **overrides}))
@@ -480,6 +481,24 @@ class TestOutputsAndExitCodes:
         err = capsys.readouterr().err
         assert f"(field: {field})" in err
         assert "Traceback" not in err
+        assert not (tmp_path / out).is_file()
+
+    @pytest.mark.parametrize("source,argv,field", [
+        (None, ["two-level", "--steps", "5"], "sweep"),
+        ("[1, 2]", ["c.json"], None),
+        ("directory", ["c.json"], None),
+    ], ids=["steps-without-sweep", "config-not-an-object", "config-is-a-directory"])
+    def test_unusable_config_source_exits_one(self, monkeypatch, tmp_path, capsys,
+                                              source, argv, field):
+        if source == "directory":
+            (tmp_path / "c.json").mkdir()
+        elif source is not None:
+            (tmp_path / "c.json").write_text(source)
+        assert run_cli(monkeypatch, tmp_path, "run", *argv, "--out", "o.csv") == 1
+        err = capsys.readouterr().err
+        assert (f"(field: {field})" in err) if field else "(field:" not in err
+        assert "Traceback" not in err and "configuration error" in err
+        assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("path,value,field", [
         (["emitter", "dipoles", 0, 0, 0], ["1", 0], "emitter.dipoles"),

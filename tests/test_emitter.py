@@ -1,5 +1,5 @@
 """Emitter model construction, validation, effective dipoles, basis rotation,
-and the immutable value types."""
+the immutable value types, and the number rule of the library's arguments."""
 
 import copy
 import math
@@ -19,11 +19,22 @@ from wgqed import (
     NonDegenerateManifoldError,
     NonUnitaryMatrixError,
     PolarizationVector,
+    ScatterInput,
     effective_dipole,
+    evolve,
+    polarization_sweep,
     rotate_excited_basis,
+    two_level_closed_form,
 )
 
-from conftest import ARGUMENTS, FUZZ_LEAVES, numbers_only, random_model, random_unitary
+from conftest import (
+    ARGUMENTS,
+    FUZZ_LEAVES,
+    make_env,
+    numbers_only,
+    random_model,
+    random_unitary,
+)
 
 
 def v_system() -> EmitterModel:
@@ -39,9 +50,6 @@ class TestPolarizationVector:
     def test_two_component_input_embeds_in_plane(self):
         v = PolarizationVector([1, 1j])
         assert v.as_array().tolist() == [1 + 0j, 1j, 0j]
-
-    def test_varargs_form(self):
-        assert PolarizationVector(1, 2, 3) == PolarizationVector([1, 2, 3])
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ModelValidationError) as exc:
@@ -420,3 +428,47 @@ class TestValueTypes:
         loss = LossModel.from_array(np.zeros((3, 3)))
         assert vector != loss and vector != vector.as_array().tolist()
         assert np.array_equal(vector.as_array(), loss.as_array()[0])
+
+
+def _emit(initial=ExcitedSuperposition([1.0, 0.0]), times=(0.0, 1.0)):
+    return evolve(v_system(), make_env([1, 0, 0]), LossModel.isotropic(0.2), initial,
+                  times=times)
+
+
+# each array or scalar argument with a non-number put in: the call, the error
+# class of the argument's shape check and the name its message gives
+_NUMBER_ARGUMENTS = {
+    "theta_grid": (lambda x: polarization_sweep(v_system(), make_env([1, 0, 0]),
+                                                LossModel.isotropic(0.2), ScatterInput(), [x]),
+                   ValueError, "theta grid"),
+    "times": (lambda x: _emit(times=[0, x]), ValueError, "output times"),
+    "initial": (lambda x: _emit(initial=[[x, 0], [0, 0]]), ModelValidationError,
+                "initial density matrix"),
+    "U": (lambda x: rotate_excited_basis(v_system(), [[x, 0], [0, 1]]),
+          NonUnitaryMatrixError, "rotation"),
+    "detuning": (lambda x: two_level_closed_form([1, 0, 0], make_env([1, 0, 0]),
+                                                 LossModel.isotropic(0.2), x),
+                 ValueError, "detuning"),
+}
+
+
+class TestNumberRule:
+    """Array and scalar arguments take numbers only: a numeric string, a
+    bool, an integer beyond the float range or any other object raises the
+    error class of the argument's shape check, naming the argument."""
+
+    @pytest.mark.parametrize("value", ["1", True, 10**400, object()],
+                             ids=["numeric-string", "bool", "beyond-float-range", "object"])
+    @pytest.mark.parametrize("argument", list(_NUMBER_ARGUMENTS))
+    def test_non_number_rejected(self, argument, value):
+        call, error, name = _NUMBER_ARGUMENTS[argument]
+        with pytest.raises(error) as exc:
+            call(value)
+        assert type(exc.value) is error and name in str(exc.value)
+        if error is ModelValidationError:
+            assert exc.value.code == "dimension-mismatch"
+
+    @pytest.mark.parametrize("argument", list(_NUMBER_ARGUMENTS))
+    def test_numbers_accepted(self, argument):
+        # the same call with a number in place: each rejection above is the value's
+        _NUMBER_ARGUMENTS[argument][0](1)

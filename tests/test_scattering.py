@@ -680,9 +680,11 @@ class TestSolveGate:
                          (6, _INACTIVE_FIELD)):
             fields.insert(k, field)
         stacks = capture_response_stacks(monkeypatch)
+        solves, _ = count_solves(monkeypatch)
         stacked, stacked_warnings, alone, alone_warnings = scatter_stack_and_alone(
             fields, projection)
         monkeypatch.undo()
+        assert solves[0] == len(fields)     # one solve of every slice, failed ones too
         cond = np.linalg.cond(stacks[0][4])
         assert COND_WARN_THRESHOLD < cond <= COND_SINGULAR_THRESHOLD
         assert np.allclose(stacks[0][6], 0.0) and not np.isfinite(stacks[0][3]).all()
