@@ -7,7 +7,6 @@ from .emitter import (
     EmitterModel,
     ExcitedSuperposition,
     PolarizationVector,
-    effective_dipole,
     rotate_excited_basis,
 )
 from .emission import (
@@ -15,7 +14,6 @@ from .emission import (
     DirectionalTotals,
     EmissionTrajectory,
     EmitterDensityMatrix,
-    channel_flux,
     default_t_max,
     evolve,
     outcome_forms,
@@ -75,10 +73,8 @@ __all__ = [
     "UnknownPresetError",
     "WaveguideEnv",
     "WgqedError",
-    "channel_flux",
     "coupling_bundle",
     "default_t_max",
-    "effective_dipole",
     "evolve",
     "outcome_forms",
     "polarization_sweep",

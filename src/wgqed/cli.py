@@ -469,8 +469,7 @@ def _scattering_table(config: ScenarioConfig):
 def _diagnostic_table(config: ScenarioConfig):
     model, env, loss, inp, _ = config.built
     omega_f = inp.photon_frequency if inp.photon_frequency is not None else env.omega
-    detuning = (model.excited_energies[0]
-                - (model.ground_energies[0] + env.hbar * omega_f))
+    detuning = model.excited_energies[0] - (model.ground_energies[0] + omega_f)
     # a backward photon is the forward one in the time-reversed field
     env_in = env if inp.direction == "forward" else replace(env, E_f=env.E_b)
     t, r, p_loss = two_level_closed_form(model.dipole_array()[0, 0], env_in, loss, detuning)

@@ -88,14 +88,6 @@ class EmissionTrajectory(NamedTuple):
     final_totals: DirectionalTotals
 
 
-def channel_flux(bundle: CouplingBundle, excited_block: np.ndarray) -> np.ndarray:
-    """Probability flux (..., n_ground, 3) out of ``excited_block`` (or a
-    stack of blocks, shape (..., n_e, n_e)) into each (ground state, channel)
-    pair, columns ordered as :data:`CHANNELS`: ``tr(Q rho)`` with the flux
-    forms ``Q`` of the bundle."""
-    return np.real(np.einsum("ncxy,...yx->...nc", bundle.flux_forms, excited_block))
-
-
 def _coerce_initial(initial, n_e: int) -> tuple[np.ndarray, np.ndarray]:
     """The initial excited block ``rho0`` and a factor ``L`` (n_e, r) with
     ``rho0 = L L^dagger`` to rounding."""

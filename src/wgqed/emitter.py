@@ -1,5 +1,5 @@
 """Non-cascaded multi-level emitter: level manifolds, transition dipoles, and
-the purely emitter-side algebra (effective dipoles, excited-basis rotations).
+the purely emitter-side algebra (excited-basis rotations).
 
 Level structure is non-cascaded by construction: a dipole exists for every
 (ground, excited) pair and nothing else, so excitation number is conserved.
@@ -238,30 +238,6 @@ class ExcitedSuperposition(_Value):
     def norm(self) -> float:
         """Euclidean norm of the amplitudes, scaled so that no square overflows."""
         return math.hypot(*self._array.view(float).tolist())
-
-
-def effective_dipole(
-    model: EmitterModel, ground_index: int, state: ExcitedSuperposition
-) -> PolarizationVector:
-    """Effective radiative dipole of the decay of ``state`` to ground state
-    ``ground_index``: the amplitude-weighted sum of the transition dipoles.
-
-    Linear in the amplitudes.
-    """
-    if isinstance(ground_index, bool) or not isinstance(ground_index, (int, np.integer)):
-        raise ValueError(f"ground_index must be an integer, got {ground_index!r}")
-    if not 0 <= ground_index < model.n_ground:
-        raise IndexError(
-            f"ground index {ground_index} out of range for {model.n_ground} ground states"
-        )
-    amps = state.as_array()
-    if amps.size != model.n_excited:
-        raise ModelValidationError(
-            "dimension-mismatch",
-            f"superposition has {amps.size} amplitudes for {model.n_excited} excited states",
-        )
-    row = model.dipole_array()[ground_index]  # (n_excited, 3)
-    return PolarizationVector(amps @ row)
 
 
 @np.errstate(all="ignore")

@@ -11,14 +11,15 @@ The per-direction Green's tensors are
     G_f = i (a w / 4|v_g|) outer(E_f, E_f*),   G_b likewise with E_b,
 
 and the stored loss tensor is rate-normalized: for a dipole d the decay rate
-into non-guided modes is ``Im(d . G_loss . d*) / (hbar eps0)`` directly, so
+into non-guided modes is ``Im(d . G_loss . d*)`` directly, so
 ``LossModel.isotropic(s)`` yields a loss rate ``s`` for any unit dipole. The
 guided sandwiches carry the usual extra factor of two (rate =
-``2 Im(d . G_wg . d*) / (hbar eps0)``), equivalently the loss tensor
-contributes to the physical Green's function at half weight. With the default
-simple units (a = w = 1, v_g = 0.1) a linear dipole matched to a linear field
-decays at rate 5 per direction, 10 total, and isotropic loss 0.2 gives a
-guided fraction of 10/10.2.
+``2 Im(d . G_wg . d*)``), equivalently the loss tensor contributes to the
+physical Green's function at half weight. Everything is in one set of units,
+in which the reduced Planck constant and the vacuum permittivity are 1 (the
+README gives the rescaling from other units). With a = w = 1 and v_g = 0.1 a
+linear dipole matched to a linear field decays at rate 5 per direction, 10
+total, and isotropic loss 0.2 gives a guided fraction of 10/10.2.
 
 :func:`effective_hamiltonian` is the only place the non-Hermitian effective
 Hamiltonian of the excited manifold is assembled: emission exponentiates it
@@ -44,15 +45,13 @@ LOSS_PASSIVITY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class WaveguideEnv:
-    """Local waveguide data: forward field, periodicity, group velocity,
-    photon frequency, and unit constants (simple units by default)."""
+    """Local waveguide data: forward field, periodicity, group velocity and
+    photon frequency."""
 
     E_f: PolarizationVector
     a: float = 1.0
     v_g: float = 0.1
     omega: float = 1.0
-    epsilon0: float = 1.0
-    hbar: float = 1.0
 
     def __post_init__(self):
         if not isinstance(self.E_f, PolarizationVector):
@@ -63,7 +62,7 @@ class WaveguideEnv:
                                            f"got {self.E_f!r}") from None
         if not np.isfinite(self.E_f.as_array()).all():
             raise ModelValidationError("non-finite-entry", "E_f has non-finite components")
-        for name in ("a", "omega", "epsilon0", "hbar", "v_g"):
+        for name in ("a", "omega", "v_g"):
             val = _as_float(getattr(self, name))
             if not (math.isfinite(val) and (val != 0 if name == "v_g" else val > 0)):
                 rule = "nonzero" if name == "v_g" else "positive"
@@ -153,9 +152,8 @@ class CouplingBundle(NamedTuple):
     environment's field. ``flux_forms[n, c]`` is the Hermitian PSD form ``Q =
     D_n* T_c D_n^T`` whose ``tr(Q rho)`` is the rate at which the excited
     block ``rho`` emits into ground state n through channel c, ordered as
-    :data:`CHANNELS`. ``T_c`` is the channel's 3x3 tensor: ``(z / eps0 hbar)
-    E_f E_f^dagger`` forward, its conjugate backward and ``Im(G_loss) / (eps0
-    hbar)`` for loss.
+    :data:`CHANNELS`. ``T_c`` is the channel's 3x3 tensor: ``z E_f
+    E_f^dagger`` forward, its conjugate backward and ``Im(G_loss)`` for loss.
     """
 
     H_eff: np.ndarray               # (n_e, n_e) non-Hermitian, rate units
@@ -188,20 +186,17 @@ def effective_hamiltonian(
     units), one (n_e, n_e) matrix per field of the guided couplings ``B``
     (..., 2, n_e, n_g) of :func:`guided_couplings`.
 
-    It has two parts. The field-independent one is ``H_0 = diag(E_x) / hbar
-    + L^T / (2 eps0 hbar)`` with the loss sandwich ``L_xy = sum_n d_{nx} .
-    G_loss* . d_{ny}*``: its Hermitian part shifts the levels, its
-    anti-Hermitian part is the decay into non-guided modes. The guided part
-    ``-(i/2)(z / eps0 hbar) sum_m B_m* B_m^T`` is pure decay and adds no level
-    shift, so a sweep over fields only changes it. ``i (H_eff - H_eff^H)``
-    is the total damping matrix.
+    It has two parts. The field-independent one is ``H_0 = diag(E_x) + L^T /
+    2`` with the loss sandwich ``L_xy = sum_n d_{nx} . G_loss* . d_{ny}*``:
+    its Hermitian part shifts the levels, its anti-Hermitian part is the
+    decay into non-guided modes. The guided part ``-(i/2) z sum_m B_m*
+    B_m^T`` is pure decay and adds no level shift, so a sweep over fields
+    only changes it. ``i (H_eff - H_eff^H)`` is the total damping matrix.
     """
-    eps0_hbar = env.epsilon0 * env.hbar
     L_T = np.einsum("nxi,ij,nyj->yx", D, loss.as_array().conj(), D.conj())
-    H_0 = (np.diag(np.asarray(excited_energies, dtype=float) / env.hbar)
-           + L_T / (2.0 * eps0_hbar))
+    H_0 = np.diag(np.asarray(excited_energies, dtype=float)) + L_T / 2.0
     guided = np.einsum("...mxn,...myn->...xy", B.conj(), B)
-    return H_0 - (0.5j * env.z / eps0_hbar) * guided
+    return H_0 - (0.5j * env.z) * guided
 
 
 @np.errstate(all="ignore")
@@ -222,13 +217,12 @@ def coupling_bundle(
     if not np.isfinite(H_eff).all():
         raise NonPhysicalStateError("the effective Hamiltonian overflows")
 
-    eps0_hbar = env.epsilon0 * env.hbar
     E_f = env.E_f.as_array()
     T = np.empty((3, 3, 3), dtype=complex)       # the channel tensors, ordered as CHANNELS
     np.multiply(E_f[:, None], E_f.conj(), out=T[0])
-    T[0] *= env.z / eps0_hbar
+    T[0] *= env.z
     np.conjugate(T[0], out=T[1])
-    np.divide(loss.as_array().imag, eps0_hbar, out=T[2])
+    T[2] = loss.as_array().imag
     flux_forms = np.einsum("nai,cij,nbj->ncab", D.conj(), T, D)
 
     for arr in (H_eff, flux_forms):

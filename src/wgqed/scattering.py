@@ -7,7 +7,7 @@ The amplitude into output mode m with the emitter left in ground state k is
 
 with the response matrix the resolvent form
 
-    M = (i eps0 hbar / z) (H_eff - E_int / hbar)
+    M = (i / z) (H_eff - E_int)
 
 of the effective Hamiltonian ``H_eff`` that emission exponentiates (see
 :func:`wgqed.photonic.effective_hamiltonian`) at the total input energy
@@ -69,14 +69,14 @@ _CERTIFY_FROM = 8
 class ScatterInput:
     """Input channel: photon direction, initial ground state, and photon
     frequency (defaults to the environment frequency, i.e. zero detuning
-    against an excited energy equal to ``E_ground + hbar * omega``)."""
+    against an excited energy equal to ``E_ground + omega``)."""
 
     direction: str = "forward"
     ground_index: int = 0
     photon_frequency: float | None = None
 
     def __post_init__(self):
-        if self.direction not in MODES:
+        if not (isinstance(self.direction, str) and self.direction in MODES):
             raise ValueError(f"direction must be one of {MODES}, got {self.direction!r}")
         index = self.ground_index
         if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
@@ -223,15 +223,15 @@ def _scatter_fields(
 
     omega_f = env.omega if inp.photon_frequency is None else float(inp.photon_frequency)
     ground = np.asarray(model.ground_energies, dtype=float)
-    E_int = ground[r] + env.hbar * omega_f
+    E_int = ground[r] + omega_f
 
     B = guided_couplings(D, fields)                      # (T, mode, n_e, n_g)
     inc = MODES.index(inp.direction)
     in_vec = B[:, inc, :, r].conj()                      # d_r* . E_in
 
-    # H_eff with the level energies counted from E_int is H_eff - E_int / hbar.
+    # H_eff with the level energies counted from E_int is H_eff - E_int.
     detunings = np.asarray(model.excited_energies, dtype=float) - E_int
-    M = (1j * env.epsilon0 * env.hbar / env.z) * effective_hamiltonian(D, B, detunings, env, loss)
+    M = (1j / env.z) * effective_hamiltonian(D, B, detunings, env, loss)
 
     errors: dict[int, Exception] = {}
     active = (in_vec != 0).any(axis=1)
@@ -258,7 +258,7 @@ def _scatter_fields(
     amplitudes[:, inc, r] = 1.0
     amplitudes -= np.einsum("tmxn,tx->tmn", B, y)
     p_loss = 1.0 - np.sum(np.abs(amplitudes) ** 2, axis=(1, 2))
-    output_frequencies = omega_f + (ground[r] - ground) / env.hbar
+    output_frequencies = omega_f + (ground[r] - ground)
     amplitudes.setflags(write=False)
     output_frequencies.setflags(write=False)
     # tuple.__new__ over zipped fields builds the records without a Python
@@ -322,7 +322,7 @@ def two_level_closed_form(
     delta = _as_float(detuning)
     if math.isnan(delta):
         raise ValueError(f"detuning must be a real number, got {detuning!r}")
-    M = X + loss_term + 1j * env.epsilon0 * delta / env.z
+    M = X + loss_term + 1j * delta / env.z
     if not np.isfinite(M):
         raise NonPhysicalStateError("two-level denominator overflows")
     if abs(M) == 0.0:

@@ -25,7 +25,6 @@ from wgqed import (
     LossModel,
     PolarizationVector,
     WaveguideEnv,
-    channel_flux,
 )
 
 
@@ -133,8 +132,7 @@ def paradox_direction_probs(t):
 # scattering oracle: the response matrix in its self-energy form
 # N (Gamma^T - Delta), with Gamma the dipole sandwich of the physical Green's
 # tensor assembled channel by channel below. The package solves the
-# algebraically equal resolvent form (i eps0 hbar / z)(H_eff - E_int / hbar)
-# instead.
+# algebraically equal resolvent form (i / z)(H_eff - E_int) instead.
 # ---------------------------------------------------------------------------
 
 
@@ -150,31 +148,29 @@ def oracle_greens_tensors(env: WaveguideEnv, loss: LossModel):
 
 
 def oracle_field_normalization(env: WaveguideEnv) -> complex:
-    """Field-normalization constant N = 2 |v_g| eps0 / (i a w)."""
-    return 2.0 * abs(env.v_g) * env.epsilon0 / (1j * env.a * env.omega)
+    """Field-normalization constant N = 2 |v_g| / (i a w)."""
+    return 2.0 * abs(env.v_g) / (1j * env.a * env.omega)
 
 
 def oracle_gamma(model: EmitterModel, env: WaveguideEnv, loss: LossModel) -> np.ndarray:
-    """Self-energy sandwich -sum_n d_{nx} . G* . d_{ny}* / eps0 of the
-    physical Green's tensor G_f + G_b + G_loss / 2."""
+    """Self-energy sandwich -sum_n d_{nx} . G* . d_{ny}* of the physical
+    Green's tensor G_f + G_b + G_loss / 2."""
     G_f, G_b, G_loss = oracle_greens_tensors(env, loss)
     G = G_f + G_b + 0.5 * G_loss
     D = model.dipole_array()
-    return -np.einsum("nxi,ij,nyj->xy", D, G.conj(), D.conj()) / env.epsilon0
+    return -np.einsum("nxi,ij,nyj->xy", D, G.conj(), D.conj())
 
 
 def oracle_flux_forms(model: EmitterModel, env: WaveguideEnv, loss: LossModel) -> np.ndarray:
     """Flux forms (n_g, 3, n_e, n_e) ordered as CHANNELS, built without the
-    channel tensors: per direction the outer products ``(z / eps0 hbar) b*
-    b^T`` of the guided couplings ``b_x = E* . d_{nx}`` (E = E_f forward, E_b =
-    E_f* backward), then the loss sandwich ``D_n* Im(G_loss) D_n^T / (eps0
-    hbar)``."""
+    channel tensors: per direction the outer products ``z b* b^T`` of the
+    guided couplings ``b_x = E* . d_{nx}`` (E = E_f forward, E_b = E_f*
+    backward), then the loss sandwich ``D_n* Im(G_loss) D_n^T``."""
     D = model.dipole_array()
     E_f = env.E_f.as_array()
-    eps0_hbar = env.epsilon0 * env.hbar
     b = np.einsum("nxi,mi->nmx", D, np.stack((E_f.conj(), E_f)))
-    guided = (env.z / eps0_hbar) * (b.conj()[..., :, None] * b[..., None, :])
-    lost = D.conj() @ loss.as_array().imag @ D.swapaxes(-1, -2) / eps0_hbar
+    guided = env.z * (b.conj()[..., :, None] * b[..., None, :])
+    lost = D.conj() @ loss.as_array().imag @ D.swapaxes(-1, -2)
     return np.concatenate((guided, lost[:, None]), axis=1)
 
 
@@ -192,7 +188,7 @@ def oracle_loss_probability(model: EmitterModel, env: WaveguideEnv, loss: LossMo
     omega_f = env.omega if inp.photon_frequency is None else inp.photon_frequency
     r = inp.ground_index
     M = oracle_response_matrix(model, env, loss,
-                               model.ground_energies[r] + env.hbar * omega_f)
+                               model.ground_energies[r] + omega_f)
     D = model.dipole_array()
     E_in = (env.E_f if inp.direction == "forward" else env.E_b).as_array()
     u = np.linalg.solve(M, D[r].conj() @ E_in)
@@ -208,7 +204,7 @@ def oracle_scatter(model: EmitterModel, env: WaveguideEnv, loss: LossModel,
     omega_f = env.omega if inp.photon_frequency is None else inp.photon_frequency
     r = inp.ground_index
     M = oracle_response_matrix(model, env, loss,
-                               model.ground_energies[r] + env.hbar * omega_f)
+                               model.ground_energies[r] + omega_f)
     D = model.dipole_array()
     fields = (env.E_f.as_array(), env.E_b.as_array())
     m_in = 0 if inp.direction == "forward" else 1
@@ -233,7 +229,7 @@ def emission_generator_matrix(model: EmitterModel, env: WaveguideEnv,
     D = model.dipole_array()
     n_g, n_e, _ = D.shape
     ef = np.asarray(env.E_f.as_array())
-    scale_wg = env.a * env.omega / (2.0 * abs(env.v_g) * env.hbar * env.epsilon0)
+    scale_wg = env.a * env.omega / (2.0 * abs(env.v_g))
 
     channels = [
         (scale_wg, np.einsum("nxi,i->xn", D, ef.conj()), 0),   # forward
@@ -241,7 +237,7 @@ def emission_generator_matrix(model: EmitterModel, env: WaveguideEnv,
     ]
     for axis in np.eye(3):
         channels.append(
-            (loss_strength / (env.hbar * env.epsilon0),
+            (loss_strength,
              np.einsum("nxi,i->xn", D, axis.astype(complex)), 2)
         )
 
@@ -256,7 +252,7 @@ def emission_generator_matrix(model: EmitterModel, env: WaveguideEnv,
     eye = np.eye(n_e)
     # vec(A X) = kron(A, I) vec(X), vec(X B) = kron(I, B^T) vec(X) (C order)
     L_rho = (
-        (-1j / env.hbar) * (np.kron(H, eye) - np.kron(eye, H.T))
+        -1j * (np.kron(H, eye) - np.kron(eye, H.T))
         - 0.5 * (np.kron(K, eye) + np.kron(eye, K.T))
     )
     L[:dim_rho, :dim_rho] = L_rho
@@ -306,6 +302,14 @@ def augmented_generator(H_eff: np.ndarray) -> np.ndarray:
     G[:n_rho, :n_rho] = -1j * (np.kron(H_eff, eye) - np.kron(eye, H_eff.conj()))
     G[n_rho:, :n_rho] = np.eye(n_rho)
     return G
+
+
+def channel_flux(bundle, excited_block: np.ndarray) -> np.ndarray:
+    """Probability flux (..., n_ground, 3) out of ``excited_block`` (or a
+    stack of blocks, shape (..., n_e, n_e)) into each (ground state, channel)
+    pair, columns ordered as CHANNELS: ``tr(Q rho)`` with the flux forms
+    ``Q`` of the bundle."""
+    return np.real(np.einsum("ncxy,...yx->...nc", bundle.flux_forms, excited_block))
 
 
 def mp_emission(bundle, rho0: np.ndarray, times, dps: int = 35):

@@ -132,6 +132,14 @@ class TestConfigParsing:
                  for name in re.findall(r"`([^`]+)`", row.split("|")[1])]
         assert names == list(wgqed.cli._FIELDS)
 
+    def test_readme_quotes_every_public_name(self):
+        # every name of wgqed.__all__ appears in backticks outside the code blocks
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        prose = re.sub(r"^```.*?^```", "", readme, flags=re.S | re.M)
+        quoted = set(re.findall(r"`([^`]+)`", prose))
+        public = set(wgqed.__all__) - {"__version__"}
+        assert sorted(public - quoted) == []
+
     def test_preset_emitter_override_rejected(self):
         bad = {"scenario": "isotropic-scan",
                "emitter": preset("ixi-scan").emitter}

@@ -10,7 +10,6 @@ from wgqed import (
     LossModel,
     ModelValidationError,
     NonPhysicalStateError,
-    channel_flux,
     coupling_bundle,
     default_t_max,
     evolve,
@@ -20,6 +19,7 @@ from wgqed import (
 from conftest import (
     PARADOX_FIELD,
     PARADOX_STATE,
+    channel_flux,
     damping_matrix,
     make_env,
     mp_emission,
@@ -76,7 +76,7 @@ class TestParadoxScenario:
         for _ in range(10):
             model = random_model(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
             ef = random_unit_vector(rng)
-            env = make_env(ef, hbar=0.7, epsilon0=1.3)
+            env = make_env(ef, a=0.7, omega=1.3)
             loss = random_loss_tensor(rng)
             bundle = coupling_bundle(model, env, loss)
             n_e = model.n_excited
@@ -86,15 +86,15 @@ class TestParadoxScenario:
                                 axis1=-2, axis2=-1).real
             assert np.max(np.abs(channel_flux(bundle, rhos) - expected)) < 1e-12
             # a pure state emits from its dipole v_n = sum_x psi_x d_nx:
-            # (z / eps0 hbar) |E* . v_n|^2 per guided mode E, and
-            # v_n^dagger Im(G) v_n / (eps0 hbar) into loss
+            # z |E* . v_n|^2 per guided mode E, and v_n^dagger Im(G) v_n
+            # into loss
             psi = random_state(rng, n_e)
             v = np.einsum("nxi,x->ni", model.dipole_array(), psi)
             direct = np.column_stack((
                 env.z * np.abs(v @ ef.conj()) ** 2,
                 env.z * np.abs(v @ ef) ** 2,
                 np.einsum("ni,ij,nj->n", v.conj(), loss.as_array().imag, v).real,
-            )) / (env.epsilon0 * env.hbar)
+            ))
             flux = channel_flux(bundle, np.outer(psi, psi.conj()))
             assert np.max(np.abs(flux - direct)) < 1e-12
 
@@ -183,13 +183,15 @@ class TestTwoLevelEmission:
         assert p_loss == pytest.approx(1e-6 / (10.0 + 1e-6) * emitted, rel=1e-9)
         assert p_f + p_b == pytest.approx(10.0 / (10.0 + 1e-6) * emitted, rel=1e-12)
 
-    def test_rate_scales_inversely_with_hbar(self):
-        env = make_env([1, 0, 0], hbar=2.0)
-        traj = evolve(two_level(), env, LossModel.none(),
+    @pytest.mark.parametrize("scale", [0.5**0.5, 2.0])
+    def test_rate_scales_with_the_dipole_squared(self, scale):
+        # the matched unit dipole decays at 10; a dipole s d at 10 s^2
+        model = EmitterModel.from_arrays([0.0], [1.0], [[[scale, 0, 0]]])
+        traj = evolve(model, make_env([1, 0, 0]), LossModel.none(),
                       ExcitedSuperposition.from_sequence([1.0]), t_max=2.0,
                       output_points=21)
         pops = np.array([s.excited_block[0, 0].real for s in traj.states])
-        assert np.max(np.abs(pops - np.exp(-5.0 * traj.times))) < 1e-12
+        assert np.max(np.abs(pops - np.exp(-10.0 * scale**2 * traj.times))) < 1e-12
 
     def test_direction_split_matches_field_overlaps(self, rng):
         for _ in range(10):

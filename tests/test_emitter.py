@@ -1,5 +1,6 @@
-"""Emitter model construction, validation, effective dipoles, basis rotation,
-the immutable value types, and the number rule of the library's arguments."""
+"""Emitter model construction, validation, excited superpositions, basis
+rotation, the immutable value types, and the number rule of the library's
+arguments."""
 
 import copy
 import math
@@ -20,7 +21,6 @@ from wgqed import (
     NonUnitaryMatrixError,
     PolarizationVector,
     ScatterInput,
-    effective_dipole,
     evolve,
     polarization_sweep,
     rotate_excited_basis,
@@ -242,40 +242,7 @@ class TestValidate:
             model.ground_energies, model.excited_energies, D))
 
 
-class TestEffectiveDipole:
-    def test_weighted_sum_of_arms(self):
-        # (i |e1> + 2 |e2>)/sqrt(5) over x and y dipoles
-        state = ExcitedSuperposition.from_sequence(np.array([1j, 2]) / np.sqrt(5))
-        d = effective_dipole(v_system(), 0, state)
-        expected = np.array([1j, 2, 0]) / np.sqrt(5)
-        assert np.allclose(d.as_array(), expected, atol=1e-15)
-
-    def test_single_amplitude_returns_that_dipole(self):
-        state = ExcitedSuperposition.from_sequence([1.0, 0.0])
-        d = effective_dipole(v_system(), 0, state)
-        assert d == PolarizationVector([1, 0, 0])
-
-    def test_balanced_orthogonal_arms_have_unit_norm(self):
-        state = ExcitedSuperposition.from_sequence(np.array([1, 1]) / np.sqrt(2))
-        d = effective_dipole(v_system(), 0, state).as_array()
-        assert np.linalg.norm(d) == pytest.approx(1.0)
-
-    def test_linearity_in_amplitudes(self, rng):
-        model = random_model(rng, 2, 3)
-        for _ in range(25):
-            a = rng.normal(size=3) + 1j * rng.normal(size=3)
-            b = rng.normal(size=3) + 1j * rng.normal(size=3)
-            lam = complex(rng.normal(), rng.normal())
-            lhs = effective_dipole(
-                model, 1, ExcitedSuperposition.from_sequence(a + lam * b)
-            ).as_array()
-            rhs = (
-                effective_dipole(model, 1, ExcitedSuperposition.from_sequence(a)).as_array()
-                + lam
-                * effective_dipole(model, 1, ExcitedSuperposition.from_sequence(b)).as_array()
-            )
-            assert np.max(np.abs(lhs - rhs)) < 1e-14 * max(1.0, np.max(np.abs(rhs)))
-
+class TestExcitedSuperposition:
     @pytest.mark.parametrize("amplitudes", [[[1, 0]], np.ones((2, 1)), 1.0])
     def test_superposition_must_be_one_dimensional(self, amplitudes):
         # directly or through from_sequence; non-numbers are rejected in
@@ -306,30 +273,6 @@ class TestEffectiveDipole:
         arr = state.as_array()
         assert arr is state.as_array() and not arr.flags.writeable
         assert state.amplitudes == expected and tuple(arr.tolist()) == expected
-
-    def test_amplitude_count_must_match_the_model(self):
-        with pytest.raises(ModelValidationError) as exc:
-            effective_dipole(v_system(), 0, ExcitedSuperposition.from_sequence([1.0]))
-        assert exc.value.code == "dimension-mismatch"
-        assert str(exc.value) == "superposition has 1 amplitudes for 2 excited states"
-
-    def test_ground_index_out_of_range(self):
-        state = ExcitedSuperposition.from_sequence([1.0, 0.0])
-        with pytest.raises(IndexError):
-            effective_dipole(v_system(), 3, state)
-
-    @pytest.mark.parametrize("index", [False, True, 1.0, 0.0, "0"])
-    def test_non_integer_ground_index_rejected(self, index):
-        # a bool or a float would index the dipole array as a mask or fail
-        # inside numpy; the message is the one ScatterInput gives
-        model = EmitterModel.from_arrays([0.0, 0.0], [1.0], [[[1, 0, 0]], [[0, 1, 0]]])
-        state = ExcitedSuperposition.from_sequence([1.0])
-        with pytest.raises(ValueError, match=f"ground_index must be an integer, got {index!r}"):
-            effective_dipole(model, index, state)
-
-    def test_numpy_integer_ground_index_accepted(self):
-        state = ExcitedSuperposition.from_sequence([1.0, 0.0])
-        assert effective_dipole(v_system(), np.int64(0), state) == PolarizationVector([1, 0, 0])
 
 
 class TestRotateExcitedBasis:

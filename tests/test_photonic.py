@@ -65,13 +65,13 @@ class TestWaveguideEnv:
         assert oracle_field_normalization(env) == pytest.approx(0.2 / 1j)
 
     @pytest.mark.parametrize("kwargs", [
-        {"a": 0.0}, {"omega": -1.0}, {"v_g": 0.0}, {"epsilon0": 0.0}, {"hbar": -1.0},
+        {"a": 0.0}, {"omega": -1.0}, {"v_g": 0.0}, {"a": -1.0}, {"omega": 0.0},
     ])
     def test_invalid_parameters_rejected(self, kwargs):
         with pytest.raises(ModelValidationError):
             make_env([1, 0, 0], **kwargs)
 
-    @pytest.mark.parametrize("name", ["a", "v_g", "omega", "epsilon0", "hbar"])
+    @pytest.mark.parametrize("name", ["a", "v_g", "omega"])
     @pytest.mark.parametrize("value", [True, False, "1.0", 1j, None, 10**400, -10**400])
     def test_non_number_parameters_rejected_naming_the_field(self, name, value):
         with pytest.raises(ModelValidationError, match=f"^{name} must be") as exc:
@@ -96,7 +96,7 @@ class TestWaveguideEnv:
 
     @settings(max_examples=200, deadline=None)
     @given(values=st.fixed_dictionaries(
-        {}, optional={name: FUZZ_LEAVES for name in ("a", "v_g", "omega", "epsilon0", "hbar")}),
+        {}, optional={name: FUZZ_LEAVES for name in ("a", "v_g", "omega")}),
            E_f=st.one_of(st.just([1, 0, 0]), ARGUMENTS,
                          st.lists(FUZZ_LEAVES, min_size=3, max_size=3)))
     def test_any_argument_builds_or_raises_a_validation_error(self, values, E_f):
@@ -320,22 +320,22 @@ class TestCouplingBundle:
 
     def test_gamma_matches_direct_sandwich(self, rng):
         # recompute the self-energy Gamma from the Green's tensor sandwich:
-        # H_eff is its self-energy form (diag(E) - Gamma^T) / hbar
+        # H_eff is its self-energy form diag(E) - Gamma^T
         model = random_model(rng, 2, 2)
         for env in (make_env(random_unit_vector(rng)),
-                    make_env(random_unit_vector(rng), hbar=0.7, epsilon0=1.3, v_g=-0.2)):
+                    make_env(random_unit_vector(rng), a=0.7, omega=1.3, v_g=-0.2)):
             for loss in (LossModel.isotropic(0.3), random_loss_tensor(rng)):
                 bundle = coupling_bundle(model, env, loss)
                 direct = oracle_gamma(model, env, loss)
-                expected = (np.diag(model.excited_energies) - direct.T) / env.hbar
+                expected = np.diag(model.excited_energies) - direct.T
                 assert np.max(np.abs(bundle.H_eff - expected)) < 1e-13
 
     def test_loss_channels_rebuild_imaginary_loss_sandwich(self, rng):
         # anisotropic passive tensor whose imaginary part has rank 1 or 2;
         # summed over the ground states, the loss forms must equal
-        # sum_n D_n* Im(G) D_n^T / (hbar eps0), built here from the eigenmodes
-        # of Im(G) with positive rate
-        env = make_env(random_unit_vector(rng), hbar=0.7, epsilon0=1.3)
+        # sum_n D_n* Im(G) D_n^T, built here from the eigenmodes of Im(G)
+        # with positive rate
+        env = make_env(random_unit_vector(rng), a=0.7, omega=1.3)
         for rank in (1, 2):
             for _ in range(10):
                 A = rng.normal(size=(3, 3))
@@ -350,7 +350,6 @@ class TestCouplingBundle:
                 assert keep.sum() == rank
                 C = np.einsum("nxi,ik->kxn", model.dipole_array(), modes[:, keep])
                 direct = np.einsum("k,kxn,kyn->xy", rates[keep], C.conj(), C)
-                direct /= env.hbar * env.epsilon0
                 assert np.max(np.abs(forms - direct)) < 1e-13
 
     def test_damping_matrix_consistent_with_gamma(self, rng):
@@ -359,7 +358,7 @@ class TestCouplingBundle:
         loss = LossModel.isotropic(0.15)
         bundle = coupling_bundle(model, env, loss)
         go = oracle_gamma(model, env, loss).T
-        from_gamma = (go - go.conj().T) / (2j * env.hbar) * 2.0
+        from_gamma = (go - go.conj().T) / 2j * 2.0
         K = damping_matrix(bundle)
         assert np.max(np.abs(K - from_gamma)) < 1e-13
         # the flux forms, built apart from H_eff, sum to the same K
@@ -402,7 +401,7 @@ class TestCouplingBundle:
         for _ in range(30):
             n_g, n_e = int(rng.integers(1, 4)), int(rng.integers(1, 4))
             model = random_model(rng, n_g, n_e)
-            env = make_env(random_unit_vector(rng), hbar=0.7, epsilon0=1.3)
+            env = make_env(random_unit_vector(rng), a=0.7, omega=1.3)
             for loss in (LossModel.isotropic(float(rng.uniform(0, 0.5))),
                          random_loss_tensor(rng)):
                 Q = coupling_bundle(model, env, loss).flux_forms
@@ -420,7 +419,7 @@ class TestCouplingBundle:
         for n_g, n_e in itertools.product((1, 2, 3), repeat=2):
             for _ in range(4):
                 model = random_model(rng, n_g, n_e)
-                env = make_env(random_unit_vector(rng), hbar=0.7, epsilon0=1.3, v_g=-0.2)
+                env = make_env(random_unit_vector(rng), a=0.7, omega=1.3, v_g=-0.2)
                 for loss in (LossModel.none(), LossModel.isotropic(0.3),
                              random_loss_tensor(rng)):
                     bundle = coupling_bundle(model, env, loss)
@@ -429,7 +428,7 @@ class TestCouplingBundle:
                     guided = np.outer(E, E) * env.z
                     T = np.stack((guided, guided, np.abs(loss.as_array().imag)))
                     D = np.abs(model.dipole_array())
-                    sums = np.einsum("nai,cij,nbj->ncab", D, T, D) / (env.epsilon0 * env.hbar)
+                    sums = np.einsum("nai,cij,nbj->ncab", D, T, D)
                     assert np.all(np.abs(bundle.flux_forms - expected) <= 8 * eps * sums)
                     rates = bundle.channel_decay_rates()
                     expected_rates = np.diagonal(expected, axis1=-2, axis2=-1).real.sum(axis=0)

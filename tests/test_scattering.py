@@ -5,9 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wgqed.scattering
 from wgqed import (
+    MODES,
     EmitterModel,
     IllConditionedResponseWarning,
     LossModel,
@@ -28,6 +31,7 @@ from wgqed.scattering import (
 )
 
 from conftest import (
+    FUZZ_LEAVES,
     make_env,
     oracle_loss_probability,
     oracle_scatter,
@@ -76,10 +80,25 @@ class TestScatterInput:
         with pytest.raises(ValueError, match="ground_index"):
             ScatterInput("forward", index)
 
-    @pytest.mark.parametrize("direction", ["sideways", "Forward", None])
+    @pytest.mark.parametrize("direction", ["sideways", "Forward", None, np.array("forward")])
     def test_unknown_direction_rejected(self, direction):
+        # a 0-d array equals a mode name but is no str, and cannot be hashed
         with pytest.raises(ValueError, match="direction must be one of"):
             ScatterInput(direction)
+
+    @settings(max_examples=200, deadline=None)
+    @given(direction=st.one_of(st.sampled_from(MODES), st.sampled_from(MODES).map(np.array),
+                               FUZZ_LEAVES),
+           index=st.one_of(st.integers(0, 3), st.integers(0, 3).map(np.int64), FUZZ_LEAVES),
+           frequency=st.one_of(st.none(), st.floats(), st.floats().map(np.float64),
+                               FUZZ_LEAVES))
+    def test_every_valid_input_can_be_hashed(self, direction, index, frequency):
+        try:
+            inp = ScatterInput(direction, index, frequency)
+        except ValueError:
+            return
+        assert type(inp.direction) is str and inp.direction in MODES
+        assert hash(inp) == hash(ScatterInput(direction, index, frequency))
 
     @pytest.mark.parametrize("index", [1, 5])
     def test_ground_index_beyond_the_model_rejected(self, index):
@@ -337,13 +356,26 @@ class TestConservationProperties:
                 oracle_loss_probability(model, env, loss, inp), abs=1e-10)
 
     def test_unitarity_survives_nonstandard_constants(self, rng):
-        # hbar, epsilon0 and the sign of v_g only rescale internals
-        for kwargs in ({"hbar": 2.0}, {"epsilon0": 3.0}, {"v_g": -0.1},
-                       {"a": 0.7, "omega": 1.3, "v_g": -0.25, "hbar": 0.5}):
+        # the scale z and the sign of v_g only rescale internals. So does a
+        # dipole scale s with every excited detuning from E_int scaled by
+        # s^2: M scales by s^2 and each coupling by s, so the amplitudes,
+        # lossy or not, do not change
+        for kwargs in ({"v_g": -0.1}, {"a": 3.0, "omega": 0.5},
+                       {"a": 0.7, "omega": 1.3, "v_g": -0.25}):
             model = random_model(rng, 2, 2)
             env = make_env(random_unit_vector(rng), **kwargs)
-            res = scatter(model, env, LossModel.none(), ScatterInput())
-            assert abs(np.sum(np.abs(res.amplitudes) ** 2) - 1.0) < 1e-10
+            E_int = model.ground_energies[0] + env.omega
+            for loss in (LossModel.none(), random_loss_tensor(rng)):
+                res = scatter(model, env, loss, ScatterInput())
+                if loss == LossModel.none():
+                    assert abs(np.sum(np.abs(res.amplitudes) ** 2) - 1.0) < 1e-10
+                for s in (0.5, 3.0):
+                    detunings = np.asarray(model.excited_energies) - E_int
+                    scaled = EmitterModel.from_arrays(model.ground_energies,
+                                                      E_int + s**2 * detunings,
+                                                      s * model.dipole_array())
+                    amplitudes = scatter(scaled, env, loss, ScatterInput()).amplitudes
+                    assert np.max(np.abs(amplitudes - res.amplitudes)) < 1e-12
 
     def test_group_velocity_sign_is_immaterial(self, rng):
         model = random_model(rng, 1, 2)
@@ -537,7 +569,7 @@ def capture_response_stacks(monkeypatch) -> list:
 
     def spy(D, B, detunings, env, loss):
         H = assemble(D, B, detunings, env, loss)
-        stacks.append((1j * env.epsilon0 * env.hbar / env.z) * H)
+        stacks.append((1j / env.z) * H)
         return H
 
     monkeypatch.setattr(wgqed.scattering, "effective_hamiltonian", spy)
