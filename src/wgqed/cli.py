@@ -40,13 +40,8 @@ from .emitter import EmitterModel, ExcitedSuperposition, _as_float
 from .emission import INITIAL_NORM_TOL, _propagate, default_t_max, outcome_forms
 from .errors import ConfigError, ModelValidationError, UnknownPresetError, WgqedError
 from .photonic import LossModel, WaveguideEnv, coupling_bundle
-from .scattering import (
-    MODES,
-    ScatterInput,
-    polarization_sweep,
-    scatter,
-    two_level_closed_form,
-)
+from .scattering import (MODES, ScatterInput, _scatter_fields, _theta_fields,
+                         two_level_closed_form)
 
 MODES_OF_OPERATION = ("emission", "scattering", "diagnostic")
 FLOAT_FMT = ".17g"
@@ -247,15 +242,12 @@ class ScenarioConfig:
     input: dict
     output: dict
     integrator: dict
-    sweep: dict | None = None
-    initial_state: list | None = None
-    dark_state_projection: bool = False
+    sweep: dict | None
+    initial_state: list | None
+    dark_state_projection: bool
 
     def __post_init__(self):
         object.__setattr__(self, "built", _build(self))
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 _SCHEMA_KEYS = {f.name for f in fields(ScenarioConfig)}
@@ -309,7 +301,7 @@ def _build(c: ScenarioConfig) -> Built:
 
 def serialize_config(config: ScenarioConfig) -> str:
     """Canonical JSON form; parse followed by serialize is idempotent."""
-    return json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n"
+    return json.dumps(asdict(config), indent=2, sort_keys=True) + "\n"
 
 
 def _expand(data) -> dict:
@@ -444,26 +436,25 @@ def _emission_table(config: ScenarioConfig):
 
 def _scattering_table(config: ScenarioConfig):
     model, env, loss, inp, _ = config.built
-    projection = config.dark_state_projection
     columns = _amplitude_columns(model.n_ground) + ["p_loss"]
+    sweep = config.sweep
+    if sweep is None:    # a single point is a sweep of one
+        fields = env.E_f.as_array()[None]
+    else:
+        thetas = np.linspace(float(sweep["start"]), float(sweep["stop"]), int(sweep["steps"]))
+        fields = _theta_fields(thetas)
+    amplitudes, p_loss, _, errors = _scatter_fields(model, env, loss, inp, fields,
+                                                    config.dark_state_projection)
     # with one ground state the columns are t and r, which follow the input mode
     flip = model.n_ground == 1 and inp.direction == "backward"
-    if config.sweep is None:
-        result = scatter(model, env, loss, inp, dark_state_projection=projection)
-        return columns, [[*_amplitude_parts(result.amplitudes, flip).tolist(), result.p_loss]], []
-
-    sweep = config.sweep
-    thetas = np.linspace(float(sweep["start"]), float(sweep["stop"]), int(sweep["steps"]))
-    points = polarization_sweep(model, env, loss, inp, thetas,
-                                dark_state_projection=projection)
-    failures = [f"sweep point theta={pt.theta!r}: {pt.error}" for pt in points if pt.failed]
+    table = np.column_stack((_amplitude_parts(amplitudes, flip), p_loss))
+    if sweep is None:
+        if errors:
+            raise errors[0]
+        return columns, table.tolist(), []
     # a failed point is a row of nan after its theta
-    blank = (np.full((2, model.n_ground), complex(math.nan, math.nan)), math.nan)
-    amplitudes, p_loss = zip(*[
-        blank if pt.failed else (pt.result.amplitudes, pt.result.p_loss) for pt in points
-    ])
-    table = np.column_stack((thetas, _amplitude_parts(np.stack(amplitudes), flip), p_loss))
-    return ["theta"] + columns, table.tolist(), failures
+    failures = [f"sweep point theta={float(thetas[t])!r}: {errors[t]}" for t in sorted(errors)]
+    return ["theta"] + columns, np.column_stack((thetas, table)).tolist(), failures
 
 
 def _diagnostic_table(config: ScenarioConfig):

@@ -16,8 +16,10 @@ of the effective Hamiltonian ``H_eff`` that emission exponentiates (see
 ``DARK_COUPLING_THRESHOLD``. The bookend convention is fixed: absorption
 contracts the conjugated dipole with the field, emission contracts the
 conjugated field with the dipole. Only the guided part of ``H_eff`` depends
-on the field, so a sweep stacks M over its fields and solves the stack in one
-call; :func:`scatter` is a batch of one.
+on the field, so the private engine ``_scatter_fields`` solves M stacked
+over a stack of fields in one call and returns stacked arrays, nan in each
+slice that failed. :func:`scatter` (a stack of one) and
+:func:`polarization_sweep` build records from them; the CLI reads them.
 
 A slice is solved in the stack when its condition number is at most
 ``COND_SINGULAR_THRESHOLD`` and warned about above ``COND_WARN_THRESHOLD``.
@@ -32,7 +34,8 @@ beyond the rounding of either bound or of the singular values (relative
 errors near ``1e8 * 2.2e-16``). Such a slice is solvable and raises no
 warning, which is exactly what its singular values would decide, so the
 certificate changes no decision. Only the other slices, and every slice of a
-stack too small for the certificate to pay, get their singular values.
+stack too small for the certificate to pay, get their singular values. A
+non-finite slice fails first, and the gate sees the identity in its place.
 """
 
 from __future__ import annotations
@@ -125,11 +128,8 @@ def _solve_dark(M: np.ndarray, in_vec: np.ndarray, dark_state_projection: bool,
     """Solve a singular or ill-conditioned response slice, of condition
     number ``cond``, in the subspace coupled to some channel, or raise naming
     the dark directions, the eigenvectors of the damping part of ``M`` with
-    coupling below threshold, or saying that there are none. A slice with a
-    non-finite entry raises :class:`NonPhysicalStateError`.
+    coupling below threshold, or saying that there are none.
     """
-    if not np.isfinite(M).all():
-        raise NonPhysicalStateError("response matrix overflows")
     lam, vecs = np.linalg.eigh(0.5 * (M + M.conj().T))
     dark = lam < DARK_COUPLING_THRESHOLD
     if not dark_state_projection:
@@ -180,14 +180,12 @@ def _identity_outside(keep: np.ndarray, M: np.ndarray) -> np.ndarray:
 def _solve_gate(
     M: np.ndarray, active: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Masks of the ``active`` slices of the stack ``M`` that the stacked
-    solve takes (condition number at most ``COND_SINGULAR_THRESHOLD``) and of
-    those that warn (above ``COND_WARN_THRESHOLD``), plus the condition
+    """Masks of the ``active`` slices of the finite stack ``M`` that the
+    stacked solve takes (condition number at most ``COND_SINGULAR_THRESHOLD``)
+    and of those that warn (above ``COND_WARN_THRESHOLD``), plus the condition
     numbers: exact, except that a certified or inactive slice of a stack
     large enough to certify reads 0, which passes both thresholds as its
-    true value would. A non-finite slice is neither; its condition number reads nan."""
-    finite = np.isfinite(M).all(axis=(-2, -1))
-    M = _identity_outside(finite, M)    # the certificate and the SVD see the identity
+    true value would."""
     if len(M) < _CERTIFY_FROM:
         cond = _condition_numbers(M)
     else:
@@ -195,7 +193,6 @@ def _solve_gate(
         exact = np.flatnonzero(active & ~_certified(M))
         if exact.size:
             cond[exact] = _condition_numbers(M[exact])
-    cond[~finite] = np.nan
     solvable = active & (cond <= COND_SINGULAR_THRESHOLD)
     return solvable, solvable & (cond > COND_WARN_THRESHOLD), cond
 
@@ -208,12 +205,12 @@ def _scatter_fields(
     inp: ScatterInput,
     fields: np.ndarray,
     dark_state_projection: bool,
-) -> tuple[list[ScatteringResult], dict[int, Exception]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, Exception]]:
     """Scatter at every forward field of the stack ``fields`` (T, 3), all
-    else shared. Returns a :class:`ScatteringResult` per field and the
-    ``WgqedError`` or ``LinAlgError`` of each field that failed, by index;
-    the result at a failed index is meaningless. Singular and overflowing
-    slices are solved alone after the one stacked solve.
+    else shared. Returns the read-only amplitudes (T, 2, n_ground), ``p_loss``
+    (T,) and output frequencies (n_ground,), nan in each failed slice, and
+    the ``WgqedError`` or ``LinAlgError`` of each failed slice, by index.
+    Singular slices are solved alone after the one stacked solve.
     """
     D = model.dipole_array()
     n_g = model.n_ground
@@ -235,12 +232,19 @@ def _scatter_fields(
 
     errors: dict[int, Exception] = {}
     active = (in_vec != 0).any(axis=1)
+    finite = np.isfinite(M).all(axis=(-2, -1))
+    if not finite.all():
+        # a non-finite slice fails even with no input: its couplings may
+        # overflow too; the gate and the solve see the identity in its place
+        for t in np.flatnonzero(~finite).tolist():
+            errors[t] = NonPhysicalStateError("response matrix overflows")
+        M = _identity_outside(finite, M)
+        active &= finite
     solvable, warn, cond = _solve_gate(M, active)
     # one solve; a slice it must not take reads y = 0 if inactive, else is solved below
     M_solved = _identity_outside(solvable, M)
     y = np.linalg.solve(M_solved, in_vec[..., None])[..., 0]
-    # a non-finite slice fails even with no input: its couplings may overflow too
-    failed = () if M_solved is M else np.flatnonzero(~solvable & (active | np.isnan(cond)))
+    failed = () if M_solved is M else np.flatnonzero(~solvable & active).tolist()
     if warn.any():
         for t in np.flatnonzero(warn):
             warnings.warn(
@@ -257,17 +261,13 @@ def _scatter_fields(
     amplitudes = np.zeros((len(M), 2, n_g), dtype=complex)
     amplitudes[:, inc, r] = 1.0
     amplitudes -= np.einsum("tmxn,tx->tmn", B, y)
+    if errors:
+        amplitudes[list(errors)] = complex(math.nan, math.nan)
     p_loss = 1.0 - np.sum(np.abs(amplitudes) ** 2, axis=(1, 2))
     output_frequencies = omega_f + (ground[r] - ground)
-    amplitudes.setflags(write=False)
-    output_frequencies.setflags(write=False)
-    # tuple.__new__ over zipped fields builds the records without a Python
-    # frame per record.
-    results = list(map(tuple.__new__, repeat(ScatteringResult), zip(
-        amplitudes, p_loss.tolist(), repeat(output_frequencies),
-        repeat(inp.direction), repeat(r),
-    )))
-    return results, errors
+    for array in (amplitudes, p_loss, output_frequencies):
+        array.setflags(write=False)
+    return amplitudes, p_loss, output_frequencies, errors
 
 
 def scatter(
@@ -287,12 +287,13 @@ def scatter(
     ``dark_state_projection`` is set, in which case decoupled excited
     directions are removed and the system is solved in the coupled subspace.
     """
-    (result,), errors = _scatter_fields(
+    amplitudes, p_loss, output_frequencies, errors = _scatter_fields(
         model, env, loss, inp, env.E_f.as_array()[None], dark_state_projection
     )
     if errors:
         raise errors[0]
-    return result
+    return ScatteringResult(amplitudes[0], float(p_loss[0]), output_frequencies,
+                            inp.direction, inp.ground_index)
 
 
 @np.errstate(all="ignore")
@@ -350,6 +351,11 @@ class SweepPoint(NamedTuple):
         return self.error is not None
 
 
+def _theta_fields(thetas: np.ndarray) -> np.ndarray:
+    """The forward fields (cos(theta), i sin(theta), 0) of a theta grid: (T, 3)."""
+    return np.stack([np.cos(thetas), 1j * np.sin(thetas), np.zeros_like(thetas)], axis=1)
+
+
 def polarization_sweep(
     model: EmitterModel,
     env_template: WaveguideEnv,
@@ -368,12 +374,15 @@ def polarization_sweep(
     if np.min(thetas) < 0.0 or np.max(thetas) > np.pi + 1e-12:
         raise ValueError("theta grid must lie within [0, pi]")
 
-    fields = np.stack(
-        [np.cos(thetas), 1j * np.sin(thetas), np.zeros_like(thetas)], axis=1
+    amplitudes, p_loss, output_frequencies, errors = _scatter_fields(
+        model, env_template, loss, inp, _theta_fields(thetas), dark_state_projection
     )
-    results, errors = _scatter_fields(
-        model, env_template, loss, inp, fields, dark_state_projection
-    )
+    # tuple.__new__ over zipped fields builds the records without a Python
+    # frame per record.
+    results = map(tuple.__new__, repeat(ScatteringResult), zip(
+        amplitudes, p_loss.tolist(), repeat(output_frequencies),
+        repeat(inp.direction), repeat(inp.ground_index),
+    ))
     points = list(map(tuple.__new__, repeat(SweepPoint),
                       zip(thetas.tolist(), results, repeat(None))))
     for t, exc in errors.items():

@@ -1,19 +1,23 @@
 """The public API the benchmark in ``perfbench/`` calls still works.
 
-The first pass of each in-process workload runs at seed 0 and must pass the
-benchmark's own correctness checks: no failed item, and an error within the
-workload's tolerance. A cleanup of the public API that would make a
-benchmark run fail fails here first. Nothing under ``perfbench/`` is
+The first pass of each workload runs at seed 0 and must pass the benchmark's
+own correctness checks: no failed item, and an error within the workload's
+tolerance. The ``cli`` workload runs each preset once in a child
+interpreter that imports this tree's ``src`` and checks its table against
+the benchmark's reference. A cleanup of the public API, or a change to a
+CLI table, that would make a benchmark run fail fails here first. Nothing under ``perfbench/`` is
 written: its modules are imported by path without bytecode caching.
 """
 
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 @pytest.fixture(scope="module")
@@ -31,9 +35,16 @@ def workloads():
     return module
 
 
-@pytest.mark.parametrize("name", ["sweep", "scatter-batch", "emission"])
-def test_first_pass_passes_its_checks(workloads, name):
-    workload = workloads.WORKLOADS[name](0)
+def child_env() -> dict:
+    """The environment of a child interpreter that imports this tree's wgqed."""
+    pythonpath = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
+
+
+@pytest.mark.parametrize("name", ["sweep", "scatter-batch", "emission", "cli"])
+def test_first_pass_passes_its_checks(workloads, name, tmp_path):
+    args = (child_env(), tmp_path) if name == "cli" else ()
+    workload = workloads.WORKLOADS[name](0, *args)
     calls = workload.first_pass()
     assert calls
     for call in calls:

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -622,6 +623,36 @@ class TestBundleReuse:
         assert run_cli(monkeypatch, tmp_path, "run", scenario, "--out", "o.csv") == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("argv, size, code", [
+        (["point.json"], 1, 0),
+        (["point.json", "--loss", "0"], 1, 2),
+        (["isotropic-scan"], 401, 0),
+        (["isotropic-scan", "--loss", "0"], 401, 2),
+        (["ixi-scan", "--steps", "33"], 33, 0),
+    ], ids=["point", "singular-point", "sweep", "failing-sweep", "ixi-sweep"])
+    def test_one_engine_call_per_scattering_run(self, monkeypatch, tmp_path, capsys,
+                                                argv, size, code):
+        # a single point is a stack of one: the table reads the engine's
+        # arrays, and no record is built
+        assert not hasattr(wgqed.cli, "scatter")
+        assert not hasattr(wgqed.cli, "polarization_sweep")
+        original = wgqed.cli._scatter_fields
+        stacks = []
+
+        def counting(*args):
+            stacks.append(len(args[4]))
+            return original(*args)
+
+        monkeypatch.setattr(wgqed.cli, "_scatter_fields", counting)
+        cfg = dict(CUSTOM_SCATTER, loss={"isotropic": 0.2})
+        del cfg["sweep"]
+        (tmp_path / "point.json").write_text(json.dumps(cfg))
+        assert run_cli(monkeypatch, tmp_path, "run", *argv, "--out", "o.csv") == code
+        assert stacks == [size]
+        # failed sweep points are named in grid order
+        thetas = [float(m) for m in re.findall(r"theta=(\S+):", capsys.readouterr().err)]
+        assert thetas == sorted(thetas) and len(thetas) == (3 if size == 401 and code else 0)
+
 
 class TestParseOnce:
     @pytest.mark.parametrize("scenario", PRESET_NAMES)
@@ -982,7 +1013,7 @@ class TestCustomEmission:
                                              initial_state):
         # the config check and the propagator share one norm tolerance, so a
         # state the propagator would reject is a configuration error
-        cfg = dict(preset("paradox-emission").to_dict(), scenario="custom",
+        cfg = dict(asdict(preset("paradox-emission")), scenario="custom",
                    initial_state=initial_state)
         (tmp_path / "em.json").write_text(json.dumps(cfg))
         assert run_cli(monkeypatch, tmp_path, "run", "em.json", "--out", "em.csv") == 1
@@ -993,7 +1024,7 @@ class TestCustomEmission:
     def test_huge_initial_state_prints_only_the_configuration_error(self, tmp_path):
         # a fresh interpreter, with the default warning filters, would print
         # an overflow in the norm check before the error
-        cfg = dict(preset("paradox-emission").to_dict(), scenario="custom",
+        cfg = dict(asdict(preset("paradox-emission")), scenario="custom",
                    initial_state=[[1e308, 0], [0, 0]])
         (tmp_path / "em.json").write_text(json.dumps(cfg))
         proc = run_python(tmp_path, "-m", "wgqed.cli", "run", "em.json", "--out", "em.csv")

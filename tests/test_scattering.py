@@ -23,6 +23,7 @@ from wgqed import (
     scatter,
     two_level_closed_form,
 )
+from wgqed.cli import preset
 from wgqed.scattering import (
     COND_SINGULAR_THRESHOLD,
     COND_WARN_THRESHOLD,
@@ -149,6 +150,19 @@ class TestRecords:
         with pytest.raises(AttributeError):
             ok.theta = 1.0
         assert not ok.result.amplitudes.flags.writeable
+
+    def test_equal_records_compare_by_their_arrays(self):
+        # as for any tuple that holds arrays, == of two records from separate
+        # calls reaches the arrays and raises; their array fields compare
+        a, b = (polarization_sweep(paradox_model(), make_env([1, 0, 0]),
+                                   LossModel.isotropic(0.2), ScatterInput(), [0.3])[0]
+                for _ in range(2))
+        for x, y in ((a, b), (a.result, b.result)):
+            with pytest.raises(ValueError, match="ambiguous"):
+                x == y
+        assert a.theta == b.theta
+        assert np.array_equal(a.result.amplitudes, b.result.amplitudes)
+        assert np.array_equal(a.result.output_frequencies, b.result.output_frequencies)
 
 
 class TestTwoLevelClosedForm:
@@ -436,6 +450,84 @@ class TestEquivalences:
             assert np.max(np.abs(a - b)) < 1e-10
 
 
+def conjugate_dipoles(model: EmitterModel) -> EmitterModel:
+    return EmitterModel.from_arrays(model.ground_energies, model.excited_energies,
+                                    model.dipole_array().conj())
+
+
+def reverse_amplitude(model, env, loss, photon_frequency, m, k, n, r):
+    """gamma(n-bar, r | m-bar, k): the photon sent back from output mode m
+    and ground state k, at the frequency that keeps the total energy."""
+    g = model.ground_energies
+    inp = ScatterInput(MODES[1 - m], k, photon_frequency + g[r] - g[k])
+    return scatter(model, env, loss, inp).amplitudes[1 - n, r]
+
+
+class TestReciprocity:
+    """Time reversal swaps input and output: a photon in mode n from ground r
+    that leaves in mode m with the emitter in ground k reverses into one in
+    mode m-bar from ground k that leaves in mode n-bar in ground r, with
+    conjugated dipoles. The loss tensor is symmetric, so M(D*) = M(D)^T and
+
+        gamma(m, k | n, r; D) = gamma(n-bar, r | m-bar, k; D*).
+
+    A circular dipole couples unequally to the two directions (the chiral
+    couplings of Lodahl et al., Nature 541, 473 (2017)), so the same dipoles
+    in both directions do not satisfy it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_g=st.integers(1, 3), n_e=st.integers(1, 3),
+           split_grounds=st.booleans(), tensor_loss=st.booleans())
+    def test_amplitudes_obey_generalized_reciprocity(self, seed, n_g, n_e, split_grounds,
+                                                     tensor_loss):
+        rng = np.random.default_rng(seed)
+        ground = rng.uniform(-0.3, 0.3, n_g) if split_grounds else np.zeros(n_g)
+        excited = 1.0 + rng.uniform(-0.4, 0.4, n_e)
+        D = rng.normal(size=(n_g, n_e, 3)) + 1j * rng.normal(size=(n_g, n_e, 3))
+        model = EmitterModel.from_arrays(ground, excited, D)
+        conjugated = conjugate_dipoles(model)
+        env = make_env(random_unit_vector(rng))
+        loss = (random_loss_tensor(rng) if tensor_loss
+                else LossModel.isotropic(float(rng.uniform(0.0, 0.3))))
+        omega_f = float(rng.uniform(0.5, 1.5))
+        for n, r in np.ndindex(2, n_g):
+            forward = scatter(model, env, loss, ScatterInput(MODES[n], r, omega_f)).amplitudes
+            for m, k in np.ndindex(2, n_g):
+                reverse = reverse_amplitude(conjugated, env, loss, omega_f, m, k, n, r)
+                assert abs(forward[m, k] - reverse) < 1e-12
+
+    def test_real_dipoles_obey_plain_reciprocity(self, rng):
+        for i in range(40):
+            n_g = int(rng.integers(1, 4))
+            model = EmitterModel.from_arrays(rng.uniform(-0.3, 0.3, n_g),
+                                             1.0 + rng.uniform(-0.4, 0.4, 2),
+                                             rng.normal(size=(n_g, 2, 3)))
+            assert conjugate_dipoles(model) == model
+            env = make_env(random_unit_vector(rng))
+            loss = (LossModel.isotropic(float(rng.uniform(0.0, 0.3))) if i % 2
+                    else random_loss_tensor(rng))
+            n, r = int(rng.integers(0, 2)), int(rng.integers(0, n_g))
+            forward = scatter(model, env, loss, ScatterInput(MODES[n], r, 1.0)).amplitudes
+            for m, k in np.ndindex(2, n_g):
+                reverse = reverse_amplitude(model, env, loss, 1.0, m, k, n, r)
+                assert abs(forward[m, k] - reverse) < 1e-12
+
+    @pytest.mark.parametrize("name", ["isotropic-scan", "ixi-scan"])
+    def test_backward_transmission_is_forward_with_conjugated_dipoles(self, name):
+        config = preset(name)
+        model, env, loss, _, _ = config.built
+        sweep = config.sweep
+        thetas = np.linspace(sweep["start"], sweep["stop"], sweep["steps"])
+        for r in range(model.n_ground):
+            backward = polarization_sweep(model, env, loss, ScatterInput("backward", r),
+                                          thetas)
+            forward = polarization_sweep(conjugate_dipoles(model), env, loss,
+                                         ScatterInput("forward", r), thetas)
+            t_b = np.array([pt.result.transmission for pt in backward])
+            t_f = np.array([pt.result.transmission for pt in forward])
+            assert np.max(np.abs(t_b - t_f)) < 1e-12
+
+
 class TestPolarizationSweep:
     def test_circular_point_has_zero_reflection(self):
         pts = polarization_sweep(
@@ -604,31 +696,37 @@ _DARK_FIELD, _INACTIVE_FIELD, _OVERFLOW_FIELD = [1, 0, 0], [0, 0, 1], [1e200, 0,
 def scatter_stack_and_alone(fields, projection: bool):
     """The stacked engine at every field, and :func:`scatter` at each field
     alone: for each, the (amplitude bytes, p_loss, error) of every field and
-    the warning messages, in order."""
+    the warning messages, in order. The engine's stacked arrays are read-only
+    and nan in each failed slice."""
     model, template = paradox_model(), make_env([1, 0, 0], **X_ENV)
     loss, inp = LossModel.none(), ScatterInput()
 
-    def outcome(result, error):
+    def outcome(amplitudes, p_loss, error):
         if error is not None:
             return None, None, (type(error), str(error))
-        return result.amplitudes.tobytes(), result.p_loss.hex(), None
+        return amplitudes.tobytes(), float(p_loss).hex(), None
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        results, errors = _scatter_fields(model, template, loss, inp,
-                                          np.array(fields, dtype=complex), projection)
-    stacked = [outcome(res, errors.get(t)) for t, res in enumerate(results)]
+        amplitudes, p_loss, frequencies, errors = _scatter_fields(
+            model, template, loss, inp, np.array(fields, dtype=complex), projection)
+    assert amplitudes.shape == (len(fields), 2, 1) and p_loss.shape == (len(fields),)
+    assert not any(a.flags.writeable for a in (amplitudes, p_loss, frequencies))
+    failed = sorted(errors)
+    assert np.isnan(amplitudes[failed].real).all() and np.isnan(amplitudes[failed].imag).all()
+    assert np.isnan(p_loss[failed]).all()
+    stacked = [outcome(a, p, errors.get(t)) for t, (a, p) in enumerate(zip(amplitudes, p_loss))]
     stacked_warnings = [str(w.message) for w in caught]
     alone, alone_warnings = [], []
     for field in fields:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                res, exc = scatter(model, make_env(field, **X_ENV), loss, inp,
-                                   dark_state_projection=projection), None
+                res = scatter(model, make_env(field, **X_ENV), loss, inp,
+                              dark_state_projection=projection)
+                alone.append(outcome(res.amplitudes, res.p_loss, None))
             except (SingularResponseError, NonPhysicalStateError) as error:
-                res, exc = None, error
-        alone.append(outcome(res, exc))
+                alone.append(outcome(None, None, error))
         alone_warnings += [str(w.message) for w in caught]
     return stacked, stacked_warnings, alone, alone_warnings
 
@@ -677,18 +775,25 @@ class TestSolveGate:
 
     @pytest.mark.parametrize("size", [20, 3], ids=["certified", "small"])
     def test_non_finite_slices_fail_unseen_by_certificate_and_svd(self, monkeypatch, size):
-        M = damped_stack(np.random.default_rng(9), size, 2)
-        M[1, 0, 0] = np.inf
-        M[2, 1, 0] = np.nan
+        # the response of slice 1 overflows to inf, that of slice 2 to nan;
+        # the engine fails both before the gate, which sees the identity
+        rng = np.random.default_rng(9)
+        fields = np.array([random_unit_vector(rng) for _ in range(size)])
+        fields[1] = _OVERFLOW_FIELD
+        fields[2] = [np.inf, 0, 0]
         seen = []
         for name in ("_certified", "_condition_numbers"):
             original = getattr(wgqed.scattering, name)
             monkeypatch.setattr(wgqed.scattering, name,
                                 lambda S, f=original: seen.append(S) or f(S))
-        solvable, warn, cond = _solve_gate(M, np.ones(size, dtype=bool))
+        amplitudes, p_loss, _, errors = _scatter_fields(
+            paradox_model(), make_env([1, 0, 0], **X_ENV), LossModel.isotropic(0.2),
+            ScatterInput(), fields, False)
         assert seen and all(np.isfinite(S).all() for S in seen)
-        assert not solvable[1:3].any() and not warn[1:3].any() and np.isnan(cond[1:3]).all()
-        assert solvable[[0, *range(3, size)]].all()
+        assert sorted(errors) == [1, 2]
+        assert all(isinstance(exc, NonPhysicalStateError)
+                   and str(exc) == "response matrix overflows" for exc in errors.values())
+        assert np.isnan(p_loss[1:3]).all() and np.isfinite(np.delete(p_loss, [1, 2])).all()
 
     @pytest.mark.parametrize("size", [12, 3], ids=["certified", "small"])
     def test_solvable_stack_is_one_solve(self, monkeypatch, size):
