@@ -17,10 +17,10 @@ Emission scenarios take an ``integrator`` block (``t_max``, ``output_points``,
 ``grid``) that only sets the output time grid: the propagation itself is
 exact, with no step size or tolerance to choose.
 
-Exit codes: 0 success, 1 configuration error (including an output path that
-cannot be written), 2 numerical failure, named on stderr as ``wgqed: <mode>
-failed: ...``. A failed run writes no file; a sweep, solved as one batch,
-writes a point that fails as a row of ``nan``, names it and exits 2.
+Exit codes: 0 success, 1 configuration error (also a command-line fault and an
+output path that is empty or cannot be written), 2 numerical failure, named on
+stderr as ``wgqed: <mode> failed: ...``. A failed run writes no file; a sweep,
+solved as one batch, writes a failed point as a ``nan`` row, names it and exits 2.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .emitter import EmitterModel, ExcitedSuperposition, _as_float
-from .emission import INITIAL_NORM_TOL, _propagate, default_t_max, outcome_forms
+from .emission import INITIAL_NORM_TOL, _horizon, _modes, _propagate, outcome_forms
 from .errors import ConfigError, ModelValidationError, UnknownPresetError, WgqedError
 from .photonic import LossModel, WaveguideEnv, coupling_bundle
 from .scattering import (MODES, ScatterInput, _scatter_fields, _theta_fields,
@@ -179,7 +179,8 @@ _FIELDS = {
     "integrator.grid": (lambda v: v in ("geometric", "linear"), "'geometric' or 'linear'",
                         "geometric"),
     "output": (_object, "an object", {}),
-    "output.path": (lambda v: v is None or isinstance(v, str), "null or a string", None),
+    "output.path": (lambda v: v is None or isinstance(v, str) and v != "",
+                    "null or a nonempty string", None),
     "output.format": (lambda v: v in ("csv", "json"), "csv or json", "csv"),
     "initial_state": (lambda v: v is None or _array(v), "null or an array", None),
     "dark_state_projection": (lambda v: isinstance(v, bool), "true or false", False),
@@ -332,14 +333,16 @@ def _expand(data) -> dict:
     return {**base, **data}
 
 
-def parse_config(data: dict) -> ScenarioConfig:
+def parse_config(data: dict, *, flags: argparse.Namespace | None = None) -> ScenarioConfig:
     """Validate a raw configuration dictionary and build the scenario.
 
     Preset scenarios are expanded first; the file may then override loss,
     input, sweep, integrator, output and the dark-state-projection flag, but
-    not the emitter itself.
+    not the emitter itself. The command-line ``flags``, if given, go last.
     """
     cfg = dict(_expand(data))
+    if flags is not None:
+        _apply_overrides(cfg, flags)
     for name, (rule, what, default) in _FIELDS.items():
         section, _, key = name.rpartition(".")
         holder = cfg.get(section) if section else cfg
@@ -412,7 +415,8 @@ def _emission_table(config: ScenarioConfig):
     integ = config.integrator
 
     bundle = coupling_bundle(model, env, loss)
-    t_max = integ["t_max"] or default_t_max(bundle)
+    lam, _, rate = modes = _modes(bundle.H_eff)    # shared with the propagation
+    t_max = integ["t_max"] or _horizon(lam, rate)
     n_pts = integ["output_points"]
     if integ["grid"] == "linear":
         times = np.linspace(0.0, t_max, n_pts)
@@ -423,7 +427,7 @@ def _emission_table(config: ScenarioConfig):
     if (np.diff(times) <= 0.0).any():
         raise WgqedError(f"integrator.t_max {t_max!r} is too small for {n_pts} "
                          "strictly increasing output times")
-    times, blocks, probs = _propagate(bundle, state, times=times)
+    times, blocks, probs = _propagate(bundle, state, times=times, modes=modes)
 
     columns = (["t"] + [f"pop_e{i + 1}" for i in range(model.n_excited)]
                + ["p_forward", "p_backward", "p_loss", "trace"])
@@ -500,8 +504,8 @@ def run(config: ScenarioConfig) -> int:
         return 2
     for failure in failures:
         print(f"wgqed: {config.mode} failed: {failure}", file=sys.stderr)
-    fmt = config.output["format"]
-    path = config.output["path"] or f"{config.scenario}.{fmt}"
+    fmt, path = config.output["format"], config.output["path"]
+    path = f"{config.scenario}.{fmt}" if path is None else path
     _write_table(Path(path), fmt, config.scenario, columns, rows)
     return 2 if failures else 0
 
@@ -525,10 +529,9 @@ def _load_config_source(source: str) -> dict:
         raise ConfigError(f"config file {source!r} is not valid JSON: {exc}") from exc
 
 
-def _apply_overrides(data: dict, args: argparse.Namespace) -> dict:
-    """Fold the command-line flags into an expanded raw config. A section
-    that is not an object is left as it is, for the parse to name."""
-    data = dict(data)
+def _apply_overrides(data: dict, args: argparse.Namespace) -> None:
+    """Fold the command-line flags into an expanded raw config, in place. A
+    section that is not an object is left as it is, for the parse to name."""
     if args.loss is not None:
         data["loss"] = {"isotropic": args.loss}
     if args.steps is not None:
@@ -544,11 +547,15 @@ def _apply_overrides(data: dict, args: argparse.Namespace) -> dict:
     output = data.get("output") or {}
     if flags and isinstance(output, dict):
         data["output"] = {**output, **flags}
-    return data
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):    # not argparse's exit 2: here 2 is a numerical failure
+        raise ConfigError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wgqed",
         description="Single-photon scattering and emission scenarios for a "
                     "multi-level emitter in a waveguide.",
@@ -570,10 +577,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        data = _expand(_load_config_source(args.scenario))
-        return run(parse_config(_apply_overrides(data, args)))
+        args = build_parser().parse_args(argv)
+        return run(parse_config(_load_config_source(args.scenario), flags=args))
     except ConfigError as exc:
         where = f" (field: {exc.field})" if getattr(exc, "field", None) else ""
         print(f"wgqed: configuration error{where}: {exc}", file=sys.stderr)

@@ -145,13 +145,18 @@ def _horizon(lam: np.ndarray, rate: float) -> float:
     return float(0.5 * DEFAULT_LIFETIMES / np.min(decaying))
 
 
+def _modes(H: np.ndarray) -> tuple:
+    """``(lam, V, rate)``: the eigenpairs of ``H`` and its rounding rate."""
+    return (*np.linalg.eig(H), _rounding_rate(H))
+
+
 def default_t_max(bundle: CouplingBundle) -> float:
     """``DEFAULT_LIFETIMES`` over the smallest decay rate of the modes of
     ``H_eff``, ``-2 Im`` of its eigenvalues, among the modes that decay at
     all. A slow mode that superposes several levels sets the horizon even
     when every level decays fast."""
-    H = bundle.H_eff
-    return _horizon(np.linalg.eig(H)[0], _rounding_rate(H))
+    lam, _, rate = _modes(bundle.H_eff)
+    return _horizon(lam, rate)
 
 
 def _expm(A: np.ndarray) -> np.ndarray:
@@ -272,10 +277,10 @@ def _lyapunov(bundle: CouplingBundle, rate: float) -> np.ndarray:
 
 @np.errstate(all="ignore")
 def _propagate(bundle: CouplingBundle, initial, t_max: float | None = None,
-               times: Sequence[float] | None = None, output_points: int = 201):
-    """:func:`evolve` from an assembled coupling bundle, as the stacked
-    arrays of its samples: the times (T,), the excited blocks (T, n_e, n_e)
-    and the accumulated probabilities (T, n_g, 3), all read-only."""
+               times: Sequence[float] | None = None, output_points: int = 201, modes=None):
+    """:func:`evolve` from an assembled coupling bundle (and ``_modes`` of its
+    ``H_eff``, if known) as the stacked arrays of its samples: times (T,),
+    excited blocks (T, n_e, n_e) and accumulated probabilities (T, n_g, 3), all read-only."""
     H = bundle.H_eff
     n_e = H.shape[0]
     if t_max is not None and times is not None:
@@ -284,8 +289,7 @@ def _propagate(bundle: CouplingBundle, initial, t_max: float | None = None,
             or output_points < 1):
         raise ValueError(f"output_points must be a positive integer, got {output_points!r}")
     rho0, L = _coerce_initial(initial, n_e)
-    lam, V = np.linalg.eig(H)
-    rate = _rounding_rate(H)
+    lam, V, rate = _modes(H) if modes is None else modes
 
     if times is None:
         horizon = _horizon(lam, rate) if t_max is None else _as_float(t_max)

@@ -492,6 +492,41 @@ class TestOutputsAndExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / out).is_file()
 
+    @pytest.mark.parametrize("argv,message", [
+        (["run", "ixi-scan", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+        (["run", "ixi-scan", "--steps", "abc"], "argument --steps: invalid int value: 'abc'"),
+        (["run", "ixi-scan", "--loss", "abc"], "argument --loss: invalid float value: 'abc'"),
+        (["run"], "the following arguments are required: scenario"),
+        ([], "the following arguments are required: command"),
+    ], ids=["unknown-format", "steps-not-an-integer", "loss-not-a-number", "no-scenario",
+            "no-command"])
+    def test_command_line_fault_exits_one(self, monkeypatch, tmp_path, capsys, argv, message):
+        # argparse's faults are configuration errors: main returns 1, and
+        # exit 2 stays reserved for numerical failure
+        assert run_cli(monkeypatch, tmp_path, *argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("wgqed: configuration error: ") and message in err
+        assert "usage:" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+    def test_help_exits_zero(self, monkeypatch, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(monkeypatch, tmp_path, *argv)
+        assert exc.value.code == 0
+        assert "usage: wgqed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [["two-level", "--out", ""], ["c.json"]],
+                             ids=["flag", "config"])
+    def test_empty_output_path_exits_one(self, monkeypatch, tmp_path, capsys, argv):
+        # only a null path takes the default <scenario>.<format>
+        (tmp_path / "c.json").write_text(json.dumps(
+            {"scenario": "two-level", "output": {"path": ""}}))
+        assert run_cli(monkeypatch, tmp_path, "run", *argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("wgqed: configuration error (field: output.path)")
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
     @pytest.mark.parametrize("source,argv,field", [
         (None, ["two-level", "--steps", "5"], "sweep"),
         ("[1, 2]", ["c.json"], None),
@@ -675,6 +710,40 @@ class TestParseOnce:
         assert run_cli(monkeypatch, tmp_path, "run", scenario, "--loss", "0.2",
                        "--out", "o.csv") == 0
         assert calls == {"parse_config": 1, "model_check": 1}
+
+    @pytest.mark.parametrize("argv", [
+        *([name] for name in PRESET_NAMES),
+        ["preset.json"],
+        ["custom.json"],
+        ["two-level", "--loss", "0.1"],
+        ["ixi-scan", "--steps", "9"],
+        ["two-level", "--out", "o.csv"],
+        ["two-level", "--format", "json"],
+        ["isotropic-scan", "--dark-state-projection"],
+    ], ids=[*PRESET_NAMES, "preset-file", "custom-file", "loss", "steps", "out", "format",
+            "dark-state-projection"])
+    def test_one_expansion_and_one_decomposition_per_run(self, monkeypatch, tmp_path, argv):
+        # main hands the raw config and its flags to one parse, which expands
+        # the preset once; the emission table decomposes H_eff once, for the
+        # default horizon and the propagation
+        calls = {"_expand": 0, "parse_config": 0, "eig": 0}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for module, name in ((wgqed.cli, "_expand"), (wgqed.cli, "parse_config"),
+                             (np.linalg, "eig")):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        (tmp_path / "preset.json").write_text(json.dumps(
+            {"scenario": "paradox-emission", "integrator": {"grid": "linear"}}))
+        (tmp_path / "custom.json").write_text(json.dumps(
+            dict(CUSTOM_SCATTER, loss={"isotropic": 0.2})))
+        assert run_cli(monkeypatch, tmp_path, "run", *argv) == 0
+        emission = argv[0] in ("paradox-emission", "preset.json")
+        assert calls == {"_expand": 1, "parse_config": 1, "eig": int(emission)}
 
 
 # Values of the wrong type for any field or section of a config.

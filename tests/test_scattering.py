@@ -528,6 +528,166 @@ class TestReciprocity:
             assert np.max(np.abs(t_b - t_f)) < 1e-12
 
 
+def ground_maps(model, env, loss, direction, photon_frequency=None) -> np.ndarray:
+    """The single-photon maps on the ground manifold, ``S[m, k, r] = gamma(m,
+    k | r)`` per output mode ``m``, from one ``scatter`` per input ground
+    state ``r``."""
+    return np.stack([
+        scatter(model, env, loss, ScatterInput(direction, r, photon_frequency)).amplitudes
+        for r in range(model.n_ground)
+    ], axis=-1)
+
+
+class TestGroundBasisCovariance:
+    """A new basis of a degenerate ground manifold, ``D'[a] = sum_k W[a, k]
+    D[k]`` with ``W`` unitary, carries each mode's map along as ``W S W^dagger``:
+    the amplitudes are those of the same physical process."""
+
+    def test_each_mode_map_rotates_as_w_s_w_dagger(self, rng):
+        worst = worst_transposed = 0.0
+        for _ in range(50):
+            n_g, n_e = int(rng.integers(2, 4)), int(rng.integers(1, 4))
+            D = rng.normal(size=(n_g, n_e, 3)) + 1j * rng.normal(size=(n_g, n_e, 3))
+            excited = 1.0 + rng.uniform(-0.4, 0.4, n_e)
+            W = random_unitary(rng, n_g)
+            model = EmitterModel.from_arrays(np.zeros(n_g), excited, D)
+            rotated = EmitterModel.from_arrays(np.zeros(n_g), excited,
+                                               np.einsum("ak,kei->aei", W, D))
+            env = make_env(random_unit_vector(rng))
+            loss = LossModel.isotropic(float(rng.uniform(0.0, 0.3)))
+            omega_f = float(rng.uniform(0.7, 1.3))    # off resonance
+            for direction in MODES:
+                S = ground_maps(model, env, loss, direction, omega_f)
+                S_rot = ground_maps(rotated, env, loss, direction, omega_f)
+                worst = max(worst, np.abs(S_rot - W @ S @ W.conj().T).max())
+                worst_transposed = max(worst_transposed,
+                                       np.abs(S_rot - W.conj() @ S @ W.T).max())
+        assert worst < 1e-12
+        # the conjugate rule W* S W^T is told apart
+        assert worst_transposed > 0.5
+
+
+class TestParityFromComposedMaps:
+    """The abstract's parity measurement, from single-photon maps alone. On
+    ``ixi`` at circular polarization a forward photon acts on the ground
+    state as ``S_f = (1 - beta) I - beta sigma_x`` and is never reflected,
+    with ``beta = Gamma / (Gamma + s_tot)``: Gamma = 10 is the guided rate of
+    each excited state and ``s_tot = 2 loss`` its loss rate (two unit
+    transitions). Well separated photons that all leave forward compose as
+    ``S_f^n``; its eigenvalues are 1 on ``|->`` and ``1 - 2 beta`` on ``|+>``,
+    so ``S_f^n = P_- + (1 - 2 beta)^n P_+`` with ``P_+- = (I +- sigma_x) / 2``."""
+
+    SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+    @staticmethod
+    def beta(loss: float) -> float:
+        return 10.0 / (10.0 + 2.0 * loss)
+
+    @pytest.mark.parametrize("loss", [0.2, 2e-3, 0.0])
+    def test_forward_map_is_closed_form_and_nothing_reflects(self, loss):
+        S_f, S_b = ground_maps(ixi_model(), circular_env(), LossModel.isotropic(loss),
+                               "forward")
+        beta = self.beta(loss)
+        np.testing.assert_allclose(S_f, (1 - beta) * np.eye(2) - beta * self.SIGMA_X,
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(S_b, 0.0, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("loss", [0.2, 2e-3, 0.0])
+    def test_photon_trains_compose_as_the_eigen_closed_form(self, loss):
+        S_f, _ = ground_maps(ixi_model(), circular_env(), LossModel.isotropic(loss),
+                             "forward")
+        lam = 1 - 2 * self.beta(loss)
+        P_plus, P_minus = (np.eye(2) + self.SIGMA_X) / 2, (np.eye(2) - self.SIGMA_X) / 2
+        for n in range(101):
+            np.testing.assert_allclose(np.linalg.matrix_power(S_f, n),
+                                       P_minus + lam ** n * P_plus, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("loss,expected", [
+        (0.2, [(1, 0.924556, 5e-7), (2, 0.857542, 5e-7), (3, 0.797920, 5e-7),
+               (10, 0.524999589, 5e-10)]),
+        (0.0, [(n, 1.0, 1e-15) for n in (1, 2, 3, 10)]),
+    ], ids=["loss-0.2", "lossless"])
+    def test_all_forward_right_parity_probability(self, loss, expected):
+        # from ground state 1, n photons that all leave forward put the
+        # emitter in ground state 1 + (n mod 2): the photon-number parity
+        S_f, _ = ground_maps(ixi_model(), circular_env(), LossModel.isotropic(loss),
+                             "forward")
+        for n, probability, tol in expected:
+            amplitude = np.linalg.matrix_power(S_f, n)[n % 2, 0]
+            assert abs(amplitude) ** 2 == pytest.approx(probability, rel=0, abs=tol)
+
+    @pytest.mark.parametrize("loss", [0.2, 0.0])
+    def test_real_dipoles_read_the_parity_backward(self, loss):
+        # real crossed dipoles: a forward photon passes with no flip, and the
+        # flip rides on the reflected photon, S_b = -i beta sigma_x
+        S_f, S_b = ground_maps(ixi_model(phase=1.0), circular_env(),
+                               LossModel.isotropic(loss), "forward")
+        beta = self.beta(loss)
+        np.testing.assert_allclose(S_f, (1 - beta) * np.eye(2), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(S_b, -1j * beta * self.SIGMA_X, rtol=0, atol=1e-15)
+
+
+class TestReflectToTransmitSwitch:
+    """The abstract's switch from full reflection to full transmission under
+    an infinitesimal rotation of the field, as a limit in loss.
+
+    On the ``isotropic-scan`` model (dipoles x and y, ``E_f = (cos t, i sin
+    t, 0)``, ``z = a omega / (2 |v_g|) = 5``) a forward photon on resonance
+    meets ``H_eff - omega = -(i/2) (z sum_m B_m B_m^dagger + s I)`` with
+    ``B_f = (cos t, -i sin t)`` and ``B_b = (cos t, i sin t)`` the couplings
+    to the two modes; their cross terms cancel, so the 2x2 resolvent is
+    diagonal with rates ``2 z cos^2 t + s`` and ``2 z sin^2 t + s``. The
+    x dipole reflects with ``-cos^2 t / (cos^2 t + eps)`` and the y dipole
+    with ``+sin^2 t / (sin^2 t + eps)``, ``eps = s / (2 z)``:
+
+        |r|^2 = (cos^2 t / (cos^2 t + eps) - sin^2 t / (sin^2 t + eps))^2.
+
+    For small ``t`` and ``eps``, ``|r|^2 = 1 / (1 + t^2 / eps)^2``, which is
+    1/2 at ``t_half = sqrt((sqrt 2 - 1) eps)``: the width of the switch goes
+    as ``sqrt(s)``."""
+
+    Z = 5.0
+    LOSSES = (1e-2, 1e-4, 1e-6, 1e-8)
+    MODEL = preset("isotropic-scan").built.model
+
+    def result(self, theta: float, s: float):
+        env = make_env([np.cos(theta), 1j * np.sin(theta), 0.0], **X_ENV)
+        return scatter(self.MODEL, env, LossModel.isotropic(s), ScatterInput("forward", 0))
+
+    def closed_form(self, theta: float, s: float) -> float:
+        eps = s / (2 * self.Z)
+        c2, s2 = np.cos(theta) ** 2, np.sin(theta) ** 2
+        return (c2 / (c2 + eps) - s2 / (s2 + eps)) ** 2
+
+    @staticmethod
+    def half_point(reflectance) -> float:
+        """The angle in (0, pi/4) where ``reflectance`` falls through 1/2,
+        bisected until the bracket cannot shrink."""
+        lo, hi = 0.0, np.pi / 4
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            lo, hi = (mid, hi) if reflectance(mid) > 0.5 else (lo, mid)
+        return mid
+
+    def test_half_angle_matches_closed_form_and_scales_as_sqrt_loss(self):
+        limit = np.sqrt((np.sqrt(2) - 1) / (2 * self.Z))
+        assert limit == pytest.approx(0.2035224, abs=1e-7)
+        for s in self.LOSSES:
+            half = self.half_point(lambda t: abs(self.result(t, s).reflection) ** 2)
+            closed = self.half_point(lambda t: self.closed_form(t, s))
+            assert half == pytest.approx(closed, rel=1e-9, abs=0)
+            # the next order is O(s): -0.234 s relative
+            assert abs(half / np.sqrt(s) / limit - 1) < s
+
+    def test_full_reflection_and_transmission_in_the_lossless_limit(self):
+        miss_r0 = [1 - abs(self.result(0.0, s).reflection) ** 2 for s in self.LOSSES]
+        miss_t = [1 - abs(self.result(1e-2, s).transmission) ** 2 for s in self.LOSSES]
+        # at t = 0 only the x dipole couples: |r|^2 = 1 / (1 + eps)^2
+        assert all(0 < miss < s for miss, s in zip(miss_r0, self.LOSSES))
+        # a fixed rotation of 1e-2 transmits ever more as the loss vanishes
+        assert all(a > b > 0 for a, b in zip(miss_t, miss_t[1:]))
+        assert miss_t[-1] < 1e-4
+
+
 class TestPolarizationSweep:
     def test_circular_point_has_zero_reflection(self):
         pts = polarization_sweep(
