@@ -194,9 +194,11 @@ def effective_hamiltonian(
     only changes it. ``i (H_eff - H_eff^H)`` is the total damping matrix.
     """
     L_T = np.einsum("nxi,ij,nyj->yx", D, loss.as_array().conj(), D.conj())
-    H_0 = np.diag(np.asarray(excited_energies, dtype=float)) + L_T / 2.0
+    H_0 = L_T / 2.0
+    H_0.flat[::len(H_0) + 1] += np.asarray(excited_energies, dtype=float)    # + diag(E_x)
     guided = np.einsum("...mxn,...myn->...xy", B.conj(), B)
-    return H_0 - (0.5j * env.z) * guided
+    guided *= 0.5j * env.z
+    return np.subtract(H_0, guided, out=guided)
 
 
 @np.errstate(all="ignore")

@@ -168,7 +168,9 @@ def _condition_numbers(M: np.ndarray) -> np.ndarray:
     """``np.linalg.cond(M)`` of the stack ``M`` (T, n, n): the ratio of the
     extreme singular values, ``inf`` where the smallest is zero."""
     s = np.linalg.svd(M, compute_uv=False)
-    return np.divide(s[:, 0], s[:, -1], out=np.full(len(s), np.inf), where=s[:, -1] > 0)
+    cond = np.empty(len(s))
+    cond.fill(np.inf)
+    return np.divide(s[:, 0], s[:, -1], out=cond, where=s[:, -1] > 0)
 
 
 def _identity_outside(keep: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -231,11 +233,11 @@ def _scatter_fields(
     M = (1j / env.z) * effective_hamiltonian(D, B, detunings, env, loss)
 
     errors: dict[int, Exception] = {}
-    active = (in_vec != 0).any(axis=1)
-    finite = np.isfinite(M).all(axis=(-2, -1))
-    if not finite.all():
+    active = in_vec.any(axis=1)
+    if np.count_nonzero(np.isfinite(M)) < M.size:     # not np.isfinite(M).all(), cheaper
         # a non-finite slice fails even with no input: its couplings may
         # overflow too; the gate and the solve see the identity in its place
+        finite = np.isfinite(M).all(axis=(-2, -1))
         for t in np.flatnonzero(~finite).tolist():
             errors[t] = NonPhysicalStateError("response matrix overflows")
         M = _identity_outside(finite, M)
@@ -245,13 +247,12 @@ def _scatter_fields(
     M_solved = _identity_outside(solvable, M)
     y = np.linalg.solve(M_solved, in_vec[..., None])[..., 0]
     failed = () if M_solved is M else np.flatnonzero(~solvable & active).tolist()
-    if warn.any():
-        for t in np.flatnonzero(warn):
-            warnings.warn(
-                f"response matrix condition number {cond[t]:.3e} exceeds {COND_WARN_THRESHOLD:.0e}",
-                IllConditionedResponseWarning,
-                stacklevel=4,    # past the errstate wrapper
-            )
+    for t in warn.nonzero()[0]:
+        warnings.warn(
+            f"response matrix condition number {cond[t]:.3e} exceeds {COND_WARN_THRESHOLD:.0e}",
+            IllConditionedResponseWarning,
+            stacklevel=4,    # past the errstate wrapper
+        )
     for t in failed:
         try:
             y[t] = _solve_dark(M[t], in_vec[t], dark_state_projection, cond[t])
@@ -263,7 +264,7 @@ def _scatter_fields(
     amplitudes -= np.einsum("tmxn,tx->tmn", B, y)
     if errors:
         amplitudes[list(errors)] = complex(math.nan, math.nan)
-    p_loss = 1.0 - np.sum(np.abs(amplitudes) ** 2, axis=(1, 2))
+    p_loss = 1.0 - (np.abs(amplitudes) ** 2).sum(axis=(1, 2))
     output_frequencies = omega_f + (ground[r] - ground)
     for array in (amplitudes, p_loss, output_frequencies):
         array.setflags(write=False)
@@ -292,8 +293,10 @@ def scatter(
     )
     if errors:
         raise errors[0]
-    return ScatteringResult(amplitudes[0], float(p_loss[0]), output_frequencies,
-                            inp.direction, inp.ground_index)
+    # tuple.__new__ skips the named tuple's Python-level constructor
+    return tuple.__new__(ScatteringResult, (amplitudes[0], float(p_loss[0]),
+                                            output_frequencies, inp.direction,
+                                            inp.ground_index))
 
 
 @np.errstate(all="ignore")

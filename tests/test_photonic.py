@@ -21,6 +21,7 @@ from wgqed import (
     scatter,
     two_level_closed_form,
 )
+from wgqed.photonic import effective_hamiltonian, guided_couplings
 
 from conftest import (
     ARGUMENTS,
@@ -255,6 +256,31 @@ class TestGreensDecomposition:
         rates = coupling_bundle(random_model(rng, 2, 2), env,
                                 LossModel.none()).channel_decay_rates()
         assert np.allclose(rates["forward"], rates["backward"], rtol=1e-12)
+
+
+class TestEffectiveHamiltonian:
+    @pytest.mark.parametrize("stack", [1, 5])
+    def test_energies_as_tuple_list_or_array_give_the_same_bits(self, rng, stack):
+        # coupling_bundle passes the model's tuple of energies, the scattering
+        # engine a float array of detunings; both match the assembly
+        # diag(E) + L^T / 2 - (i/2) z sum_m B_m* B_m^T bit for bit, and no
+        # input array is written
+        model = random_model(rng, 2, 3)
+        env = make_env(random_unit_vector(rng), a=0.7, omega=1.3, v_g=-0.2)
+        D = np.array(model.dipole_array())
+        B = guided_couplings(D, np.array([random_unit_vector(rng) for _ in range(stack)]))
+        energies = model.excited_energies
+        as_array = np.array(energies, dtype=float)
+        inputs = (D, B, as_array)
+        before = [a.tobytes() for a in inputs]
+        for loss in (LossModel.none(), LossModel.isotropic(0.2), random_loss_tensor(rng)):
+            L_T = np.einsum("nxi,ij,nyj->yx", D, loss.as_array().conj(), D.conj())
+            guided = np.einsum("...mxn,...myn->...xy", B.conj(), B)
+            expected = np.diag(as_array) + L_T / 2.0 - (0.5j * env.z) * guided
+            for given in (energies, list(energies), as_array):
+                H = effective_hamiltonian(D, B, given, env, loss)
+                assert H.shape == (stack, 3, 3) and H.tobytes() == expected.tobytes()
+        assert [a.tobytes() for a in inputs] == before
 
 
 class TestCouplingBundle:

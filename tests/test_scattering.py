@@ -797,20 +797,19 @@ def cond_oracle_gate(M: np.ndarray):
     return solvable, solvable & (cond > COND_WARN_THRESHOLD), cond
 
 
-def count_singular_values(monkeypatch) -> list:
+def count_singular_values(monkeypatch) -> tuple[list, list]:
     """Slices handed to np.linalg.svd, and to np.linalg.cond, from now on."""
-    slices = []
-    svd, cond = np.linalg.svd, np.linalg.cond
+    svd_slices, cond_slices = [], []
 
-    def counting(fn):
+    def counting(fn, slices):
         def wrapper(a, *args, **kwargs):
             slices.append(len(a) if np.ndim(a) == 3 else 1)
             return fn(a, *args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(np.linalg, "svd", counting(svd))
-    monkeypatch.setattr(np.linalg, "cond", counting(cond))
-    return slices
+    monkeypatch.setattr(np.linalg, "svd", counting(np.linalg.svd, svd_slices))
+    monkeypatch.setattr(np.linalg, "cond", counting(np.linalg.cond, cond_slices))
+    return svd_slices, cond_slices
 
 
 def capture_response_stacks(monkeypatch) -> list:
@@ -923,8 +922,11 @@ class TestSolveGate:
                 got = _solve_gate(M[k:k + size], active[k:k + size])
                 np.testing.assert_array_equal(got[0], solvable[k:k + size])
                 np.testing.assert_array_equal(got[1], warn[k:k + size])
-                # a warning reports the condition number cond gives
-                np.testing.assert_array_equal(got[2][got[1]], cond[k:k + size][got[1]])
+                # every condition number the gate computes (a certified or
+                # inactive slice reads 0) is the one cond gives, to the bit
+                computed = got[2] != 0
+                assert computed.all() or size == len(M)
+                np.testing.assert_array_equal(got[2][computed], cond[k:k + size][computed])
 
     def test_inactive_slices_are_never_solved(self):
         rng = np.random.default_rng(7)
@@ -1040,22 +1042,37 @@ class TestSolveGate:
     @pytest.mark.parametrize("model", [paradox_model(), ixi_model()], ids=["V", "ixi"])
     def test_lossy_sweep_takes_no_singular_values(self, monkeypatch, model):
         # and is one stacked solve
-        slices = count_singular_values(monkeypatch)
+        svd, cond = count_singular_values(monkeypatch)
         solves, dark = count_solves(monkeypatch)
         pts = polarization_sweep(model, make_env([1, 0, 0], **X_ENV),
                                  LossModel.isotropic(0.2), ScatterInput(),
                                  np.linspace(0.0, np.pi, 401))
-        assert slices == [] and not any(pt.failed for pt in pts)
+        assert svd == cond == [] and not any(pt.failed for pt in pts)
         assert solves == [401] and dark == []
 
     def test_lossless_projected_sweep_takes_singular_values_at_dark_points(
             self, monkeypatch):
-        slices = count_singular_values(monkeypatch)
+        svd, cond = count_singular_values(monkeypatch)
         pts = polarization_sweep(paradox_model(), make_env([1, 0, 0], **X_ENV),
                                  LossModel.none(), ScatterInput(),
                                  np.linspace(0.0, np.pi, 401), dark_state_projection=True)
         # theta = 0, pi/2 and pi, where one dipole is dark
-        assert 0 < sum(slices) <= 3 and not any(pt.failed for pt in pts)
+        assert 0 < sum(svd) <= 3 and cond == [] and not any(pt.failed for pt in pts)
+
+    @pytest.mark.parametrize("case", ["lossy 2x2", "lossless 1x1"])
+    def test_single_point_is_one_svd_slice_and_one_solve(self, monkeypatch, case):
+        # a stack of one is too small to certify: it takes the singular
+        # values of its one slice, never np.linalg.cond, and one solve
+        if case == "lossy 2x2":
+            model, loss = ixi_model(), LossModel.isotropic(0.2)
+        else:
+            model, loss = two_level(), LossModel.none()
+        env, inp = circular_env(), ScatterInput(photon_frequency=0.9)
+        svd, cond = count_singular_values(monkeypatch)
+        solves, dark = count_solves(monkeypatch)
+        res = scatter(model, env, loss, inp)
+        assert svd == [1] and cond == [] and solves == [1] and dark == []
+        assert np.isfinite(res.amplitudes).all()
 
     def test_singular_stack_raises_no_floating_point_error(self):
         thetas = np.linspace(0.0, np.pi, 41)            # holds 0, pi/2 and pi
