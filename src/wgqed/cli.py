@@ -10,8 +10,8 @@ Presets: ``paradox-emission`` (time-resolved decay of a V emitter prepared in
 a direction-selective superposition), ``isotropic-scan`` and ``ixi-scan``
 (polarization sweeps of the isotropically polarizable V system and of the
 four-level crossed-dipole system), ``two-level`` (matched linear dipole
-diagnostic; the guided fraction comes once from the channel rates and once
-from emission's outcome forms).
+diagnostic: the single-point scattering columns, then the guided fraction
+once from the channel rates and once from emission's outcome forms).
 
 Emission scenarios take an ``integrator`` block (``t_max``, ``output_points``,
 ``grid``) that only sets the output time grid: the propagation itself is
@@ -30,7 +30,7 @@ import copy
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -40,8 +40,7 @@ from .emitter import EmitterModel, ExcitedSuperposition, _as_float
 from .emission import INITIAL_NORM_TOL, _horizon, _modes, _propagate, outcome_forms
 from .errors import ConfigError, ModelValidationError, UnknownPresetError, WgqedError
 from .photonic import LossModel, WaveguideEnv, coupling_bundle
-from .scattering import (MODES, ScatterInput, _scatter_fields, _theta_fields,
-                         two_level_closed_form)
+from .scattering import MODES, ScatterInput, _scatter_fields, _theta_fields
 
 MODES_OF_OPERATION = ("emission", "scattering", "diagnostic")
 FLOAT_FMT = ".17g"
@@ -262,6 +261,8 @@ def _build(c: ScenarioConfig) -> Built:
             else "initial_state is only valid for emission scenarios",
             field="initial_state",
         )
+    if c.sweep is not None and c.mode != "scattering":
+        raise ConfigError("sweep is only valid for scattering scenarios", field="sweep")
     em = c.emitter
     n_ground = len(em["ground_energies"])
     if c.input["ground_index"] >= n_ground:
@@ -427,12 +428,10 @@ def _emission_table(config: ScenarioConfig):
     if (np.diff(times) <= 0.0).any():
         raise WgqedError(f"integrator.t_max {t_max!r} is too small for {n_pts} "
                          "strictly increasing output times")
-    times, blocks, probs = _propagate(bundle, state, times=times, modes=modes)
+    times, blocks, probs, trace = _propagate(bundle, state, times=times, modes=modes)
 
     columns = (["t"] + [f"pop_e{i + 1}" for i in range(model.n_excited)]
                + ["p_forward", "p_backward", "p_loss", "trace"])
-    # the trace is the excited populations plus every emitted probability
-    trace = blocks.trace(axis1=1, axis2=2).real + probs.reshape(len(probs), -1).sum(axis=1)
     table = np.column_stack((times, blocks.diagonal(axis1=1, axis2=2).real,
                              probs.sum(axis=1), trace))
     return columns, table.tolist(), []
@@ -462,12 +461,9 @@ def _scattering_table(config: ScenarioConfig):
 
 
 def _diagnostic_table(config: ScenarioConfig):
-    model, env, loss, inp, _ = config.built
-    omega_f = inp.photon_frequency if inp.photon_frequency is not None else env.omega
-    detuning = model.excited_energies[0] - (model.ground_energies[0] + omega_f)
-    # a backward photon is the forward one in the time-reversed field
-    env_in = env if inp.direction == "forward" else replace(env, E_f=env.E_b)
-    t, r, p_loss = two_level_closed_form(model.dipole_array()[0, 0], env_in, loss, detuning)
+    # t, r and p_loss are the single-point scattering columns
+    columns, rows, _ = _scattering_table(config)
+    model, env, loss, _, _ = config.built
     bundle = coupling_bundle(model, env, loss)
     rates = bundle.channel_decay_rates()
     rate_f, rate_b, rate_l = (float(rates[channel][0])
@@ -479,11 +475,8 @@ def _diagnostic_table(config: ScenarioConfig):
     emitted = p_f + p_b + p_l
     beta_emission = (p_f + p_b) / emitted if emitted > 0 else float("nan")
 
-    columns = ["re_t", "im_t", "re_r", "im_r", "p_loss",
-               "rate_forward", "rate_backward", "rate_loss",
-               "beta_rates", "beta_emission"]
-    rows = [[t.real, t.imag, r.real, r.imag, p_loss,
-             rate_f, rate_b, rate_l, beta_rates, beta_emission]]
+    columns += ["rate_forward", "rate_backward", "rate_loss", "beta_rates", "beta_emission"]
+    rows[0] += [rate_f, rate_b, rate_l, beta_rates, beta_emission]
     return columns, rows, []
 
 
@@ -516,6 +509,8 @@ def run(config: ScenarioConfig) -> int:
 
 
 def _load_config_source(source: str) -> dict:
+    if source in PRESET_NAMES:    # a file of that name does not shadow the preset
+        return {"scenario": source}
     path = Path(source)
     try:    # exists() too raises for a name the OS cannot take
         data = path.read_bytes() if path.suffix == ".json" or path.exists() else None

@@ -222,7 +222,7 @@ def evolve(
     trace drifts beyond ``TRACE_DRIFT_TOL``.
     """
     bundle = coupling_bundle(model, env, loss)
-    t_grid, rhos, probs = _propagate(bundle, initial, t_max, times, output_points)
+    t_grid, rhos, probs, _ = _propagate(bundle, initial, t_max, times, output_points)
     totals = DirectionalTotals(*probs[-1].sum(axis=0).tolist(), float(np.trace(rhos[-1]).real))
     # tuple.__new__ over zipped fields builds the records without a Python
     # frame per record.
@@ -280,7 +280,8 @@ def _propagate(bundle: CouplingBundle, initial, t_max: float | None = None,
                times: Sequence[float] | None = None, output_points: int = 201, modes=None):
     """:func:`evolve` from an assembled coupling bundle (and ``_modes`` of its
     ``H_eff``, if known) as the stacked arrays of its samples: times (T,),
-    excited blocks (T, n_e, n_e) and accumulated probabilities (T, n_g, 3), all read-only."""
+    excited blocks (T, n_e, n_e), accumulated probabilities (T, n_g, 3) and
+    the total trace (T,) checked against ``TRACE_DRIFT_TOL``, all read-only."""
     H = bundle.H_eff
     n_e = H.shape[0]
     if t_max is not None and times is not None:
@@ -354,7 +355,7 @@ def _propagate(bundle: CouplingBundle, initial, t_max: float | None = None,
             f"(allowed deviation {TRACE_DRIFT_TOL:.1e})"
         )
 
-    for arr in (t_grid, rhos, probs):
+    for arr in (t_grid, rhos, probs, total):
         arr.setflags(write=False)
-    return t_grid, rhos, probs
+    return t_grid, rhos, probs, total
 

@@ -308,9 +308,10 @@ def two_level_closed_form(
 ) -> TwoLevelAmplitudes:
     """Closed-form (t, r, p_loss) for a single transition with dipole ``d``.
 
-    ``detuning`` is the transition energy minus the total input energy, in the
-    same units as the level energies. Kept free of the matrix machinery so it
-    can serve as an independent oracle for :func:`scatter`. Raises
+    ``detuning``, a finite real number (:class:`ValueError` otherwise), is the
+    transition energy minus the total input energy, in the same units as the
+    level energies. Kept free of the matrix machinery so it can serve as an
+    independent oracle for :func:`scatter`; the CLI does not call it. Raises
     :class:`NonPhysicalStateError` when the denominator overflows.
     """
     if not isinstance(d, PolarizationVector):
@@ -324,8 +325,8 @@ def two_level_closed_form(
     X = 0.5 * (abs(a_f) ** 2 + abs(a_b) ** 2)
     loss_term = (0.5j / env.z) * (dv @ loss.as_array().conj() @ dv.conj())
     delta = _as_float(detuning)
-    if math.isnan(delta):
-        raise ValueError(f"detuning must be a real number, got {detuning!r}")
+    if not math.isfinite(delta):
+        raise ValueError(f"detuning must be a finite real number, got {detuning!r}")
     M = X + loss_term + 1j * delta / env.z
     if not np.isfinite(M):
         raise NonPhysicalStateError("two-level denominator overflows")

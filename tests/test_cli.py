@@ -47,6 +47,8 @@ def run_python(cwd, *argv):
     )
 
 
+_THETA_SWEEP = {"parameter": "theta", "start": 0.0, "stop": 1.0, "steps": 3}
+
 CUSTOM_SCATTER = {
     "scenario": "custom",
     "mode": "scattering",
@@ -165,6 +167,24 @@ class TestEmissionScenario:
         pair = sorted([data[-1, 3], data[-1, 4]])
         assert pair[0] == pytest.approx(9 / 50, abs=1e-4)
         assert pair[1] == pytest.approx(41 / 50, abs=1e-4)
+
+    def test_trace_column_is_the_checked_total(self, monkeypatch, tmp_path):
+        # the table writes the total the propagator checked against
+        # TRACE_DRIFT_TOL and computes no trace of its own
+        totals = []
+        original = wgqed.cli._propagate
+
+        def keeping(*args, **kwargs):
+            out = original(*args, **kwargs)
+            totals.append(out[3])
+            return out
+
+        monkeypatch.setattr(wgqed.cli, "_propagate", keeping)
+        assert run_cli(monkeypatch, tmp_path, "run", "paradox-emission", "--out", "pe.csv") == 0
+        _, data = read_csv(tmp_path / "pe.csv")
+        [total] = totals
+        assert not total.flags.writeable
+        assert data[:, -1].tolist() == total.tolist()
 
     def test_table_rows_are_the_state_methods(self, monkeypatch, tmp_path):
         # three ground states, so the per-state sums run over several terms
@@ -341,7 +361,7 @@ class TestTwoLevelDiagnostic:
         assert cols["beta_emission"] == pytest.approx(expected, abs=1e-9)
 
     @pytest.mark.parametrize("direction", ["forward", "backward"])
-    def test_closed_form_follows_the_input_direction(self, monkeypatch, tmp_path, direction):
+    def test_amplitudes_follow_the_input_direction(self, monkeypatch, tmp_path, direction):
         # a circular dipole in an elliptical field couples to the two
         # directions unequally; the rates stay those of the lab frame
         cfg = {"scenario": "custom", "mode": "diagnostic",
@@ -381,6 +401,59 @@ class TestTwoLevelDiagnostic:
         assert run_cli(monkeypatch, tmp_path, "run", "two-level", "--out", "tl.csv") == 0
         assert calls == {"coupling_bundle": 1, "_propagate": 0}
 
+
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    @pytest.mark.parametrize("frequency", [1.0, 0.93], ids=["resonant", "detuned"])
+    @pytest.mark.parametrize("loss", ["lossless", "isotropic", "tensor"])
+    def test_amplitude_columns_are_the_scattering_table(self, monkeypatch, tmp_path,
+                                                        direction, frequency, loss):
+        # the diagnostic's t, r and p_loss are the single-point scattering
+        # table's columns, bit for bit
+        rng = np.random.default_rng(
+            [25, direction == "backward", int(frequency * 100), len(loss)])
+        pairs = lambda n: rng.normal(size=(n, 2)).tolist()
+        imag = rng.normal(size=(3, 3))
+        tensor = rng.normal(size=(3, 3)) * 0.1 + 0j
+        tensor = tensor + tensor.T + 0.1j * (imag @ imag.T)
+        cfg = {"scenario": "custom", "mode": "diagnostic",
+               "emitter": {"ground_energies": [0.0], "excited_energies": [1.0],
+                           "dipoles": [[pairs(3)]]},
+               "waveguide": dict(CUSTOM_SCATTER["waveguide"], E_f=pairs(3)),
+               "loss": {"lossless": {"isotropic": 0.0},
+                        "isotropic": {"isotropic": float(rng.uniform(0.01, 0.5))},
+                        "tensor": {"tensor": np.stack((tensor.real, tensor.imag),
+                                                      axis=-1).tolist()}}[loss],
+               "input": {"direction": direction, "photon_frequency": frequency}}
+        (tmp_path / "d.json").write_text(json.dumps(cfg))
+        (tmp_path / "s.json").write_text(json.dumps(dict(cfg, mode="scattering")))
+        assert run_cli(monkeypatch, tmp_path, "run", "d.json", "--out", "d.csv") == 0
+        assert run_cli(monkeypatch, tmp_path, "run", "s.json", "--out", "s.csv") == 0
+        diagnostic = (tmp_path / "d.csv").read_text().splitlines()
+        scattering = (tmp_path / "s.csv").read_text().splitlines()
+        assert [line.split(",")[:5] for line in diagnostic] == [
+            line.split(",") for line in scattering]
+
+    @pytest.mark.parametrize("projection", [False, True])
+    def test_dark_state_projection_reaches_the_diagnostic(self, monkeypatch, tmp_path,
+                                                          capsys, projection):
+        # the coupling squares to 0 against a nonzero input: a dark level on
+        # resonance, which only the projection solves
+        cfg = {"scenario": "custom", "mode": "diagnostic",
+               "emitter": {"ground_energies": [0.0], "excited_energies": [1.0],
+                           "dipoles": [[[[1e-170, 0], [0, 0], [0, 0]]]]},
+               "waveguide": CUSTOM_SCATTER["waveguide"], "loss": {"isotropic": 0.0},
+               "input": CUSTOM_SCATTER["input"]}
+        (tmp_path / "d.json").write_text(json.dumps(cfg))
+        flags = ["--dark-state-projection"] if projection else []
+        code = run_cli(monkeypatch, tmp_path, "run", "d.json", *flags, "--out", "d.csv")
+        if not projection:
+            assert code == 2
+            assert "dark excited eigenvector" in capsys.readouterr().err
+            assert not (tmp_path / "d.csv").exists()
+            return
+        assert code == 0
+        _, data = read_csv(tmp_path / "d.csv")
+        assert data[0, :4].tolist() == [1.0, 0.0, 0.0, 0.0]
 
     def test_loss_too_weak_for_the_level_is_counted(self, monkeypatch, tmp_path):
         # a 1e-16 loss on a 1e5 dipole decays at 1e-6 next to the guided 10
@@ -436,6 +509,23 @@ class TestOutputsAndExitCodes:
     def test_unknown_preset_exits_one(self, monkeypatch, tmp_path, capsys):
         assert run_cli(monkeypatch, tmp_path, "run", "nonsense") == 1
         assert "unknown preset" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind,name", [("directory", "ixi-scan"), ("file", "two-level")])
+    def test_preset_name_runs_the_preset(self, monkeypatch, tmp_path, capsys, kind, name):
+        # a file or directory named after a preset does not shadow the
+        # preset; a path to it is still read
+        (tmp_path / "clean").mkdir()
+        assert run_cli(monkeypatch, tmp_path / "clean", "run", name, "--out", "o.csv") == 0
+        if kind == "directory":
+            (tmp_path / name).mkdir()
+        else:
+            (tmp_path / name).write_text("not json")
+        assert run_cli(monkeypatch, tmp_path, "run", name, "--out", "o.csv") == 0
+        assert (tmp_path / "o.csv").read_bytes() == (tmp_path / "clean" / "o.csv").read_bytes()
+        assert run_cli(monkeypatch, tmp_path, "run", f"./{name}", "--out", "p.csv") == 1
+        err = capsys.readouterr().err
+        assert ("cannot read config file" if kind == "directory" else "not valid JSON") in err
+        assert not (tmp_path / "p.csv").exists()
 
     def test_invalid_schema_field_exits_one(self, monkeypatch, tmp_path, capsys):
         bad = dict(CUSTOM_SCATTER, bogus=1)
@@ -531,7 +621,12 @@ class TestOutputsAndExitCodes:
         (None, ["two-level", "--steps", "5"], "sweep"),
         ("[1, 2]", ["c.json"], None),
         ("directory", ["c.json"], None),
-    ], ids=["steps-without-sweep", "config-not-an-object", "config-is-a-directory"])
+        # a diagnostic or an emission run would ignore a sweep
+        *((json.dumps({"scenario": name, "sweep": _THETA_SWEEP}), ["c.json", *flags], "sweep")
+          for name in ("two-level", "paradox-emission") for flags in ([], ["--steps", "7"])),
+    ], ids=["steps-without-sweep", "config-not-an-object", "config-is-a-directory",
+            "sweep-in-diagnostic", "sweep-and-steps-in-diagnostic", "sweep-in-emission",
+            "sweep-and-steps-in-emission"])
     def test_unusable_config_source_exits_one(self, monkeypatch, tmp_path, capsys,
                                               source, argv, field):
         if source == "directory":
@@ -664,13 +759,16 @@ class TestBundleReuse:
         (["isotropic-scan"], 401, 0),
         (["isotropic-scan", "--loss", "0"], 401, 2),
         (["ixi-scan", "--steps", "33"], 33, 0),
-    ], ids=["point", "singular-point", "sweep", "failing-sweep", "ixi-sweep"])
+        (["two-level"], 1, 0),
+    ], ids=["point", "singular-point", "sweep", "failing-sweep", "ixi-sweep", "diagnostic"])
     def test_one_engine_call_per_scattering_run(self, monkeypatch, tmp_path, capsys,
                                                 argv, size, code):
         # a single point is a stack of one: the table reads the engine's
-        # arrays, and no record is built
+        # arrays, and no record is built; the diagnostic's amplitudes come
+        # from the engine, not from the closed form
         assert not hasattr(wgqed.cli, "scatter")
         assert not hasattr(wgqed.cli, "polarization_sweep")
+        assert not hasattr(wgqed.cli, "two_level_closed_form")
         original = wgqed.cli._scatter_fields
         stacks = []
 
@@ -963,7 +1061,7 @@ class TestExitCodeContract:
                                   "dipoles": [[[[1, 0], [0, 0], [0, 0]]]]},
                       "waveguide": CUSTOM_SCATTER["waveguide"], "loss": {"isotropic": 0.2},
                       "input": dict(CUSTOM_SCATTER["input"], photon_frequency=1e308)}, 2,
-         "two-level denominator overflows"),
+         "response matrix overflows"),
     ], ids=["dipole-1e160", "dipole-1e200", "excited-energies-1e308",
             "photon-frequency-1e308", "isotropic-loss-1e308", "v_g-1e-300",
             "emission-dipole-1e200", "ixi-scan-loss-1e308", "a-omega-1e-300",

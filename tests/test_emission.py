@@ -483,8 +483,8 @@ class TestExceptionalPoint:
         bundle = coupling_bundle(paradox_model(), make_env(PARADOX_FIELD), LossModel.none())
         eig_calls = counting(monkeypatch, np.linalg, "eig")
         eigvals_calls = counting(monkeypatch, np.linalg, "eigvals")
-        times, _, _ = emission_mod._propagate(
-            bundle, ExcitedSuperposition.from_sequence(PARADOX_STATE))
+        times = emission_mod._propagate(
+            bundle, ExcitedSuperposition.from_sequence(PARADOX_STATE))[0]
         assert times[-1] == pytest.approx(10.0)    # 20 lifetimes of the rate 2
         assert (eig_calls, eigvals_calls) == (["eig"], [])
 

@@ -191,6 +191,13 @@ class TestTwoLevelClosedForm:
         assert t == pytest.approx(0.2 / 10.2, abs=1e-12)
         assert p_loss == pytest.approx(2 * 10.0 * 0.2 / 10.2**2, abs=1e-12)
 
+    @pytest.mark.parametrize("detuning", [np.nan, np.inf, -np.inf, True, "0.1"])
+    def test_detuning_that_is_no_finite_number_rejected(self, detuning):
+        # an infinite detuning is named, not left to overflow the denominator
+        with pytest.raises(ValueError, match="detuning"):
+            two_level_closed_form(PolarizationVector([1, 0, 0]), make_env([1, 0, 0]),
+                                  LossModel.isotropic(0.2), detuning)
+
     def test_fully_dark_configuration_raises(self):
         with pytest.raises(SingularResponseError) as exc:
             two_level_closed_form(
