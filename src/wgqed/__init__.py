@@ -14,7 +14,6 @@ from .emission import (
     DirectionalTotals,
     EmissionTrajectory,
     EmitterDensityMatrix,
-    default_t_max,
     evolve,
     outcome_forms,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "WaveguideEnv",
     "WgqedError",
     "coupling_bundle",
-    "default_t_max",
     "evolve",
     "outcome_forms",
     "polarization_sweep",

@@ -21,6 +21,8 @@ Exit codes: 0 success, 1 configuration error (also a command-line fault and an
 output path that is empty or cannot be written), 2 numerical failure, named on
 stderr as ``wgqed: <mode> failed: ...``. A failed run writes no file; a sweep,
 solved as one batch, writes a failed point as a ``nan`` row, names it and exits 2.
+A solver's warning is a stderr line ``wgqed: <mode> warning: ...`` under any
+warning filter.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import copy
 import json
 import math
 import sys
+import warnings
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -37,7 +40,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .emitter import EmitterModel, ExcitedSuperposition, _as_float
-from .emission import INITIAL_NORM_TOL, _horizon, _modes, _propagate, outcome_forms
+from .emission import INITIAL_NORM_TOL, _propagate, outcome_forms
 from .errors import ConfigError, ModelValidationError, UnknownPresetError, WgqedError
 from .photonic import LossModel, WaveguideEnv, coupling_bundle
 from .scattering import MODES, ScatterInput, _scatter_fields, _theta_fields
@@ -263,6 +266,9 @@ def _build(c: ScenarioConfig) -> Built:
         )
     if c.sweep is not None and c.mode != "scattering":
         raise ConfigError("sweep is only valid for scattering scenarios", field="sweep")
+    if emission and c.dark_state_projection:
+        raise ConfigError("dark_state_projection is only valid for scattering and "
+                          "diagnostic scenarios", field="dark_state_projection")
     em = c.emitter
     n_ground = len(em["ground_energies"])
     if c.input["ground_index"] >= n_ground:
@@ -414,21 +420,12 @@ def _amplitude_parts(amplitudes: np.ndarray, backward_first: bool) -> np.ndarray
 def _emission_table(config: ScenarioConfig):
     model, env, loss, _, state = config.built
     integ = config.integrator
-
-    bundle = coupling_bundle(model, env, loss)
-    lam, _, rate = modes = _modes(bundle.H_eff)    # shared with the propagation
-    t_max = integ["t_max"] or _horizon(lam, rate)
-    n_pts = integ["output_points"]
-    if integ["grid"] == "linear":
-        times = np.linspace(0.0, t_max, n_pts)
-    elif t_max * 5e-5 > 0.0:
-        times = np.concatenate(([0.0], np.geomspace(t_max * 5e-5, t_max, n_pts - 1)))
-    else:    # a subnormal t_max rounds the first geometric time to 0
-        times = np.zeros(n_pts)
-    if (np.diff(times) <= 0.0).any():
-        raise WgqedError(f"integrator.t_max {t_max!r} is too small for {n_pts} "
-                         "strictly increasing output times")
-    times, blocks, probs, trace = _propagate(bundle, state, times=times, modes=modes)
+    try:
+        times, blocks, probs, trace = _propagate(
+            coupling_bundle(model, env, loss), state, integ["t_max"],
+            output_points=integ["output_points"], geometric=integ["grid"] == "geometric")
+    except ValueError as exc:    # it names t_max: the grid over it does not rise
+        raise WgqedError(f"integrator.{exc}") from exc
 
     columns = (["t"] + [f"pop_e{i + 1}" for i in range(model.n_excited)]
                + ["p_forward", "p_backward", "p_loss", "trace"])
@@ -490,13 +487,19 @@ def run(config: ScenarioConfig) -> int:
     fails as a whole, and returns the exit code (0 success, 2 numerical
     failure). Raises :class:`ConfigError` naming ``output.path`` when the
     output file cannot be written."""
-    try:
-        columns, rows, failures = _TABLES[config.mode](config)
-    except WgqedError as exc:
-        print(f"wgqed: {config.mode} failed: {exc}", file=sys.stderr)
-        return 2
+    # the library's warnings are the run's to print, whatever the filters say
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            columns, rows, failures = _TABLES[config.mode](config)
+        except WgqedError as exc:
+            rows, failures = None, [exc]
+    for warning in caught:
+        print(f"wgqed: {config.mode} warning: {warning.message}", file=sys.stderr)
     for failure in failures:
         print(f"wgqed: {config.mode} failed: {failure}", file=sys.stderr)
+    if rows is None:
+        return 2
     fmt, path = config.output["format"], config.output["path"]
     path = f"{config.scenario}.{fmt}" if path is None else path
     _write_table(Path(path), fmt, config.scenario, columns, rows)

@@ -135,30 +135,6 @@ def _held(lam: np.ndarray, rate: float) -> np.ndarray:
     return ~(-lam.imag > 0.5 * rate)
 
 
-def _horizon(lam: np.ndarray, rate: float) -> float:
-    """``DEFAULT_LIFETIMES`` over the smallest decay rate, ``-2 Im`` of the
-    modes ``lam`` that are not held at the rounding rate ``rate``, taken as
-    half of that so that no rate overflows."""
-    decaying = -lam.imag[~_held(lam, rate)]
-    if decaying.size == 0:
-        return DEFAULT_LIFETIMES
-    return float(0.5 * DEFAULT_LIFETIMES / np.min(decaying))
-
-
-def _modes(H: np.ndarray) -> tuple:
-    """``(lam, V, rate)``: the eigenpairs of ``H`` and its rounding rate."""
-    return (*np.linalg.eig(H), _rounding_rate(H))
-
-
-def default_t_max(bundle: CouplingBundle) -> float:
-    """``DEFAULT_LIFETIMES`` over the smallest decay rate of the modes of
-    ``H_eff``, ``-2 Im`` of its eigenvalues, among the modes that decay at
-    all. A slow mode that superposes several levels sets the horizon even
-    when every level decays fast."""
-    lam, _, rate = _modes(bundle.H_eff)
-    return _horizon(lam, rate)
-
-
 def _expm(A: np.ndarray) -> np.ndarray:
     """Exponential of every matrix in the stack ``A`` (..., n, n), whose
     1-norms the caller has checked to be finite.
@@ -277,11 +253,15 @@ def _lyapunov(bundle: CouplingBundle, rate: float) -> np.ndarray:
 
 @np.errstate(all="ignore")
 def _propagate(bundle: CouplingBundle, initial, t_max: float | None = None,
-               times: Sequence[float] | None = None, output_points: int = 201, modes=None):
-    """:func:`evolve` from an assembled coupling bundle (and ``_modes`` of its
-    ``H_eff``, if known) as the stacked arrays of its samples: times (T,),
-    excited blocks (T, n_e, n_e), accumulated probabilities (T, n_g, 3) and
-    the total trace (T,) checked against ``TRACE_DRIFT_TOL``, all read-only."""
+               times: Sequence[float] | None = None, output_points: int = 201,
+               geometric: bool = False):
+    """:func:`evolve` from an assembled coupling bundle as the stacked arrays
+    of its samples: times (T,), excited blocks (T, n_e, n_e), accumulated
+    probabilities (T, n_g, 3) and the total trace (T,) checked against
+    ``TRACE_DRIFT_TOL``, all read-only. Without ``times``, the grid over
+    ``t_max`` (by default 20 lifetimes of the slowest decaying mode) is
+    uniform, or with ``geometric`` 0 and then ``output_points - 1`` times
+    spaced geometrically from ``5e-5 t_max`` to ``t_max``."""
     H = bundle.H_eff
     n_e = H.shape[0]
     if t_max is not None and times is not None:
@@ -290,23 +270,38 @@ def _propagate(bundle: CouplingBundle, initial, t_max: float | None = None,
             or output_points < 1):
         raise ValueError(f"output_points must be a positive integer, got {output_points!r}")
     rho0, L = _coerce_initial(initial, n_e)
-    lam, V, rate = _modes(H) if modes is None else modes
+    lam, V = np.linalg.eig(H)
+    rate = _rounding_rate(H)
+    held = _held(lam, rate)
 
     if times is None:
-        horizon = _horizon(lam, rate) if t_max is None else _as_float(t_max)
+        if t_max is not None:
+            horizon = _as_float(t_max)
+        elif held.all():
+            horizon = DEFAULT_LIFETIMES
+        else:    # over half the smallest rate -2 Im lam, so that no rate overflows
+            horizon = float(0.5 * DEFAULT_LIFETIMES / np.min(-lam.imag[~held]))
         if not (np.isfinite(horizon) and horizon > 0):
             raise ValueError("t_max must be positive and finite, got "
                              f"{horizon if t_max is None else t_max!r}")
-        # np.linspace(0, horizon, output_points) to the bit, without its
-        # overhead; where the step underflows to 0 both fail the check below
-        t_grid = np.arange(output_points, dtype=float)
-        if output_points > 1:
-            t_grid *= horizon / (output_points - 1)
-            t_grid[-1] = horizon
+        if geometric:    # a subnormal horizon rounds the first time past 0 to 0
+            first = horizon * 5e-5
+            t_grid = (np.concatenate(([0.0], np.geomspace(first, horizon, output_points - 1)))
+                      if first > 0.0 else np.zeros(output_points))
+        else:
+            # np.linspace(0, horizon, output_points) to the bit, without its
+            # overhead; where the step underflows to 0 both repeat a time
+            t_grid = np.arange(output_points, dtype=float)
+            if output_points > 1:
+                t_grid *= horizon / (output_points - 1)
+                t_grid[-1] = horizon
+        if (t_grid[1:] <= t_grid[:-1]).any():
+            raise ValueError(f"t_max {horizon!r} is too small for {output_points} "
+                             "strictly increasing output times")
     else:
         t_grid = _as_grid(times, "output times")
-    if t_grid[0] != 0.0 or (t_grid[1:] <= t_grid[:-1]).any():
-        raise ValueError("output times must start at 0 and be strictly increasing")
+        if t_grid[0] != 0.0 or (t_grid[1:] <= t_grid[:-1]).any():
+            raise ValueError("output times must start at 0 and be strictly increasing")
     # |t H_ij| grows with t, so the last time has the largest 1-norm
     if not np.isfinite(np.abs(t_grid[-1] * H).sum(axis=0).max()):
         raise NonPhysicalStateError("H_eff t overflows at the output times")
@@ -324,7 +319,7 @@ def _propagate(bundle: CouplingBundle, initial, t_max: float | None = None,
         # grows with cond(V), where that of the mode-basis block V^-1 rho0
         # V^-dagger would grow with its square. A held mode only turns, as
         # the outcome forms take it, and cannot overflow.
-        phi = np.exp(-1j * t_grid[:, None] * np.where(_held(lam, rate), lam.real, lam))
+        phi = np.exp(-1j * t_grid[:, None] * np.where(held, lam.real, lam))
         VC = (V.T[:, :, None] * (V_inv @ L)[:, None, :]).reshape(n_e, -1)
         X = (phi @ VC).reshape(t_grid.size, n_e, -1)
     else:

@@ -27,8 +27,6 @@ from wgqed import (
     LossModel,
     PolarizationVector,
     ScatterInput,
-    coupling_bundle,
-    default_t_max,
     evolve,
     rotate_excited_basis,
     scatter,
@@ -403,12 +401,11 @@ def test_criterion_6_conservation():
         model = random_model(rng, int(rng.integers(1, 3)), int(rng.integers(1, 3)))
         env = make_env(random_unit_vector(rng))
         loss = LossModel.isotropic(float(rng.uniform(0, 0.5)))
-        psi = random_state(rng, model.n_excited)
-        bundle = coupling_bundle(model, env, loss)
-        # four lifetimes of the slowest mode
-        t_max = default_t_max(bundle) * (4.0 / DEFAULT_LIFETIMES)
-        traj = evolve(model, env, loss, ExcitedSuperposition.from_sequence(psi),
-                      t_max=t_max, output_points=7)
+        state = ExcitedSuperposition.from_sequence(random_state(rng, model.n_excited))
+        # four lifetimes of the slowest mode: the default horizon is twenty
+        horizon = evolve(model, env, loss, state, output_points=2).times[-1]
+        traj = evolve(model, env, loss, state, t_max=horizon * (4.0 / DEFAULT_LIFETIMES),
+                      output_points=7)
         traces = np.array([s.excited_block.trace().real + s.ground_mode_probs.sum()
                            for s in traj.states])
         worst_trace = max(worst_trace, float(np.max(np.abs(traces - 1.0))))

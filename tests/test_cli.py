@@ -1,6 +1,7 @@
 """Command line front end: presets, configs, output files, exit codes."""
 
 import csv
+import importlib
 import json
 import os
 import re
@@ -19,7 +20,7 @@ import wgqed.cli
 import wgqed.emission
 import wgqed.emitter
 import wgqed.photonic
-from wgqed import ConfigError, UnknownPresetError
+from wgqed import ConfigError, UnknownPresetError, coupling_bundle
 from wgqed.cli import PRESET_NAMES, main, parse_config, preset, serialize_config
 
 
@@ -142,6 +143,16 @@ class TestConfigParsing:
         quoted = set(re.findall(r"`([^`]+)`", prose))
         public = set(wgqed.__all__) - {"__version__"}
         assert sorted(public - quoted) == []
+
+    def test_readme_module_paths_resolve(self):
+        # every `wgqed.<module>[.<name>]` the README quotes names what exists
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        paths = set(re.findall(r"`wgqed\.(\w+)(?:\.(\w+))?`", readme))
+        assert ("cli", "_FIELDS") in paths and ("scattering", "_scatter_fields") in paths
+        for module, name in sorted(paths):
+            owner = importlib.import_module(f"wgqed.{module}")
+            if name:
+                getattr(owner, name)
 
     def test_preset_emitter_override_rejected(self):
         bad = {"scenario": "isotropic-scan",
@@ -716,6 +727,21 @@ class TestOutputsAndExitCodes:
         assert run_cli(monkeypatch, tmp_path, "run", "far.json", "--dark-state-projection",
                        "--out", "p.csv") == 0
 
+    def test_warnings_are_the_runs_own_lines(self, tmp_path):
+        # an ill-conditioned response warns; the run prints the warning as
+        # its own line, not Python's, and -W error makes no traceback of it
+        runs = [run_python(tmp_path, *filters, "-m", "wgqed.cli", "run", "isotropic-scan",
+                           "--loss", "1e-13", "--out", f"{name}.csv")
+                for name, filters in (("default", []), ("error", ["-W", "error"]))]
+        for proc in runs:
+            assert proc.returncode == 0
+            lines = proc.stderr.splitlines()
+            assert lines and all(line.startswith("wgqed: scattering warning: response "
+                                                 "matrix condition number ") for line in lines)
+            assert "Traceback" not in proc.stderr and "cli.py:" not in proc.stderr
+        assert runs[0].stderr == runs[1].stderr
+        assert (tmp_path / "default.csv").read_bytes() == (tmp_path / "error.csv").read_bytes()
+
     def test_module_entry_point(self, tmp_path):
         proc = run_python(tmp_path, "-m", "wgqed.cli", "run", "two-level", "--out", "tl.csv")
         assert proc.returncode == 0
@@ -1223,9 +1249,49 @@ class TestCustomEmission:
         cfg = {"scenario": "paradox-emission", "integrator": integrator}
         (tmp_path / "em.json").write_text(json.dumps(cfg))
         assert run_cli(monkeypatch, tmp_path, "run", "em.json", "--out", "em.csv") == 2
-        err = capsys.readouterr().err
-        assert err.startswith("wgqed: emission failed: integrator.t_max ")
-        assert "Traceback" not in err
+        assert capsys.readouterr().err == (
+            f"wgqed: emission failed: integrator.t_max {integrator['t_max']!r} is too small "
+            "for 250 strictly increasing output times\n")
+        assert not (tmp_path / "em.csv").exists()
+
+    @pytest.mark.parametrize("n", [2, 37, 250])
+    @pytest.mark.parametrize("t_max", [None, 3.0, 1e300, 1e-300])
+    @pytest.mark.parametrize("grid", ["linear", "geometric"])
+    def test_time_column_is_the_grid_to_the_bit(self, monkeypatch, tmp_path, grid, t_max, n):
+        cfg = {"scenario": "paradox-emission",
+               "integrator": {"t_max": t_max, "output_points": n, "grid": grid}}
+        (tmp_path / "em.json").write_text(json.dumps(cfg))
+        assert run_cli(monkeypatch, tmp_path, "run", "em.json", "--out", "em.csv") == 0
+        if t_max is None:    # the default horizon, 20 lifetimes of the slowest mode
+            model, env, loss, _, state = preset("paradox-emission").built
+            t_max = wgqed.emission._propagate(coupling_bundle(model, env, loss), state)[0][-1]
+        expected = (np.linspace(0.0, t_max, n) if grid == "linear" else
+                    np.concatenate(([0.0], np.geomspace(t_max * 5e-5, t_max, n - 1))))
+        _, data = read_csv(tmp_path / "em.csv")
+        assert data[:, 0].tobytes() == expected.tobytes()
+
+    def test_horizon_and_grid_live_in_the_propagator(self):
+        for name in ("_modes", "_horizon", "default_t_max"):
+            assert not hasattr(wgqed.cli, name)
+            assert not hasattr(wgqed.emission, name)
+        assert not hasattr(wgqed, "default_t_max")
+        assert "default_t_max" not in wgqed.__all__
+
+    @pytest.mark.parametrize("argv,source", [
+        (["paradox-emission", "--dark-state-projection"], None),
+        (["p.json"], {"scenario": "paradox-emission", "dark_state_projection": True}),
+        (["c.json"], dict(asdict(preset("paradox-emission")), scenario="custom",
+                          dark_state_projection=True)),
+    ], ids=["flag", "preset-file", "custom-file"])
+    def test_dark_state_projection_is_refused(self, monkeypatch, tmp_path, capsys,
+                                              argv, source):
+        # emission solves no response, so the flag would change nothing
+        if source is not None:
+            (tmp_path / argv[0]).write_text(json.dumps(source))
+        assert run_cli(monkeypatch, tmp_path, "run", *argv, "--out", "em.csv") == 1
+        assert capsys.readouterr().err == (
+            "wgqed: configuration error (field: dark_state_projection): dark_state_projection "
+            "is only valid for scattering and diagnostic scenarios\n")
         assert not (tmp_path / "em.csv").exists()
 
     def test_emission_without_initial_state_rejected(self, monkeypatch, tmp_path, capsys):

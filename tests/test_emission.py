@@ -11,7 +11,6 @@ from wgqed import (
     ModelValidationError,
     NonPhysicalStateError,
     coupling_bundle,
-    default_t_max,
     evolve,
     outcome_forms,
 )
@@ -612,6 +611,27 @@ class TestInterfaces:
             evolve(two_level(), make_env([1, 0, 0]), LossModel.none(),
                    ExcitedSuperposition([1.0]), t_max=5e-324, output_points=n)
 
+    @pytest.mark.parametrize("n", [2, 37, 250])
+    @pytest.mark.parametrize("t_max", [None, 3.0, 1e300, 1e-300])
+    def test_geometric_grid_to_the_bit(self, t_max, n):
+        # 0, then n - 1 times spaced geometrically from 5e-5 t_max to t_max
+        bundle = coupling_bundle(paradox_model(), make_env(PARADOX_FIELD), LossModel.none())
+        state = ExcitedSuperposition(PARADOX_STATE)
+        times = emission_mod._propagate(bundle, state, t_max, output_points=n,
+                                        geometric=True)[0]
+        # the default horizon is the last time of the uniform grid
+        h = emission_mod._propagate(bundle, state)[0][-1] if t_max is None else t_max
+        expected = np.concatenate(([0.0], np.geomspace(h * 5e-5, h, n - 1)))
+        assert times.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("t_max", [1e-320, 5e-324])
+    def test_subnormal_t_max_gives_a_geometric_grid_that_does_not_rise(self, t_max):
+        bundle = coupling_bundle(two_level(), make_env([1, 0, 0]), LossModel.none())
+        with pytest.raises(ValueError, match=f"t_max {t_max!r} is too small for 37 "
+                                             "strictly increasing output times"):
+            emission_mod._propagate(bundle, ExcitedSuperposition([1.0]), t_max,
+                                    output_points=37, geometric=True)
+
     def test_states_are_read_only_named_tuples(self):
         traj = paradox_run(t_max=1.0, output_points=5)
         st = traj.states[2]
@@ -660,17 +680,23 @@ class TestInterfaces:
         assert traj.final_totals.residual_excited < 1e-6
         # where no mode decays, the horizon is twenty time units
         frozen = EmitterModel.from_arrays([0.0], [1.0], [[[0, 0, 0]]])
-        assert default_t_max(coupling_bundle(frozen, make_env([1, 0, 0]),
-                                             LossModel.isotropic(0.2))) == 20.0
+        assert evolve(frozen, make_env([1, 0, 0]), LossModel.isotropic(0.2),
+                      ExcitedSuperposition([1.0])).times[-1] == 20.0
 
-    def test_default_horizon_of_an_overflowing_rate(self):
+    def test_default_horizon_of_an_overflowing_rate(self, monkeypatch):
         # loss and guided decay at 1.5e308 and 1.6e308: their sum overflows
         # a double, its half does not
         loss = LossModel.isotropic(1.5e308)
         bundle = coupling_bundle(two_level(), make_env([4e153, 0, 0]), loss)
-        assert -bundle.H_eff[0, 0].imag == pytest.approx(1.55e308, rel=1e-12)
+        half_rate = -bundle.H_eff[0, 0].imag
+        assert half_rate == pytest.approx(1.55e308, rel=1e-12)
+        # the Lyapunov operator of one level is the rate itself, which
+        # overflows too: its solution Q / rate stands in, taken over the half
+        monkeypatch.setattr(emission_mod, "_lyapunov", lambda bundle, rate: (
+            0.5 * bundle.flux_forms.reshape(1, -1) / half_rate))
         # 20 lifetimes of the rate 2 * 1.55e308
-        assert default_t_max(bundle) == pytest.approx(10.0 / 1.55e308, rel=1e-12, abs=0.0)
+        horizon = emission_mod._propagate(bundle, ExcitedSuperposition([1.0]))[0][-1]
+        assert horizon == pytest.approx(10.0 / 1.55e308, rel=1e-12, abs=0.0)
 
     def test_total_variation_extremes(self):
         traj = paradox_run(t_max=4.0, output_points=21)
