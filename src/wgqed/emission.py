@@ -31,6 +31,7 @@ diagonal.
 
 from __future__ import annotations
 
+import math
 from itertools import repeat
 from typing import NamedTuple, Sequence
 
@@ -52,6 +53,7 @@ _PADE13 = (
     33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
 )
 _THETA13 = 5.371920351148152
+_EPS = np.finfo(float).eps
 # Decay rate, in units of the excited-state count times eps times the
 # largest |H_eff_ij|, at or below which a mode of H_eff is rounding and
 # counts as non-decaying. eig puts the rate of a dark mode at up to ~0.75 of
@@ -124,7 +126,7 @@ def _rounding_rate(H: np.ndarray) -> float:
     """The decay rate at or below which a mode of ``H`` is rounding: the
     rate the modal phases hold and the singular value the Lyapunov solve
     drops. Taken from the largest entry, so that it cannot overflow."""
-    return _ROUNDING_RATE * H.shape[0] * np.finfo(float).eps * np.abs(H).max()
+    return _ROUNDING_RATE * H.shape[0] * _EPS * np.abs(H).max()
 
 
 def _held(lam: np.ndarray, rate: float) -> np.ndarray:
@@ -241,13 +243,19 @@ def _lyapunov(bundle: CouplingBundle, rate: float) -> np.ndarray:
     # there, so the minimum-norm solution is exact. For a normal H_eff the
     # singular value of a mode with itself is that mode's rate, so the solve
     # drops the singular values that _held would hold as rates.
-    A = 1j * bundle.H_eff
+    # Both sides are scaled by 2^-k, with 2^k the power of two just above
+    # the largest |H_eff_ij| (the rate is proportional to it) and k >= 0, so
+    # that the operator stays finite where a mode's full rate overflows. A
+    # power of two scales exactly, and Z does not depend on it.
+    k = max(math.frexp(rate / (_ROUNDING_RATE * n_e * _EPS))[1], 0)
+    scale = math.ldexp(1.0, -k)
+    A = (1j * scale) * bundle.H_eff
     eye = np.eye(n_e)
     K = (A.T[:, None, :, None] * eye[None, :, None, :]
          + eye[:, None, :, None] * A.conj().T[None, :, None, :])
-    F = Q.swapaxes(-1, -2).reshape(-1, n_rho).T
+    F = Q.swapaxes(-1, -2).reshape(-1, n_rho).T * scale
     U, s, Vh = np.linalg.svd(K.reshape(n_rho, n_rho))
-    keep = s > rate
+    keep = s > rate * scale
     return (Vh[keep].conj().T / s[keep]) @ (U[:, keep].conj().T @ F)
 
 

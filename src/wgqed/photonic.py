@@ -168,37 +168,44 @@ class CouplingBundle(NamedTuple):
 
 
 def guided_couplings(D: np.ndarray, E_f) -> np.ndarray:
-    """Emission couplings ``E_f* . d_{nx}`` and ``E_b* . d_{nx}`` (E_b =
-    conj(E_f)) stacked along a mode axis, (..., 2, n_e, n_g), for the
-    (n_g, n_e, 3) dipole array ``D`` and a field (3,) or stack of fields
-    (..., 3). The conjugated column of ground state r is the absorption
-    vector ``d_{r:}* . E`` of that mode.
+    """Emission couplings of the (n_g, n_e, 3) dipole array ``D`` at a field
+    (3,) or a stack of fields (..., 3), one column per output channel:
+    ``K[x, k, ...]`` (n_e, 2 n_g, ...) is ``E_m* . d_{nx}`` with channel ``k
+    = m n_g + n``, mode m forward (``E_f``) then backward (``E_b =
+    conj(E_f)``) and ground state n. The stack axes come last, so that every
+    operation on ``K`` loops over the fields. The conjugated column of the
+    channel (m, r) is the absorption vector ``d_{r:}* . E`` of mode m.
     """
     E_f = np.asarray(E_f, dtype=complex)
-    fields = np.concatenate((E_f.conj(), E_f), axis=-1).reshape(E_f.shape[:-1] + (2, 3))
-    return np.einsum("nxi,...mi->...mxn", D, fields)
+    stack = E_f.shape[:-1]
+    fields = np.concatenate((E_f.conj(), E_f), axis=-1).reshape(stack + (2, 3))
+    K = np.einsum("nxi,...mi->xmn...", D, fields)
+    return K.reshape((D.shape[1], 2 * D.shape[0]) + stack)
 
 
 def effective_hamiltonian(
-    D: np.ndarray, B: np.ndarray, excited_energies, env: WaveguideEnv, loss: LossModel
+    D: np.ndarray, K: np.ndarray, excited_energies, env: WaveguideEnv, loss: LossModel
 ) -> np.ndarray:
     """Non-Hermitian effective Hamiltonian of the excited manifold (rate
-    units), one (n_e, n_e) matrix per field of the guided couplings ``B``
-    (..., 2, n_e, n_g) of :func:`guided_couplings`.
+    units), ``H[x, y, ...]`` (n_e, n_e, ...): one matrix per field of the
+    guided couplings ``K`` (n_e, 2 n_g, ...) of :func:`guided_couplings`,
+    the stack axes last as there.
 
     It has two parts. The field-independent one is ``H_0 = diag(E_x) + L^T /
     2`` with the loss sandwich ``L_xy = sum_n d_{nx} . G_loss* . d_{ny}*``:
     its Hermitian part shifts the levels, its anti-Hermitian part is the
-    decay into non-guided modes. The guided part ``-(i/2) z sum_m B_m*
-    B_m^T`` is pure decay and adds no level shift, so a sweep over fields
-    only changes it. ``i (H_eff - H_eff^H)`` is the total damping matrix.
+    decay into non-guided modes. The guided part ``-(i/2) z sum_k K_xk*
+    K_yk``, summed over the 2 n_g output channels, is pure decay and adds no
+    level shift, so a sweep over fields only changes it. ``i (H_eff -
+    H_eff^H)`` is the total damping matrix.
     """
     L_T = np.einsum("nxi,ij,nyj->yx", D, loss.as_array().conj(), D.conj())
     H_0 = L_T / 2.0
     H_0.flat[::len(H_0) + 1] += np.asarray(excited_energies, dtype=float)    # + diag(E_x)
-    guided = np.einsum("...mxn,...myn->...xy", B.conj(), B)
+    guided = np.einsum("xk...,yk...->xy...", K.conj(), K)
     guided *= 0.5j * env.z
-    return np.subtract(H_0, guided, out=guided)
+    # H_0 with a unit axis per stack axis broadcasts over the stack
+    return np.subtract(H_0[(...,) + (None,) * (K.ndim - 2)], guided, out=guided)
 
 
 @np.errstate(all="ignore")
@@ -214,8 +221,8 @@ def coupling_bundle(
     An overflowing ``H_eff`` raises.
     """
     D = model.dipole_array()                      # (n_g, n_e, 3)
-    B = guided_couplings(D, env.E_f.as_array())   # (2, n_e, n_g)
-    H_eff = effective_hamiltonian(D, B, model.excited_energies, env, loss)
+    K = guided_couplings(D, env.E_f.as_array())   # (n_e, 2 n_g)
+    H_eff = effective_hamiltonian(D, K, model.excited_energies, env, loss)
     if not np.isfinite(H_eff).all():
         raise NonPhysicalStateError("the effective Hamiltonian overflows")
 

@@ -12,7 +12,8 @@ with the response matrix the resolvent form
 of the effective Hamiltonian ``H_eff`` that emission exponentiates (see
 :func:`wgqed.photonic.effective_hamiltonian`) at the total input energy
 ``E_int``. The scale makes the Hermitian part of M the guided damping
-``sum_m B_m* B_m^T / 2`` plus the loss decay, in the units of
+``sum_k K_xk* K_yk / 2`` over the output channels k of the couplings ``K``
+of :func:`wgqed.photonic.guided_couplings` plus the loss decay, in the units of
 ``DARK_COUPLING_THRESHOLD``. The bookend convention is fixed: absorption
 contracts the conjugated dipole with the field, emission contracts the
 conjugated field with the dipole. Only the guided part of ``H_eff`` depends
@@ -154,13 +155,15 @@ def _certified(M: np.ndarray) -> np.ndarray:
     """Mask of the slices of the stack ``M`` (T, n, n) whose condition number
     is at most ``_CERTIFIED_COND``, found from the damping ``Herm M`` without
     singular values (see the module docstring). A False entry decides
-    nothing."""
-    herm2 = np.abs(M + M.conj().swapaxes(-1, -2))           # 2 |Herm M_ij|
+    nothing. It reads ``M`` stack last, the engine's own layout, so that
+    each operation loops over the slices."""
+    S = M.transpose(1, 2, 0)                                # S[i, j, t] = M[t, i, j]
+    herm2 = np.abs(S + S.conj().swapaxes(0, 1))             # 2 |Herm M_ij|
     # 4 Re M_ii - sum_j 2 |Herm M_ij| is twice the signed Gershgorin bound
     # Re M_ii - sum_{j != i} |Herm M_ij| where Re M_ii >= 0, and below it
     # otherwise.
-    twice_g = (4.0 * M.real.diagonal(axis1=-2, axis2=-1) - herm2.sum(axis=-1)).min(axis=-1)
-    twice_norm = (2.0 * M.shape[-1]) * np.abs(M).max(axis=(-2, -1))
+    twice_g = (4.0 * S.real.diagonal().T - herm2.sum(axis=1)).min(axis=0)
+    twice_norm = (2.0 * len(S)) * np.abs(S).max(axis=(0, 1))
     return (twice_g > 0.0) & (twice_norm <= _CERTIFIED_COND * twice_g)
 
 
@@ -213,6 +216,13 @@ def _scatter_fields(
     (T,) and output frequencies (n_ground,), nan in each failed slice, and
     the ``WgqedError`` or ``LinAlgError`` of each failed slice, by index.
     Singular slices are solved alone after the one stacked solve.
+
+    The work runs stack last, so that each operation loops over the fields:
+    the couplings ``K`` (n_e, 2 n_g, T) have one column per output channel
+    ``k = mode n_g + ground``, the input channel's conjugated column is the
+    right-hand side, ``M`` is the (T, n, n) view of the stack-last response
+    that LAPACK reads, and the amplitudes build up per channel, (2 n_g, T),
+    in a view of the (T, 2, n_ground) result.
     """
     D = model.dipole_array()
     n_g = model.n_ground
@@ -224,13 +234,14 @@ def _scatter_fields(
     ground = np.asarray(model.ground_energies, dtype=float)
     E_int = ground[r] + omega_f
 
-    B = guided_couplings(D, fields)                      # (T, mode, n_e, n_g)
-    inc = MODES.index(inp.direction)
-    in_vec = B[:, inc, :, r].conj()                      # d_r* . E_in
+    K = guided_couplings(D, fields)                      # (n_e, 2 n_g, T)
+    k_in = MODES.index(inp.direction) * n_g + r          # the input channel
+    in_vec = K[:, k_in].conj().T                         # d_r* . E_in, (T, n_e)
 
     # H_eff with the level energies counted from E_int is H_eff - E_int.
     detunings = np.asarray(model.excited_energies, dtype=float) - E_int
-    M = (1j / env.z) * effective_hamiltonian(D, B, detunings, env, loss)
+    # (T, n, n) view of the stack-last response, for LAPACK
+    M = ((1j / env.z) * effective_hamiltonian(D, K, detunings, env, loss)).transpose(2, 0, 1)
 
     errors: dict[int, Exception] = {}
     active = in_vec.any(axis=1)
@@ -254,17 +265,18 @@ def _scatter_fields(
             stacklevel=4,    # past the errstate wrapper
         )
     for t in failed:
-        try:
-            y[t] = _solve_dark(M[t], in_vec[t], dark_state_projection, cond[t])
+        try:    # a C-ordered slice: numpy's matrix product rounds by memory layout
+            y[t] = _solve_dark(M[t].copy(), in_vec[t], dark_state_projection, cond[t])
         except (WgqedError, np.linalg.LinAlgError) as exc:
             errors[t] = exc
 
     amplitudes = np.zeros((len(M), 2, n_g), dtype=complex)
-    amplitudes[:, inc, r] = 1.0
-    amplitudes -= np.einsum("tmxn,tx->tmn", B, y)
+    by_channel = amplitudes.reshape(len(M), 2 * n_g).T   # (2 n_g, T) view
+    by_channel[k_in] = 1.0
+    by_channel -= np.einsum("xkt,xt->kt", K, np.ascontiguousarray(y.T))
     if errors:
         amplitudes[list(errors)] = complex(math.nan, math.nan)
-    p_loss = 1.0 - (np.abs(amplitudes) ** 2).sum(axis=(1, 2))
+    p_loss = 1.0 - (np.abs(by_channel) ** 2).sum(axis=0)
     output_frequencies = omega_f + (ground[r] - ground)
     for array in (amplitudes, p_loss, output_frequencies):
         array.setflags(write=False)
@@ -357,7 +369,11 @@ class SweepPoint(NamedTuple):
 
 def _theta_fields(thetas: np.ndarray) -> np.ndarray:
     """The forward fields (cos(theta), i sin(theta), 0) of a theta grid: (T, 3)."""
-    return np.stack([np.cos(thetas), 1j * np.sin(thetas), np.zeros_like(thetas)], axis=1)
+    fields = np.empty((len(thetas), 3), dtype=complex)
+    fields[:, 0] = np.cos(thetas)
+    fields[:, 1] = 1j * np.sin(thetas)
+    fields[:, 2] = 0.0
+    return fields
 
 
 def polarization_sweep(
@@ -375,7 +391,7 @@ def polarization_sweep(
     instead of aborting the sweep; results are returned in grid order.
     """
     thetas = _as_grid(theta_grid, "theta grid")
-    if np.min(thetas) < 0.0 or np.max(thetas) > np.pi + 1e-12:
+    if thetas.min() < 0.0 or thetas.max() > np.pi + 1e-12:
         raise ValueError("theta grid must lie within [0, pi]")
 
     amplitudes, p_loss, output_frequencies, errors = _scatter_fields(

@@ -683,20 +683,30 @@ class TestInterfaces:
         assert evolve(frozen, make_env([1, 0, 0]), LossModel.isotropic(0.2),
                       ExcitedSuperposition([1.0])).times[-1] == 20.0
 
-    def test_default_horizon_of_an_overflowing_rate(self, monkeypatch):
+    def test_default_horizon_of_an_overflowing_rate(self):
         # loss and guided decay at 1.5e308 and 1.6e308: their sum overflows
         # a double, its half does not
         loss = LossModel.isotropic(1.5e308)
         bundle = coupling_bundle(two_level(), make_env([4e153, 0, 0]), loss)
         half_rate = -bundle.H_eff[0, 0].imag
         assert half_rate == pytest.approx(1.55e308, rel=1e-12)
-        # the Lyapunov operator of one level is the rate itself, which
-        # overflows too: its solution Q / rate stands in, taken over the half
-        monkeypatch.setattr(emission_mod, "_lyapunov", lambda bundle, rate: (
-            0.5 * bundle.flux_forms.reshape(1, -1) / half_rate))
         # 20 lifetimes of the rate 2 * 1.55e308
         horizon = emission_mod._propagate(bundle, ExcitedSuperposition([1.0]))[0][-1]
         assert horizon == pytest.approx(10.0 / 1.55e308, rel=1e-12, abs=0.0)
+
+    def test_overflowing_rate_splits_into_its_channel_shares(self):
+        # the same two-level emitter: forward and backward 0.8e308 each and
+        # loss 1.5e308 of a total rate 3.1e308 that overflows a double; the
+        # outcome forms are the shares (8, 8, 15) / 31, and the propagation
+        # over 20 lifetimes keeps its trace
+        env, loss = make_env([4e153, 0, 0]), LossModel.isotropic(1.5e308)
+        shares = np.array([8.0, 8.0, 15.0]) / 31.0
+        Y = outcome_forms(coupling_bundle(two_level(), env, loss))
+        assert np.abs(Y.ravel() - shares).max() < 1e-12
+        totals = evolve(two_level(), env, loss, ExcitedSuperposition([1.0])).final_totals
+        assert totals.residual_excited == pytest.approx(np.exp(-20.0), rel=1e-9)
+        emitted = (1.0 - totals.residual_excited) * shares
+        assert np.abs(np.array(totals[:3]) - emitted).max() < 1e-12
 
     def test_total_variation_extremes(self):
         traj = paradox_run(t_max=4.0, output_points=21)

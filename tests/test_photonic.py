@@ -258,29 +258,65 @@ class TestGreensDecomposition:
         assert np.allclose(rates["forward"], rates["backward"], rtol=1e-12)
 
 
+class TestGuidedCouplings:
+    @pytest.mark.parametrize("stack", [(), (4,), (2, 3)], ids=["single", "stack", "grid"])
+    def test_channel_columns_are_mode_then_ground(self, rng, stack):
+        # K[x, m n_g + n, ...] = E_m* . d_{nx}, forward (E_f) then backward
+        # (E_b = conj E_f), every stack axis last
+        n_g, n_e = 3, 2
+        D = rng.normal(size=(n_g, n_e, 3)) + 1j * rng.normal(size=(n_g, n_e, 3))
+        E_f = rng.normal(size=stack + (3,)) + 1j * rng.normal(size=stack + (3,))
+        K = guided_couplings(D, E_f)
+        assert K.shape == (n_e, 2 * n_g) + stack
+        for index in np.ndindex(*stack):
+            for m, E in enumerate((E_f[index], E_f[index].conj())):
+                for n in range(n_g):
+                    for x in range(n_e):
+                        assert abs(K[(x, m * n_g + n) + index] - np.vdot(E, D[n, x])) < 1e-14
+
+
 class TestEffectiveHamiltonian:
     @pytest.mark.parametrize("stack", [1, 5])
     def test_energies_as_tuple_list_or_array_give_the_same_bits(self, rng, stack):
         # coupling_bundle passes the model's tuple of energies, the scattering
         # engine a float array of detunings; both match the assembly
-        # diag(E) + L^T / 2 - (i/2) z sum_m B_m* B_m^T bit for bit, and no
-        # input array is written
+        # diag(E) + L^T / 2 - (i/2) z sum_m B_m* B_m^T bit for bit, built
+        # with the couplings B (T, mode, n_e, n_g) on a mode axis, stack
+        # first, and transposed into the stack-last layout; no input array is
+        # written
         model = random_model(rng, 2, 3)
         env = make_env(random_unit_vector(rng), a=0.7, omega=1.3, v_g=-0.2)
         D = np.array(model.dipole_array())
-        B = guided_couplings(D, np.array([random_unit_vector(rng) for _ in range(stack)]))
+        E_f = np.array([random_unit_vector(rng) for _ in range(stack)])
+        K = guided_couplings(D, E_f)
+        assert K.shape == (3, 4, stack)
+        B = np.einsum("nxi,tmi->tmxn", D, np.stack([E_f.conj(), E_f], axis=1))
         energies = model.excited_energies
         as_array = np.array(energies, dtype=float)
-        inputs = (D, B, as_array)
+        inputs = (D, K, as_array)
         before = [a.tobytes() for a in inputs]
         for loss in (LossModel.none(), LossModel.isotropic(0.2), random_loss_tensor(rng)):
             L_T = np.einsum("nxi,ij,nyj->yx", D, loss.as_array().conj(), D.conj())
             guided = np.einsum("...mxn,...myn->...xy", B.conj(), B)
             expected = np.diag(as_array) + L_T / 2.0 - (0.5j * env.z) * guided
+            expected = np.ascontiguousarray(expected.transpose(1, 2, 0))
             for given in (energies, list(energies), as_array):
-                H = effective_hamiltonian(D, B, given, env, loss)
-                assert H.shape == (stack, 3, 3) and H.tobytes() == expected.tobytes()
+                H = effective_hamiltonian(D, K, given, env, loss)
+                assert H.shape == (3, 3, stack) and H.tobytes() == expected.tobytes()
         assert [a.tobytes() for a in inputs] == before
+
+    def test_grid_of_fields_gives_each_field_alone(self, rng):
+        # any number of stack axes, each slice the one-field matrix bit for bit
+        model = random_model(rng, 2, 3)
+        env, loss = make_env(random_unit_vector(rng)), random_loss_tensor(rng)
+        D = np.array(model.dipole_array())
+        E_f = np.array([[random_unit_vector(rng) for _ in range(3)] for _ in range(2)])
+        H = effective_hamiltonian(D, guided_couplings(D, E_f), model.excited_energies, env, loss)
+        assert H.shape == (3, 3, 2, 3)
+        for index in np.ndindex(2, 3):
+            alone = effective_hamiltonian(D, guided_couplings(D, E_f[index]),
+                                          model.excited_energies, env, loss)
+            assert H[(...,) + index].tobytes() == alone.tobytes()
 
 
 class TestCouplingBundle:

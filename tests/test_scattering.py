@@ -820,14 +820,14 @@ def count_singular_values(monkeypatch) -> tuple[list, list]:
 
 
 def capture_response_stacks(monkeypatch) -> list:
-    """The response stacks M the scattering engine forms, rebuilt bit for bit
-    from the effective Hamiltonians it assembles."""
+    """The response stacks M (T, n, n) the scattering engine forms, rebuilt
+    bit for bit from the stack-last effective Hamiltonians it assembles."""
     stacks = []
     assemble = wgqed.scattering.effective_hamiltonian
 
-    def spy(D, B, detunings, env, loss):
-        H = assemble(D, B, detunings, env, loss)
-        stacks.append((1j / env.z) * H)
+    def spy(D, K, detunings, env, loss):
+        H = assemble(D, K, detunings, env, loss)
+        stacks.append(((1j / env.z) * H).transpose(2, 0, 1))
         return H
 
     monkeypatch.setattr(wgqed.scattering, "effective_hamiltonian", spy)
@@ -1094,3 +1094,55 @@ class TestSolveGate:
                 assert solvable.tolist() == [k % 2 == 0 for k in range(len(stack))]
                 assert not warn.any() and np.isinf(cond[1::2]).all()
         assert not any(pt.failed for pt in pts)
+
+
+def stacked_outcomes(model, env, loss, inp, fields, projection):
+    """Per slice of the stacked engine at ``fields``: the amplitude and
+    p_loss bytes, or the error's type and message; and the warning messages."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        amplitudes, p_loss, _, errors = _scatter_fields(model, env, loss, inp, fields,
+                                                        projection)
+    assert amplitudes.flags.c_contiguous and amplitudes.shape == (len(fields), 2, model.n_ground)
+    outcomes = [(type(errors[t]), str(errors[t])) if t in errors
+                else (amplitudes[t].tobytes(), p_loss[t].tobytes()) for t in range(len(fields))]
+    return outcomes, [str(w.message) for w in caught]
+
+
+class TestStackSlices:
+    """A slice of a stack is the one-field answer, bit for bit: its
+    amplitudes, its p_loss, whether it fails and why, and its warning."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_slice_equals_stack_of_one(self, seed):
+        rng = np.random.default_rng(2700 + seed)
+        env = make_env([1, 0, 0], a=0.7, omega=1.3, v_g=-0.2)
+        for case in range(24):
+            n_g, n_e = (int(k) for k in rng.integers(1, 4, size=2))
+            ground = rng.uniform(-0.3, 0.3, n_g)
+            excited = 1.0 + rng.uniform(-0.4, 0.4, n_e)
+            D = rng.normal(size=(n_g, n_e, 3)) + 1j * rng.normal(size=(n_g, n_e, 3))
+            D[:, 0, 2] = 0.0        # level 0 is dark to a field along z
+            r = int(rng.integers(0, n_g))
+            model = EmitterModel.from_arrays(ground, excited, D)
+            loss = (LossModel.none(), LossModel.isotropic(0.2), random_loss_tensor(rng))[case % 3]
+            # on resonance with level 0 in half the cases, so that lossless
+            # it is singular at the dark field
+            frequency = excited[0] - ground[r] if case % 2 else float(rng.uniform(0.5, 1.5))
+            fields = [random_unit_vector(rng) for _ in range(int(rng.integers(0, 14)))]
+            # dark, nearly dark (warns), overflowing, non-finite and inactive
+            for extra in ([0, 0, 1], [1e-7, 0, 1], [1e200, 0, 0], [np.inf, 0, 0], [0, 0, 0]):
+                fields.insert(int(rng.integers(0, len(fields) + 1)), extra)
+            fields = np.array(fields, dtype=complex)
+            for direction in MODES:
+                inp = ScatterInput(direction, r, frequency)
+                for projection in (False, True):
+                    stacked, stacked_warnings = stacked_outcomes(model, env, loss, inp,
+                                                                 fields, projection)
+                    alone, alone_warnings = [], []
+                    for t in range(len(fields)):
+                        outcome, caught = stacked_outcomes(model, env, loss, inp,
+                                                           fields[t:t + 1], projection)
+                        alone += outcome
+                        alone_warnings += caught
+                    assert stacked == alone and stacked_warnings == alone_warnings
