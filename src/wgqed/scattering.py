@@ -37,6 +37,15 @@ warning, which is exactly what its singular values would decide, so the
 certificate changes no decision. Only the other slices, and every slice of a
 stack too small for the certificate to pay, get their singular values. A
 non-finite slice fails first, and the gate sees the identity in its place.
+
+The stacked solve is one call, its solver chosen by the stack's size. A
+stack of at least ``_ELIMINATE_FROM`` slices with at most
+``_ELIMINATE_MAX_N`` excited levels, such as a sweep, goes to
+``_eliminate``: Gaussian elimination with partial pivoting, each step one
+ufunc over all slices, where LAPACK would make one call per slice. For
+n <= 3 its growth factor is at most 4, so it is as backward stable as
+LAPACK. Every other stack, a single point among them, goes to
+``np.linalg.solve``, whose fixed cost is the smaller one there.
 """
 
 from __future__ import annotations
@@ -67,6 +76,17 @@ COND_SINGULAR_THRESHOLD = 1e15
 # array operations exceeds that of the singular values it saves.
 _CERTIFIED_COND = COND_WARN_THRESHOLD * 1e-4
 _CERTIFY_FROM = 8
+# The smallest stack, and the largest excited manifold, that _eliminate
+# solves in place of np.linalg.solve. Microseconds per stack, _eliminate /
+# LAPACK, on random dense stacks (half the slices swap rows), one BLAS
+# thread, 2-core x86-64 host, best of 7 timeit rounds:
+#            T = 64     96      128     256      401
+#   n = 2    20/22    21/32    23/40    26/74    32/114
+#   n = 3    45/32    50/46    53/60    68/121   82/187
+#   n = 4    82/38    88/54    97/71   131/141  166/222
+# n = 1 wins from T = 32; n = 6 and 8 lose up to T = 401.
+_ELIMINATE_FROM = 128
+_ELIMINATE_MAX_N = 3
 
 
 @dataclass(frozen=True)
@@ -176,6 +196,40 @@ def _condition_numbers(M: np.ndarray) -> np.ndarray:
     return np.divide(s[:, 0], s[:, -1], out=cond, where=s[:, -1] > 0)
 
 
+def _eliminate(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``A[:, :, t] y[:, t] = b[:, t]`` for every slice of the stack-last
+    stack ``A`` (n, n, T), ``b`` (n, T): Gaussian elimination with partial
+    pivoting on the augmented array ``[A | b]``, each step one ufunc over all
+    T slices, then back-substitution. Returns ``y`` (n, T).
+
+    The pivot of column k is its entry of largest modulus from row k down
+    (the first such row on a tie), moved up by swapping rows in the slices
+    that need it. So no multiplier exceeds 1 in modulus, the growth factor
+    is at most ``2^(n-1)``, and for small n the solve is backward stable as
+    LAPACK's is. Each slice's arithmetic is its own, so its bits do not
+    depend on the rest of the stack.
+    """
+    n = len(A)
+    W = np.empty((n, n + 1, A.shape[-1]), dtype=complex)
+    W[:, :n] = A
+    W[:, n] = b
+    for k in range(n - 1):
+        size = np.abs(W[k:, k])
+        for i in range(k + 1, n):
+            swap = size[i - k] > size[0]
+            if np.count_nonzero(swap):      # swap.any() at a third of its fixed cost
+                top, row = W[k, k:], W[i, k:]
+                W[k, k:], W[i, k:] = np.where(swap, row, top), np.where(swap, top, row)
+                if i + 1 < n:
+                    np.maximum(size[0], size[i - k], out=size[0])
+        W[k + 1:, k + 1:] -= (W[k + 1:, k] / W[k, k])[:, None] * W[k, k + 1:]
+    y = W[:, n]
+    for j in range(n - 1, -1, -1):
+        y[j] /= W[j, j]
+        y[:j] -= W[:j, j] * y[j]
+    return y
+
+
 def _identity_outside(keep: np.ndarray, M: np.ndarray) -> np.ndarray:
     """``M`` with the identity in each slice ``keep`` drops; ``M`` itself if none."""
     every = np.count_nonzero(keep) == len(keep)     # keep.all() at a third of its fixed cost
@@ -220,9 +274,13 @@ def _scatter_fields(
     The work runs stack last, so that each operation loops over the fields:
     the couplings ``K`` (n_e, 2 n_g, T) have one column per output channel
     ``k = mode n_g + ground``, the input channel's conjugated column is the
-    right-hand side, ``M`` is the (T, n, n) view of the stack-last response
-    that LAPACK reads, and the amplitudes build up per channel, (2 n_g, T),
-    in a view of the (T, 2, n_ground) result.
+    right-hand side, and the amplitudes build up per channel, (2 n_g, T),
+    in a view of the (T, 2, n_ground) result. The gate reads ``M``, the
+    (T, n, n) view of the stack-last response. A stack of at least
+    ``_ELIMINATE_FROM`` slices with ``n_e <= _ELIMINATE_MAX_N`` is solved
+    stack last by ``_eliminate``, a few ufuncs over the fields in place of
+    LAPACK's call per slice; any other stack, where LAPACK's smaller fixed
+    cost wins, by ``np.linalg.solve`` on ``M``.
     """
     D = model.dipole_array()
     n_g = model.n_ground
@@ -236,15 +294,15 @@ def _scatter_fields(
 
     K = guided_couplings(D, fields)                      # (n_e, 2 n_g, T)
     k_in = MODES.index(inp.direction) * n_g + r          # the input channel
-    in_vec = K[:, k_in].conj().T                         # d_r* . E_in, (T, n_e)
+    rhs = K[:, k_in].conj()                              # d_r* . E_in, (n_e, T)
 
     # H_eff with the level energies counted from E_int is H_eff - E_int.
     detunings = np.asarray(model.excited_energies, dtype=float) - E_int
-    # (T, n, n) view of the stack-last response, for LAPACK
+    # (T, n, n) view of the stack-last response, for the gate and LAPACK
     M = ((1j / env.z) * effective_hamiltonian(D, K, detunings, env, loss)).transpose(2, 0, 1)
 
     errors: dict[int, Exception] = {}
-    active = in_vec.any(axis=1)
+    active = rhs.any(axis=0)
     if np.count_nonzero(np.isfinite(M)) < M.size:     # not np.isfinite(M).all(), cheaper
         # a non-finite slice fails even with no input: its couplings may
         # overflow too; the gate and the solve see the identity in its place
@@ -254,9 +312,13 @@ def _scatter_fields(
         M = _identity_outside(finite, M)
         active &= finite
     solvable, warn, cond = _solve_gate(M, active)
-    # one solve; a slice it must not take reads y = 0 if inactive, else is solved below
+    # one solve, y (n_e, T); a slice it must not take reads y = 0 if
+    # inactive, else is solved below
     M_solved = _identity_outside(solvable, M)
-    y = np.linalg.solve(M_solved, in_vec[..., None])[..., 0]
+    if len(M) >= _ELIMINATE_FROM and len(rhs) <= _ELIMINATE_MAX_N:
+        y = _eliminate(M_solved.transpose(1, 2, 0), rhs)
+    else:
+        y = np.linalg.solve(M_solved, rhs.T[..., None])[..., 0].T
     failed = () if M_solved is M else np.flatnonzero(~solvable & active).tolist()
     for t in warn.nonzero()[0]:
         warnings.warn(
@@ -266,14 +328,14 @@ def _scatter_fields(
         )
     for t in failed:
         try:    # a C-ordered slice: numpy's matrix product rounds by memory layout
-            y[t] = _solve_dark(M[t].copy(), in_vec[t], dark_state_projection, cond[t])
+            y[:, t] = _solve_dark(M[t].copy(), rhs[:, t], dark_state_projection, cond[t])
         except (WgqedError, np.linalg.LinAlgError) as exc:
             errors[t] = exc
 
     amplitudes = np.zeros((len(M), 2, n_g), dtype=complex)
     by_channel = amplitudes.reshape(len(M), 2 * n_g).T   # (2 n_g, T) view
     by_channel[k_in] = 1.0
-    by_channel -= np.einsum("xkt,xt->kt", K, np.ascontiguousarray(y.T))
+    by_channel -= np.einsum("xkt,xt->kt", K, y)
     if errors:
         amplitudes[list(errors)] = complex(math.nan, math.nan)
     p_loss = 1.0 - (np.abs(by_channel) ** 2).sum(axis=0)

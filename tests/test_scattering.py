@@ -3,6 +3,7 @@
 
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,9 @@ from wgqed.cli import preset
 from wgqed.scattering import (
     COND_SINGULAR_THRESHOLD,
     COND_WARN_THRESHOLD,
+    _ELIMINATE_FROM,
+    _ELIMINATE_MAX_N,
+    _eliminate,
     _scatter_fields,
     _solve_gate,
 )
@@ -834,22 +838,29 @@ def capture_response_stacks(monkeypatch) -> list:
     return stacks
 
 
-def count_solves(monkeypatch) -> tuple[list, list]:
-    """Stacks handed to np.linalg.solve, and slices to _solve_dark, from now on."""
-    solves, dark = [], []
-    solve, solve_dark = np.linalg.solve, wgqed.scattering._solve_dark
+def count_solves(monkeypatch) -> tuple[list, list, list]:
+    """From now on, the slice counts of the stacks handed to np.linalg.solve
+    and to _eliminate, and the slices handed to _solve_dark."""
+    solves, eliminations, dark = [], [], []
+    solve, eliminate = np.linalg.solve, wgqed.scattering._eliminate
+    solve_dark = wgqed.scattering._solve_dark
 
     def counting_solve(a, b):
         solves.append(len(a) if np.ndim(a) == 3 else 1)
         return solve(a, b)
+
+    def counting_eliminate(A, b):
+        eliminations.append(A.shape[-1])
+        return eliminate(A, b)
 
     def counting_dark(M, *args):
         dark.append(M)
         return solve_dark(M, *args)
 
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    monkeypatch.setattr(wgqed.scattering, "_eliminate", counting_eliminate)
     monkeypatch.setattr(wgqed.scattering, "_solve_dark", counting_dark)
-    return solves, dark
+    return solves, eliminations, dark
 
 
 # forward fields of the lossless V system: a warning slice (condition number
@@ -971,10 +982,10 @@ class TestSolveGate:
         rng = np.random.default_rng(31)
         fields = [random_unit_vector(rng) for _ in range(size - 1)]
         fields.insert(size // 2, _WARN_FIELD)
-        solves, dark = count_solves(monkeypatch)
+        solves, eliminations, dark = count_solves(monkeypatch)
         stacked, stacked_warnings, alone, alone_warnings = scatter_stack_and_alone(
             fields, projection=False)
-        assert solves[0] == size and len(solves) == size + 1 and dark == []
+        assert solves[0] == size and len(solves) == size + 1 and eliminations == dark == []
         assert len(stacked_warnings) == 1 and stacked_warnings == alone_warnings
         assert stacked == alone and all(err is None for _, _, err in stacked)
 
@@ -986,7 +997,7 @@ class TestSolveGate:
                          (6, _INACTIVE_FIELD)):
             fields.insert(k, field)
         stacks = capture_response_stacks(monkeypatch)
-        solves, _ = count_solves(monkeypatch)
+        solves, _, _ = count_solves(monkeypatch)
         stacked, stacked_warnings, alone, alone_warnings = scatter_stack_and_alone(
             fields, projection)
         monkeypatch.undo()
@@ -1048,14 +1059,30 @@ class TestSolveGate:
 
     @pytest.mark.parametrize("model", [paradox_model(), ixi_model()], ids=["V", "ixi"])
     def test_lossy_sweep_takes_no_singular_values(self, monkeypatch, model):
-        # and is one stacked solve
+        # and is one elimination over the whole stack
         svd, cond = count_singular_values(monkeypatch)
-        solves, dark = count_solves(monkeypatch)
+        solves, eliminations, dark = count_solves(monkeypatch)
         pts = polarization_sweep(model, make_env([1, 0, 0], **X_ENV),
                                  LossModel.isotropic(0.2), ScatterInput(),
                                  np.linspace(0.0, np.pi, 401))
         assert svd == cond == [] and not any(pt.failed for pt in pts)
-        assert solves == [401] and dark == []
+        assert eliminations == [401] and solves == dark == []
+
+    @pytest.mark.parametrize("T, n_e, solver", [
+        (_ELIMINATE_FROM - 1, 2, "lapack"), (_ELIMINATE_FROM, 2, "eliminate"),
+        (_ELIMINATE_FROM, _ELIMINATE_MAX_N, "eliminate"),
+        (401, _ELIMINATE_MAX_N + 1, "lapack"),
+    ])
+    def test_stack_size_and_excited_manifold_choose_the_solver(self, monkeypatch, T, n_e,
+                                                               solver):
+        model = random_model(np.random.default_rng(40 + n_e), 2, n_e)
+        solves, eliminations, dark = count_solves(monkeypatch)
+        pts = polarization_sweep(model, make_env([1, 0, 0], **X_ENV),
+                                 LossModel.isotropic(0.2), ScatterInput(),
+                                 np.linspace(0.0, np.pi, T))
+        assert len(pts) == T and not any(pt.failed for pt in pts)
+        assert (solves, eliminations) == (([T], []) if solver == "lapack" else ([], [T]))
+        assert dark == []
 
     def test_lossless_projected_sweep_takes_singular_values_at_dark_points(
             self, monkeypatch):
@@ -1076,9 +1103,9 @@ class TestSolveGate:
             model, loss = two_level(), LossModel.none()
         env, inp = circular_env(), ScatterInput(photon_frequency=0.9)
         svd, cond = count_singular_values(monkeypatch)
-        solves, dark = count_solves(monkeypatch)
+        solves, eliminations, dark = count_solves(monkeypatch)
         res = scatter(model, env, loss, inp)
-        assert svd == [1] and cond == [] and solves == [1] and dark == []
+        assert svd == [1] and cond == [] and solves == [1] and eliminations == dark == []
         assert np.isfinite(res.amplitudes).all()
 
     def test_singular_stack_raises_no_floating_point_error(self):
@@ -1146,3 +1173,201 @@ class TestStackSlices:
                         alone += outcome
                         alone_warnings += caught
                     assert stacked == alone and stacked_warnings == alone_warnings
+
+
+_EPS = np.finfo(float).eps
+
+
+def spy_eliminations(monkeypatch) -> list:
+    """Copies of the stack-last stack ``A`` (n, n, T), right-hand side ``b``
+    (n, T) and solution ``y`` (n, T) of every _eliminate call from now on."""
+    calls = []
+    eliminate = wgqed.scattering._eliminate
+
+    def spy(A, b):
+        y = eliminate(A, b)
+        calls.append((A.copy(), b.copy(), y.copy()))
+        return y
+
+    monkeypatch.setattr(wgqed.scattering, "_eliminate", spy)
+    return calls
+
+
+def engine_outcome(model, env, loss, inp, fields, projection):
+    """The stacked engine at ``fields``: amplitudes, p_loss, each failed
+    slice's error type and message by index, and the warning messages."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        amplitudes, p_loss, _, errors = _scatter_fields(model, env, loss, inp, fields,
+                                                        projection)
+    failures = {t: (type(exc), str(exc)) for t, exc in errors.items()}
+    return amplitudes, p_loss, failures, [str(w.message) for w in caught]
+
+
+def relative_residuals(A: np.ndarray, b: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``|A y - b| / (|A| |y|)`` of each slice of a stack-last solve, 2-norms,
+    with the residual formed in extended precision."""
+    wide = np.clongdouble
+    r = np.einsum("ijt,jt->it", A.astype(wide), y.astype(wide)) - b.astype(wide)
+    r_norm = np.sqrt((np.abs(r) ** 2).sum(axis=0)).astype(float)
+    A_norm = np.linalg.norm(A.transpose(2, 0, 1), 2, axis=(1, 2))
+    return r_norm / (A_norm * np.linalg.norm(y, axis=0))
+
+
+class TestLargeStacks:
+    """A stack large enough for _eliminate gives each slice the failure, the
+    error message and the warning of its stack-of-one LAPACK call, solves
+    each slice to a backward-stable residual, agrees with LAPACK to within
+    the condition number, and gives a slice the same bits wherever it sits
+    in the stack."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_slices_match_lapack_alone(self, monkeypatch, seed):
+        rng = np.random.default_rng(2800 + seed)
+        env = make_env([1, 0, 0], a=0.7, omega=1.3, v_g=-0.2)
+        checked = 0
+        for case in range(6):
+            n_g, n_e = (int(k) for k in rng.integers(1, 4, size=2))
+            ground = rng.uniform(-0.3, 0.3, n_g)
+            excited = 1.0 + rng.uniform(-0.4, 0.4, n_e)
+            D = rng.normal(size=(n_g, n_e, 3)) + 1j * rng.normal(size=(n_g, n_e, 3))
+            D[:, 0, 2] = 0.0        # level 0 is dark to a field along z
+            r = int(rng.integers(0, n_g))
+            model = EmitterModel.from_arrays(ground, excited, D)
+            loss = (LossModel.none(), LossModel.isotropic(0.2), random_loss_tensor(rng))[case % 3]
+            frequency = excited[0] - ground[r] if case % 2 else float(rng.uniform(0.5, 1.5))
+            fields = [random_unit_vector(rng) for _ in range(_ELIMINATE_FROM)]
+            # dark, nearly dark (warns), overflowing, non-finite and inactive
+            for extra in ([0, 0, 1], [1e-7, 0, 1], [1e200, 0, 0], [np.inf, 0, 0], [0, 0, 0]) * 2:
+                fields.insert(int(rng.integers(0, len(fields) + 1)), extra)
+            fields = np.array(fields, dtype=complex)
+            K = wgqed.photonic.guided_couplings(model.dipole_array(), fields)
+            with np.errstate(all="ignore"):
+                K_norm = np.linalg.norm(np.nan_to_num(K).transpose(2, 0, 1), 2, axis=(1, 2))
+            for direction in MODES:
+                inp = ScatterInput(direction, r, frequency)
+                for projection in (False, True):
+                    stacks = capture_response_stacks(monkeypatch)
+                    calls = spy_eliminations(monkeypatch)
+                    amplitudes, p_loss, failures, caught = engine_outcome(
+                        model, env, loss, inp, fields, projection)
+                    monkeypatch.undo()
+                    (M,), ((A, b, y),) = stacks, calls
+                    # the slices the elimination solved: their response, not
+                    # the identity put in place of a slice it must not take
+                    solved = ~(A == np.eye(n_e)[..., None]).all(axis=(0, 1)) & b.any(axis=0)
+                    assert np.array_equal(A[..., solved], M[solved].transpose(1, 2, 0))
+                    residuals = relative_residuals(A[..., solved], b[:, solved], y[:, solved])
+                    assert (residuals <= 8 * n_e * _EPS).all()
+                    cond = np.linalg.cond(M[solved])
+                    alone = [engine_outcome(model, env, loss, inp, fields[t:t + 1], projection)
+                             for t in range(len(fields))]
+                    assert failures == {t: f[0] for t, (_, _, f, _) in enumerate(alone) if f}
+                    assert caught == [w for *_, ws in alone for w in ws]
+                    for t, c in zip(np.flatnonzero(solved), cond):
+                        a, p = alone[t][0][0], alone[t][1][0]
+                        bound = 16 * n_e * _EPS * (1.0 + c * K_norm[t] * np.linalg.norm(y[:, t]))
+                        diff = np.abs(amplitudes[t] - a)
+                        assert diff.max() <= bound
+                        assert abs(p_loss[t] - p) <= 2 * ((np.abs(a) + diff) * diff).sum() \
+                            + 16 * n_g * _EPS
+                    for t in np.flatnonzero(~solved):
+                        if t not in failures:     # inactive, or solved in its dark subspace
+                            assert amplitudes[t].tobytes() == alone[t][0][0].tobytes()
+                            assert p_loss[t].tobytes() == alone[t][1][0].tobytes()
+                    checked += int(solved.sum())
+                    # a slice's bits do not depend on the rest of its stack
+                    for order in (np.arange(len(fields))[::-1], rng.permutation(len(fields))):
+                        moved = engine_outcome(model, env, loss, inp, fields[order], projection)
+                        assert moved[0].tobytes() == amplitudes[order].tobytes()
+                        assert moved[1].tobytes() == p_loss[order].tobytes()
+                        assert moved[2] == {k: failures[t] for k, t in enumerate(order.tolist())
+                                            if t in failures}
+                        assert sorted(moved[3]) == sorted(caught)
+        assert checked > 0
+
+
+def mp_solutions(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``y`` (n, T) of each slice of the stack-last ``A`` (n, n, T) and ``b``
+    (n, T), from a 40-digit mpmath LU solve."""
+    y = np.empty(b.shape, dtype=complex)
+    with mpmath.workdps(40):
+        for t in range(b.shape[-1]):
+            x = mpmath.lu_solve(mpmath.matrix(A[..., t].tolist()),
+                                mpmath.matrix(b[:, t].tolist()))
+            y[:, t] = [complex(v) for v in x]
+    return y
+
+
+def random_complex(rng, *shape) -> np.ndarray:
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def crafted_stack(kind: str, n: int, rng, T: int = 48) -> np.ndarray:
+    """A stack-last stack (n, n, T) that makes the pivoting work."""
+    if kind == "swap":
+        # the first column's largest entry, of modulus 1, lies below the
+        # diagonal, and the others span 1e-6 to 1e-1: any other pivot makes
+        # a multiplier above 10
+        A = random_complex(rng, n, n, T)
+        A[:, 0] *= 10.0 ** rng.uniform(-6, -1, size=(n, T)) / np.abs(A[:, 0])
+        big, rows = rng.integers(1, n, size=T), np.arange(T)
+        A[big, 0, rows] /= np.abs(A[big, 0, rows])
+        assert (np.abs(A[1:, 0]).max(axis=0) > np.abs(A[0, 0])).all()
+        return A
+    if kind == "two swaps":
+        # row 1 holds the first pivot; once it is eliminated, row 2 holds the
+        # second, since row 0's entry in column 1 nearly cancels
+        A = random_complex(rng, 3, 3, T)
+        A[1, 0] = np.exp(2j * np.pi * rng.random(T))
+        A[0, 0] *= 0.4 / np.abs(A[0, 0])
+        A[2, 0] *= 0.3 / np.abs(A[2, 0])
+        A[0, 1] = A[0, 0] / A[1, 0] * A[1, 1] + 1e-3 * random_complex(rng, T)
+        r0 = A[0, 1] - A[0, 0] / A[1, 0] * A[1, 1]
+        r2 = A[2, 1] - A[2, 0] / A[1, 0] * A[1, 1]
+        col = np.abs(A[:, 0])
+        assert (col[1] > col[0]).all() and (col[1] > col[2]).all()
+        assert (np.abs(r2) > np.abs(r0)).all()
+        return A
+    if kind == "reactive":
+        # a reactive-loss response: damping 1e-14 to 1e-8 on the diagonal
+        # under Hermitian couplings 1 to 1e3 between the levels; without a
+        # row swap the first multiplier is ~1e8 to 1e17
+        S = random_complex(rng, n, n, T) * 10.0 ** rng.uniform(0, 3, size=(1, 1, T))
+        S = S + S.conj().swapaxes(0, 1)
+        S[np.arange(n), np.arange(n)] = 0.0
+        A = 1j * S
+        A[np.arange(n), np.arange(n)] = 10.0 ** rng.uniform(-14, -8, size=(n, T))
+        assert (np.abs(A[1:, 0]).max(axis=0) > 1e7 * np.abs(A[0, 0])).all()
+        return A
+    # "extreme": entries near 1e150 or near 1e-150, a scale per slice
+    scale = 10.0 ** (rng.choice([-150.0, 150.0], size=T) + rng.uniform(-2, 2, size=T))
+    return random_complex(rng, n, n, T) * scale
+
+
+class TestEliminate:
+    """_eliminate against a 40-digit mpmath solve, on stacks made to need the
+    row swaps: each slice's error is within ``16 n eps cond``."""
+
+    @pytest.mark.parametrize("kind, n", [
+        ("swap", 2), ("swap", 3), ("two swaps", 3), ("reactive", 2), ("reactive", 3),
+        ("extreme", 1), ("extreme", 2), ("extreme", 3),
+    ])
+    def test_slices_match_mpmath(self, kind, n):
+        rng = np.random.default_rng(4100 + 10 * n + len(kind))
+        A = crafted_stack(kind, n, rng)
+        scale = np.abs(A).max(axis=(0, 1))
+        b = random_complex(rng, n, A.shape[-1]) * scale
+        y = _eliminate(A, b)
+        assert y.shape == b.shape and np.isfinite(y).all()
+        exact = mp_solutions(A, b)
+        cond = np.linalg.cond(A.transpose(2, 0, 1))
+        error = np.linalg.norm(y - exact, axis=0) / np.linalg.norm(exact, axis=0)
+        assert (error <= 16 * n * _EPS * cond).all()
+
+    def test_leaves_its_arguments_unchanged(self):
+        rng = np.random.default_rng(4200)
+        A, b = crafted_stack("swap", 3, rng), random_complex(rng, 3, 48)
+        before = A.copy(), b.copy()
+        _eliminate(A, b)
+        assert np.array_equal(A, before[0]) and np.array_equal(b, before[1])
