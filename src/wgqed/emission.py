@@ -17,11 +17,15 @@ each of which only turns and decays, ``exp(-i lam t)``, so the excited blocks
 at all output times come from one matrix product. Where the eigenvectors are
 ill-conditioned (1-norm condition number above ``_MODAL_COND_MAX``, 1e3), as
 near an exceptional point where two modes merge, a Pade exponential of
-``-i H_eff t`` at every output time takes their place. One adjoint Lyapunov
-solve gives the outcome forms ``Y``, the time integrals of the flux forms.
-``Re tr(Y rho)`` is the probability that the excited block ``rho`` ever emits
-there: the accumulators read ``Re tr(Y (rho0 - rho(t)))``, and the command
-line's two-level diagnostic reads ``Y`` alone, with no propagation.
+``-i H_eff t`` at every output time takes their place. The outcome forms
+``Y``, the time integrals of the flux forms, solve one adjoint Lyapunov
+equation, which is diagonal in the basis of the same modes: where the
+condition number of the eigenvectors is at most ``_FORMS_COND_MAX``, the
+square root of ``_MODAL_COND_MAX``, the forms come from them, and elsewhere
+from the SVD of the ``n_e^2 x n_e^2`` Lyapunov operator. ``Re tr(Y rho)``
+is the probability that the excited block ``rho`` ever emits there: the
+accumulators read ``Re tr(Y (rho0 - rho(t)))``, and the command line's
+two-level diagnostic reads ``Y`` alone, with no propagation.
 
 Ground-manifold coherences between different photon channels, and between
 ground states within one channel, are not tracked: the reproduced observables
@@ -65,6 +69,11 @@ _ROUNDING_RATE = 2.0
 # as about 3e-17 times it (measured against a 35-digit exponential near an
 # exceptional point), so the modal form stays within ~3e-14 of exact here.
 _MODAL_COND_MAX = 1e3
+# Largest condition number at which the propagator takes the outcome forms
+# from the same modes: their error grows with its square (about 2e-17 times
+# it near an exceptional point), so they stay as close to exact as the modal
+# propagation at the largest condition number that one takes.
+_FORMS_COND_MAX = math.sqrt(_MODAL_COND_MAX)
 
 
 class EmitterDensityMatrix(NamedTuple):
@@ -176,28 +185,31 @@ def evolve(
     t_max: float | None = None,
     *,
     times: Sequence[float] | None = None,
-    output_points: int = 201,
+    output_points: int | None = None,
 ) -> EmissionTrajectory:
     """Propagate the emission of an initially excited emitter.
 
     ``initial`` is an :class:`ExcitedSuperposition` or an excited-block
     density matrix. Output states are stored at ``times`` (a nonempty,
     finite, strictly increasing grid starting at 0) or at ``output_points``
-    uniform samples of ``[0, t_max]``, not both; ``t_max`` defaults to 20
-    lifetimes of the slowest decaying mode of ``H_eff``. Every sample is
-    exact to rounding: the generator does not depend on time, so the excited
-    block is ``U rho0 U^dagger`` with ``U = exp(-i H_eff t)``, and each
-    accumulated probability is ``tr(Y (rho0 - rho(t)))``, where ``Y``, the
-    probability of eventually emitting into that channel, solves one adjoint
-    Lyapunov equation (Van Loan, IEEE TAC 23, 1978). ``U`` is
-    ``V diag(exp(-i lam t)) V^-1`` from one eigendecomposition of ``H_eff``
-    when the 1-norm condition number of ``V`` is at most 1e3, and a
-    degree-13 Pade exponential otherwise, near an exceptional point.
+    (201 if not given) uniform samples of ``[0, t_max]``, not both; ``t_max``
+    defaults to 20 lifetimes of the slowest decaying mode of ``H_eff``.
+    Every sample is exact to rounding: the generator does not depend on
+    time, so the excited block is ``U rho0 U^dagger`` with ``U = exp(-i
+    H_eff t)``, and each accumulated probability is ``tr(Y (rho0 -
+    rho(t)))``, where ``Y``, the probability of eventually emitting into that
+    channel, solves one adjoint Lyapunov equation (Van Loan, IEEE TAC 23,
+    1978). ``U`` is ``V diag(exp(-i lam t)) V^-1`` from one
+    eigendecomposition of ``H_eff`` when the 1-norm condition number of
+    ``V`` is at most 1e3, and a degree-13 Pade exponential otherwise, near
+    an exceptional point. ``Y`` comes from the same modes, where the
+    equation is diagonal, when that condition number is at most its square
+    root, ~31.6, and from an SVD of the Lyapunov operator otherwise.
 
     Raises :class:`ValueError` for an invalid time grid, ``t_max`` or
-    ``output_points``, or for both ``t_max`` and ``times``, and
-    :class:`NonPhysicalStateError` for a non-finite state or when the total
-    trace drifts beyond ``TRACE_DRIFT_TOL``.
+    ``output_points``, or for ``times`` with ``t_max`` or ``output_points``,
+    and :class:`NonPhysicalStateError` for a non-finite state or when the
+    total trace drifts beyond ``TRACE_DRIFT_TOL``.
     """
     bundle = coupling_bundle(model, env, loss)
     t_grid, rhos, probs, _ = _propagate(bundle, initial, t_max, times, output_points)
@@ -223,14 +235,29 @@ def outcome_forms(bundle: CouplingBundle) -> np.ndarray:
     return Z.T.reshape(bundle.flux_forms.shape).swapaxes(-1, -2)
 
 
-def _lyapunov(bundle: CouplingBundle, rate: float) -> np.ndarray:
-    """The outcome forms of :func:`outcome_forms` as the solution ``Z``
-    (n_e * n_e, n_g * 3) of their Lyapunov equation, ``Z[(a b), k] = Y_k[b,
-    a]``, with ``rate`` the rounding rate of ``H_eff``. The caller ignores
-    floating-point errors."""
+def _scaled_flux(bundle: CouplingBundle, rate: float) -> tuple[np.ndarray, float]:
+    """The flux forms ``Q`` of ``bundle``, checked to be finite, and the
+    power of two ``scale`` by which both form solvers scale their equation,
+    with ``rate`` the rounding rate of ``H_eff``. ``scale`` is ``2^-k``, with
+    ``2^k`` the power of two just above the largest ``|H_eff_ij|`` (the rate
+    is proportional to it) and ``k >= 0``, so that the scaled equation stays
+    finite where a mode's full rate overflows. A power of two scales exactly,
+    and the forms do not depend on it."""
     Q = bundle.flux_forms
     if not np.isfinite(Q).all():
         raise NonPhysicalStateError("non-finite channel flux in the emission propagation")
+    k = max(math.frexp(rate / (_ROUNDING_RATE * Q.shape[-1] * _EPS))[1], 0)
+    return Q, math.ldexp(1.0, -k)
+
+
+def _lyapunov(bundle: CouplingBundle, rate: float) -> np.ndarray:
+    """The outcome forms of :func:`outcome_forms` as the solution ``Z``
+    (n_e * n_e, n_g * 3) of their Lyapunov equation, ``Z[(a b), k] = Y_k[b,
+    a]``, with ``rate`` the rounding rate of ``H_eff``, from the SVD of the
+    Lyapunov operator. :func:`outcome_forms` reads it, and so does the
+    propagator where the eigenvectors of ``H_eff`` are too ill-conditioned
+    for :func:`_modal_forms`. The caller ignores floating-point errors."""
+    Q, scale = _scaled_flux(bundle, rate)
     n_e = Q.shape[-1]
     n_rho = n_e * n_e
     # With A = i H_eff, Y solves the adjoint Lyapunov equation A^dagger Y +
@@ -243,12 +270,6 @@ def _lyapunov(bundle: CouplingBundle, rate: float) -> np.ndarray:
     # there, so the minimum-norm solution is exact. For a normal H_eff the
     # singular value of a mode with itself is that mode's rate, so the solve
     # drops the singular values that _held would hold as rates.
-    # Both sides are scaled by 2^-k, with 2^k the power of two just above
-    # the largest |H_eff_ij| (the rate is proportional to it) and k >= 0, so
-    # that the operator stays finite where a mode's full rate overflows. A
-    # power of two scales exactly, and Z does not depend on it.
-    k = max(math.frexp(rate / (_ROUNDING_RATE * n_e * _EPS))[1], 0)
-    scale = math.ldexp(1.0, -k)
     A = (1j * scale) * bundle.H_eff
     eye = np.eye(n_e)
     K = (A.T[:, None, :, None] * eye[None, :, None, :]
@@ -259,9 +280,29 @@ def _lyapunov(bundle: CouplingBundle, rate: float) -> np.ndarray:
     return (Vh[keep].conj().T / s[keep]) @ (U[:, keep].conj().T @ F)
 
 
+def _modal_forms(bundle: CouplingBundle, rate: float, lam: np.ndarray, V: np.ndarray,
+                 V_inv: np.ndarray) -> np.ndarray:
+    """:func:`_lyapunov`'s ``Z`` from the eigendecomposition ``H_eff = V
+    diag(lam) V^-1``, with ``lam``, ``V`` and ``V^-1`` finite.
+
+    In the mode basis, ``Y = V^-dagger Y' V^-1``, the Lyapunov equation is
+    diagonal (Bartels and Stewart, Comm. ACM 15, 1972): ``i (lam_b -
+    conj(lam_a)) Y'_ab = (V^dagger Q V)_ab``. A pair with ``|lam_b -
+    conj(lam_a)|`` at most ``rate`` is held, as the SVD's cutoff holds it for
+    a normal ``H_eff``, and its entry is 0. The sandwich makes the error grow
+    with the square of the condition number of ``V``."""
+    Q, scale = _scaled_flux(bundle, rate)
+    n_e = Q.shape[-1]
+    sl = scale * lam    # scaled before the difference, which could overflow
+    den = 1j * (sl - sl.conj()[:, None])
+    Y = (scale * V.conj().T) @ Q @ V / np.where(np.abs(den) > rate * scale, den, np.inf)
+    Y = V_inv.conj().T @ Y @ V_inv
+    return Y.swapaxes(-1, -2).reshape(-1, n_e * n_e).T
+
+
 @np.errstate(all="ignore")
 def _propagate(bundle: CouplingBundle, initial, t_max: float | None = None,
-               times: Sequence[float] | None = None, output_points: int = 201,
+               times: Sequence[float] | None = None, output_points: int | None = None,
                geometric: bool = False):
     """:func:`evolve` from an assembled coupling bundle as the stacked arrays
     of its samples: times (T,), excited blocks (T, n_e, n_e), accumulated
@@ -274,6 +315,10 @@ def _propagate(bundle: CouplingBundle, initial, t_max: float | None = None,
     n_e = H.shape[0]
     if t_max is not None and times is not None:
         raise ValueError("give t_max or times, not both")
+    if output_points is not None and times is not None:
+        raise ValueError("give output_points or times, not both")
+    if output_points is None:
+        output_points = 201
     if (isinstance(output_points, bool) or not isinstance(output_points, (int, np.integer))
             or output_points < 1):
         raise ValueError(f"output_points must be a positive integer, got {output_points!r}")
@@ -321,7 +366,8 @@ def _propagate(bundle: CouplingBundle, initial, t_max: float | None = None,
     except np.linalg.LinAlgError:    # an exactly singular eigenbasis
         V_inv = np.full_like(V, np.nan)
     cond = np.abs(V).sum(axis=0).max() * np.abs(V_inv).sum(axis=0).max()
-    if np.isfinite(lam).all() and cond <= _MODAL_COND_MAX:
+    modal = np.isfinite(lam).all() and cond <= _MODAL_COND_MAX
+    if modal:
         # X = V diag(phi) C with phi = exp(-i lam t) and C = V^-1 L: X_ir =
         # sum_a phi_a V_ia C_ar is one product over the times. Its error
         # grows with cond(V), where that of the mode-basis block V^-1 rho0
@@ -338,7 +384,12 @@ def _propagate(bundle: CouplingBundle, initial, t_max: float | None = None,
     # d/dt tr(Y rho) = -tr(Q rho), so the accumulated probability is
     # tr(Y rho0) - tr(Y rho(t)) = sum_ab (rho0 - rho(t))_ab Z[(a b), k]; the
     # last column of W = [Z | vec I] gives tr rho(t) from the same product.
-    Z = _lyapunov(bundle, rate)
+    # Z comes from the same modes where V is conditioned well enough for the
+    # squared condition number of their sandwich, else from the SVD solve.
+    if modal and cond <= _FORMS_COND_MAX:
+        Z = _modal_forms(bundle, rate, lam, V, V_inv)
+    else:
+        Z = _lyapunov(bundle, rate)
     W = np.zeros((n_e * n_e, Z.shape[1] + 1), dtype=complex)
     W[:, :-1] = Z
     W[::n_e + 1, -1] = 1.0

@@ -313,20 +313,33 @@ class TestConservation:
             exc = np.array([np.trace(s.excited_block).real for s in traj.states])
             assert np.max(np.diff(exc)) <= 1e-10
 
+    @staticmethod
+    def assert_matches_eigen_propagator(model, env, s, psi):
+        times = np.linspace(0.0, 2.0, 9)
+        traj = evolve(model, env, LossModel.isotropic(s),
+                      ExcitedSuperposition.from_sequence(psi), times=times)
+        rhos, probs = oracle_emission(model, env, s, psi, times)
+        got_rho = np.array([st.excited_block for st in traj.states])
+        got_probs = np.array([st.ground_mode_probs for st in traj.states])
+        assert np.max(np.abs(got_rho - rhos)) < 1e-12
+        assert np.max(np.abs(got_probs - probs)) < 1e-12
+
     def test_trajectory_matches_eigen_propagator(self, rng):
         for _ in range(10):
             model = random_model(rng, int(rng.integers(1, 3)), int(rng.integers(1, 3)))
-            env = make_env(random_unit_vector(rng))
-            s = float(rng.uniform(0, 0.4))
-            psi = random_state(rng, model.n_excited)
-            times = np.linspace(0.0, 2.0, 9)
-            traj = evolve(model, env, LossModel.isotropic(s),
-                          ExcitedSuperposition.from_sequence(psi), times=times)
-            rhos, probs = oracle_emission(model, env, s, psi, times)
-            got_rho = np.array([st.excited_block for st in traj.states])
-            got_probs = np.array([st.ground_mode_probs for st in traj.states])
-            assert np.max(np.abs(got_rho - rhos)) < 1e-12
-            assert np.max(np.abs(got_probs - probs)) < 1e-12
+            self.assert_matches_eigen_propagator(model, make_env(random_unit_vector(rng)),
+                                                 float(rng.uniform(0, 0.4)),
+                                                 random_state(rng, model.n_excited))
+
+    @pytest.mark.parametrize("n_e", [4, 6, 8])
+    def test_larger_manifolds_match_eigen_propagator(self, monkeypatch, rng, n_e):
+        # the outcome forms come from the modes of H_eff: no SVD runs
+        svd_calls = counting(monkeypatch, np.linalg, "svd")
+        self.assert_matches_eigen_propagator(random_model(rng, int(rng.integers(1, 4)), n_e),
+                                             make_env(random_unit_vector(rng)),
+                                             float(rng.uniform(0.05, 0.5)),
+                                             random_state(rng, n_e))
+        assert svd_calls == []
 
 
 class TestHighPrecisionOracle:
@@ -351,6 +364,13 @@ class TestHighPrecisionOracle:
         self.assert_matches_oracle(model, make_env(random_unit_vector(rng)),
                                    random_loss_tensor(rng), random_state(rng, 3),
                                    [0.0, 0.1, 0.5, 2.0])
+
+    def test_random_lossy_four_level_emitter(self, monkeypatch, rng):
+        # one time past 0: mpmath's exponential of the 32 x 32 generator is slow
+        svd_calls = counting(monkeypatch, np.linalg, "svd")
+        self.assert_matches_oracle(random_model(rng, 2, 4), make_env(random_unit_vector(rng)),
+                                   random_loss_tensor(rng), random_state(rng, 4), [0.0, 1.0])
+        assert svd_calls == []
 
     def test_guided_dark_mode_with_weak_loss(self, rng):
         # E_f is linear in the dipole plane, so -sin(0.3) x + cos(0.3) y emits
@@ -404,7 +424,10 @@ class TestExceptionalPoint:
     there the eigenvectors are nearly parallel, with condition number about
     1.4 / sqrt(|delta / Gamma - 1|), and at Gamma H_eff is defective. The
     modal form loses about that condition number times 3e-17, so the
-    propagator runs the Pade exponential beyond ``_MODAL_COND_MAX``."""
+    propagator runs the Pade exponential beyond ``_MODAL_COND_MAX``. The
+    outcome forms from the same modes lose about its square times 2e-17, so
+    beyond ``_FORMS_COND_MAX`` (the square root of ``_MODAL_COND_MAX``) the
+    SVD solve gives them."""
 
     GAMMA = 10.0
     PSI = np.array([0.6, 0.8])
@@ -422,14 +445,16 @@ class TestExceptionalPoint:
         got_probs = np.array([st.ground_mode_probs for st in traj.states])
         return max(np.max(np.abs(got_rho - rhos)), np.max(np.abs(got_probs - probs)))
 
-    @pytest.mark.parametrize("offset,pade", [
-        (-1e-2, False), (-1e-4, False), (1e-5, False), (-1e-7, True), (1e-13, True),
-        (0.0, True),
+    @pytest.mark.parametrize("offset,pade,svd", [
+        (-1e-2, False, False), (-1e-4, False, True), (1e-5, False, True),
+        (-1e-7, True, True), (1e-13, True, True), (0.0, True, True),
     ], ids=["cond-14", "cond-141", "cond-447", "cond-4e3", "cond-4e6", "defective"])
-    def test_matches_oracle_on_both_sides_of_the_gate(self, monkeypatch, offset, pade):
+    def test_matches_oracle_on_both_sides_of_the_gate(self, monkeypatch, offset, pade, svd):
         expm_calls = counting(monkeypatch, emission_mod, "_expm")
+        svd_calls = counting(monkeypatch, np.linalg, "svd")
         assert self.oracle_error(offset) < 1e-12
         assert expm_calls == (["_expm"] if pade else [])
+        assert svd_calls == (["svd"] if svd else [])
 
     @pytest.mark.parametrize("offset", [-1e-13, 1e-13, 0.0])
     def test_modal_form_alone_misses_near_the_exceptional_point(self, monkeypatch, offset):
@@ -488,15 +513,74 @@ class TestExceptionalPoint:
         assert (eig_calls, eigvals_calls) == (["eig"], [])
 
     def test_one_evolve_decomposes_and_solves_once(self, monkeypatch):
-        # t_max given: one eig and one inv for the modes, one svd for the
-        # outcome forms and no second decomposition of the Lyapunov operator,
-        # and one rounding rate for the held modes and the Lyapunov cutoff
+        # t_max given: one eig and one inv for the modes, which give the
+        # outcome forms too, with no decomposition of the Lyapunov operator,
+        # and one rounding rate for the held modes and the forms' cutoff
         counted = [counting(monkeypatch, np.linalg, name)
                    for name in ("eig", "inv", "svd", "lstsq")]
         counted.append(counting(monkeypatch, emission_mod, "_rounding_rate"))
         evolve(paradox_model(), make_env(PARADOX_FIELD), LossModel.isotropic(0.2),
                ExcitedSuperposition(PARADOX_STATE), t_max=4.0, output_points=7)
-        assert counted == [["eig"], ["inv"], ["svd"], [], ["_rounding_rate"]]
+        assert counted == [["eig"], ["inv"], [], [], ["_rounding_rate"]]
+
+
+class TestFormSolvers:
+    """The outcome forms from the modes of ``H_eff`` (``_modal_forms``)
+    against the SVD solve of their Lyapunov equation (``_lyapunov``) wherever
+    the propagator may take either. Both lose digits in proportion to the
+    condition number of the equation, the ratio of the largest to the
+    smallest rate ``|lam_b - conj(lam_a)|`` it keeps."""
+
+    @staticmethod
+    def instances(rng):
+        """Bundles with ``n_g, n_e <= 3``: lossless, isotropic and tensor
+        loss, split and degenerate excited levels, every fourth with a
+        lossless level that has no dipoles (a dark mode, so held pairs), and
+        the two-level emitter whose total rate overflows a double."""
+        for k in range(120):
+            n_g, n_e = (int(n) for n in rng.integers(1, 4, size=2))
+            dark = k % 4 == 0
+            model = random_model(rng, n_g, n_e, degenerate=dark or k % 4 == 1)
+            env = make_env(random_unit_vector(rng))
+            if dark:
+                D = model.dipole_array().copy()
+                D[:, 0] = 0.0
+                model = EmitterModel.from_arrays(model.ground_energies,
+                                                 model.excited_energies, D)
+            loss = (LossModel.none() if dark or k % 3 == 0 else
+                    LossModel.isotropic(float(rng.uniform(0.01, 0.5))) if k % 3 == 1
+                    else random_loss_tensor(rng))
+            yield coupling_bundle(model, env, loss)
+        yield coupling_bundle(two_level(), make_env([4e153, 0, 0]),
+                              LossModel.isotropic(1.5e308))
+
+    def test_modal_forms_match_the_svd_solve_within_the_gate(self, rng):
+        within = held_pairs = 0
+        for bundle in self.instances(rng):
+            H = bundle.H_eff
+            rate = emission_mod._rounding_rate(H)
+            lam, V = np.linalg.eig(H)
+            V_inv = np.linalg.inv(V)
+            cond = np.abs(V).sum(axis=0).max() * np.abs(V_inv).sum(axis=0).max()
+            if not cond <= emission_mod._FORMS_COND_MAX:
+                continue
+            within += 1
+            Z_svd = emission_mod._lyapunov(bundle, rate)
+            Z_modal = emission_mod._modal_forms(bundle, rate, lam, V, V_inv)
+            unit = np.abs(lam).max()    # so that no difference overflows
+            sep = np.abs(lam / unit - (lam / unit).conj()[:, None])
+            held = ~(sep > rate / unit)
+            kept = sep[~held]
+            kappa = kept.max() / kept.min() if kept.size else 1.0
+            tol = max(1e-13, 64 * np.finfo(float).eps * kappa) * np.abs(Z_svd).max()
+            assert np.abs(Z_modal - Z_svd).max() <= tol
+            # in the mode basis both leave the held pairs at 0
+            n_e = H.shape[0]
+            for Z in (Z_svd, Z_modal):
+                Y = Z.T.reshape(-1, n_e, n_e).swapaxes(-1, -2)
+                assert np.abs((V.conj().T @ Y @ V)[:, held]).max(initial=0.0) <= tol
+            held_pairs += held.sum()
+        assert within > 100 and held_pairs > 0
 
 
 def with_forms(monkeypatch, value):
@@ -588,6 +672,8 @@ class TestInterfaces:
             (dict(output_points=-3), "output_points"),
             # t_max would be silently ignored
             (dict(t_max=1.0, times=[0.0, 5.0]), "t_max or times"),
+            # output_points would be silently ignored
+            (dict(times=[0.0, 1.0], output_points=5), "output_points or times"),
         ]
         for kwargs, named in bad_grids:
             with pytest.raises(ValueError, match=named):
