@@ -143,7 +143,7 @@ def _held(lam: np.ndarray, rate: float) -> np.ndarray:
     Im lam`` is at most the rounding rate ``rate`` of their matrix. A
     positive ``Im lam`` (rounding; ``H_eff`` is passive) and a nan count as
     held too."""
-    return ~(-lam.imag > 0.5 * rate)
+    return ~(lam.imag < -0.5 * rate)
 
 
 def _expm(A: np.ndarray) -> np.ndarray:
@@ -213,7 +213,7 @@ def evolve(
     """
     bundle = coupling_bundle(model, env, loss)
     t_grid, rhos, probs, _ = _propagate(bundle, initial, t_max, times, output_points)
-    totals = DirectionalTotals(*probs[-1].sum(axis=0).tolist(), float(np.trace(rhos[-1]).real))
+    totals = DirectionalTotals(*probs[-1].sum(axis=0).tolist(), float(rhos[-1].trace().real))
     # tuple.__new__ over zipped fields builds the records without a Python
     # frame per record.
     states = tuple(map(tuple.__new__, repeat(EmitterDensityMatrix), zip(rhos, probs)))
@@ -231,21 +231,27 @@ def outcome_forms(bundle: CouplingBundle) -> np.ndarray:
     so the outcome distributions of two states differ in total variation by
     no more than the trace distance of the states.
     """
+    _check_flux(bundle)
     Z = _lyapunov(bundle, _rounding_rate(bundle.H_eff))
     return Z.T.reshape(bundle.flux_forms.shape).swapaxes(-1, -2)
 
 
-def _scaled_flux(bundle: CouplingBundle, rate: float) -> tuple[np.ndarray, float]:
-    """The flux forms ``Q`` of ``bundle``, checked to be finite, and the
-    power of two ``scale`` by which both form solvers scale their equation,
-    with ``rate`` the rounding rate of ``H_eff``. ``scale`` is ``2^-k``, with
-    ``2^k`` the power of two just above the largest ``|H_eff_ij|`` (the rate
-    is proportional to it) and ``k >= 0``, so that the scaled equation stays
-    finite where a mode's full rate overflows. A power of two scales exactly,
-    and the forms do not depend on it."""
-    Q = bundle.flux_forms
-    if not np.isfinite(Q).all():
+def _check_flux(bundle: CouplingBundle) -> None:
+    """Raise where a flux form of ``bundle`` is not finite."""
+    if not np.isfinite(bundle.flux_forms).all():
         raise NonPhysicalStateError("non-finite channel flux in the emission propagation")
+
+
+def _scaled_flux(bundle: CouplingBundle, rate: float) -> tuple[np.ndarray, float]:
+    """The flux forms ``Q`` of ``bundle``, whose finiteness the caller
+    checks (:func:`_check_flux`), and the power of two ``scale`` by which
+    both form solvers scale their equation, with ``rate`` the rounding rate
+    of ``H_eff``. ``scale`` is ``2^-k``, with ``2^k`` the power of two just
+    above the largest ``|H_eff_ij|`` (the rate is proportional to it) and
+    ``k >= 0``, so that the scaled equation stays finite where a mode's full
+    rate overflows. A power of two scales exactly, and the forms do not
+    depend on it."""
+    Q = bundle.flux_forms
     k = max(math.frexp(rate / (_ROUNDING_RATE * Q.shape[-1] * _EPS))[1], 0)
     return Q, math.ldexp(1.0, -k)
 
@@ -290,14 +296,22 @@ def _modal_forms(bundle: CouplingBundle, rate: float, lam: np.ndarray, V: np.nda
     conj(lam_a)) Y'_ab = (V^dagger Q V)_ab``. A pair with ``|lam_b -
     conj(lam_a)|`` at most ``rate`` is held, as the SVD's cutoff holds it for
     a normal ``H_eff``, and its entry is 0. The sandwich makes the error grow
-    with the square of the condition number of ``V``."""
+    with the square of the condition number of ``V``.
+
+    The K = 3 n_g forms are stacked along the middle axis, ``[a, k, b]``, so
+    that each of the four products of the two sandwiches, from the left or
+    from the right, is one 2-d product over the whole stack: from the left
+    over the columns ``(k, b)``, from the right over the rows ``(a, k)``."""
     Q, scale = _scaled_flux(bundle, rate)
     n_e = Q.shape[-1]
     sl = scale * lam    # scaled before the difference, which could overflow
     den = 1j * (sl - sl.conj()[:, None])
-    Y = (scale * V.conj().T) @ Q @ V / np.where(np.abs(den) > rate * scale, den, np.inf)
-    Y = V_inv.conj().T @ Y @ V_inv
-    return Y.swapaxes(-1, -2).reshape(-1, n_e * n_e).T
+    Y = (scale * V.conj().T) @ Q.reshape(-1, n_e, n_e).transpose(1, 0, 2).reshape(n_e, -1)
+    Y = (Y.reshape(-1, n_e) @ V).reshape(n_e, -1, n_e)
+    Y /= np.where(np.abs(den) > rate * scale, den, np.inf)[:, None, :]
+    Y = (V_inv.conj().T @ Y.reshape(n_e, -1)).reshape(-1, n_e) @ V_inv
+    # Z[(a b), k] = Y_k[b, a], stored at [b, k, a]
+    return Y.reshape(n_e, -1, n_e).transpose(2, 0, 1).reshape(n_e * n_e, -1)
 
 
 @np.errstate(all="ignore")
@@ -310,7 +324,8 @@ def _propagate(bundle: CouplingBundle, initial, t_max: float | None = None,
     ``TRACE_DRIFT_TOL``, all read-only. Without ``times``, the grid over
     ``t_max`` (by default 20 lifetimes of the slowest decaying mode) is
     uniform, or with ``geometric`` 0 and then ``output_points - 1`` times
-    spaced geometrically from ``5e-5 t_max`` to ``t_max``."""
+    spaced geometrically from ``5e-5 t_max`` to ``t_max`` (two points are 0
+    and ``t_max``)."""
     H = bundle.H_eff
     n_e = H.shape[0]
     if t_max is not None and times is not None:
@@ -334,29 +349,41 @@ def _propagate(bundle: CouplingBundle, initial, t_max: float | None = None,
             horizon = DEFAULT_LIFETIMES
         else:    # over half the smallest rate -2 Im lam, so that no rate overflows
             horizon = float(0.5 * DEFAULT_LIFETIMES / np.min(-lam.imag[~held]))
-        if not (np.isfinite(horizon) and horizon > 0):
+        if not (math.isfinite(horizon) and horizon > 0):
             raise ValueError("t_max must be positive and finite, got "
                              f"{horizon if t_max is None else t_max!r}")
         if geometric:    # a subnormal horizon rounds the first time past 0 to 0
             first = horizon * 5e-5
             t_grid = (np.concatenate(([0.0], np.geomspace(first, horizon, output_points - 1)))
                       if first > 0.0 else np.zeros(output_points))
+            if output_points > 1:    # geomspace(first, horizon, 1) is [first]
+                t_grid[-1] = horizon
+            rises = not (t_grid[1:] <= t_grid[:-1]).any()
         else:
             # np.linspace(0, horizon, output_points) to the bit, without its
-            # overhead; where the step underflows to 0 both repeat a time
+            # overhead. k step rises with k where the step is positive, and
+            # only a subnormal step rounded up brings the time before the
+            # last to the horizon; where the step underflows to 0 both
+            # repeat a time.
             t_grid = np.arange(output_points, dtype=float)
+            rises = True
             if output_points > 1:
-                t_grid *= horizon / (output_points - 1)
+                step = horizon / (output_points - 1)
+                t_grid *= step
+                rises = step > 0.0 and t_grid[-2] < horizon
                 t_grid[-1] = horizon
-        if (t_grid[1:] <= t_grid[:-1]).any():
+        if not rises:
             raise ValueError(f"t_max {horizon!r} is too small for {output_points} "
                              "strictly increasing output times")
     else:
         t_grid = _as_grid(times, "output times")
         if t_grid[0] != 0.0 or (t_grid[1:] <= t_grid[:-1]).any():
             raise ValueError("output times must start at 0 and be strictly increasing")
-    # |t H_ij| grows with t, so the last time has the largest 1-norm
-    if not np.isfinite(np.abs(t_grid[-1] * H).sum(axis=0).max()):
+    # |t H_ij| grows with t, so the last time has the largest 1-norm. It is
+    # at most n_e t max|H_ij|, half of t rate / eps, so only where that
+    # bound overflows is the sum taken.
+    if not (math.isfinite(t_grid[-1] * rate / _EPS)
+            or math.isfinite(np.abs(t_grid[-1] * H).sum(axis=0).max())):
         raise NonPhysicalStateError("H_eff t overflows at the output times")
 
     # The excited block obeys d rho/dt = -i (H_eff rho - rho H_eff^dagger),
@@ -365,7 +392,9 @@ def _propagate(bundle: CouplingBundle, initial, t_max: float | None = None,
         V_inv = np.linalg.inv(V)
     except np.linalg.LinAlgError:    # an exactly singular eigenbasis
         V_inv = np.full_like(V, np.nan)
-    cond = np.abs(V).sum(axis=0).max() * np.abs(V_inv).sum(axis=0).max()
+    # the 1-norm condition number, from one column sum over [V, V^-1]
+    norms = np.add.reduce(np.abs(np.concatenate((V, V_inv), axis=1))).reshape(2, -1).max(axis=1)
+    cond = norms[0] * norms[1]
     modal = np.isfinite(lam).all() and cond <= _MODAL_COND_MAX
     if modal:
         # X = V diag(phi) C with phi = exp(-i lam t) and C = V^-1 L: X_ir =
@@ -373,12 +402,12 @@ def _propagate(bundle: CouplingBundle, initial, t_max: float | None = None,
         # grows with cond(V), where that of the mode-basis block V^-1 rho0
         # V^-dagger would grow with its square. A held mode only turns, as
         # the outcome forms take it, and cannot overflow.
-        phi = np.exp(-1j * t_grid[:, None] * np.where(held, lam.real, lam))
+        phi = np.exp(t_grid[:, None] * (-1j * np.where(held, lam.real, lam)))
         VC = (V.T[:, :, None] * (V_inv @ L)[:, None, :]).reshape(n_e, -1)
         X = (phi @ VC).reshape(t_grid.size, n_e, -1)
     else:
         X = _expm(-t_grid[:, None, None] * (1j * H)) @ L
-    rhos = np.einsum("tir,tjr->tij", X, X.conj())
+    rhos = X @ X.conj().swapaxes(-1, -2)
     rhos[0] = rho0
 
     # d/dt tr(Y rho) = -tr(Q rho), so the accumulated probability is
@@ -398,12 +427,18 @@ def _propagate(bundle: CouplingBundle, initial, t_max: float | None = None,
 
     # The excited block decays through the sandwich-built H_eff while the
     # accumulators integrate the channel fluxes: their sum checks one
-    # against the other.
+    # against the other. A non-finite entry of a flux form, of Z or of a
+    # block makes the real part of every product with it, and so the total,
+    # non-finite: a total within the bound clears them all, and only a failed
+    # bound scans them, so that a non-finite flux or state is named as such
+    # before any drift.
     total = read[:, -1] + probs.sum(axis=(-2, -1))
-    if not (np.isfinite(Z).all() and np.isfinite(rhos).all() and np.isfinite(total).all()):
-        raise NonPhysicalStateError("non-finite state in the emission propagation")
-    k = int(np.argmax(np.abs(total - 1.0)))
-    if abs(total[k] - 1.0) > TRACE_DRIFT_TOL:
+    drift = np.abs(total - 1.0)
+    k = drift.argmax()
+    if not drift[k] <= TRACE_DRIFT_TOL:
+        _check_flux(bundle)
+        if not (np.isfinite(Z).all() and np.isfinite(rhos).all() and np.isfinite(total).all()):
+            raise NonPhysicalStateError("non-finite state in the emission propagation")
         raise NonPhysicalStateError(
             f"total trace drifted to {total[k]:.17g} at t = {t_grid[k]:.6g} "
             f"(allowed deviation {TRACE_DRIFT_TOL:.1e})"

@@ -1239,6 +1239,18 @@ class TestCustomEmission:
         assert last["p_backward"] == pytest.approx(41 / 50, abs=1e-12)
         assert last["trace"] == pytest.approx(1.0, abs=1e-12)
 
+    def test_two_point_geometric_grid_ends_at_the_horizon(self, monkeypatch, tmp_path):
+        # the default grid is geometric: its two times are 0 and the default
+        # horizon, 20 lifetimes of the rate 2, where the split is 9/50, 41/50
+        cfg = {"scenario": "paradox-emission", "integrator": {"output_points": 2}}
+        (tmp_path / "em.json").write_text(json.dumps(cfg))
+        assert run_cli(monkeypatch, tmp_path, "run", "em.json", "--out", "em.csv") == 0
+        header, data = read_csv(tmp_path / "em.csv")
+        assert data[:, 0].tolist() == [0.0, pytest.approx(10.0)]
+        last = dict(zip(header, data[-1]))
+        assert last["p_forward"] == pytest.approx(9 / 50, abs=1e-8)
+        assert last["p_backward"] == pytest.approx(41 / 50, abs=1e-8)
+
     @pytest.mark.parametrize("integrator", [
         {"t_max": 1e-320},
         {"t_max": 1e-321, "grid": "linear"},
@@ -1265,7 +1277,8 @@ class TestCustomEmission:
         if t_max is None:    # the default horizon, 20 lifetimes of the slowest mode
             model, env, loss, _, state = preset("paradox-emission").built
             t_max = wgqed.emission._propagate(coupling_bundle(model, env, loss), state)[0][-1]
-        expected = (np.linspace(0.0, t_max, n) if grid == "linear" else
+        # a geometric grid of two times is 0 and t_max, as np.geomspace(a, b, 1) is [a]
+        expected = (np.linspace(0.0, t_max, n) if grid == "linear" or n == 2 else
                     np.concatenate(([0.0], np.geomspace(t_max * 5e-5, t_max, n - 1))))
         _, data = read_csv(tmp_path / "em.csv")
         assert data[:, 0].tobytes() == expected.tobytes()

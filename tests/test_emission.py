@@ -366,7 +366,7 @@ class TestHighPrecisionOracle:
                                    [0.0, 0.1, 0.5, 2.0])
 
     def test_random_lossy_four_level_emitter(self, monkeypatch, rng):
-        # one time past 0: mpmath's exponential of the 32 x 32 generator is slow
+        # one time past 0: mpmath's exponential of the 16 x 16 generator is slow
         svd_calls = counting(monkeypatch, np.linalg, "svd")
         self.assert_matches_oracle(random_model(rng, 2, 4), make_env(random_unit_vector(rng)),
                                    random_loss_tensor(rng), random_state(rng, 4), [0.0, 1.0])
@@ -387,6 +387,14 @@ class TestHighPrecisionOracle:
         # the slow mode, all that is left at t = 1, has mostly emitted by t = 2000
         populations = np.trace(rho, axis1=1, axis2=2).real
         assert populations[-1] < 0.5 * populations[2]
+
+    def test_lossless_level_without_dipoles(self):
+        # the second level never decays, so the oracle's generator of the
+        # excited block is singular and it exponentiates the augmented one
+        model = EmitterModel.from_arrays([0.0], [1.0, 1.3], [[[1, 0, 0], [0, 0, 0]]])
+        rho, _ = self.assert_matches_oracle(model, make_env([1, 0, 0]), LossModel.none(),
+                                            np.array([0.6, 0.8j]), [0.0, 0.1, 1.0, 30.0])
+        assert rho[-1, 1, 1].real == pytest.approx(0.64, abs=1e-14)
 
     def test_lossless_dark_level_is_spectator(self):
         # E_f = x: level y is dark, so its population never leaves and the
@@ -697,17 +705,40 @@ class TestInterfaces:
             evolve(two_level(), make_env([1, 0, 0]), LossModel.none(),
                    ExcitedSuperposition([1.0]), t_max=5e-324, output_points=n)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 37])
+    def test_uniform_grid_rises_where_linspace_does(self, n):
+        # horizons of a few subnormal units, where the step rounds down to 0
+        # or up, so far up for some that the time before the last reaches
+        # the horizon: the grid is refused exactly where np.linspace repeats
+        # a time, and is np.linspace elsewhere
+        bundle = coupling_bundle(two_level(), make_env([1, 0, 0]), LossModel.none())
+        state = ExcitedSuperposition([1.0])
+        refused = 0
+        for units in range(1, 3 * n):
+            t_max = units * 5e-324
+            grid = np.linspace(0.0, t_max, n)
+            if (np.diff(grid) > 0).all():
+                times = emission_mod._propagate(bundle, state, t_max, output_points=n)[0]
+                assert times.tobytes() == grid.tobytes()
+            else:
+                refused += 1
+                with pytest.raises(ValueError, match="strictly increasing"):
+                    emission_mod._propagate(bundle, state, t_max, output_points=n)
+        assert refused == 0 if n == 2 else refused > 0
+
     @pytest.mark.parametrize("n", [2, 37, 250])
     @pytest.mark.parametrize("t_max", [None, 3.0, 1e300, 1e-300])
     def test_geometric_grid_to_the_bit(self, t_max, n):
-        # 0, then n - 1 times spaced geometrically from 5e-5 t_max to t_max
+        # 0, then n - 1 times spaced geometrically from 5e-5 t_max to t_max;
+        # with n = 2 that is 0 and t_max, as np.geomspace(a, b, 1) is [a]
         bundle = coupling_bundle(paradox_model(), make_env(PARADOX_FIELD), LossModel.none())
         state = ExcitedSuperposition(PARADOX_STATE)
         times = emission_mod._propagate(bundle, state, t_max, output_points=n,
                                         geometric=True)[0]
         # the default horizon is the last time of the uniform grid
         h = emission_mod._propagate(bundle, state)[0][-1] if t_max is None else t_max
-        expected = np.concatenate(([0.0], np.geomspace(h * 5e-5, h, n - 1)))
+        expected = (np.array([0.0, h]) if n == 2 else
+                    np.concatenate(([0.0], np.geomspace(h * 5e-5, h, n - 1))))
         assert times.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("t_max", [1e-320, 5e-324])
@@ -758,6 +789,47 @@ class TestInterfaces:
         with pytest.raises(NonPhysicalStateError, match="non-finite channel flux"):
             evolve(two_level(), make_env([1, 0, 0]), LossModel.none(),
                    ExcitedSuperposition.from_sequence([1.0]), t_max=2.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("gate", [None, "_FORMS_COND_MAX", "_MODAL_COND_MAX"],
+                             ids=["modal", "svd-forms", "pade"])
+    def test_one_non_finite_flux_entry_is_named_on_every_path(self, monkeypatch, gate, value):
+        # one entry is enough, and the flux is named before the non-finite
+        # state it leads to
+        build = emission_mod.coupling_bundle
+
+        def patched(*args):
+            bundle = build(*args)
+            Q = bundle.flux_forms.copy()
+            Q[0, 1, 0, 1] = value
+            return bundle._replace(flux_forms=Q)
+        monkeypatch.setattr(emission_mod, "coupling_bundle", patched)
+        if gate:    # close the gate, so that the SVD forms or Pade run
+            monkeypatch.setattr(emission_mod, gate, 0.0)
+        message = "^non-finite channel flux in the emission propagation$"
+        with pytest.raises(NonPhysicalStateError, match=message):
+            paradox_run(t_max=3.0, output_points=5)
+        with pytest.raises(NonPhysicalStateError, match=message):
+            outcome_forms(patched(paradox_model(), make_env(PARADOX_FIELD), LossModel.none()))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("solver", ["_modal_forms", "_lyapunov", "_expm"])
+    def test_non_finite_state_is_named_before_any_drift(self, monkeypatch, solver, value):
+        # a non-finite entry in the outcome forms, or in the exponential at
+        # the last time, is a non-finite state, not a drifted trace
+        original = getattr(emission_mod, solver)
+
+        def patched(*args):
+            out = original(*args).copy()
+            out.reshape(-1)[-1] = value
+            return out
+        monkeypatch.setattr(emission_mod, solver, patched)
+        gate = {"_lyapunov": "_FORMS_COND_MAX", "_expm": "_MODAL_COND_MAX"}.get(solver)
+        if gate:    # close the gate, so that the patched solver runs
+            monkeypatch.setattr(emission_mod, gate, 0.0)
+        with pytest.raises(NonPhysicalStateError,
+                           match="^non-finite state in the emission propagation$"):
+            paradox_run(t_max=3.0, output_points=5)
 
     def test_default_horizon_covers_twenty_lifetimes(self):
         traj = evolve(two_level(), make_env([1, 0, 0]), LossModel.none(),
