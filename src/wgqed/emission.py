@@ -19,10 +19,11 @@ ill-conditioned (1-norm condition number above ``_MODAL_COND_MAX``, 1e3), as
 near an exceptional point where two modes merge, a Pade exponential of
 ``-i H_eff t`` at every output time takes their place. The outcome forms
 ``Y``, the time integrals of the flux forms, solve one adjoint Lyapunov
-equation, which is diagonal in the basis of the same modes: where the
-condition number of the eigenvectors is at most ``_FORMS_COND_MAX``, the
-square root of ``_MODAL_COND_MAX``, the forms come from them, and elsewhere
-from the SVD of the ``n_e^2 x n_e^2`` Lyapunov operator. ``Re tr(Y rho)``
+equation, diagonal in the basis of the same modes. One rule, the same in
+the propagation and in :func:`outcome_forms`, gives them from the modes
+where the condition number of the eigenvectors is at most
+``_FORMS_COND_MAX``, the square root of ``_MODAL_COND_MAX``, and from the
+SVD of the ``n_e^2 x n_e^2`` Lyapunov operator elsewhere. ``Re tr(Y rho)``
 is the probability that the excited block ``rho`` ever emits there: the
 accumulators read ``Re tr(Y (rho0 - rho(t)))``, and the command line's
 two-level diagnostic reads ``Y`` alone, with no propagation.
@@ -202,9 +203,9 @@ def evolve(
     1978). ``U`` is ``V diag(exp(-i lam t)) V^-1`` from one
     eigendecomposition of ``H_eff`` when the 1-norm condition number of
     ``V`` is at most 1e3, and a degree-13 Pade exponential otherwise, near
-    an exceptional point. ``Y`` comes from the same modes, where the
-    equation is diagonal, when that condition number is at most its square
-    root, ~31.6, and from an SVD of the Lyapunov operator otherwise.
+    an exceptional point. ``Y``, as in :func:`outcome_forms`, comes from the
+    same modes when that condition number is at most its square root,
+    ~31.6, and from an SVD of the Lyapunov operator otherwise.
 
     Raises :class:`ValueError` for an invalid time grid, ``t_max`` or
     ``output_points``, or for ``times`` with ``t_max`` or ``output_points``,
@@ -232,7 +233,7 @@ def outcome_forms(bundle: CouplingBundle) -> np.ndarray:
     no more than the trace distance of the states.
     """
     _check_flux(bundle)
-    Z = _lyapunov(bundle, _rounding_rate(bundle.H_eff))
+    Z = _forms(bundle, _rounding_rate(bundle.H_eff), *_eigenbasis(bundle.H_eff))
     return Z.T.reshape(bundle.flux_forms.shape).swapaxes(-1, -2)
 
 
@@ -242,28 +243,40 @@ def _check_flux(bundle: CouplingBundle) -> None:
         raise NonPhysicalStateError("non-finite channel flux in the emission propagation")
 
 
-def _scaled_flux(bundle: CouplingBundle, rate: float) -> tuple[np.ndarray, float]:
-    """The flux forms ``Q`` of ``bundle``, whose finiteness the caller
-    checks (:func:`_check_flux`), and the power of two ``scale`` by which
-    both form solvers scale their equation, with ``rate`` the rounding rate
-    of ``H_eff``. ``scale`` is ``2^-k``, with ``2^k`` the power of two just
-    above the largest ``|H_eff_ij|`` (the rate is proportional to it) and
-    ``k >= 0``, so that the scaled equation stays finite where a mode's full
-    rate overflows. A power of two scales exactly, and the forms do not
-    depend on it."""
+def _eigenbasis(H: np.ndarray):
+    """``lam``, ``V``, ``V^-1`` with ``H = V diag(lam) V^-1`` and the 1-norm
+    condition number of ``V``: nan where ``V`` is exactly singular and inf
+    where an eigenvalue is not finite, so that a gate ``cond <= bound`` fails
+    for both. The caller ignores floating-point errors."""
+    lam, V = np.linalg.eig(H)
+    try:
+        V_inv = np.linalg.inv(V)
+    except np.linalg.LinAlgError:    # an exactly singular eigenbasis
+        V_inv = np.full_like(V, np.nan)
+    norms = np.add.reduce(np.abs(np.concatenate((V, V_inv), axis=1))).reshape(2, -1).max(axis=1)
+    cond = norms[0] * norms[1] if np.isfinite(lam).all() else math.inf
+    return lam, V, V_inv, cond
+
+
+def _forms(bundle: CouplingBundle, rate: float, lam: np.ndarray, V: np.ndarray,
+           V_inv: np.ndarray, cond: float) -> np.ndarray:
+    """The outcome forms as the solution ``Z`` (n_e * n_e, n_g * 3) of their
+    Lyapunov equation, ``Z[(a b), k] = Y_k[b, a]``, with ``rate`` the
+    rounding rate of ``H_eff`` and the rest its :func:`_eigenbasis`: from the
+    modes where ``cond <= _FORMS_COND_MAX``, else from an SVD. Both solvers
+    scale the equation exactly by ``2^-k``, ``2^k >= 1`` the power of two just
+    above ``max|H_eff_ij|`` (``rate`` is proportional to it), so that it stays
+    finite where a mode's full rate overflows. The caller checks the flux
+    forms (:func:`_check_flux`) and ignores floating-point errors."""
+    scale = math.ldexp(1.0, -max(math.frexp(rate / (_ROUNDING_RATE * lam.size * _EPS))[1], 0))
+    if cond <= _FORMS_COND_MAX:
+        return _modal_forms(bundle, rate, scale, lam, V, V_inv)
+    return _lyapunov(bundle, rate, scale)
+
+
+def _lyapunov(bundle: CouplingBundle, rate: float, scale: float) -> np.ndarray:
+    """:func:`_forms`' ``Z`` from the SVD of the Lyapunov operator, for ill-conditioned modes."""
     Q = bundle.flux_forms
-    k = max(math.frexp(rate / (_ROUNDING_RATE * Q.shape[-1] * _EPS))[1], 0)
-    return Q, math.ldexp(1.0, -k)
-
-
-def _lyapunov(bundle: CouplingBundle, rate: float) -> np.ndarray:
-    """The outcome forms of :func:`outcome_forms` as the solution ``Z``
-    (n_e * n_e, n_g * 3) of their Lyapunov equation, ``Z[(a b), k] = Y_k[b,
-    a]``, with ``rate`` the rounding rate of ``H_eff``, from the SVD of the
-    Lyapunov operator. :func:`outcome_forms` reads it, and so does the
-    propagator where the eigenvectors of ``H_eff`` are too ill-conditioned
-    for :func:`_modal_forms`. The caller ignores floating-point errors."""
-    Q, scale = _scaled_flux(bundle, rate)
     n_e = Q.shape[-1]
     n_rho = n_e * n_e
     # With A = i H_eff, Y solves the adjoint Lyapunov equation A^dagger Y +
@@ -286,9 +299,9 @@ def _lyapunov(bundle: CouplingBundle, rate: float) -> np.ndarray:
     return (Vh[keep].conj().T / s[keep]) @ (U[:, keep].conj().T @ F)
 
 
-def _modal_forms(bundle: CouplingBundle, rate: float, lam: np.ndarray, V: np.ndarray,
-                 V_inv: np.ndarray) -> np.ndarray:
-    """:func:`_lyapunov`'s ``Z`` from the eigendecomposition ``H_eff = V
+def _modal_forms(bundle: CouplingBundle, rate: float, scale: float, lam: np.ndarray,
+                 V: np.ndarray, V_inv: np.ndarray) -> np.ndarray:
+    """:func:`_forms`' ``Z`` from the eigendecomposition ``H_eff = V
     diag(lam) V^-1``, with ``lam``, ``V`` and ``V^-1`` finite.
 
     In the mode basis, ``Y = V^-dagger Y' V^-1``, the Lyapunov equation is
@@ -302,7 +315,7 @@ def _modal_forms(bundle: CouplingBundle, rate: float, lam: np.ndarray, V: np.nda
     that each of the four products of the two sandwiches, from the left or
     from the right, is one 2-d product over the whole stack: from the left
     over the columns ``(k, b)``, from the right over the rows ``(a, k)``."""
-    Q, scale = _scaled_flux(bundle, rate)
+    Q = bundle.flux_forms
     n_e = Q.shape[-1]
     sl = scale * lam    # scaled before the difference, which could overflow
     den = 1j * (sl - sl.conj()[:, None])
@@ -338,7 +351,7 @@ def _propagate(bundle: CouplingBundle, initial, t_max: float | None = None,
             or output_points < 1):
         raise ValueError(f"output_points must be a positive integer, got {output_points!r}")
     rho0, L = _coerce_initial(initial, n_e)
-    lam, V = np.linalg.eig(H)
+    lam, V, V_inv, cond = _eigenbasis(H)
     rate = _rounding_rate(H)
     held = _held(lam, rate)
 
@@ -388,15 +401,7 @@ def _propagate(bundle: CouplingBundle, initial, t_max: float | None = None,
 
     # The excited block obeys d rho/dt = -i (H_eff rho - rho H_eff^dagger),
     # so rho(t) = X X^dagger with X = U L and U = exp(-i H_eff t).
-    try:
-        V_inv = np.linalg.inv(V)
-    except np.linalg.LinAlgError:    # an exactly singular eigenbasis
-        V_inv = np.full_like(V, np.nan)
-    # the 1-norm condition number, from one column sum over [V, V^-1]
-    norms = np.add.reduce(np.abs(np.concatenate((V, V_inv), axis=1))).reshape(2, -1).max(axis=1)
-    cond = norms[0] * norms[1]
-    modal = np.isfinite(lam).all() and cond <= _MODAL_COND_MAX
-    if modal:
+    if cond <= _MODAL_COND_MAX:
         # X = V diag(phi) C with phi = exp(-i lam t) and C = V^-1 L: X_ir =
         # sum_a phi_a V_ia C_ar is one product over the times. Its error
         # grows with cond(V), where that of the mode-basis block V^-1 rho0
@@ -413,12 +418,7 @@ def _propagate(bundle: CouplingBundle, initial, t_max: float | None = None,
     # d/dt tr(Y rho) = -tr(Q rho), so the accumulated probability is
     # tr(Y rho0) - tr(Y rho(t)) = sum_ab (rho0 - rho(t))_ab Z[(a b), k]; the
     # last column of W = [Z | vec I] gives tr rho(t) from the same product.
-    # Z comes from the same modes where V is conditioned well enough for the
-    # squared condition number of their sandwich, else from the SVD solve.
-    if modal and cond <= _FORMS_COND_MAX:
-        Z = _modal_forms(bundle, rate, lam, V, V_inv)
-    else:
-        Z = _lyapunov(bundle, rate)
+    Z = _forms(bundle, rate, lam, V, V_inv, cond)
     W = np.zeros((n_e * n_e, Z.shape[1] + 1), dtype=complex)
     W[:, :-1] = Z
     W[::n_e + 1, -1] = 1.0

@@ -849,8 +849,10 @@ class TestParseOnce:
     def test_one_expansion_and_one_decomposition_per_run(self, monkeypatch, tmp_path, argv):
         # main hands the raw config and its flags to one parse, which expands
         # the preset once; the emission table decomposes H_eff once, for the
-        # default horizon and the propagation
-        calls = {"_expand": 0, "parse_config": 0, "eig": 0}
+        # default horizon, the propagation and the outcome forms, and the
+        # two-level diagnostic once, for its outcome forms, which take no
+        # SVD: the one SVD of a run without a sweep is the scattering gate's
+        calls = {"_expand": 0, "parse_config": 0, "eig": 0, "svd": 0}
 
         def counting(name, original):
             def wrapper(*args, **kwargs):
@@ -859,7 +861,7 @@ class TestParseOnce:
             return wrapper
 
         for module, name in ((wgqed.cli, "_expand"), (wgqed.cli, "parse_config"),
-                             (np.linalg, "eig")):
+                             (np.linalg, "eig"), (np.linalg, "svd")):
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         (tmp_path / "preset.json").write_text(json.dumps(
             {"scenario": "paradox-emission", "integrator": {"grid": "linear"}}))
@@ -867,7 +869,10 @@ class TestParseOnce:
             dict(CUSTOM_SCATTER, loss={"isotropic": 0.2})))
         assert run_cli(monkeypatch, tmp_path, "run", *argv) == 0
         emission = argv[0] in ("paradox-emission", "preset.json")
-        assert calls == {"_expand": 1, "parse_config": 1, "eig": int(emission)}
+        single_point = argv[0] in ("two-level", "custom.json")    # no sweep
+        assert calls == {"_expand": 1, "parse_config": 1,
+                         "eig": int(emission or argv[0] == "two-level"),
+                         "svd": int(single_point)}
 
 
 # Values of the wrong type for any field or section of a config.

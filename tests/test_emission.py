@@ -7,13 +7,18 @@ import wgqed.emission as emission_mod
 from wgqed import (
     EmitterModel,
     ExcitedSuperposition,
+    IllConditionedResponseWarning,
     LossModel,
     ModelValidationError,
     NonPhysicalStateError,
+    ScatterInput,
+    SingularResponseError,
     coupling_bundle,
     evolve,
     outcome_forms,
+    scatter,
 )
+from wgqed.cli import preset
 
 from conftest import (
     PARADOX_FIELD,
@@ -333,13 +338,22 @@ class TestConservation:
 
     @pytest.mark.parametrize("n_e", [4, 6, 8])
     def test_larger_manifolds_match_eigen_propagator(self, monkeypatch, rng, n_e):
-        # the outcome forms come from the modes of H_eff: no SVD runs
+        # the outcome forms come from the modes of H_eff, in evolve and in
+        # outcome_forms alike: no SVD runs
+        model = random_model(rng, int(rng.integers(1, 4)), n_e)
+        env, s = make_env(random_unit_vector(rng)), float(rng.uniform(0.05, 0.5))
         svd_calls = counting(monkeypatch, np.linalg, "svd")
-        self.assert_matches_eigen_propagator(random_model(rng, int(rng.integers(1, 4)), n_e),
-                                             make_env(random_unit_vector(rng)),
-                                             float(rng.uniform(0.05, 0.5)),
-                                             random_state(rng, n_e))
-        assert svd_calls == []
+        self.assert_matches_eigen_propagator(model, env, s, random_state(rng, n_e))
+        bundle = coupling_bundle(model, env, LossModel.isotropic(s))
+        counted = [counting(monkeypatch, np.linalg, name) for name in ("eig", "inv")]
+        Y = outcome_forms(bundle)
+        assert (counted, svd_calls) == ([["eig"], ["inv"]], [])
+        # and match the SVD solve, forced, as closely as TestFormSolvers asks
+        rate = emission_mod._rounding_rate(bundle.H_eff)
+        lam, V, V_inv, _ = emission_mod._eigenbasis(bundle.H_eff)
+        Z_svd = emission_mod._forms(bundle, rate, lam, V, V_inv, np.inf)
+        Y_svd = Z_svd.T.reshape(Y.shape).swapaxes(-1, -2)
+        assert np.abs(Y - Y_svd).max() <= forms_tolerance(lam, rate, Z_svd)[0]
 
 
 class TestHighPrecisionOracle:
@@ -441,10 +455,12 @@ class TestExceptionalPoint:
     PSI = np.array([0.6, 0.8])
     TIMES = [0.0, 0.05, 0.3, 1.0, 3.0]
 
+    def model(self, offset):
+        return EmitterModel.from_arrays([0.0], [0.0, self.GAMMA * (1.0 + offset)],
+                                        [[[1, 0, 0], [1, 0, 0]]])
+
     def oracle_error(self, offset):
-        model = EmitterModel.from_arrays([0.0], [0.0, self.GAMMA * (1.0 + offset)],
-                                         [[[1, 0, 0], [1, 0, 0]]])
-        env = make_env([1, 0, 0])
+        model, env = self.model(offset), make_env([1, 0, 0])
         traj = evolve(model, env, LossModel.none(),
                       ExcitedSuperposition.from_sequence(self.PSI), times=self.TIMES)
         rhos, probs = mp_emission(coupling_bundle(model, env, LossModel.none()),
@@ -462,6 +478,10 @@ class TestExceptionalPoint:
         svd_calls = counting(monkeypatch, np.linalg, "svd")
         assert self.oracle_error(offset) < 1e-12
         assert expm_calls == (["_expm"] if pade else [])
+        assert svd_calls == (["svd"] if svd else [])
+        # outcome_forms takes the SVD where evolve does
+        svd_calls.clear()
+        outcome_forms(coupling_bundle(self.model(offset), make_env([1, 0, 0]), LossModel.none()))
         assert svd_calls == (["svd"] if svd else [])
 
     @pytest.mark.parametrize("offset", [-1e-13, 1e-13, 0.0])
@@ -532,12 +552,26 @@ class TestExceptionalPoint:
         assert counted == [["eig"], ["inv"], [], [], ["_rounding_rate"]]
 
 
+def forms_tolerance(lam, rate, Z_svd):
+    """How far the modal forms may lie from the SVD solve ``Z_svd``, given
+    the modes ``lam`` of ``H_eff`` and its rounding rate: both lose digits
+    in proportion to the ratio of the largest to the smallest rate ``|lam_b
+    - conj(lam_a)|`` the equation keeps. Also the mask of the mode pairs it
+    holds."""
+    unit = np.abs(lam).max()    # so that no difference overflows
+    sep = np.abs(lam / unit - (lam / unit).conj()[:, None])
+    held = ~(sep > rate / unit)
+    kept = sep[~held]
+    kappa = kept.max() / kept.min() if kept.size else 1.0
+    return max(1e-13, 64 * np.finfo(float).eps * kappa) * np.abs(Z_svd).max(), held
+
+
 class TestFormSolvers:
     """The outcome forms from the modes of ``H_eff`` (``_modal_forms``)
     against the SVD solve of their Lyapunov equation (``_lyapunov``) wherever
-    the propagator may take either. Both lose digits in proportion to the
-    condition number of the equation, the ratio of the largest to the
-    smallest rate ``|lam_b - conj(lam_a)|`` it keeps."""
+    their dispatcher ``_forms`` may take either. Both lose digits in
+    proportion to the condition number of the equation, the ratio of the
+    largest to the smallest rate ``|lam_b - conj(lam_a)|`` it keeps."""
 
     @staticmethod
     def instances(rng):
@@ -573,14 +607,10 @@ class TestFormSolvers:
             if not cond <= emission_mod._FORMS_COND_MAX:
                 continue
             within += 1
-            Z_svd = emission_mod._lyapunov(bundle, rate)
-            Z_modal = emission_mod._modal_forms(bundle, rate, lam, V, V_inv)
-            unit = np.abs(lam).max()    # so that no difference overflows
-            sep = np.abs(lam / unit - (lam / unit).conj()[:, None])
-            held = ~(sep > rate / unit)
-            kept = sep[~held]
-            kappa = kept.max() / kept.min() if kept.size else 1.0
-            tol = max(1e-13, 64 * np.finfo(float).eps * kappa) * np.abs(Z_svd).max()
+            # the dispatcher with the gate passed, and with it forced shut
+            Z_modal = emission_mod._forms(bundle, rate, lam, V, V_inv, cond)
+            Z_svd = emission_mod._forms(bundle, rate, lam, V, V_inv, np.inf)
+            tol, held = forms_tolerance(lam, rate, Z_svd)
             assert np.abs(Z_modal - Z_svd).max() <= tol
             # in the mode basis both leave the held pairs at 0
             n_e = H.shape[0]
@@ -908,19 +938,39 @@ class TestOutcomeForms:
     def probabilities(Y, psi):
         return np.einsum("ncab,ba->nc", Y, np.outer(psi, psi.conj())).real
 
+    @staticmethod
+    def assert_povm_short_of_the_dark_directions(bundle):
+        """Check the forms of ``bundle`` and return the number of its dark
+        directions."""
+        Y = outcome_forms(bundle)
+        n_g, n_e = bundle.flux_forms.shape[0], bundle.H_eff.shape[0]
+        assert Y.shape == (n_g, 3, n_e, n_e)
+        rates, vecs = np.linalg.eigh(damping_matrix(bundle))
+        dark = vecs[:, rates < 1e-10 * max(1.0, rates.max())]
+        P_dark = dark @ dark.conj().T
+        assert np.max(np.abs(Y.sum(axis=(0, 1)) - (np.eye(n_e) - P_dark))) < 1e-10
+        assert np.max(np.abs(Y - Y.conj().swapaxes(-1, -2))) < 1e-12
+        assert np.min(np.linalg.eigvalsh(Y)) > -1e-12
+        return dark.shape[1]
+
     def test_forms_are_a_povm_short_of_the_dark_directions(self, rng):
         for k in range(60):
             model, env, loss = self.random_instance(rng, k)
-            bundle = coupling_bundle(model, env, loss)
-            Y = outcome_forms(bundle)
-            n_e = model.n_excited
-            assert Y.shape == (model.n_ground, 3, n_e, n_e)
-            rates, vecs = np.linalg.eigh(damping_matrix(bundle))
-            dark = vecs[:, rates < 1e-10 * max(1.0, rates.max())]
-            P_dark = dark @ dark.conj().T
-            assert np.max(np.abs(Y.sum(axis=(0, 1)) - (np.eye(n_e) - P_dark))) < 1e-10
-            assert np.max(np.abs(Y - Y.conj().swapaxes(-1, -2))) < 1e-12
-            assert np.min(np.linalg.eigvalsh(Y)) > -1e-12
+            self.assert_povm_short_of_the_dark_directions(coupling_bundle(model, env, loss))
+
+    def test_many_dark_modes_at_one_frequency(self, rng):
+        # one ground state and 6 to 8 degenerate excited states: the dipoles
+        # span at most three directions, so at least n_e - 3 dark modes share
+        # a frequency. The modes of H_eff hold every pair of them; the SVD of
+        # the Lyapunov operator, with the same cutoff, kept some of their
+        # rounding-size singular values and put errors of order 0.01 into
+        # the forms between dark directions
+        for _ in range(20):
+            n_e = int(rng.integers(6, 9))
+            model = random_model(rng, 1, n_e, degenerate=True)
+            bundle = coupling_bundle(model, make_env(random_unit_vector(rng)),
+                                     LossModel.isotropic(float(rng.uniform(0.01, 0.5))))
+            assert self.assert_povm_short_of_the_dark_directions(bundle) >= n_e - 3
 
     def test_forms_give_the_long_time_probabilities(self, rng):
         for k in range(60):
@@ -952,3 +1002,46 @@ class TestOutcomeForms:
         p = self.probabilities(Y, PARADOX_STATE)
         assert p[0] == pytest.approx([9 / 50, 41 / 50, 0.0], abs=1e-14)
         assert np.linalg.eigvalsh(Y[0, 0]) == pytest.approx([0.1, 0.9], abs=1e-14)
+
+
+class TestDarkLevelCutoff:
+    """Where emission and scattering stop telling a weakly coupled level
+    from a dark one, on the lossless ``isotropic-scan`` V system (dipoles x
+    and y) at ``E_f = (cos t, i sin t, 0)``, whose y level decays at ``10
+    t^2``. Emission holds that level as dark where its rate is at most the
+    rounding rate ``2 n_e eps max|H_eff_ij|``, 4.53e-15, that is below t* ~
+    2.13e-8, whichever solver gives the forms. Scattering refuses the
+    response as singular from a larger angle, between 3e-8 and 5e-8, by the
+    absolute condition number of its gate. The two cut-offs are recorded as
+    they stand; the equilibrated gate of ROADMAP item 5 moves the scattering
+    one."""
+
+    MODEL = preset("isotropic-scan").built.model
+
+    @staticmethod
+    def env(theta):
+        return make_env([np.cos(theta), 1j * np.sin(theta), 0.0])
+
+    @pytest.mark.parametrize("gate", [True, False], ids=["modal", "svd"])
+    def test_emission_holds_the_y_level_below_the_rounding_rate(self, monkeypatch, gate):
+        if not gate:    # close the gate, so that the SVD solve gives the forms
+            monkeypatch.setattr(emission_mod, "_FORMS_COND_MAX", 0.0)
+        svd_calls = counting(monkeypatch, np.linalg, "svd")
+        rates, y_outcomes = [], []
+        for theta in (3e-8, 2e-8):
+            bundle = coupling_bundle(self.MODEL, self.env(theta), LossModel.none())
+            rates.append(emission_mod._rounding_rate(bundle.H_eff))
+            y_outcomes.append(outcome_forms(bundle)[0, :, 1, 1].real)
+        assert rates == pytest.approx([4.53e-15] * 2, rel=1e-3)
+        assert np.sqrt(rates[0] / 10.0) == pytest.approx(2.13e-8, rel=1e-3)
+        assert y_outcomes[0] == pytest.approx([0.5, 0.5, 0.0], abs=1e-12)
+        assert y_outcomes[1] == pytest.approx([0.0, 0.0, 0.0], abs=1e-12)
+        assert svd_calls == ([] if gate else ["svd", "svd"])
+
+    def test_scattering_refuses_the_y_level_above_the_emission_cutoff(self):
+        inp = ScatterInput("forward", 0)
+        with pytest.warns(IllConditionedResponseWarning):
+            res = scatter(self.MODEL, self.env(5e-8), LossModel.none(), inp)
+        assert abs(res.transmission) ** 2 == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(SingularResponseError):
+            scatter(self.MODEL, self.env(3e-8), LossModel.none(), inp)
