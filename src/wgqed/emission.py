@@ -14,17 +14,15 @@ not depend on time, so the propagation is exact, with no step-size or
 tolerance setting, and every piece of it is sized by the number of excited
 states. One eigendecomposition ``H_eff = V diag(lam) V^-1`` gives the modes,
 each of which only turns and decays, ``exp(-i lam t)``, so the excited blocks
-at all output times come from one matrix product. Where the eigenvectors are
-ill-conditioned (1-norm condition number above ``_MODAL_COND_MAX``, 1e3), as
-near an exceptional point where two modes merge, a Pade exponential of
-``-i H_eff t`` at every output time takes their place. The outcome forms
-``Y``, the time integrals of the flux forms, solve one adjoint Lyapunov
-equation, diagonal in the basis of the same modes. One rule, the same in
-the propagation and in :func:`outcome_forms`, gives them from the modes
-where the condition number of the eigenvectors is at most
-``_FORMS_COND_MAX``, the square root of ``_MODAL_COND_MAX``, and from the
-SVD of the ``n_e^2 x n_e^2`` Lyapunov operator elsewhere. ``Re tr(Y rho)``
-is the probability that the excited block ``rho`` ever emits there: the
+at all output times come from one matrix product. The outcome forms ``Y``,
+the time integrals of the flux forms, solve one adjoint Lyapunov equation,
+diagonal in the basis of the same modes. Where the eigenvectors are
+ill-conditioned (1-norm condition number above ``_MODAL_COND_MAX``, ~31.6),
+as near an exceptional point where two modes merge, exact solvers take both
+jobs: a Pade exponential of ``-i H_eff t`` at every output time, and the SVD
+of the ``n_e^2 x n_e^2`` Lyapunov operator. The one gate serves the
+propagation and :func:`outcome_forms` alike. ``Re tr(Y rho)`` is the
+probability that the excited block ``rho`` ever emits there: the
 accumulators read ``Re tr(Y (rho0 - rho(t)))``, and the command line's
 two-level diagnostic reads ``Y`` alone, with no propagation.
 
@@ -65,16 +63,13 @@ _EPS = np.finfo(float).eps
 # these units (two parallel dipoles); a mode that decays faster is resolved
 # and decays, and a slower one cannot be told from a dark mode.
 _ROUNDING_RATE = 2.0
-# Largest 1-norm condition number of the eigenvectors of H_eff at which the
-# propagator takes the modal form. Its error grows with that condition number
-# as about 3e-17 times it (measured against a 35-digit exponential near an
-# exceptional point), so the modal form stays within ~3e-14 of exact here.
-_MODAL_COND_MAX = 1e3
-# Largest condition number at which the propagator takes the outcome forms
-# from the same modes: their error grows with its square (about 2e-17 times
-# it near an exceptional point), so they stay as close to exact as the modal
-# propagation at the largest condition number that one takes.
-_FORMS_COND_MAX = math.sqrt(_MODAL_COND_MAX)
+# Largest 1-norm condition number of the eigenvectors of H_eff at which
+# emission takes the modes, for the propagation and the outcome forms alike.
+# Measured against a 35-digit oracle near an exceptional point, the error of
+# the modal propagator grows as about 3e-17 times that condition number and
+# that of the modal forms as about 2e-17 times its square, so both stay
+# within ~2e-14 of exact here.
+_MODAL_COND_MAX = math.sqrt(1e3)
 
 
 class EmitterDensityMatrix(NamedTuple):
@@ -154,10 +149,8 @@ def _expm(A: np.ndarray) -> np.ndarray:
     Degree-13 Pade approximant with scaling and squaring (Higham, SIAM J.
     Matrix Anal. Appl. 26, 2005); each matrix is scaled by its own power of
     two. Unlike an eigendecomposition this stays accurate for defective or
-    nearly defective generators: the propagator runs it only where the
-    eigenvectors of ``H_eff`` are too ill-conditioned for the modal form
-    (condition number above ``_MODAL_COND_MAX``) or an eigenvalue is not
-    finite.
+    nearly defective generators: the propagator runs it where the modes of
+    ``H_eff`` fail their gate (:func:`_eigenbasis`).
     """
     b = _PADE13
     norms = np.abs(A).sum(axis=-2).max(axis=-1)
@@ -200,12 +193,12 @@ def evolve(
     H_eff t)``, and each accumulated probability is ``tr(Y (rho0 -
     rho(t)))``, where ``Y``, the probability of eventually emitting into that
     channel, solves one adjoint Lyapunov equation (Van Loan, IEEE TAC 23,
-    1978). ``U`` is ``V diag(exp(-i lam t)) V^-1`` from one
-    eigendecomposition of ``H_eff`` when the 1-norm condition number of
-    ``V`` is at most 1e3, and a degree-13 Pade exponential otherwise, near
-    an exceptional point. ``Y``, as in :func:`outcome_forms`, comes from the
-    same modes when that condition number is at most its square root,
-    ~31.6, and from an SVD of the Lyapunov operator otherwise.
+    1978). Where the 1-norm condition number of the eigenvectors ``V`` of
+    ``H_eff`` is at most ~31.6, one eigendecomposition gives both: ``U`` is
+    ``V diag(exp(-i lam t)) V^-1`` and ``Y`` is diagonal in the same modes.
+    Elsewhere, near an exceptional point, ``U`` is a degree-13 Pade
+    exponential and ``Y``, as in :func:`outcome_forms`, comes from an SVD of
+    the Lyapunov operator.
 
     Raises :class:`ValueError` for an invalid time grid, ``t_max`` or
     ``output_points``, or for ``times`` with ``t_max`` or ``output_points``,
@@ -232,44 +225,46 @@ def outcome_forms(bundle: CouplingBundle) -> np.ndarray:
     so the outcome distributions of two states differ in total variation by
     no more than the trace distance of the states.
     """
-    _check_flux(bundle)
+    _check_bundle(bundle)
     Z = _forms(bundle, _rounding_rate(bundle.H_eff), *_eigenbasis(bundle.H_eff))
     return Z.T.reshape(bundle.flux_forms.shape).swapaxes(-1, -2)
 
 
-def _check_flux(bundle: CouplingBundle) -> None:
-    """Raise where a flux form of ``bundle`` is not finite."""
+def _check_bundle(bundle: CouplingBundle) -> None:
+    """Raise where ``H_eff`` or a flux form of ``bundle`` is not finite, as
+    in a bundle built by hand."""
+    if not np.isfinite(bundle.H_eff).all():
+        raise NonPhysicalStateError("non-finite effective Hamiltonian in the emission propagation")
     if not np.isfinite(bundle.flux_forms).all():
         raise NonPhysicalStateError("non-finite channel flux in the emission propagation")
 
 
 def _eigenbasis(H: np.ndarray):
-    """``lam``, ``V``, ``V^-1`` with ``H = V diag(lam) V^-1`` and the 1-norm
-    condition number of ``V``: nan where ``V`` is exactly singular and inf
-    where an eigenvalue is not finite, so that a gate ``cond <= bound`` fails
-    for both. The caller ignores floating-point errors."""
+    """``lam``, ``V``, ``V^-1`` with ``H = V diag(lam) V^-1``, and the gate of
+    emission: whether the eigenvalues are finite and the 1-norm condition
+    number of ``V`` (nan where ``V`` is exactly singular) is at most
+    ``_MODAL_COND_MAX``. The caller ignores floating-point errors."""
     lam, V = np.linalg.eig(H)
     try:
         V_inv = np.linalg.inv(V)
     except np.linalg.LinAlgError:    # an exactly singular eigenbasis
         V_inv = np.full_like(V, np.nan)
     norms = np.add.reduce(np.abs(np.concatenate((V, V_inv), axis=1))).reshape(2, -1).max(axis=1)
-    cond = norms[0] * norms[1] if np.isfinite(lam).all() else math.inf
-    return lam, V, V_inv, cond
+    return lam, V, V_inv, np.isfinite(lam).all() and norms[0] * norms[1] <= _MODAL_COND_MAX
 
 
 def _forms(bundle: CouplingBundle, rate: float, lam: np.ndarray, V: np.ndarray,
-           V_inv: np.ndarray, cond: float) -> np.ndarray:
+           V_inv: np.ndarray, modal: bool) -> np.ndarray:
     """The outcome forms as the solution ``Z`` (n_e * n_e, n_g * 3) of their
     Lyapunov equation, ``Z[(a b), k] = Y_k[b, a]``, with ``rate`` the
     rounding rate of ``H_eff`` and the rest its :func:`_eigenbasis`: from the
-    modes where ``cond <= _FORMS_COND_MAX``, else from an SVD. Both solvers
-    scale the equation exactly by ``2^-k``, ``2^k >= 1`` the power of two just
-    above ``max|H_eff_ij|`` (``rate`` is proportional to it), so that it stays
-    finite where a mode's full rate overflows. The caller checks the flux
-    forms (:func:`_check_flux`) and ignores floating-point errors."""
+    modes where they pass the gate, else from an SVD. Both solvers scale the
+    equation exactly by ``2^-k``, ``2^k >= 1`` the power of two just above
+    ``max|H_eff_ij|`` (``rate`` is proportional to it), so that it stays
+    finite where a mode's full rate overflows. The caller checks the bundle
+    (:func:`_check_bundle`) and ignores floating-point errors."""
     scale = math.ldexp(1.0, -max(math.frexp(rate / (_ROUNDING_RATE * lam.size * _EPS))[1], 0))
-    if cond <= _FORMS_COND_MAX:
+    if modal:
         return _modal_forms(bundle, rate, scale, lam, V, V_inv)
     return _lyapunov(bundle, rate, scale)
 
@@ -288,14 +283,16 @@ def _lyapunov(bundle: CouplingBundle, rate: float, scale: float) -> np.ndarray:
     # frequency (a dark mode with itself included); the flux forms vanish
     # there, so the minimum-norm solution is exact. For a normal H_eff the
     # singular value of a mode with itself is that mode's rate, so the solve
-    # drops the singular values that _held would hold as rates.
+    # drops the singular values that _held would hold as rates, and those at
+    # the SVD's own rounding, n_e^2 eps times the largest, which several dark
+    # modes at one frequency leave where the rates hold none.
     A = (1j * scale) * bundle.H_eff
     eye = np.eye(n_e)
     K = (A.T[:, None, :, None] * eye[None, :, None, :]
          + eye[:, None, :, None] * A.conj().T[None, :, None, :])
     F = Q.swapaxes(-1, -2).reshape(-1, n_rho).T * scale
     U, s, Vh = np.linalg.svd(K.reshape(n_rho, n_rho))
-    keep = s > rate * scale
+    keep = s > max(rate * scale, n_rho * _EPS * s[0])
     return (Vh[keep].conj().T / s[keep]) @ (U[:, keep].conj().T @ F)
 
 
@@ -351,7 +348,7 @@ def _propagate(bundle: CouplingBundle, initial, t_max: float | None = None,
             or output_points < 1):
         raise ValueError(f"output_points must be a positive integer, got {output_points!r}")
     rho0, L = _coerce_initial(initial, n_e)
-    lam, V, V_inv, cond = _eigenbasis(H)
+    lam, V, V_inv, modal = _eigenbasis(H)
     rate = _rounding_rate(H)
     held = _held(lam, rate)
 
@@ -401,7 +398,7 @@ def _propagate(bundle: CouplingBundle, initial, t_max: float | None = None,
 
     # The excited block obeys d rho/dt = -i (H_eff rho - rho H_eff^dagger),
     # so rho(t) = X X^dagger with X = U L and U = exp(-i H_eff t).
-    if cond <= _MODAL_COND_MAX:
+    if modal:
         # X = V diag(phi) C with phi = exp(-i lam t) and C = V^-1 L: X_ir =
         # sum_a phi_a V_ia C_ar is one product over the times. Its error
         # grows with cond(V), where that of the mode-basis block V^-1 rho0
@@ -418,7 +415,7 @@ def _propagate(bundle: CouplingBundle, initial, t_max: float | None = None,
     # d/dt tr(Y rho) = -tr(Q rho), so the accumulated probability is
     # tr(Y rho0) - tr(Y rho(t)) = sum_ab (rho0 - rho(t))_ab Z[(a b), k]; the
     # last column of W = [Z | vec I] gives tr rho(t) from the same product.
-    Z = _forms(bundle, rate, lam, V, V_inv, cond)
+    Z = _forms(bundle, rate, lam, V, V_inv, modal)
     W = np.zeros((n_e * n_e, Z.shape[1] + 1), dtype=complex)
     W[:, :-1] = Z
     W[::n_e + 1, -1] = 1.0
@@ -436,7 +433,7 @@ def _propagate(bundle: CouplingBundle, initial, t_max: float | None = None,
     drift = np.abs(total - 1.0)
     k = drift.argmax()
     if not drift[k] <= TRACE_DRIFT_TOL:
-        _check_flux(bundle)
+        _check_bundle(bundle)
         if not (np.isfinite(Z).all() and np.isfinite(rhos).all() and np.isfinite(total).all()):
             raise NonPhysicalStateError("non-finite state in the emission propagation")
         raise NonPhysicalStateError(

@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
-Every error carries a short machine-readable ``code`` so callers (and the
-command line front end) can map failures to exit codes without parsing
-messages.
+Every error carries a short machine-readable ``code``, so that callers can
+tell failures apart without parsing messages. The command line maps failures
+to exit codes by type, not by ``code``: a :class:`ConfigError` exits 1, any
+other :class:`WgqedError` 2.
 """
 
 from __future__ import annotations
