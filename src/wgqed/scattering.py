@@ -22,7 +22,7 @@ over a stack of fields in one call and returns stacked arrays, nan in each
 slice that failed. :func:`scatter` (a stack of one) and
 :func:`polarization_sweep` build records from them; the CLI reads them.
 
-A slice is solved in the stack when its condition number is at most
+A slice enters the solve as it stands when its condition number is at most
 ``COND_SINGULAR_THRESHOLD`` and warned about above ``COND_WARN_THRESHOLD``.
 Most slices are certified well conditioned without singular values, from the
 damping: for a unit vector x, ``|Mx| >= |x^H M x| >= x^H Herm(M) x``, so
@@ -38,14 +38,14 @@ certificate changes no decision. Only the other slices, and every slice of a
 stack too small for the certificate to pay, get their singular values. A
 non-finite slice fails first, and the gate sees the identity in its place.
 
-The stacked solve is one call, its solver chosen by the stack's size. A
-stack of at least ``_ELIMINATE_FROM`` slices with at most
-``_ELIMINATE_MAX_N`` excited levels, such as a sweep, goes to
-``_eliminate``: Gaussian elimination with partial pivoting, each step one
-ufunc over all slices, where LAPACK would make one call per slice. For
-n <= 3 its growth factor is at most 4, so it is as backward stable as
-LAPACK. Every other stack, a single point among them, goes to
-``np.linalg.solve``, whose fixed cost is the smaller one there.
+The stacked solve is one call, refused slices included (see
+``_scatter_fields``), its solver chosen by the stack's size. A stack of at
+least ``_ELIMINATE_FROM`` slices with at most ``_ELIMINATE_MAX_N`` excited
+levels, such as a sweep, goes to ``_eliminate``: Gaussian elimination with
+partial pivoting, each step one ufunc over all slices, where LAPACK would
+make one call per slice. For n <= 3 its growth factor is at most 4, so it is
+as backward stable as LAPACK. Every other stack, a single point among them,
+goes to ``np.linalg.solve``, whose fixed cost is the smaller one there.
 """
 
 from __future__ import annotations
@@ -59,12 +59,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .emitter import EmitterModel, PolarizationVector, _as_float, _as_grid
-from .errors import (
-    IllConditionedResponseWarning,
-    NonPhysicalStateError,
-    SingularResponseError,
-    WgqedError,
-)
+from .errors import IllConditionedResponseWarning, NonPhysicalStateError, SingularResponseError
 from .photonic import LossModel, WaveguideEnv, effective_hamiltonian, guided_couplings
 
 MODES = ("forward", "backward")
@@ -144,31 +139,22 @@ class TwoLevelAmplitudes(NamedTuple):
     p_loss: float
 
 
-def _solve_dark(M: np.ndarray, in_vec: np.ndarray, dark_state_projection: bool,
-                cond: float) -> np.ndarray:
-    """Solve a singular or ill-conditioned response slice, of condition
-    number ``cond``, in the subspace coupled to some channel, or raise naming
-    the dark directions, the eigenvectors of the damping part of ``M`` with
-    coupling below threshold, or saying that there are none.
-    """
-    lam, vecs = np.linalg.eigh(0.5 * (M + M.conj().T))
-    dark = lam < DARK_COUPLING_THRESHOLD
-    if not dark_state_projection:
-        if dark.any():
-            cause = (f"dark excited eigenvector(s) with couplings {lam[dark]} decouple "
-                     "from every channel on resonance")
-        else:
-            cause = (f"its condition number {cond:.3e} exceeds {COND_SINGULAR_THRESHOLD:.0e}, "
-                     "but no excited direction is dark (smallest damping coupling "
-                     f"{lam[0]:.3e})")
-        raise SingularResponseError(
-            f"response matrix is singular: {cause}; rerun with dark-state projection "
-            "to solve in the coupled subspace",
-            dark_vectors=vecs[:, dark],
-        )
-    keep = vecs[:, ~dark]
-    M_red = keep.conj().T @ M @ keep
-    return keep @ np.linalg.solve(M_red, keep.conj().T @ in_vec)
+def _singular_error(lam: np.ndarray, vecs: np.ndarray, dark: np.ndarray,
+                    cond: float) -> SingularResponseError:
+    """The error of a refused slice, naming its damping's ``dark`` eigenvectors."""
+    if dark.any():
+        couplings = ", ".join(f"{v:.3e}" for v in lam[dark].tolist())
+        cause = (f"dark excited eigenvector(s) with couplings [{couplings}] decouple "
+                 "from every channel on resonance")
+    else:
+        cause = (f"its condition number {cond:.3e} exceeds {COND_SINGULAR_THRESHOLD:.0e}, "
+                 "but no excited direction is dark (smallest damping coupling "
+                 f"{lam[0]:.3e})")
+    return SingularResponseError(
+        f"response matrix is singular: {cause}; rerun with dark-state projection "
+        "to solve in the coupled subspace",
+        dark_vectors=vecs[:, dark],
+    )
 
 
 def _certified(M: np.ndarray) -> np.ndarray:
@@ -268,19 +254,18 @@ def _scatter_fields(
     """Scatter at every forward field of the stack ``fields`` (T, 3), all
     else shared. Returns the read-only amplitudes (T, 2, n_ground), ``p_loss``
     (T,) and output frequencies (n_ground,), nan in each failed slice, and
-    the ``WgqedError`` or ``LinAlgError`` of each failed slice, by index.
-    Singular slices are solved alone after the one stacked solve.
+    the ``WgqedError`` of each failed slice, by index.
 
     The work runs stack last, so that each operation loops over the fields:
     the couplings ``K`` (n_e, 2 n_g, T) have one column per output channel
     ``k = mode n_g + ground``, the input channel's conjugated column is the
     right-hand side, and the amplitudes build up per channel, (2 n_g, T),
     in a view of the (T, 2, n_ground) result. The gate reads ``M``, the
-    (T, n, n) view of the stack-last response. A stack of at least
-    ``_ELIMINATE_FROM`` slices with ``n_e <= _ELIMINATE_MAX_N`` is solved
-    stack last by ``_eliminate``, a few ufuncs over the fields in place of
-    LAPACK's call per slice; any other stack, where LAPACK's smaller fixed
-    cost wins, by ``np.linalg.solve`` on ``M``.
+    (T, n, n) view of the stack-last response. A refused slice joins the one
+    solve (``_eliminate`` or ``np.linalg.solve``, by the module docstring's
+    rule) as the identity or, with projection, as its padded system: in the
+    eigenbasis ``Q`` of its damping, ``Q^H M Q`` on the coupled directions
+    and ``I`` on the dark ones, right-hand side ``Q^H b``, then ``y = Q y'``.
     """
     D = model.dipole_array()
     n_g = model.n_ground
@@ -312,25 +297,40 @@ def _scatter_fields(
         M = _identity_outside(finite, M)
         active &= finite
     solvable, warn, cond = _solve_gate(M, active)
-    # one solve, y (n_e, T); a slice it must not take reads y = 0 if
-    # inactive, else is solved below
-    M_solved = _identity_outside(solvable, M)
-    if len(M) >= _ELIMINATE_FROM and len(rhs) <= _ELIMINATE_MAX_N:
-        y = _eliminate(M_solved.transpose(1, 2, 0), rhs)
+    A = _identity_outside(solvable, M)      # I where the gate does not pass
+    refused = () if A is M else np.flatnonzero(active & ~solvable)
+    if len(refused):    # one eigh gives the dark directions of every refused slice
+        R = M[refused]
+        lam, Q = np.linalg.eigh(0.5 * (R + R.conj().swapaxes(1, 2)))
+        dark = lam < DARK_COUPLING_THRESHOLD
+        if not dark_state_projection:
+            for j, t in enumerate(refused.tolist()):
+                errors[t] = _singular_error(lam[j], Q[j], dark[j], cond[t])
+        else:
+            Q = np.where(dark[:, None], 0.0, Q)
+            QH = Q.conj().swapaxes(1, 2)
+            P = np.where(dark[:, None] | dark[..., None], np.eye(len(rhs)), QH @ R @ Q)
+            # a slice that rounding leaves singular keeps I: LAPACK would fail the stack
+            singular = np.linalg.slogdet(P)[0] == 0
+            A[refused] = _identity_outside(~singular, P)
+            rhs[:, refused] = (QH @ rhs[:, refused].T[..., None])[..., 0].T
+    if len(M) >= _ELIMINATE_FROM and len(rhs) <= _ELIMINATE_MAX_N:   # one solve, y (n_e, T)
+        y = _eliminate(A.transpose(1, 2, 0), rhs)
     else:
-        y = np.linalg.solve(M_solved, rhs.T[..., None])[..., 0].T
-    failed = () if M_solved is M else np.flatnonzero(~solvable & active).tolist()
+        y = np.linalg.solve(A, rhs.T[..., None])[..., 0].T
+    if len(refused) and dark_state_projection:
+        y[:, refused] = (Q @ y[:, refused].T[..., None])[..., 0].T
+        singular |= ~np.isfinite(y[:, refused]).all(axis=0)
+        for t in refused[singular].tolist():
+            errors[t] = SingularResponseError(
+                f"response matrix is singular (condition number {cond[t]:.3e}), also in "
+                "the coupled subspace to working precision")
     for t in warn.nonzero()[0]:
         warnings.warn(
             f"response matrix condition number {cond[t]:.3e} exceeds {COND_WARN_THRESHOLD:.0e}",
             IllConditionedResponseWarning,
             stacklevel=4,    # past the errstate wrapper
         )
-    for t in failed:
-        try:    # a C-ordered slice: numpy's matrix product rounds by memory layout
-            y[:, t] = _solve_dark(M[t].copy(), rhs[:, t], dark_state_projection, cond[t])
-        except (WgqedError, np.linalg.LinAlgError) as exc:
-            errors[t] = exc
 
     amplitudes = np.zeros((len(M), 2, n_g), dtype=complex)
     by_channel = amplitudes.reshape(len(M), 2 * n_g).T   # (2 n_g, T) view

@@ -727,6 +727,36 @@ class TestOutputsAndExitCodes:
         assert run_cli(monkeypatch, tmp_path, "run", "far.json", "--dark-state-projection",
                        "--out", "p.csv") == 0
 
+    def test_isotropic_emitter_fails_every_point_or_projects_to_the_v_system(
+            self, monkeypatch, tmp_path, capsys):
+        # the J = 0 -> 1 emitter, lossless: its z level is dark at every theta
+        v_system = _with(CUSTOM_SCATTER, ["sweep"],
+                         {"parameter": "theta", "start": 0.0, "stop": np.pi, "steps": 41})
+        isotropic = _with(v_system, ["emitter", "excited_energies"], [1.0, 1.0, 1.0])
+        isotropic["emitter"]["dipoles"][0].append([[0, 0], [0, 0], [1, 0]])
+        for name, cfg in (("iso", isotropic), ("v", v_system)):
+            (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+        assert run_cli(monkeypatch, tmp_path, "run", "iso.json", "--out", "i.csv") == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 41
+        assert all(line.startswith("wgqed: scattering failed: sweep point theta=")
+                   for line in lines)
+        # the couplings are .3e numbers, not numpy's array print
+        assert ("dark excited eigenvector(s) with couplings [0.000e+00, 0.000e+00] "
+                "decouple") in lines[0]
+        number = r"-?\d\.\d{3}e[+-]\d{2}"
+        assert all(re.search(rf"couplings \[{number}(, {number})*\] decouple", line)
+                   for line in lines)
+        _, rows = read_csv(tmp_path / "i.csv")
+        assert len(rows) == 41 and np.isnan(rows[:, 1:]).all()
+        for name in ("iso", "v"):
+            assert run_cli(monkeypatch, tmp_path, "run", f"{name}.json",
+                           "--dark-state-projection", "--out", f"{name}.csv") == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "iso.csv").read_bytes() == (tmp_path / "v.csv").read_bytes()
+
     def test_warnings_are_the_runs_own_lines(self, tmp_path):
         # an ill-conditioned response warns; the run prints the warning as
         # its own line, not Python's, and -W error makes no traceback of it

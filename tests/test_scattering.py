@@ -839,11 +839,11 @@ def capture_response_stacks(monkeypatch) -> list:
 
 
 def count_solves(monkeypatch) -> tuple[list, list, list]:
-    """From now on, the slice counts of the stacks handed to np.linalg.solve
-    and to _eliminate, and the slices handed to _solve_dark."""
+    """From now on, the slice counts of the stacks handed to np.linalg.solve,
+    to _eliminate and to np.linalg.eigh, which finds the dark directions of
+    the slices the gate refuses."""
     solves, eliminations, dark = [], [], []
-    solve, eliminate = np.linalg.solve, wgqed.scattering._eliminate
-    solve_dark = wgqed.scattering._solve_dark
+    solve, eliminate, eigh = np.linalg.solve, wgqed.scattering._eliminate, np.linalg.eigh
 
     def counting_solve(a, b):
         solves.append(len(a) if np.ndim(a) == 3 else 1)
@@ -853,13 +853,13 @@ def count_solves(monkeypatch) -> tuple[list, list, list]:
         eliminations.append(A.shape[-1])
         return eliminate(A, b)
 
-    def counting_dark(M, *args):
-        dark.append(M)
-        return solve_dark(M, *args)
+    def counting_eigh(a, *args, **kwargs):
+        dark.append(len(a) if np.ndim(a) == 3 else 1)
+        return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
     monkeypatch.setattr(wgqed.scattering, "_eliminate", counting_eliminate)
-    monkeypatch.setattr(wgqed.scattering, "_solve_dark", counting_dark)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     return solves, eliminations, dark
 
 
@@ -978,7 +978,7 @@ class TestSolveGate:
     @pytest.mark.parametrize("size", [12, 3], ids=["certified", "small"])
     def test_solvable_stack_is_one_solve(self, monkeypatch, size):
         # every slice solvable: the whole stack goes to one np.linalg.solve,
-        # nothing to _solve_dark, and the warning slice warns exactly once
+        # none to np.linalg.eigh, and the warning slice warns exactly once
         rng = np.random.default_rng(31)
         fields = [random_unit_vector(rng) for _ in range(size - 1)]
         fields.insert(size // 2, _WARN_FIELD)
@@ -1087,11 +1087,14 @@ class TestSolveGate:
     def test_lossless_projected_sweep_takes_singular_values_at_dark_points(
             self, monkeypatch):
         svd, cond = count_singular_values(monkeypatch)
+        solves, eliminations, dark = count_solves(monkeypatch)
         pts = polarization_sweep(paradox_model(), make_env([1, 0, 0], **X_ENV),
                                  LossModel.none(), ScatterInput(),
                                  np.linspace(0.0, np.pi, 401), dark_state_projection=True)
         # theta = 0, pi/2 and pi, where one dipole is dark
         assert 0 < sum(svd) <= 3 and cond == [] and not any(pt.failed for pt in pts)
+        # the gate refuses those three, and they join the one elimination
+        assert dark == [3] and eliminations == [401] and solves == []
 
     @pytest.mark.parametrize("case", ["lossy 2x2", "lossless 1x1"])
     def test_single_point_is_one_svd_slice_and_one_solve(self, monkeypatch, case):
@@ -1123,6 +1126,78 @@ class TestSolveGate:
         assert not any(pt.failed for pt in pts)
 
 
+def isotropic_model() -> EmitterModel:
+    """The J = 0 -> 1 emitter: one ground state and degenerate x, y and z
+    dipoles."""
+    return EmitterModel.from_arrays([0.0], [1.0, 1.0, 1.0],
+                                    [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]])
+
+
+class TestIsotropicEmitter:
+    """Lossless in a transverse field, the isotropic emitter's z level is dark
+    at every polarization, so the gate refuses every slice of a sweep."""
+
+    THETAS = np.linspace(0.0, np.pi, 401)     # cos and sin round off at pi/2 and pi
+
+    def sweep(self, model, projection):
+        return polarization_sweep(model, make_env([1, 0, 0], **X_ENV), LossModel.none(),
+                                  ScatterInput(), self.THETAS,
+                                  dark_state_projection=projection)
+
+    def test_projected_sweep_is_the_v_system_in_one_solve(self, monkeypatch):
+        v_system = self.sweep(paradox_model(), True)
+        solves, eliminations, dark = count_solves(monkeypatch)
+        pts = self.sweep(isotropic_model(), True)
+        # one eigh over every refused slice, and no solve but the stacked one
+        assert dark == [401] and eliminations == [401] and solves == []
+        for pt, v in zip(pts, v_system):
+            assert pt.error is None and pt.theta == v.theta
+            assert pt.result.amplitudes.tobytes() == v.result.amplitudes.tobytes()
+            assert pt.result.p_loss.hex() == v.result.p_loss.hex()
+
+    def test_unprojected_sweep_names_the_dark_directions_at_every_point(self):
+        pts = self.sweep(isotropic_model(), False)
+        x, y, z = np.eye(3)
+        for k, pt in enumerate(pts):
+            assert pt.result is None and isinstance(pt.error, SingularResponseError)
+            # z, plus y where the field is along x and x where it is along y
+            span = {0: [y, z], 200: [x, z], 400: [y, z]}.get(k, [z])
+            dark = pt.error.dark_vectors
+            assert dark.shape == (3, len(span))
+            np.testing.assert_allclose(dark @ dark.conj().T, np.transpose(span) @ span,
+                                       atol=1e-15)
+
+
+class TestSingularCoupledSubspace:
+    """Levels detuned by 1e37 and 1e83 dwarf couplings near 1e-12, so rounding
+    can leave a refused slice singular in its coupled directions too: that
+    slice fails, and the rest of the stack is solved."""
+
+    MODEL = EmitterModel.from_arrays(
+        [0.0], [1.0, -1e83, 1e37],
+        1e-6 * np.array([[[2, -1, -1j], [1 + 1j, 1j, 1 + 1j], [1, 1, 0]]]))
+
+    def sweep(self, thetas):
+        return polarization_sweep(self.MODEL, make_env([1, 0, 0], **X_ENV), LossModel.none(),
+                                  ScatterInput(), thetas, dark_state_projection=True)
+
+    @pytest.mark.parametrize("T", [41, 401], ids=["lapack", "eliminate"])
+    def test_the_slice_fails_and_the_stack_is_solved(self, T):
+        thetas = np.linspace(0.0, np.pi, T)
+        pts = self.sweep(thetas)
+        failed = [k for k, pt in enumerate(pts) if pt.failed]
+        assert failed and all(isinstance(pts[k].error, SingularResponseError)
+                              and "coupled subspace to working precision" in str(pts[k].error)
+                              for k in failed)
+        assert all(np.isfinite(pt.result.amplitudes).all() for pt in pts if not pt.failed)
+        # each slice alone (LAPACK) fails where it finds an exact zero pivot;
+        # the elimination also fails the slices it leaves non-finite
+        alone = [k for k, theta in enumerate(thetas) if self.sweep([theta])[0].failed]
+        assert set(alone) <= set(failed)
+        if T < _ELIMINATE_FROM:
+            assert failed == alone
+
+
 def stacked_outcomes(model, env, loss, inp, fields, projection):
     """Per slice of the stacked engine at ``fields``: the amplitude and
     p_loss bytes, or the error's type and message; and the warning messages."""
@@ -1138,12 +1213,14 @@ def stacked_outcomes(model, env, loss, inp, fields, projection):
 
 class TestStackSlices:
     """A slice of a stack is the one-field answer, bit for bit: its
-    amplitudes, its p_loss, whether it fails and why, and its warning."""
+    amplitudes, its p_loss, whether it fails and why, and its warning. With
+    projection that holds for the slices the gate refuses too."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_slice_equals_stack_of_one(self, seed):
         rng = np.random.default_rng(2700 + seed)
         env = make_env([1, 0, 0], a=0.7, omega=1.3, v_g=-0.2)
+        projected = 0
         for case in range(24):
             n_g, n_e = (int(k) for k in rng.integers(1, 4, size=2))
             ground = rng.uniform(-0.3, 0.3, n_g)
@@ -1157,8 +1234,10 @@ class TestStackSlices:
             # it is singular at the dark field
             frequency = excited[0] - ground[r] if case % 2 else float(rng.uniform(0.5, 1.5))
             fields = [random_unit_vector(rng) for _ in range(int(rng.integers(0, 14)))]
-            # dark, nearly dark (warns), overflowing, non-finite and inactive
-            for extra in ([0, 0, 1], [1e-7, 0, 1], [1e200, 0, 0], [np.inf, 0, 0], [0, 0, 0]):
+            # dark, nearly dark (refused), nearly dark (warns), overflowing,
+            # non-finite and inactive
+            for extra in ([0, 0, 1], [1e-9, 0, 1], [1e-7, 0, 1], [1e200, 0, 0],
+                          [np.inf, 0, 0], [0, 0, 0]):
                 fields.insert(int(rng.integers(0, len(fields) + 1)), extra)
             fields = np.array(fields, dtype=complex)
             for direction in MODES:
@@ -1173,6 +1252,12 @@ class TestStackSlices:
                         alone += outcome
                         alone_warnings += caught
                     assert stacked == alone and stacked_warnings == alone_warnings
+                    singular = {t for t, (kind, _) in enumerate(stacked)
+                                if kind is SingularResponseError}
+                    if projection:      # refused slices solved in the stack
+                        projected += len(refused - singular)
+                    refused = singular
+        assert projected > 0
 
 
 _EPS = np.finfo(float).eps
@@ -1219,15 +1304,18 @@ class TestLargeStacks:
     error message and the warning of its stack-of-one LAPACK call, solves
     each slice to a backward-stable residual, agrees with LAPACK to within
     the condition number, and gives a slice the same bits wherever it sits
-    in the stack."""
+    in the stack. With projection, a slice the gate refuses is solved as its
+    padded system in its damping eigenbasis, and held to the same bounds."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_slices_match_lapack_alone(self, monkeypatch, seed):
         rng = np.random.default_rng(2800 + seed)
         env = make_env([1, 0, 0], a=0.7, omega=1.3, v_g=-0.2)
-        checked = 0
+        checked = projected = 0
         for case in range(6):
             n_g, n_e = (int(k) for k in rng.integers(1, 4, size=2))
+            if case == 3:   # lossless on resonance: a refused slice keeps a level
+                n_e = max(n_e, 2)
             ground = rng.uniform(-0.3, 0.3, n_g)
             excited = 1.0 + rng.uniform(-0.4, 0.4, n_e)
             D = rng.normal(size=(n_g, n_e, 3)) + 1j * rng.normal(size=(n_g, n_e, 3))
@@ -1237,8 +1325,10 @@ class TestLargeStacks:
             loss = (LossModel.none(), LossModel.isotropic(0.2), random_loss_tensor(rng))[case % 3]
             frequency = excited[0] - ground[r] if case % 2 else float(rng.uniform(0.5, 1.5))
             fields = [random_unit_vector(rng) for _ in range(_ELIMINATE_FROM)]
-            # dark, nearly dark (warns), overflowing, non-finite and inactive
-            for extra in ([0, 0, 1], [1e-7, 0, 1], [1e200, 0, 0], [np.inf, 0, 0], [0, 0, 0]) * 2:
+            # dark, nearly dark (refused), nearly dark (warns), overflowing,
+            # non-finite and inactive
+            for extra in ([0, 0, 1], [1e-9, 0, 1], [1e-7, 0, 1], [1e200, 0, 0],
+                          [np.inf, 0, 0], [0, 0, 0]) * 2:
                 fields.insert(int(rng.integers(0, len(fields) + 1)), extra)
             fields = np.array(fields, dtype=complex)
             K = wgqed.photonic.guided_couplings(model.dipole_array(), fields)
@@ -1253,13 +1343,21 @@ class TestLargeStacks:
                         model, env, loss, inp, fields, projection)
                     monkeypatch.undo()
                     (M,), ((A, b, y),) = stacks, calls
-                    # the slices the elimination solved: their response, not
-                    # the identity put in place of a slice it must not take
+                    # the slices the elimination solved: their response, or
+                    # the padded system of a refused slice, not the identity
+                    # put in place of a slice it must not take
                     solved = ~(A == np.eye(n_e)[..., None]).all(axis=(0, 1)) & b.any(axis=0)
-                    assert np.array_equal(A[..., solved], M[solved].transpose(1, 2, 0))
+                    padded = solved & ~(A == M.transpose(1, 2, 0)).all(axis=(0, 1))
+                    if projection:      # exactly the slices that fail singular without
+                        assert np.flatnonzero(padded).tolist() == refused
+                        projected += len(refused)
+                    else:
+                        assert not padded.any()
+                        refused = sorted(t for t, f in failures.items()
+                                         if f[0] is SingularResponseError)
                     residuals = relative_residuals(A[..., solved], b[:, solved], y[:, solved])
                     assert (residuals <= 8 * n_e * _EPS).all()
-                    cond = np.linalg.cond(M[solved])
+                    cond = np.linalg.cond(A[..., solved].transpose(2, 0, 1))
                     alone = [engine_outcome(model, env, loss, inp, fields[t:t + 1], projection)
                              for t in range(len(fields))]
                     assert failures == {t: f[0] for t, (_, _, f, _) in enumerate(alone) if f}
@@ -1284,7 +1382,7 @@ class TestLargeStacks:
                         assert moved[2] == {k: failures[t] for k, t in enumerate(order.tolist())
                                             if t in failures}
                         assert sorted(moved[3]) == sorted(caught)
-        assert checked > 0
+        assert checked > 0 and projected > 0
 
 
 def mp_solutions(A: np.ndarray, b: np.ndarray) -> np.ndarray:
