@@ -33,13 +33,12 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .emitter import EmitterModel, ExcitedSuperposition, _as_float
+from .emitter import EmitterModel, ExcitedSuperposition, _as_float, _Value
 from .emission import INITIAL_NORM_TOL, _propagate, outcome_forms
 from .errors import ConfigError, ModelValidationError, UnknownPresetError, WgqedError
 from .photonic import LossModel, WaveguideEnv, coupling_bundle
@@ -230,30 +229,29 @@ class Built(NamedTuple):
     initial: ExcitedSuperposition | None
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Fully validated scenario description in canonical plain-data form.
+# The keys of a config's top level: the scenario, then those of _FIELDS
+_SCHEMA_KEYS = ("scenario", *(name for name in _FIELDS if "." not in name))
+
+
+class ScenarioConfig(_Value):
+    """Fully validated scenario description in canonical plain-data form, one
+    attribute per key of ``_SCHEMA_KEYS``, each given by position or keyword.
 
     ``built`` holds the domain objects it describes, built once when the
     config is made; the checks that need two fields run there."""
 
-    scenario: str
-    mode: str
-    emitter: dict
-    waveguide: dict
-    loss: dict
-    input: dict
-    output: dict
-    integrator: dict
-    sweep: dict | None
-    initial_state: list | None
-    dark_state_projection: bool
+    __slots__ = _SCHEMA_KEYS + ("built",)
 
-    def __post_init__(self):
+    def __init__(self, *values, **named):
+        given = dict(zip(_SCHEMA_KEYS, values), **named)
+        if len(values) + len(named) != len(_SCHEMA_KEYS) or given.keys() != set(_SCHEMA_KEYS):
+            raise TypeError(f"ScenarioConfig takes exactly the fields {_SCHEMA_KEYS}")
+        for name in _SCHEMA_KEYS:
+            object.__setattr__(self, name, given[name])
         object.__setattr__(self, "built", _build(self))
 
-
-_SCHEMA_KEYS = {f.name for f in fields(ScenarioConfig)}
+    def _args(self) -> dict:
+        return {name: getattr(self, name) for name in _SCHEMA_KEYS}
 
 
 def _build(c: ScenarioConfig) -> Built:
@@ -309,7 +307,7 @@ def _build(c: ScenarioConfig) -> Built:
 
 def serialize_config(config: ScenarioConfig) -> str:
     """Canonical JSON form; parse followed by serialize is idempotent."""
-    return json.dumps(asdict(config), indent=2, sort_keys=True) + "\n"
+    return json.dumps(config._args(), indent=2, sort_keys=True) + "\n"
 
 
 def _expand(data) -> dict:

@@ -71,11 +71,15 @@ def _as_grid(values, name: str) -> np.ndarray:
 
 class _Value:
     """An immutable value, rebuilt through its constructor from the checked
-    keyword arguments ``_args()``: equality, hashing, the repr, pickling and
-    copying all come from them. Arrays among them are read-only, and compare
-    and hash by their bytes with signed zeros made equal."""
+    arguments ``_args()`` (by default its slots), in constructor order:
+    equality, hashing, the repr, pickling and copying all come from them.
+    Arrays among them are read-only, and compare and hash by their bytes with
+    signed zeros made equal."""
 
     __slots__ = ()
+
+    def _args(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__}
 
     def _key(self) -> tuple:
         # + 0.0 turns -0.0 into 0.0, so that equal arrays have equal bytes

@@ -29,7 +29,6 @@ Hamiltonian of the excited manifold is assembled: emission exponentiates it
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -43,31 +42,29 @@ LOSS_SYMMETRY_TOL = 1e-12
 LOSS_PASSIVITY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class WaveguideEnv:
+class WaveguideEnv(_Value):
     """Local waveguide data: forward field, periodicity, group velocity and
-    photon frequency."""
+    photon frequency, each kept as given once checked."""
 
-    E_f: PolarizationVector
-    a: float = 1.0
-    v_g: float = 0.1
-    omega: float = 1.0
+    __slots__ = ("E_f", "a", "v_g", "omega")
 
-    def __post_init__(self):
-        if not isinstance(self.E_f, PolarizationVector):
+    def __init__(self, E_f, a=1.0, v_g=0.1, omega=1.0):
+        if not isinstance(E_f, PolarizationVector):
             try:
-                object.__setattr__(self, "E_f", PolarizationVector(self.E_f))
+                E_f = PolarizationVector(E_f)
             except ModelValidationError as exc:
                 raise ModelValidationError(exc.code, "E_f must be 2 or 3 numbers, "
-                                           f"got {self.E_f!r}") from None
-        if not np.isfinite(self.E_f.as_array()).all():
+                                           f"got {E_f!r}") from None
+        if not np.isfinite(E_f.as_array()).all():
             raise ModelValidationError("non-finite-entry", "E_f has non-finite components")
-        for name in ("a", "omega", "v_g"):
-            val = _as_float(getattr(self, name))
+        for name, value in (("a", a), ("omega", omega), ("v_g", v_g)):
+            val = _as_float(value)
             if not (math.isfinite(val) and (val != 0 if name == "v_g" else val > 0)):
                 rule = "nonzero" if name == "v_g" else "positive"
                 raise ModelValidationError("invalid-environment", f"{name} must be {rule} "
-                                           f"and finite, got {getattr(self, name)!r}")
+                                           f"and finite, got {value!r}")
+        for name, value in zip(self.__slots__, (E_f, a, v_g, omega)):
+            object.__setattr__(self, name, value)
 
     @property
     def E_b(self) -> PolarizationVector:
@@ -113,9 +110,6 @@ class LossModel(_Value):
                                        f"negative decay rate (min eig {min_rate:.3e})")
         arr.setflags(write=False)
         object.__setattr__(self, "tensor", arr)
-
-    def _args(self) -> dict:
-        return {"tensor": self.tensor}
 
     @classmethod
     def none(cls) -> "LossModel":

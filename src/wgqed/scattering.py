@@ -52,17 +52,16 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .emitter import EmitterModel, PolarizationVector, _as_float, _as_grid
+from .emitter import EmitterModel, PolarizationVector, _as_float, _as_grid, _Value
 from .errors import IllConditionedResponseWarning, NonPhysicalStateError, SingularResponseError
-from .photonic import LossModel, WaveguideEnv, effective_hamiltonian, guided_couplings
+from .photonic import CHANNELS, LossModel, WaveguideEnv, effective_hamiltonian, guided_couplings
 
-MODES = ("forward", "backward")
+MODES = CHANNELS[:2]    # the guided modes, in the order of guided_couplings' channels
 DARK_COUPLING_THRESHOLD = 1e-12
 COND_WARN_THRESHOLD = 1e12
 COND_SINGULAR_THRESHOLD = 1e15
@@ -84,25 +83,23 @@ _ELIMINATE_FROM = 128
 _ELIMINATE_MAX_N = 3
 
 
-@dataclass(frozen=True)
-class ScatterInput:
+class ScatterInput(_Value):
     """Input channel: photon direction, initial ground state, and photon
     frequency (defaults to the environment frequency, i.e. zero detuning
     against an excited energy equal to ``E_ground + omega``)."""
 
-    direction: str = "forward"
-    ground_index: int = 0
-    photon_frequency: float | None = None
+    __slots__ = ("direction", "ground_index", "photon_frequency")
 
-    def __post_init__(self):
-        if not (isinstance(self.direction, str) and self.direction in MODES):
-            raise ValueError(f"direction must be one of {MODES}, got {self.direction!r}")
-        index = self.ground_index
-        if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
-            raise ValueError(f"ground_index must be an integer, got {index!r}")
-        freq = self.photon_frequency
-        if freq is not None and not math.isfinite(_as_float(freq)):
-            raise ValueError(f"photon_frequency must be None or a finite number, got {freq!r}")
+    def __init__(self, direction="forward", ground_index=0, photon_frequency=None):
+        if not (isinstance(direction, str) and direction in MODES):
+            raise ValueError(f"direction must be one of {MODES}, got {direction!r}")
+        if isinstance(ground_index, bool) or not isinstance(ground_index, (int, np.integer)):
+            raise ValueError(f"ground_index must be an integer, got {ground_index!r}")
+        if photon_frequency is not None and not math.isfinite(_as_float(photon_frequency)):
+            raise ValueError("photon_frequency must be None or a finite number, "
+                             f"got {photon_frequency!r}")
+        for name, value in zip(self.__slots__, (direction, ground_index, photon_frequency)):
+            object.__setattr__(self, name, value)
 
 
 class ScatteringResult(NamedTuple):

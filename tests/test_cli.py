@@ -1,13 +1,16 @@
 """Command line front end: presets, configs, output files, exit codes."""
 
+import copy
 import csv
+import hashlib
 import importlib
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +24,8 @@ import wgqed.emission
 import wgqed.emitter
 import wgqed.photonic
 from wgqed import ConfigError, UnknownPresetError, coupling_bundle
-from wgqed.cli import PRESET_NAMES, main, parse_config, preset, serialize_config
+from wgqed.cli import (PRESET_NAMES, ScenarioConfig, main, parse_config, preset,
+                       serialize_config)
 
 
 def read_csv(path):
@@ -102,6 +106,35 @@ class TestConfigParsing:
             text = serialize_config(preset(name))
             again = serialize_config(parse_config(json.loads(text)))
             assert text == again
+
+    # SHA-256 of each preset's canonical text, the bytes a run's provenance hashes
+    PRESET_SHA256 = {
+        "paradox-emission": "3cb3013504021601418d62e086704f6547288a548b9551e159d8a36c779f7db8",
+        "isotropic-scan": "7187f3db624f6c3dba522df17befd609269777de3ddf042887530d0b511035a5",
+        "ixi-scan": "1ba0135434b9db8faf86c7778078f51a4590cba6c643ff75a4c09f8ac3f76a48",
+        "two-level": "3d2846b858b8a895d288cf5b6d30b34473ea177569426d672237828e5476f4b0",
+    }
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_config_is_an_immutable_value(self, name):
+        config = preset(name)
+        for attr in (*config.__slots__, "extra"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(config, attr, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(config, attr)
+        # a copy is rebuilt through the constructor, its domain objects too
+        for other in (pickle.loads(pickle.dumps(config)), copy.deepcopy(config)):
+            assert type(other) is ScenarioConfig and other == config
+            assert other.built == config.built and other.built is not config.built
+        # built from its keys, by keyword, and from no other set of keys
+        fields = json.loads(serialize_config(config))
+        assert ScenarioConfig(**fields) == config
+        for bad in ({**fields, "extra": None}, {k: v for k, v in fields.items() if k != "mode"}):
+            with pytest.raises(TypeError):
+                ScenarioConfig(**bad)
+        text = serialize_config(config)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.PRESET_SHA256[name]
 
     def test_custom_round_trip(self):
         text = serialize_config(parse_config(CUSTOM_SCATTER))
@@ -1241,7 +1274,7 @@ class TestCustomEmission:
                                              initial_state):
         # the config check and the propagator share one norm tolerance, so a
         # state the propagator would reject is a configuration error
-        cfg = dict(asdict(preset("paradox-emission")), scenario="custom",
+        cfg = dict(json.loads(serialize_config(preset("paradox-emission"))), scenario="custom",
                    initial_state=initial_state)
         (tmp_path / "em.json").write_text(json.dumps(cfg))
         assert run_cli(monkeypatch, tmp_path, "run", "em.json", "--out", "em.csv") == 1
@@ -1252,7 +1285,7 @@ class TestCustomEmission:
     def test_huge_initial_state_prints_only_the_configuration_error(self, tmp_path):
         # a fresh interpreter, with the default warning filters, would print
         # an overflow in the norm check before the error
-        cfg = dict(asdict(preset("paradox-emission")), scenario="custom",
+        cfg = dict(json.loads(serialize_config(preset("paradox-emission"))), scenario="custom",
                    initial_state=[[1e308, 0], [0, 0]])
         (tmp_path / "em.json").write_text(json.dumps(cfg))
         proc = run_python(tmp_path, "-m", "wgqed.cli", "run", "em.json", "--out", "em.csv")
@@ -1328,7 +1361,7 @@ class TestCustomEmission:
     @pytest.mark.parametrize("argv,source", [
         (["paradox-emission", "--dark-state-projection"], None),
         (["p.json"], {"scenario": "paradox-emission", "dark_state_projection": True}),
-        (["c.json"], dict(asdict(preset("paradox-emission")), scenario="custom",
+        (["c.json"], dict(json.loads(serialize_config(preset("paradox-emission"))), scenario="custom",
                           dark_state_projection=True)),
     ], ids=["flag", "preset-file", "custom-file"])
     def test_dark_state_projection_is_refused(self, monkeypatch, tmp_path, capsys,

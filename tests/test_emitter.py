@@ -334,14 +334,18 @@ _VALUES = [
     (v_system(), EmitterModel.dipole_array),
     (LossModel.from_array(0.3 * np.eye(3) + 0.2j * np.eye(3)), LossModel.as_array),
     (ExcitedSuperposition([1j, -0.0]), ExcitedSuperposition.as_array),
+    (make_env([1, 1j], a=2.0, v_g=-0.5, omega=3), lambda env: env.E_f.as_array()),
+    (ScatterInput("backward", 1, 1.25), None),      # holds no array
 ]
-_VALUE_IDS = ["PolarizationVector", "EmitterModel", "LossModel", "ExcitedSuperposition"]
+_VALUE_IDS = ["PolarizationVector", "EmitterModel", "LossModel", "ExcitedSuperposition",
+              "WaveguideEnv", "ScatterInput"]
 
 
 class TestValueTypes:
-    """Polarization vectors, emitter models, loss models and excited
-    superpositions are values: no attribute can change, and a copy is an
-    equal, hash-equal value whose array is read-only."""
+    """Polarization vectors, emitter models, loss models, excited
+    superpositions, waveguide environments and scatter inputs are values: no
+    attribute can change, and a copy is an equal, hash-equal value whose
+    array, if it has one, is read-only."""
 
     @pytest.mark.parametrize("value,array", _VALUES, ids=_VALUE_IDS)
     @pytest.mark.parametrize("duplicate", [
@@ -351,6 +355,9 @@ class TestValueTypes:
         other = duplicate(value)
         assert type(other) is type(value)
         assert other == value and hash(other) == hash(value)
+        assert repr(other) == repr(value)
+        if array is None:
+            return
         assert not array(other).flags.writeable
         np.testing.assert_array_equal(array(other), array(value))
 
