@@ -28,7 +28,6 @@ warning filter.
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import math
 import sys
@@ -232,66 +231,74 @@ class Built(NamedTuple):
 # The keys of a config's top level: the scenario, then those of _FIELDS
 _SCHEMA_KEYS = ("scenario", *(name for name in _FIELDS if "." not in name))
 
+# Each key's place in the schema, no two sections sharing a key name
+_RANK = {name.rpartition(".")[2]: i for i, name in enumerate(("scenario", *_FIELDS))}
+
 
 class ScenarioConfig(_Value):
-    """Fully validated scenario description in canonical plain-data form, one
-    attribute per key of ``_SCHEMA_KEYS``, each given by position or keyword.
+    """A validated scenario: ``built``, the domain objects made from its values,
+    and the canonical JSON text of those values, one key per ``_SCHEMA_KEYS``."""
 
-    ``built`` holds the domain objects it describes, built once when the
-    config is made; the checks that need two fields run there."""
-
-    __slots__ = _SCHEMA_KEYS + ("built",)
+    __slots__ = ("_text", "built")
 
     def __init__(self, *values, **named):
         given = dict(zip(_SCHEMA_KEYS, values), **named)
         if len(values) + len(named) != len(_SCHEMA_KEYS) or given.keys() != set(_SCHEMA_KEYS):
             raise TypeError(f"ScenarioConfig takes exactly the fields {_SCHEMA_KEYS}")
-        for name in _SCHEMA_KEYS:
-            object.__setattr__(self, name, given[name])
-        object.__setattr__(self, "built", _build(self))
+        object.__setattr__(self, "built", _build(given))
+        object.__setattr__(self, "_text", json.dumps(given, indent=2, sort_keys=True,
+                                                       allow_nan=False) + "\n")
+
+    def __getattr__(self, name):    # a name that is no slot
+        return self._args()[name] if name in _SCHEMA_KEYS else object.__getattribute__(self, name)
 
     def _args(self) -> dict:
-        return {name: getattr(self, name) for name in _SCHEMA_KEYS}
+        return json.loads(self._text, object_pairs_hook=lambda pairs: dict(
+            sorted(pairs, key=lambda pair: _RANK.get(pair[0], len(_RANK)))))
+
+    def _key(self) -> str:
+        return self._text
 
 
-def _build(c: ScenarioConfig) -> Built:
-    emission = c.mode == "emission"
-    if emission != (c.initial_state is not None):
+def _build(c: dict) -> Built:
+    emission = c["mode"] == "emission"
+    if emission != (c["initial_state"] is not None):
         raise ConfigError(
             "emission scenarios need an initial_state" if emission
             else "initial_state is only valid for emission scenarios",
             field="initial_state",
         )
-    if c.sweep is not None and c.mode != "scattering":
+    if c["sweep"] is not None and c["mode"] != "scattering":
         raise ConfigError("sweep is only valid for scattering scenarios", field="sweep")
-    if emission and c.dark_state_projection:
+    if emission and c["dark_state_projection"]:
         raise ConfigError("dark_state_projection is only valid for scattering and "
                           "diagnostic scenarios", field="dark_state_projection")
-    em = c.emitter
+    em = c["emitter"]
     n_ground = len(em["ground_energies"])
-    if c.input["ground_index"] >= n_ground:
+    if c["input"]["ground_index"] >= n_ground:
         raise ConfigError(
             f"input.ground_index must be an integer in [0, {n_ground}), "
-            f"got {c.input['ground_index']!r}",
+            f"got {c['input']['ground_index']!r}",
             field="input.ground_index",
         )
     model = _named("emitter.dipoles", EmitterModel, em["ground_energies"],
                    em["excited_energies"], _complex_pairs(em["dipoles"], "emitter.dipoles", 3))
-    if c.mode == "diagnostic" and (model.n_ground, model.n_excited) != (1, 1):
+    if c["mode"] == "diagnostic" and (model.n_ground, model.n_excited) != (1, 1):
         raise ConfigError("the two-level diagnostic needs exactly one ground and one "
                           "excited state", field="emitter")
-    wg = c.waveguide
+    wg = c["waveguide"]
     env = _named("waveguide.E_f", WaveguideEnv, _complex_pairs(wg["E_f"], "waveguide.E_f", 1),
                  wg["a"], wg["v_g"], wg["omega"])
-    if "isotropic" in c.loss:
-        loss = LossModel.isotropic(float(c.loss["isotropic"]))
+    if "isotropic" in c["loss"]:
+        loss = LossModel.isotropic(float(c["loss"]["isotropic"]))
     else:
-        loss = _named("loss.tensor", LossModel, _complex_pairs(c.loss["tensor"], "loss.tensor", 2))
-    inp = ScatterInput(c.input["direction"], c.input["ground_index"],
-                       c.input.get("photon_frequency"))
+        loss = _named("loss.tensor", LossModel,
+                      _complex_pairs(c["loss"]["tensor"], "loss.tensor", 2))
+    inp = ScatterInput(c["input"]["direction"], c["input"]["ground_index"],
+                       c["input"].get("photon_frequency"))
     initial = None
-    if c.initial_state is not None:
-        amps = _complex_pairs(c.initial_state, "initial_state", 1)
+    if c["initial_state"] is not None:
+        amps = _complex_pairs(c["initial_state"], "initial_state", 1)
         if len(amps) != model.n_excited:
             raise ConfigError(f"initial_state has {len(amps)} amplitudes for "
                               f"{model.n_excited} excited states", field="initial_state")
@@ -306,8 +313,8 @@ def _build(c: ScenarioConfig) -> Built:
 
 
 def serialize_config(config: ScenarioConfig) -> str:
-    """Canonical JSON form; parse followed by serialize is idempotent."""
-    return json.dumps(config._args(), indent=2, sort_keys=True) + "\n"
+    """The canonical JSON text the config holds; parse and serialize are a fixed point."""
+    return config._text
 
 
 def _expand(data) -> dict:
@@ -326,8 +333,7 @@ def _expand(data) -> dict:
             f"unknown preset {scenario!r}; available: {', '.join(PRESET_NAMES)}",
             field="scenario",
         )
-    # a copy, so that no caller can change the preset through its config
-    base = dict(copy.deepcopy(_PRESETS[scenario]), scenario=scenario)
+    base = dict(_PRESETS[scenario], scenario=scenario)
     for key, value in data.items():
         if key not in _PRESET_OVERRIDABLE and value != base.get(key):
             raise ConfigError(
@@ -385,18 +391,14 @@ def _write_table(path: Path, fmt: str, scenario: str,
         row_fmt = ",".join([f"%{FLOAT_FMT}"] * len(columns))
         text = "\n".join([",".join(columns), *(row_fmt % tuple(row) for row in rows)]) + "\n"
     else:
-        payload = {
-            "scenario": scenario,
-            "columns": columns,
-            "rows": [[None if math.isnan(v) else float(v) for v in row] for row in rows],
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        rows = [[None if math.isnan(v) else float(v) for v in row] for row in rows]
+        text = json.dumps({"scenario": scenario, "columns": columns, "rows": rows},
+                          indent=2, sort_keys=True) + "\n"
     try:
         path.write_text(text)
     except (OSError, ValueError) as exc:    # ValueError: a NUL byte in the path
-        raise ConfigError(
-            f"cannot write output file {str(path)!r}: {exc}", field="output.path"
-        ) from exc
+        raise ConfigError(f"cannot write output file {str(path)!r}: {exc}",
+                          field="output.path") from exc
 
 
 def _amplitude_columns(n_ground: int) -> list[str]:
@@ -415,9 +417,9 @@ def _amplitude_parts(amplitudes: np.ndarray, backward_first: bool) -> np.ndarray
     return parts.reshape(amplitudes.shape[:-2] + (-1,))
 
 
-def _emission_table(config: ScenarioConfig):
-    model, env, loss, _, state = config.built
-    integ = config.integrator
+def _emission_table(built: Built, data: dict):
+    model, env, loss, _, state = built
+    integ = data["integrator"]
     try:
         times, blocks, probs, trace = _propagate(
             coupling_bundle(model, env, loss), state, integ["t_max"],
@@ -432,17 +434,17 @@ def _emission_table(config: ScenarioConfig):
     return columns, table.tolist(), []
 
 
-def _scattering_table(config: ScenarioConfig):
-    model, env, loss, inp, _ = config.built
+def _scattering_table(built: Built, data: dict):
+    model, env, loss, inp, _ = built
     columns = _amplitude_columns(model.n_ground) + ["p_loss"]
-    sweep = config.sweep
+    sweep = data["sweep"]
     if sweep is None:    # a single point is a sweep of one
         fields = env.E_f.as_array()[None]
     else:
         thetas = np.linspace(float(sweep["start"]), float(sweep["stop"]), int(sweep["steps"]))
         fields = _theta_fields(thetas)
     amplitudes, p_loss, _, errors = _scatter_fields(model, env, loss, inp, fields,
-                                                    config.dark_state_projection)
+                                                    data["dark_state_projection"])
     # with one ground state the columns are t and r, which follow the input mode
     flip = model.n_ground == 1 and inp.direction == "backward"
     table = np.column_stack((_amplitude_parts(amplitudes, flip), p_loss))
@@ -455,10 +457,10 @@ def _scattering_table(config: ScenarioConfig):
     return ["theta"] + columns, np.column_stack((thetas, table)).tolist(), failures
 
 
-def _diagnostic_table(config: ScenarioConfig):
+def _diagnostic_table(built: Built, data: dict):
     # t, r and p_loss are the single-point scattering columns
-    columns, rows, _ = _scattering_table(config)
-    model, env, loss, _, _ = config.built
+    columns, rows, _ = _scattering_table(built, data)
+    model, env, loss, _, _ = built
     bundle = coupling_bundle(model, env, loss)
     rates = bundle.channel_decay_rates()
     rate_f, rate_b, rate_l = (float(rates[channel][0])
@@ -475,7 +477,7 @@ def _diagnostic_table(config: ScenarioConfig):
     return columns, rows, []
 
 
-# The table of each mode: config -> (columns, rows, failures named as nan rows)
+# The table of each mode: (built, data) -> (columns, rows, failures as nan rows)
 _TABLES = {"emission": _emission_table, "scattering": _scattering_table,
            "diagnostic": _diagnostic_table}
 
@@ -485,22 +487,24 @@ def run(config: ScenarioConfig) -> int:
     fails as a whole, and returns the exit code (0 success, 2 numerical
     failure). Raises :class:`ConfigError` naming ``output.path`` when the
     output file cannot be written."""
+    data = json.loads(config._text)     # the run's one parse of the config text
+    mode, scenario = data["mode"], data["scenario"]
     # the library's warnings are the run's to print, whatever the filters say
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            columns, rows, failures = _TABLES[config.mode](config)
+            columns, rows, failures = _TABLES[mode](config.built, data)
         except WgqedError as exc:
             rows, failures = None, [exc]
     for warning in caught:
-        print(f"wgqed: {config.mode} warning: {warning.message}", file=sys.stderr)
+        print(f"wgqed: {mode} warning: {warning.message}", file=sys.stderr)
     for failure in failures:
-        print(f"wgqed: {config.mode} failed: {failure}", file=sys.stderr)
+        print(f"wgqed: {mode} failed: {failure}", file=sys.stderr)
     if rows is None:
         return 2
-    fmt, path = config.output["format"], config.output["path"]
-    path = f"{config.scenario}.{fmt}" if path is None else path
-    _write_table(Path(path), fmt, config.scenario, columns, rows)
+    fmt, path = data["output"]["format"], data["output"]["path"]
+    path = f"{scenario}.{fmt}" if path is None else path
+    _write_table(Path(path), fmt, scenario, columns, rows)
     return 2 if failures else 0
 
 

@@ -24,8 +24,8 @@ import wgqed.emission
 import wgqed.emitter
 import wgqed.photonic
 from wgqed import ConfigError, UnknownPresetError, coupling_bundle
-from wgqed.cli import (PRESET_NAMES, ScenarioConfig, main, parse_config, preset,
-                       serialize_config)
+from wgqed.cli import (_SCHEMA_KEYS, PRESET_NAMES, ScenarioConfig, main, parse_config,
+                       preset, run, serialize_config)
 
 
 def read_csv(path):
@@ -68,6 +68,18 @@ CUSTOM_SCATTER = {
     "input": {"direction": "forward", "ground_index": 0, "photon_frequency": 1.0},
     "sweep": {"parameter": "theta", "start": 0.0, "stop": 0.02, "steps": 3},
 }
+
+
+def _scribble(value):
+    """Write into every object and array within ``value``, innermost first."""
+    if isinstance(value, (dict, list)):
+        for key, item in list(value.items() if isinstance(value, dict) else enumerate(value)):
+            _scribble(item)
+            value[key] = 9.0
+
+
+# Each preset, and the custom scattering scenario, as a raw config
+_RAW_CONFIGS = {**{name: {"scenario": name} for name in PRESET_NAMES}, "custom": CUSTOM_SCATTER}
 
 
 class TestPresets:
@@ -114,11 +126,19 @@ class TestConfigParsing:
         "ixi-scan": "1ba0135434b9db8faf86c7778078f51a4590cba6c643ff75a4c09f8ac3f76a48",
         "two-level": "3d2846b858b8a895d288cf5b6d30b34473ea177569426d672237828e5476f4b0",
     }
+    # and of each preset's repr, which lists every key, a section's too, in schema order
+    PRESET_REPR_SHA256 = {
+        "paradox-emission": "ef2a6f83d3d3f59c89ebcd177bd8370d58580c95dda75737f94f84754abf4cb7",
+        "isotropic-scan": "2f3fd552ee6f6cdea6f473aefe0f46cfc7c1314a841e8467331999d57b1470e3",
+        "ixi-scan": "06c29dc6c7da2b58d61b1aec39b4bce3d44e7082b81ca2a6bad394e20018dd12",
+        "two-level": "a29ad280f7801f773ed4dbe49323bf8a1a13b5f60790670ce8bff126077ee099",
+    }
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_config_is_an_immutable_value(self, name):
         config = preset(name)
-        for attr in (*config.__slots__, "extra"):
+        assert ScenarioConfig.__slots__ == ("_text", "built")
+        for attr in (*config.__slots__, *_SCHEMA_KEYS, "extra"):
             with pytest.raises(FrozenInstanceError):
                 setattr(config, attr, None)
             with pytest.raises(FrozenInstanceError):
@@ -135,6 +155,57 @@ class TestConfigParsing:
                 ScenarioConfig(**bad)
         text = serialize_config(config)
         assert hashlib.sha256(text.encode()).hexdigest() == self.PRESET_SHA256[name]
+        digest = hashlib.sha256(repr(config).encode()).hexdigest()
+        assert digest == self.PRESET_REPR_SHA256[name]
+
+    @pytest.mark.parametrize("name", _RAW_CONFIGS)
+    def test_writes_into_data_read_from_a_config_change_nothing(self, name):
+        # a key reads a copy: its text, equality, hash and built objects stay,
+        # and so does the preset the config came from
+        raw = copy.deepcopy(_RAW_CONFIGS[name])
+        config = parse_config(raw)
+        text, digest, built = serialize_config(config), hash(config), config.built
+        config.loss["isotropic"] = 5.0
+        config.emitter["dipoles"][0][0][0][0] = 9.0
+        config.integrator["output_points"] = 3
+        for key in _SCHEMA_KEYS:
+            _scribble(getattr(config, key))
+        _scribble(raw)      # the data it was built from, too
+        fresh = parse_config(copy.deepcopy(_RAW_CONFIGS[name]))
+        assert serialize_config(config) == text and serialize_config(fresh) == text
+        assert config == fresh and hash(config) == digest == hash(fresh)
+        assert config.built is built and built == fresh.built
+        assert config.loss == json.loads(text)["loss"]
+
+    def test_equal_configs_hash_equal(self):
+        configs = {name: parse_config(raw) for name, raw in _RAW_CONFIGS.items()}
+        assert len({configs[name] for name in PRESET_NAMES}) == 4
+        for config in configs.values():
+            again = parse_config(json.loads(serialize_config(config)))
+            assert again == config and hash(again) == hash(config)
+        assert preset("two-level") in set(configs.values())
+
+    def test_equality_is_equality_of_the_canonical_text(self):
+        # 1 and 1.0 build equal objects, but their texts differ
+        as_int, as_float = (parse_config(dict(CUSTOM_SCATTER, waveguide=dict(
+            CUSTOM_SCATTER["waveguide"], a=a))) for a in (1, 1.0))
+        assert as_int.built == as_float.built
+        assert as_int != as_float and serialize_config(as_int) != serialize_config(as_float)
+
+    @pytest.mark.parametrize("section,key,value,error", [
+        ("emitter", "dipoles", np.array([[[1, 0, 0], [0, 1, 0]]], dtype=complex), TypeError),
+        ("sweep", "steps", np.int64(401), TypeError),
+        ("sweep", "start", float("nan"), ValueError),
+    ], ids=["array", "numpy-integer", "nan"])
+    def test_value_json_cannot_hold_is_refused_when_made(self, section, key, value, error):
+        fields = json.loads(serialize_config(preset("isotropic-scan")))
+        fields[section][key] = value
+        with pytest.raises(error) as exc:
+            ScenarioConfig(**fields)
+        assert type(exc.value) is error
+        # the parse names the same value a field fault, as before the text was kept
+        with pytest.raises(ConfigError, match=f"{section}.{key} must be"):
+            parse_config(dict(fields, scenario="custom"))
 
     def test_custom_round_trip(self):
         text = serialize_config(parse_config(CUSTOM_SCATTER))
@@ -897,6 +968,16 @@ class TestParseOnce:
         assert run_cli(monkeypatch, tmp_path, "run", scenario, "--loss", "0.2",
                        "--out", "o.csv") == 0
         assert calls == {"parse_config": 1, "model_check": 1}
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_a_run_parses_the_config_text_at_most_once(self, monkeypatch, tmp_path, name):
+        # a key read parses the whole text, so the runners read one parse's data
+        config = parse_config({"scenario": name, "output": {"path": str(tmp_path / "o.csv")}})
+        texts, loads = [], json.loads
+        monkeypatch.setattr(json, "loads",
+                            lambda text, **kw: texts.append(text) or loads(text, **kw))
+        assert run(config) == 0
+        assert len(texts) <= 1
 
     @pytest.mark.parametrize("argv", [
         *([name] for name in PRESET_NAMES),

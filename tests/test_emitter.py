@@ -26,6 +26,8 @@ from wgqed import (
     rotate_excited_basis,
     two_level_closed_form,
 )
+from wgqed.cli import preset
+from wgqed.emitter import _Value
 
 from conftest import (
     ARGUMENTS,
@@ -336,16 +338,26 @@ _VALUES = [
     (ExcitedSuperposition([1j, -0.0]), ExcitedSuperposition.as_array),
     (make_env([1, 1j], a=2.0, v_g=-0.5, omega=3), lambda env: env.E_f.as_array()),
     (ScatterInput("backward", 1, 1.25), None),      # holds no array
+    (preset("two-level"), None),                    # holds its text and built objects
 ]
-_VALUE_IDS = ["PolarizationVector", "EmitterModel", "LossModel", "ExcitedSuperposition",
-              "WaveguideEnv", "ScatterInput"]
+_VALUE_IDS = [type(value).__name__ for value, _ in _VALUES]
 
 
 class TestValueTypes:
     """Polarization vectors, emitter models, loss models, excited
-    superpositions, waveguide environments and scatter inputs are values: no
-    attribute can change, and a copy is an equal, hash-equal value whose
-    array, if it has one, is read-only."""
+    superpositions, waveguide environments, scatter inputs and scenario
+    configs are values: no attribute can change, and a copy is an equal,
+    hash-equal value whose array, if it has one, is read-only."""
+
+    def test_every_value_type_has_a_case(self):
+        # a value type that wgqed or wgqed.cli defines cannot skip the contract
+        types, todo = set(), [_Value]
+        while todo:
+            subclasses = todo.pop().__subclasses__()
+            types.update(subclasses)
+            todo.extend(subclasses)
+        defined = {t for t in types if t.__module__.split(".")[0] == "wgqed"}
+        assert defined == {type(value) for value, _ in _VALUES}
 
     @pytest.mark.parametrize("value,array", _VALUES, ids=_VALUE_IDS)
     @pytest.mark.parametrize("duplicate", [
