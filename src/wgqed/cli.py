@@ -335,7 +335,15 @@ def _expand(data) -> dict:
         )
     base = dict(_PRESETS[scenario], scenario=scenario)
     for key, value in data.items():
-        if key not in _PRESET_OVERRIDABLE and value != base.get(key):
+        if key in _PRESET_OVERRIDABLE:
+            continue
+        for field, item in ({f"{key}.{name}": item for name, item in value.items()}
+                            if isinstance(value, dict) else {key: value}).items():
+            try:    # a value JSON cannot hold (an ndarray, say) is refused before `!=` meets it
+                json.dumps(item)
+            except (TypeError, ValueError) as exc:     # ValueError: a circular reference
+                raise ConfigError(f"{field} must be a JSON value: {exc}", field=field) from None
+        if value != base.get(key):
             raise ConfigError(
                 f"field {key!r} cannot be overridden for preset scenarios; "
                 "exactly one of preset or custom emitter may be given",

@@ -42,7 +42,8 @@ import numpy as np
 
 from .emitter import EmitterModel, ExcitedSuperposition, _as_complex_array, _as_float, _as_grid
 from .errors import NonPhysicalStateError
-from .photonic import CHANNELS, CouplingBundle, LossModel, WaveguideEnv, coupling_bundle
+from .photonic import (_EPS, CHANNELS, CouplingBundle, LossModel, WaveguideEnv, _rounding_rate,
+                       coupling_bundle)
 
 INITIAL_NORM_TOL = 1e-12
 TRACE_DRIFT_TOL = 1e-8
@@ -56,13 +57,6 @@ _PADE13 = (
     33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
 )
 _THETA13 = 5.371920351148152
-_EPS = np.finfo(float).eps
-# Decay rate, in units of the excited-state count times eps times the
-# largest |H_eff_ij|, at or below which a mode of H_eff is rounding and
-# counts as non-decaying. eig puts the rate of a dark mode at up to ~0.75 of
-# these units (two parallel dipoles); a mode that decays faster is resolved
-# and decays, and a slower one cannot be told from a dark mode.
-_ROUNDING_RATE = 2.0
 # Largest 1-norm condition number of the eigenvectors of H_eff at which
 # emission takes the modes, for the propagation and the outcome forms alike.
 # Measured against a 35-digit oracle near an exceptional point, the error of
@@ -125,21 +119,6 @@ def _coerce_initial(initial, n_e: int) -> tuple[np.ndarray, np.ndarray]:
     if not (np.min(w) >= -1e-10):
         raise NonPhysicalStateError("initial density matrix is not positive semidefinite")
     return rho, Q * np.sqrt(np.maximum(w, 0.0))
-
-
-def _rounding_rate(H: np.ndarray) -> float:
-    """The decay rate at or below which a mode of ``H`` is rounding: the
-    rate the modal phases hold and the singular value the Lyapunov solve
-    drops. Taken from the largest entry, so that it cannot overflow."""
-    return _ROUNDING_RATE * H.shape[0] * _EPS * np.abs(H).max()
-
-
-def _held(lam: np.ndarray, rate: float) -> np.ndarray:
-    """The modes ``lam`` that count as non-decaying: those whose rate ``-2
-    Im lam`` is at most the rounding rate ``rate`` of their matrix. A
-    positive ``Im lam`` (rounding; ``H_eff`` is passive) and a nan count as
-    held too."""
-    return ~(lam.imag < -0.5 * rate)
 
 
 def _expm(A: np.ndarray) -> np.ndarray:
@@ -260,10 +239,10 @@ def _forms(bundle: CouplingBundle, rate: float, lam: np.ndarray, V: np.ndarray,
     rounding rate of ``H_eff`` and the rest its :func:`_eigenbasis`: from the
     modes where they pass the gate, else from an SVD. Both solvers scale the
     equation exactly by ``2^-k``, ``2^k >= 1`` the power of two just above
-    ``max|H_eff_ij|`` (``rate`` is proportional to it), so that it stays
-    finite where a mode's full rate overflows. The caller checks the bundle
-    (:func:`_check_bundle`) and ignores floating-point errors."""
-    scale = math.ldexp(1.0, -max(math.frexp(rate / (_ROUNDING_RATE * lam.size * _EPS))[1], 0))
+    ``max|H_eff_ij|``, so that it stays finite where a mode's full rate
+    overflows. The caller checks the bundle (:func:`_check_bundle`) and
+    ignores floating-point errors."""
+    scale = math.ldexp(1.0, -max(math.frexp(np.abs(bundle.H_eff).max())[1], 0))
     if modal:
         return _modal_forms(bundle, rate, scale, lam, V, V_inv)
     return _lyapunov(bundle, rate, scale)
@@ -283,7 +262,7 @@ def _lyapunov(bundle: CouplingBundle, rate: float, scale: float) -> np.ndarray:
     # frequency (a dark mode with itself included); the flux forms vanish
     # there, so the minimum-norm solution is exact. For a normal H_eff the
     # singular value of a mode with itself is that mode's rate, so the solve
-    # drops the singular values that _held would hold as rates, and those at
+    # drops the singular values that _propagate holds as rates, and those at
     # the SVD's own rounding, n_e^2 eps times the largest, which several dark
     # modes at one frequency leave where the rates hold none.
     A = (1j * scale) * bundle.H_eff
@@ -349,8 +328,9 @@ def _propagate(bundle: CouplingBundle, initial, t_max: float | None = None,
         raise ValueError(f"output_points must be a positive integer, got {output_points!r}")
     rho0, L = _coerce_initial(initial, n_e)
     lam, V, V_inv, modal = _eigenbasis(H)
+    # a mode whose rate -2 Im lam is rounding does not decay; Im lam > 0 or nan neither
     rate = _rounding_rate(H)
-    held = _held(lam, rate)
+    held = ~(lam.imag < -0.5 * rate)
 
     if times is None:
         if t_max is not None:

@@ -270,7 +270,7 @@ def rotate_excited_basis(model: EmitterModel, U) -> EmitterModel:
         )
     energies = np.asarray(model.excited_energies, dtype=float)
     spread = float(np.max(energies) - np.min(energies))
-    if spread > DEGENERACY_TOL * max(1.0, float(np.max(np.abs(energies)))):
+    if spread > DEGENERACY_TOL * float(np.max(np.abs(energies))):     # relative: in any unit
         raise NonDegenerateManifoldError(
             f"excited manifold is not degenerate (energy spread {spread:.3e})"
         )

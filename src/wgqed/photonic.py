@@ -40,6 +40,7 @@ CHANNELS = ("forward", "backward", "loss")
 
 LOSS_SYMMETRY_TOL = 1e-12
 LOSS_PASSIVITY_TOL = 1e-10
+_EPS = np.finfo(float).eps
 
 
 class WaveguideEnv(_Value):
@@ -143,11 +144,13 @@ class CouplingBundle(NamedTuple):
     flux forms, as the emission solver consumes them.
 
     ``H_eff`` is the output of :func:`effective_hamiltonian` at the
-    environment's field. ``flux_forms[n, c]`` is the Hermitian PSD form ``Q =
-    D_n* T_c D_n^T`` whose ``tr(Q rho)`` is the rate at which the excited
-    block ``rho`` emits into ground state n through channel c, ordered as
-    :data:`CHANNELS`. ``T_c`` is the channel's 3x3 tensor: ``z E_f
-    E_f^dagger`` forward, its conjugate backward and ``Im(G_loss)`` for loss.
+    environment's field, the excited energies counted from the lowest (a real
+    shift changes no observable and keeps the zero out of rounding).
+    ``flux_forms[n, c]`` is the Hermitian PSD form ``Q = D_n* T_c D_n^T`` whose
+    ``tr(Q rho)`` is the rate at which the excited block ``rho`` emits into
+    ground state n through channel c, ordered as :data:`CHANNELS`. ``T_c`` is
+    the channel's 3x3 tensor: ``z E_f E_f^dagger`` forward, its conjugate
+    backward and ``Im(G_loss)`` for loss.
     """
 
     H_eff: np.ndarray               # (n_e, n_e) non-Hermitian, rate units
@@ -159,6 +162,14 @@ class CouplingBundle(NamedTuple):
         flux forms."""
         rates = np.diagonal(self.flux_forms, axis1=-2, axis2=-1).real.sum(axis=0)
         return dict(zip(CHANNELS, rates))
+
+
+def _rounding_rate(H: np.ndarray) -> np.ndarray:
+    """Per matrix of ``H`` (..., n, n), the rate at or below which a rate
+    from its decomposition is rounding and counts as zero, in both solvers:
+    ``2 n eps max|H_ij|``, a backward error with no unit and no overflow (eig
+    puts a dark mode at up to 0.75 n eps max|H_ij|, two parallel dipoles)."""
+    return 2.0 * H.shape[-1] * _EPS * np.abs(H).max(axis=(-2, -1))
 
 
 def guided_couplings(D: np.ndarray, E_f) -> np.ndarray:
@@ -210,13 +221,14 @@ def coupling_bundle(
     in one environment.
 
     A single field frequency is used for every transition, so neither
-    depends on the level energies. The forms are built from the dipoles
-    apart from ``H_eff``, so that emission can check one against the other.
-    An overflowing ``H_eff`` raises.
+    depends on the level energies but through ``H_eff``'s differences. The
+    forms are built from the dipoles apart from ``H_eff``, so that emission
+    can check one against the other. An overflowing ``H_eff`` raises.
     """
     D = model.dipole_array()                      # (n_g, n_e, 3)
     K = guided_couplings(D, env.E_f.as_array())   # (n_e, 2 n_g)
-    H_eff = effective_hamiltonian(D, K, model.excited_energies, env, loss)
+    E = np.asarray(model.excited_energies, dtype=float)
+    H_eff = effective_hamiltonian(D, K, E - E.min(), env, loss)
     if not np.isfinite(H_eff).all():
         raise NonPhysicalStateError("the effective Hamiltonian overflows")
 

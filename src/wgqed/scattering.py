@@ -11,16 +11,15 @@ with the response matrix the resolvent form
 
 of the effective Hamiltonian ``H_eff`` that emission exponentiates (see
 :func:`wgqed.photonic.effective_hamiltonian`) at the total input energy
-``E_int``. The scale makes the Hermitian part of M the guided damping
-``sum_k K_xk* K_yk / 2`` over the output channels k of the couplings ``K``
-of :func:`wgqed.photonic.guided_couplings` plus the loss decay, in the units of
-``DARK_COUPLING_THRESHOLD``. The bookend convention is fixed: absorption
-contracts the conjugated dipole with the field, emission contracts the
-conjugated field with the dipole. Only the guided part of ``H_eff`` depends
-on the field, so the private engine ``_scatter_fields`` solves M stacked
-over a stack of fields in one call and returns stacked arrays, nan in each
-slice that failed. :func:`scatter` (a stack of one) and
-:func:`polarization_sweep` build records from them; the CLI reads them.
+``E_int``. The scale makes the Hermitian part of M the guided damping ``sum_k
+K_xk* K_yk / 2`` over the output channels k of the couplings ``K`` of
+:func:`wgqed.photonic.guided_couplings` plus the loss decay. The bookend
+convention is fixed: absorption contracts the conjugated dipole with the
+field, emission contracts the conjugated field with the dipole. Only the
+guided part of ``H_eff`` depends on the field, so the private engine
+``_scatter_fields`` solves M over a stack of fields in one call and returns
+stacked arrays, nan in each failed slice: the CLI reads them, :func:`scatter`
+(a stack of one) and :func:`polarization_sweep` build records from them.
 
 A slice enters the solve as it stands when its condition number is at most
 ``COND_SINGULAR_THRESHOLD`` and warned about above ``COND_WARN_THRESHOLD``.
@@ -59,10 +58,10 @@ import numpy as np
 
 from .emitter import EmitterModel, PolarizationVector, _as_float, _as_grid, _Value
 from .errors import IllConditionedResponseWarning, NonPhysicalStateError, SingularResponseError
-from .photonic import CHANNELS, LossModel, WaveguideEnv, effective_hamiltonian, guided_couplings
+from .photonic import (CHANNELS, LossModel, WaveguideEnv, _rounding_rate, effective_hamiltonian,
+                       guided_couplings)
 
 MODES = CHANNELS[:2]    # the guided modes, in the order of guided_couplings' channels
-DARK_COUPLING_THRESHOLD = 1e-12
 COND_WARN_THRESHOLD = 1e12
 COND_SINGULAR_THRESHOLD = 1e15
 # Largest condition number the damping certificate vouches for, and the
@@ -298,8 +297,9 @@ def _scatter_fields(
     refused = () if A is M else np.flatnonzero(active & ~solvable)
     if len(refused):    # one eigh gives the dark directions of every refused slice
         R = M[refused]
-        lam, Q = np.linalg.eigh(0.5 * (R + R.conj().swapaxes(1, 2)))
-        dark = lam < DARK_COUPLING_THRESHOLD
+        damping = 0.5 * (R + R.conj().swapaxes(1, 2))
+        lam, Q = np.linalg.eigh(damping)
+        dark = 2.0 * lam <= _rounding_rate(damping)[:, None]     # a rate that is rounding
         if not dark_state_projection:
             for j, t in enumerate(refused.tolist()):
                 errors[t] = _singular_error(lam[j], Q[j], dark[j], cond[t])

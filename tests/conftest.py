@@ -55,6 +55,12 @@ def damping_matrix(bundle) -> np.ndarray:
     return 1j * (bundle.H_eff - bundle.H_eff.conj().T)
 
 
+def frame_energies(model) -> np.ndarray:
+    """The excited energies as ``CouplingBundle.H_eff`` counts them: from the
+    lowest one."""
+    return np.asarray(model.excited_energies) - min(model.excited_energies)
+
+
 def random_unit_vector(rng, planar: bool = False) -> np.ndarray:
     v = rng.normal(size=3) + 1j * rng.normal(size=3)
     if planar:
@@ -71,6 +77,45 @@ def random_model(rng, n_ground: int, n_excited: int, degenerate: bool = False) -
     D = rng.normal(size=(n_ground, n_excited, 3)) + 1j * rng.normal(size=(n_ground, n_excited, 3))
     D /= np.linalg.norm(D, axis=2, keepdims=True)
     return EmitterModel.from_arrays(ground, excited, D)
+
+
+# The largest power of two by which a test shifts every level energy: on the
+# grid of dyadic_instance the shifted energies and their differences are
+# exact, and it is ~1e10 times the largest decay rate of such an instance.
+DYADIC_SHIFT = 2.0 ** 40
+
+
+def dyadic_instance(rng, case: int) -> dict:
+    """Raw arrays of a random scattering or emission instance, drawn as
+    ``TestStackSlices`` draws them (1-3 ground and excited levels, level 0
+    dark to a field along z, loss none, isotropic or a tensor by ``case``,
+    on resonance with level 0 in odd cases), with every energy and the photon
+    frequency on a grid of 2^-12, so that a shift by a power of two up to
+    ``DYADIC_SHIFT`` and a scaling by any power of two are exact."""
+    def grid(x):
+        return np.round(x * 4096.0) / 4096.0
+
+    n_g, n_e = (int(k) for k in rng.integers(1, 4, size=2))
+    ground = grid(rng.uniform(-0.3, 0.3, n_g))
+    excited = 1.0 + grid(rng.uniform(-0.4, 0.4, n_e))
+    D = rng.normal(size=(n_g, n_e, 3)) + 1j * rng.normal(size=(n_g, n_e, 3))
+    D[:, 0, 2] = 0.0
+    r = int(rng.integers(0, n_g))
+    loss = (np.zeros((3, 3)), 0.2j * np.eye(3), random_loss_tensor(rng).as_array())[case % 3]
+    frequency = excited[0] - ground[r] if case % 2 else grid(rng.uniform(0.5, 1.5))
+    return dict(ground=ground, excited=excited, D=D, loss=loss, r=r, frequency=frequency)
+
+
+def scaled_objects(inst: dict, shift: float = 0.0, s: float = 1.0):
+    """The model and loss of ``inst`` with every level energy shifted by
+    ``shift``, then the energies scaled by ``s`` and the dipoles by
+    ``sqrt(s)``: the same physics in a unit of energy and rate 1/s as large.
+    The loss tensor is rate-normalized per unit dipole, like the guided
+    scale z, so it stays as it is and its rates scale by s with the
+    dipoles'."""
+    model = EmitterModel.from_arrays(s * (inst["ground"] + shift), s * (inst["excited"] + shift),
+                                     np.sqrt(s) * inst["D"])
+    return model, LossModel.from_array(inst["loss"])
 
 
 def random_unitary(rng, n: int) -> np.ndarray:

@@ -258,6 +258,20 @@ class TestConfigParsing:
             if name:
                 getattr(owner, name)
 
+    @pytest.mark.parametrize("whole", [False, True], ids=["dipoles", "section"])
+    def test_preset_field_json_cannot_hold_is_a_config_error(self, whole):
+        # the preset's own emitter with its dipoles, or the whole section, an
+        # ndarray: a field fault named before the override check compares it,
+        # which numpy cannot answer
+        emitter = preset("isotropic-scan").emitter
+        emitter["dipoles"] = np.array(emitter["dipoles"])
+        data = {"scenario": "isotropic-scan",
+                "emitter": emitter["dipoles"] if whole else emitter}
+        with pytest.raises(ConfigError) as exc:
+            parse_config(data)
+        assert type(exc.value) is ConfigError
+        assert exc.value.field == ("emitter" if whole else "emitter.dipoles")
+
     def test_preset_emitter_override_rejected(self):
         bad = {"scenario": "isotropic-scan",
                "emitter": preset("ixi-scan").emitter}
@@ -1228,8 +1242,10 @@ class TestExitCodeContract:
         (["c.json"], _custom_sweep(["waveguide"], dict(CUSTOM_SCATTER["waveguide"],
                                                        a=1e-300, omega=1e-300)), 2,
          "density-of-states scale a w / (2 |v_g|) is 0.0"),
+        # a split, not a common offset, enters H_eff (it counts the energies
+        # from the lowest), so a split of 1e10 overflows H_eff t
         (["c.json"], dict(_CUSTOM_EMISSION, integrator={"t_max": 1e300}, emitter=_custom_sweep(
-            ["emitter", "excited_energies"], [1e10, 1e10])["emitter"]), 2,
+            ["emitter", "excited_energies"], [1.0, 1e10])["emitter"]), 2,
          "H_eff t overflows at the output times"),
         (["c.json"], {"scenario": "custom", "mode": "diagnostic",
                       "emitter": {"ground_energies": [1e308], "excited_energies": [1.0],
@@ -1240,7 +1256,7 @@ class TestExitCodeContract:
     ], ids=["dipole-1e160", "dipole-1e200", "excited-energies-1e308",
             "photon-frequency-1e308", "isotropic-loss-1e308", "v_g-1e-300",
             "emission-dipole-1e200", "ixi-scan-loss-1e308", "a-omega-1e-300",
-            "emission-t_max-1e300-energies-1e10", "diagnostic-input-energy-overflow"])
+            "emission-t_max-1e300-split-1e10", "diagnostic-input-energy-overflow"])
     def test_huge_finite_values_are_numerical_outcomes(
             self, monkeypatch, tmp_path, capsys, argv, cfg, code, outcome):
         # each finite value overflows some step of the engine: the run ends

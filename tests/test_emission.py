@@ -22,10 +22,12 @@ from wgqed import (
 from wgqed.cli import preset
 
 from conftest import (
+    DYADIC_SHIFT,
     PARADOX_FIELD,
     PARADOX_STATE,
     channel_flux,
     damping_matrix,
+    dyadic_instance,
     make_env,
     mp_emission,
     oracle_emission,
@@ -36,6 +38,7 @@ from conftest import (
     random_model,
     random_state,
     random_unit_vector,
+    scaled_objects,
 )
 
 
@@ -566,7 +569,7 @@ def forms_tolerance(lam, rate, Z_svd):
     in proportion to the ratio of the largest to the smallest rate ``|lam_b
     - conj(lam_a)|`` the equation keeps. Also the mask of the mode pairs it
     holds."""
-    unit = np.abs(lam).max()    # so that no difference overflows
+    unit = np.abs(lam).max() or 1.0    # so that no difference overflows; every mode may be 0
     sep = np.abs(lam / unit - (lam / unit).conj()[:, None])
     held = ~(sep > rate / unit)
     kept = sep[~held]
@@ -1024,19 +1027,68 @@ class TestOutcomeForms:
         assert np.linalg.eigvalsh(Y[0, 0]) == pytest.approx([0.1, 0.9], abs=1e-14)
 
 
+class TestScaleFree:
+    """Emission reads no energy zero and no unit of rate: shifting every
+    level energy, or scaling the energies by s, the dipoles by sqrt(s) (so
+    every rate by s) and the times by 1/s, changes the excited blocks, the
+    accumulated probabilities and the outcome forms by rounding at most. On
+    the instances of ``dyadic_instance`` the shifted and scaled inputs are
+    exact, so rounding here is the solver's alone."""
+
+    @staticmethod
+    def outcome(inst, E_f, psi, times, shift=0.0, s=1.0):
+        model, loss = scaled_objects(inst, shift, s)
+        env = make_env(E_f, a=0.7, omega=1.3, v_g=-0.2)
+        traj = evolve(model, env, loss, ExcitedSuperposition.from_sequence(psi),
+                      times=np.asarray(times) / s)
+        return (np.array([st.excited_block for st in traj.states]),
+                np.array([st.ground_mode_probs for st in traj.states]),
+                outcome_forms(coupling_bundle(model, env, loss)))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_no_energy_zero_and_no_unit_of_rate(self, seed):
+        rng = np.random.default_rng(3700 + seed)
+        changes = [dict(shift=c) for c in (2.0 ** 13, 2.0 ** 27, DYADIC_SHIFT)]
+        changes += [dict(s=2.0 ** k) for k in range(-40, 41, 10) if k]     # 1e-12 ... 1e12
+        times = [0.0, 0.01, 0.05, 0.2, 1.0]
+        for case in range(12):
+            inst = dyadic_instance(rng, case)
+            psi = random_state(rng, len(inst["excited"]))
+            # level 0 dark, nearly dark and coupled
+            for E_f in ([0, 0, 1], [1e-9, 0, 1], random_unit_vector(rng)):
+                expected = self.outcome(inst, E_f, psi, times)
+                for change in changes:
+                    got = self.outcome(inst, E_f, psi, times, **change)
+                    for a, b in zip(got, expected):
+                        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("energy", [1.0, 1e6, 1e8, 1e10])
+    def test_level_energies_far_from_zero(self, energy):
+        # the lossless V system at E_f = (cos t, i sin t, 0), t = 5e-5: the
+        # y level decays at 2.5e-8 and emits half each way, wherever the
+        # energy zero is (the forms once read 0 from 1e8 on, the rounding
+        # rate then growing with the energies)
+        model = EmitterModel.from_arrays([0.0], [energy, energy], [[[1, 0, 0], [0, 1, 0]]])
+        env = make_env([np.cos(5e-5), 1j * np.sin(5e-5), 0.0])
+        Y = outcome_forms(coupling_bundle(model, env, LossModel.none()))
+        assert Y[0, :, 1, 1].real == pytest.approx([0.5, 0.5, 0.0], abs=1e-12)
+        totals = evolve(model, env, LossModel.none(), ExcitedSuperposition([0, 1])).final_totals
+        assert totals == pytest.approx([0.5, 0.5, 0.0, 0.0], abs=1e-8)
+
+
 class TestDarkLevelCutoff:
     """Where emission and scattering stop telling a weakly coupled level
     from a dark one, on the lossless ``isotropic-scan`` V system (dipoles x
     and y) at ``E_f = (cos t, i sin t, 0)``, whose y level decays at ``10
-    t^2``. Emission holds that level as dark where its rate is at most the
-    rounding rate ``2 n_e eps max|H_eff_ij|``, 4.53e-15, that is below t* ~
-    2.13e-8, whichever solver gives the forms. Scattering refuses the
-    response as singular from a larger angle, between 3e-8 and 5e-8, by the
-    absolute condition number of its gate. The two cut-offs are recorded as
-    they stand; the equilibrated gate of ROADMAP item 5 moves the scattering
-    one."""
+    t^2``. Both count a rate as zero where it is at most the rounding rate
+    ``2 n eps max|H_ij|`` of the matrix they decomposed: emission that of
+    ``H_eff``, 4.44e-15 from the x level's entry ``-5i``, scattering that of
+    the damping ``Herm M``, whose x entry is 1 (z = 5). In both the y level
+    is dark below ``t* = sqrt(2 eps)`` ~ 2.11e-8: dark at 2e-8, coupled at
+    3e-8."""
 
     MODEL = preset("isotropic-scan").built.model
+    T_STAR = np.sqrt(2.0 * np.finfo(float).eps)
 
     @staticmethod
     def env(theta):
@@ -1048,20 +1100,34 @@ class TestDarkLevelCutoff:
             force_fallback(monkeypatch)
         svd_calls = counting(monkeypatch, np.linalg, "svd")
         rates, y_outcomes = [], []
-        for theta in (3e-8, 2e-8):
+        for theta in (2e-8, 3e-8):
             bundle = coupling_bundle(self.MODEL, self.env(theta), LossModel.none())
             rates.append(emission_mod._rounding_rate(bundle.H_eff))
             y_outcomes.append(outcome_forms(bundle)[0, :, 1, 1].real)
-        assert rates == pytest.approx([4.53e-15] * 2, rel=1e-3)
-        assert np.sqrt(rates[0] / 10.0) == pytest.approx(2.13e-8, rel=1e-3)
-        assert y_outcomes[0] == pytest.approx([0.5, 0.5, 0.0], abs=1e-12)
-        assert y_outcomes[1] == pytest.approx([0.0, 0.0, 0.0], abs=1e-12)
+        assert rates == pytest.approx([4.44e-15] * 2, rel=1e-3)
+        assert np.sqrt(rates[0] / 10.0) == pytest.approx(self.T_STAR, rel=1e-12)
+        assert y_outcomes[0] == pytest.approx([0.0, 0.0, 0.0], abs=1e-12)
+        assert y_outcomes[1] == pytest.approx([0.5, 0.5, 0.0], abs=1e-12)
         assert svd_calls == ([] if gate else ["svd", "svd"])
 
-    def test_scattering_refuses_the_y_level_above_the_emission_cutoff(self):
-        inp = ScatterInput("forward", 0)
+    def test_scattering_drops_the_y_level_below_t_star(self):
+        inp, y = ScatterInput("forward", 0), np.array([0.0, 1.0])
+        assert 2e-8 < self.T_STAR < 3e-8
+        for theta, dark in ((2e-8, True), (3e-8, False)):
+            # refused by the gate either way: without projection it fails,
+            # naming y as dark only below t*
+            with pytest.raises(SingularResponseError) as failure:
+                scatter(self.MODEL, self.env(theta), LossModel.none(), inp)
+            vectors = failure.value.dark_vectors
+            assert vectors.shape == (2, int(dark))
+            if dark:
+                assert np.abs(np.abs(vectors[:, 0]) - y).max() < 1e-15
+            # with projection the x level alone reflects; both levels,
+            # solved in the damping eigenbasis, transmit
+            res = scatter(self.MODEL, self.env(theta), LossModel.none(), inp,
+                          dark_state_projection=True)
+            kept = res.reflection if dark else res.transmission
+            assert abs(kept) ** 2 == pytest.approx(1.0, abs=1e-12)
         with pytest.warns(IllConditionedResponseWarning):
             res = scatter(self.MODEL, self.env(5e-8), LossModel.none(), inp)
         assert abs(res.transmission) ** 2 == pytest.approx(1.0, abs=1e-12)
-        with pytest.raises(SingularResponseError):
-            scatter(self.MODEL, self.env(3e-8), LossModel.none(), inp)

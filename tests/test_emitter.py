@@ -322,6 +322,20 @@ class TestRotateExcitedBasis:
         with pytest.raises(NonUnitaryMatrixError):
             rotate_excited_basis(v_system(), np.eye(3))
 
+    @pytest.mark.parametrize("energy", [1e-12, 1.0, 1e12])
+    def test_degeneracy_is_relative_to_the_energies(self, energy):
+        # a spread of 1e-10 of the energies is degenerate and 1e-8 is not,
+        # in any unit: no floor makes 1e-8 of 1e-12 degenerate
+        for spread, degenerate in ((1e-10, True), (1e-8, False)):
+            model = EmitterModel.from_arrays([0.0], [energy, energy * (1.0 + spread)],
+                                             [[[1, 0, 0], [0, 1, 0]]])
+            if degenerate:
+                rotated = rotate_excited_basis(model, [[0, 1], [1, 0]])
+                assert rotated.dipole_array()[0, 0].tolist() == [0, 1, 0]
+            else:
+                with pytest.raises(NonDegenerateManifoldError):
+                    rotate_excited_basis(model, [[0, 1], [1, 0]])
+
     def test_non_degenerate_manifold_rejected(self):
         model = EmitterModel.from_arrays(
             [0.0], [1.0, 1.5], [[[1, 0, 0], [0, 1, 0]]]

@@ -28,6 +28,7 @@ from conftest import (
     FUZZ_LEAVES,
     PARADOX_FIELD,
     damping_matrix,
+    frame_energies,
     make_env,
     numbers_only,
     oracle_field_normalization,
@@ -231,9 +232,10 @@ class TestGreensDecomposition:
         assert np.allclose(G_f, expected)
         assert np.allclose(G_b, expected)
         assert (G_f + G_b + G_loss)[0, 0] == pytest.approx(5j)
-        # the x dipole decays at 2 Im(G_f + G_b)_xx = 10: H_eff = 1 - 5i
+        # the x dipole decays at 2 Im(G_f + G_b)_xx = 10: H_eff = -5i, its
+        # one energy counted from itself
         bundle = coupling_bundle(two_level(), env, LossModel.none())
-        assert bundle.H_eff[0, 0] == pytest.approx(1.0 - 5j)
+        assert bundle.H_eff[0, 0] == pytest.approx(-5j)
 
     def test_zero_field_leaves_only_loss(self, rng):
         env = make_env([0, 0, 0])
@@ -278,8 +280,9 @@ class TestGuidedCouplings:
 class TestEffectiveHamiltonian:
     @pytest.mark.parametrize("stack", [1, 5])
     def test_energies_as_tuple_list_or_array_give_the_same_bits(self, rng, stack):
-        # coupling_bundle passes the model's tuple of energies, the scattering
-        # engine a float array of detunings; both match the assembly
+        # coupling_bundle passes a float array of energies counted from the
+        # lowest, the scattering engine one of detunings; a tuple, a list or
+        # an array of energies all match the assembly
         # diag(E) + L^T / 2 - (i/2) z sum_m B_m* B_m^T bit for bit, built
         # with the couplings B (T, mode, n_e, n_g) on a mode axis, stack
         # first, and transposed into the stack-last layout; no input array is
@@ -340,15 +343,14 @@ class TestCouplingBundle:
                                  LossModel.none())
         decay = -np.imag(np.diag(bundle.H_eff))
         assert decay[0] / decay[1] == pytest.approx(4.0)
-        assert np.allclose(bundle.H_eff, np.diag([1 - 4j, 1 - 1j]), atol=1e-14)
+        assert np.allclose(bundle.H_eff, np.diag([-4j, -1j]), atol=1e-14)
 
     def test_zero_dipoles_give_zero_matrices(self):
         model = EmitterModel.from_arrays([0.0], [1.0, 1.0],
                                          [[[0, 0, 0], [0, 0, 0]]])
         bundle = coupling_bundle(model, make_env([1, 0, 0]),
                                  LossModel.isotropic(0.2))
-        for mat in (bundle.H_eff - np.diag(model.excited_energies),
-                    damping_matrix(bundle)):
+        for mat in (bundle.H_eff, damping_matrix(bundle)):
             assert np.max(np.abs(mat)) == 0.0
 
     def test_matched_two_level_total_rate(self):
@@ -389,7 +391,7 @@ class TestCouplingBundle:
             for loss in (LossModel.isotropic(0.3), random_loss_tensor(rng)):
                 bundle = coupling_bundle(model, env, loss)
                 direct = oracle_gamma(model, env, loss)
-                expected = np.diag(model.excited_energies) - direct.T
+                expected = np.diag(frame_energies(model)) - direct.T
                 assert np.max(np.abs(bundle.H_eff - expected)) < 1e-13
 
     def test_loss_channels_rebuild_imaginary_loss_sandwich(self, rng):
@@ -448,7 +450,7 @@ class TestCouplingBundle:
         # effective transition energy moves by +0.15
         loss = LossModel.from_array(0.3 * np.eye(3) + 0.2j * np.eye(3))
         bundle = coupling_bundle(two_level(), make_env([1, 0, 0]), loss)
-        assert 1.0 - bundle.H_eff[0, 0].real == pytest.approx(-0.15)
+        assert -bundle.H_eff[0, 0].real == pytest.approx(-0.15)
         assert damping_matrix(bundle)[0, 0].real == pytest.approx(10.2)
 
     def test_damping_is_positive_semidefinite(self, rng):

@@ -36,7 +36,9 @@ from wgqed.scattering import (
 )
 
 from conftest import (
+    DYADIC_SHIFT,
     FUZZ_LEAVES,
+    dyadic_instance,
     make_env,
     oracle_loss_probability,
     oracle_scatter,
@@ -45,6 +47,7 @@ from conftest import (
     random_model,
     random_unit_vector,
     random_unitary,
+    scaled_objects,
 )
 
 X_ENV = dict(a=1.0, v_g=0.1, omega=1.0)
@@ -1258,6 +1261,65 @@ class TestStackSlices:
                         projected += len(refused - singular)
                     refused = singular
         assert projected > 0
+
+
+class TestScaleFree:
+    """The amplitudes and every decision of the engine (which slices fail and
+    why, which warn, which directions are dark) read no energy zero and no
+    unit of rate: shifting every level energy, or scaling the detunings by
+    s and the dipoles by sqrt(s), and so every rate by s, changes them by
+    rounding at most. On the instances of ``dyadic_instance`` the shifted
+    and scaled inputs are exact, so rounding here is the engine's alone."""
+
+    ENV = make_env([1, 0, 0], a=0.7, omega=1.3, v_g=-0.2)
+
+    def outcome(self, inst, fields, direction, projection, shift=0.0, s=1.0):
+        """Amplitudes, failed slices by type and the number of warnings."""
+        model, loss = scaled_objects(inst, shift, s)
+        inp = ScatterInput(direction, inst["r"], s * inst["frequency"])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            amplitudes, p_loss, _, errors = _scatter_fields(model, self.ENV, loss, inp, fields,
+                                                            projection)
+        return amplitudes, p_loss, {t: type(exc) for t, exc in errors.items()}, len(caught)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_no_energy_zero_and_no_unit_of_rate(self, seed):
+        rng = np.random.default_rng(3600 + seed)
+        changes = [dict(shift=c) for c in (2.0 ** 13, 2.0 ** 27, DYADIC_SHIFT)]
+        changes += [dict(s=2.0 ** k) for k in range(-40, 41, 10) if k]     # 1e-12 ... 1e12
+        refused = 0
+        for case in range(12):
+            inst = dyadic_instance(rng, case)
+            fields = [random_unit_vector(rng) for _ in range(int(rng.integers(0, 6)))]
+            # dark, nearly dark (refused) and nearly dark (warns)
+            for extra in ([0, 0, 1], [1e-9, 0, 1], [1e-7, 0, 1]):
+                fields.insert(int(rng.integers(0, len(fields) + 1)), extra)
+            fields = np.array(fields, dtype=complex)
+            for direction in MODES:
+                for projection in (False, True):
+                    amplitudes, p_loss, failed, warned = self.outcome(inst, fields, direction,
+                                                                      projection)
+                    refused += len(failed)
+                    for change in changes:
+                        got = self.outcome(inst, fields, direction, projection, **change)
+                        assert got[2:] == (failed, warned)
+                        np.testing.assert_allclose(got[0], amplitudes, rtol=0, atol=1e-12)
+                        np.testing.assert_allclose(got[1], p_loss, rtol=0, atol=1e-12)
+        assert refused > 0
+
+    @pytest.mark.parametrize("s", [1.0, 1e-5, 1e-7, 1e-9, 1e7])
+    def test_dark_state_projection_in_any_unit_of_rate(self, s):
+        # the lossless V system at theta = 0: y is dark, x alone reflects,
+        # whatever the dipoles' scale (the projection once kept no direction
+        # at 1e-7, whose coupled damping fell under an absolute threshold)
+        model = EmitterModel.from_arrays([0.0], [1.0, 1.0], s * np.array([[[1, 0, 0], [0, 1, 0]]]))
+        res = scatter(model, make_env([1, 0, 0], **X_ENV), LossModel.none(), ScatterInput(),
+                      dark_state_projection=True)
+        assert abs(res.reflection) ** 2 == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(SingularResponseError) as failure:
+            scatter(model, make_env([1, 0, 0], **X_ENV), LossModel.none(), ScatterInput())
+        assert np.abs(failure.value.dark_vectors).T.tolist() == [[0.0, 1.0]]
 
 
 _EPS = np.finfo(float).eps

@@ -29,6 +29,7 @@ from wgqed import (
 
 from conftest import (
     augmented_generator,
+    frame_energies,
     make_env,
     oracle_greens_tensors,
     propagate_linear,
@@ -62,7 +63,8 @@ def physical_gamma(model, env, loss, eps0):
 
 
 def physical_h_eff(model, env, loss, eps0, hbar):
-    return (np.diag(model.excited_energies) - physical_gamma(model, env, loss, eps0).T) / hbar
+    # the energies counted from the lowest, as coupling_bundle counts them
+    return (np.diag(frame_energies(model)) - physical_gamma(model, env, loss, eps0).T) / hbar
 
 
 def physical_flux_forms(model, env, loss, eps0, hbar):
