@@ -37,6 +37,16 @@ certificate changes no decision. Only the other slices, and every slice of a
 stack too small for the certificate to pay, get their singular values. A
 non-finite slice fails first, and the gate sees the identity in its place.
 
+A stack is clean when every slice is finite, has input and reads at most
+``COND_WARN_THRESHOLD``: by its exact condition number in a stack smaller
+than ``_CERTIFY_FROM``, by the certificate or, where that decides nothing,
+the exact number in a larger one. Each of the three is one count over the
+stack. A clean stack, such as a lossy sweep or a well-conditioned point,
+goes to the solve as it stands. Only another stack pays for the gate's
+masks, the identity padding, the refused slices and the warnings
+(``_gated_solve``), starting from the response, right-hand sides and
+condition numbers already computed.
+
 The stacked solve is one call, refused slices included (see
 ``_scatter_fields``), its solver chosen by the stack's size. A stack of at
 least ``_ELIMINATE_FROM`` slices with at most ``_ELIMINATE_MAX_N`` excited
@@ -171,11 +181,17 @@ def _certified(M: np.ndarray) -> np.ndarray:
 
 def _condition_numbers(M: np.ndarray) -> np.ndarray:
     """``np.linalg.cond(M)`` of the stack ``M`` (T, n, n): the ratio of the
-    extreme singular values, ``inf`` where the smallest is zero."""
+    extreme singular values, ``inf`` where the smallest is zero. The plain
+    divide runs where no smallest singular value is zero; only a stack with
+    such a slice pays for the masked one, which raises no floating-point
+    error there."""
     s = np.linalg.svd(M, compute_uv=False)
+    smallest = s[:, -1]
+    if np.count_nonzero(smallest) == len(s):     # not smallest.all(), cheaper
+        return s[:, 0] / smallest
     cond = np.empty(len(s))
     cond.fill(np.inf)
-    return np.divide(s[:, 0], s[:, -1], out=cond, where=s[:, -1] > 0)
+    return np.divide(s[:, 0], smallest, out=cond, where=smallest > 0)
 
 
 def _eliminate(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -218,24 +234,83 @@ def _identity_outside(keep: np.ndarray, M: np.ndarray) -> np.ndarray:
     return M if every else np.where(keep[:, None, None], M, np.eye(M.shape[-1]))
 
 
-def _solve_gate(
-    M: np.ndarray, active: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Masks of the ``active`` slices of the finite stack ``M`` that the
-    stacked solve takes (condition number at most ``COND_SINGULAR_THRESHOLD``)
-    and of those that warn (above ``COND_WARN_THRESHOLD``), plus the condition
-    numbers: exact, except that a certified or inactive slice of a stack
-    large enough to certify reads 0, which passes both thresholds as its
-    true value would."""
+def _gate_conditions(M: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """The condition numbers the gate reads for the finite stack ``M``:
+    exact, except that a certified or inactive slice of a stack large enough
+    to certify reads 0, which passes both thresholds as its true value
+    would."""
     if len(M) < _CERTIFY_FROM:
-        cond = _condition_numbers(M)
-    else:
-        cond = np.zeros(len(M))
-        exact = np.flatnonzero(active & ~_certified(M))
-        if exact.size:
-            cond[exact] = _condition_numbers(M[exact])
+        return _condition_numbers(M)
+    cond = np.zeros(len(M))
+    exact = np.flatnonzero(active & ~_certified(M))
+    if exact.size:
+        cond[exact] = _condition_numbers(M[exact])
+    return cond
+
+
+def _solve_gate(active: np.ndarray, cond: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the ``active`` slices with the condition numbers ``cond`` of
+    :func:`_gate_conditions` that the stacked solve takes (at most
+    ``COND_SINGULAR_THRESHOLD``) and of those that warn (above
+    ``COND_WARN_THRESHOLD``)."""
     solvable = active & (cond <= COND_SINGULAR_THRESHOLD)
-    return solvable, solvable & (cond > COND_WARN_THRESHOLD), cond
+    return solvable, solvable & (cond > COND_WARN_THRESHOLD)
+
+
+def _solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``y`` (n_e, T) with ``A[t] y[:, t] = rhs[:, t]`` for the stack ``A``
+    (T, n, n): one ``_eliminate`` or one ``np.linalg.solve``, by the module
+    docstring's rule."""
+    if len(A) >= _ELIMINATE_FROM and len(rhs) <= _ELIMINATE_MAX_N:
+        return _eliminate(A.transpose(1, 2, 0), rhs)
+    return np.linalg.solve(A, rhs.T[..., None])[..., 0].T
+
+
+def _gated_solve(M: np.ndarray, rhs: np.ndarray, active: np.ndarray, cond: np.ndarray,
+                 errors: dict[int, Exception], dark_state_projection: bool) -> np.ndarray:
+    """``y`` (n_e, T) of a stack that is not clean (see ``_scatter_fields``),
+    from its finite response ``M`` (T, n, n), right-hand sides ``rhs``
+    (n_e, T), ``active`` mask and gate condition numbers ``cond``. Each
+    slice the gate refuses joins the one solve as the identity or, with
+    projection, as its padded system: in the eigenbasis ``Q`` of its
+    damping, ``Q^H M Q`` on the coupled directions and ``I`` on the dark
+    ones, right-hand side ``Q^H b``, then ``y = Q y'``. The error of each
+    slice that fails goes into ``errors``, by index, and each slice that
+    warns warns once."""
+    solvable, warn = _solve_gate(active, cond)
+    A = _identity_outside(solvable, M)      # I where the gate does not pass
+    refused = () if A is M else np.flatnonzero(active & ~solvable)
+    if len(refused):    # one eigh gives the dark directions of every refused slice
+        R = M[refused]
+        damping = 0.5 * (R + R.conj().swapaxes(1, 2))
+        lam, Q = np.linalg.eigh(damping)
+        dark = 2.0 * lam <= _rounding_rate(damping)[:, None]     # a rate that is rounding
+        if not dark_state_projection:
+            for j, t in enumerate(refused.tolist()):
+                errors[t] = _singular_error(lam[j], Q[j], dark[j], cond[t])
+        else:
+            Q = np.where(dark[:, None], 0.0, Q)
+            QH = Q.conj().swapaxes(1, 2)
+            P = np.where(dark[:, None] | dark[..., None], np.eye(len(rhs)), QH @ R @ Q)
+            # a slice that rounding leaves singular keeps I: LAPACK would fail the stack
+            singular = np.linalg.slogdet(P)[0] == 0
+            A[refused] = _identity_outside(~singular, P)
+            rhs[:, refused] = (QH @ rhs[:, refused].T[..., None])[..., 0].T
+    y = _solve(A, rhs)
+    if len(refused) and dark_state_projection:
+        y[:, refused] = (Q @ y[:, refused].T[..., None])[..., 0].T
+        singular |= ~np.isfinite(y[:, refused]).all(axis=0)
+        for t in refused[singular].tolist():
+            errors[t] = SingularResponseError(
+                f"response matrix is singular (condition number {cond[t]:.3e}), also in "
+                "the coupled subspace to working precision")
+    for t in warn.nonzero()[0]:
+        warnings.warn(
+            f"response matrix condition number {cond[t]:.3e} exceeds {COND_WARN_THRESHOLD:.0e}",
+            IllConditionedResponseWarning,
+            stacklevel=5,    # past _scatter_fields and its errstate wrapper
+        )
+    return y
 
 
 @np.errstate(all="ignore")
@@ -257,11 +332,10 @@ def _scatter_fields(
     ``k = mode n_g + ground``, the input channel's conjugated column is the
     right-hand side, and the amplitudes build up per channel, (2 n_g, T),
     in a view of the (T, 2, n_ground) result. The gate reads ``M``, the
-    (T, n, n) view of the stack-last response. A refused slice joins the one
-    solve (``_eliminate`` or ``np.linalg.solve``, by the module docstring's
-    rule) as the identity or, with projection, as its padded system: in the
-    eigenbasis ``Q`` of its damping, ``Q^H M Q`` on the coupled directions
-    and ``I`` on the dark ones, right-hand side ``Q^H b``, then ``y = Q y'``.
+    (T, n, n) view of the stack-last response. A clean stack, every slice
+    finite, with input and at most ``COND_WARN_THRESHOLD`` by the gate's
+    condition numbers, goes to the one solve as it stands; any other goes
+    through ``_gated_solve``.
     """
     D = model.dipole_array()
     n_g = model.n_ground
@@ -292,42 +366,12 @@ def _scatter_fields(
             errors[t] = NonPhysicalStateError("response matrix overflows")
         M = _identity_outside(finite, M)
         active &= finite
-    solvable, warn, cond = _solve_gate(M, active)
-    A = _identity_outside(solvable, M)      # I where the gate does not pass
-    refused = () if A is M else np.flatnonzero(active & ~solvable)
-    if len(refused):    # one eigh gives the dark directions of every refused slice
-        R = M[refused]
-        damping = 0.5 * (R + R.conj().swapaxes(1, 2))
-        lam, Q = np.linalg.eigh(damping)
-        dark = 2.0 * lam <= _rounding_rate(damping)[:, None]     # a rate that is rounding
-        if not dark_state_projection:
-            for j, t in enumerate(refused.tolist()):
-                errors[t] = _singular_error(lam[j], Q[j], dark[j], cond[t])
-        else:
-            Q = np.where(dark[:, None], 0.0, Q)
-            QH = Q.conj().swapaxes(1, 2)
-            P = np.where(dark[:, None] | dark[..., None], np.eye(len(rhs)), QH @ R @ Q)
-            # a slice that rounding leaves singular keeps I: LAPACK would fail the stack
-            singular = np.linalg.slogdet(P)[0] == 0
-            A[refused] = _identity_outside(~singular, P)
-            rhs[:, refused] = (QH @ rhs[:, refused].T[..., None])[..., 0].T
-    if len(M) >= _ELIMINATE_FROM and len(rhs) <= _ELIMINATE_MAX_N:   # one solve, y (n_e, T)
-        y = _eliminate(A.transpose(1, 2, 0), rhs)
+    cond = _gate_conditions(M, active)
+    if (np.count_nonzero(active) == len(M)
+            and np.count_nonzero(cond <= COND_WARN_THRESHOLD) == len(M)):
+        y = _solve(M, rhs)      # clean: no slice to pad, refuse or warn about
     else:
-        y = np.linalg.solve(A, rhs.T[..., None])[..., 0].T
-    if len(refused) and dark_state_projection:
-        y[:, refused] = (Q @ y[:, refused].T[..., None])[..., 0].T
-        singular |= ~np.isfinite(y[:, refused]).all(axis=0)
-        for t in refused[singular].tolist():
-            errors[t] = SingularResponseError(
-                f"response matrix is singular (condition number {cond[t]:.3e}), also in "
-                "the coupled subspace to working precision")
-    for t in warn.nonzero()[0]:
-        warnings.warn(
-            f"response matrix condition number {cond[t]:.3e} exceeds {COND_WARN_THRESHOLD:.0e}",
-            IllConditionedResponseWarning,
-            stacklevel=4,    # past the errstate wrapper
-        )
+        y = _gated_solve(M, rhs, active, cond, errors, dark_state_projection)
 
     amplitudes = np.zeros((len(M), 2, n_g), dtype=complex)
     by_channel = amplitudes.reshape(len(M), 2 * n_g).T   # (2 n_g, T) view

@@ -10,10 +10,15 @@ through ``wgqed.cli.main``) and the results of the first pass of the
 benchmark's ``sweep`` workload and of its ``scatter-batch`` and ``emission``
 workloads at each seed. ``perfbench/workloads.py`` is imported by path, as
 ``tests/test_benchmark_contract.py`` imports it, and nothing is written
-under either tree. One line per output says ``same`` where the bytes match,
-else ``moved``, with the largest absolute move (``inf`` where a value turns
-non-finite or a shape changes). The exit status is 0 either way. The name
-has no ``test_`` prefix, so the test suite does not collect it.
+under either tree. A fixed edge set then takes the scattering engine's
+fallback paths through the public API: the lossless ``isotropic-scan``
+sweep with and without dark-state projection, a point that warns, one
+whose field no dipole absorbs and one whose response overflows; each
+failure is kept by error type and message, as is each warning. One line
+per output says ``same`` where the bytes match, else ``moved``, with the
+largest absolute move (``inf`` where a value turns non-finite, a shape
+changes or a failure or warning differs). The exit status is 0 either way.
+The name has no ``test_`` prefix, so the test suite does not collect it.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +77,47 @@ def workload_arrays(workloads, seeds) -> dict[str, np.ndarray]:
     return arrays
 
 
+def edge_outcomes() -> tuple[dict[str, np.ndarray], list[str]]:
+    """The edge set on the ``isotropic-scan`` V system, through the public
+    API: named arrays of amplitudes and ``p_loss`` (nan where a point
+    failed), and one line per failure (error type and message) and per
+    warning, in call order."""
+    from wgqed import (EmitterModel, LossModel, ScatterInput, WaveguideEnv, WgqedError,
+                       polarization_sweep, scatter)
+
+    model = EmitterModel.from_arrays([0.0], [1.0, 1.0], [[[1, 0, 0], [0, 1, 0]]])
+    inp = ScatterInput("forward", 0, 1.0)
+    thetas = np.linspace(0.0, math.pi, 401)
+    # (name, field, loss, dark-state projection of a sweep, or None for one point)
+    cases = [(f"lossless-sweep-{kind}", [1, 0, 0], LossModel.none(), projection)
+             for kind, projection in (("plain", False), ("projected", True))]
+    cases += [("warning", [1, 0, 0], LossModel.isotropic(1e-13), None),
+              ("input-free", [0, 0, 1], LossModel.none(), None),
+              ("overflow", [1e200, 0, 0], LossModel.isotropic(0.2), None)]
+    arrays, lines = {}, []
+    for name, field, loss, projection in cases:
+        env = WaveguideEnv(field, a=1.0, v_g=0.1, omega=1.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if projection is not None:
+                outcomes = [(p.result, p.error) for p in polarization_sweep(
+                    model, env, loss, inp, thetas, dark_state_projection=projection)]
+            else:
+                try:
+                    outcomes = [(scatter(model, env, loss, inp), None)]
+                except WgqedError as error:
+                    outcomes = [(None, error)]
+        arrays[f"edges/{name}/amplitudes"] = np.array([
+            np.full(2, complex(math.nan, math.nan)) if res is None else res.amplitudes.ravel()
+            for res, _ in outcomes])
+        arrays[f"edges/{name}/p_loss"] = np.array(
+            [math.nan if res is None else res.p_loss for res, _ in outcomes])
+        lines += [f"{name} point {k}: {type(error).__name__}: {error}"
+                  for k, (_, error) in enumerate(outcomes) if error is not None]
+        lines += [f"{name} warning: {w.category.__name__}: {w.message}" for w in caught]
+    return arrays, lines
+
+
 def dump(tree: Path, out: Path, seeds) -> None:
     """Write every output of the wgqed this interpreter imports into ``out``."""
     import wgqed.cli
@@ -84,6 +131,9 @@ def dump(tree: Path, out: Path, seeds) -> None:
             if code != 0:
                 raise SystemExit(f"wgqed run {name} --format {fmt} exited {code}")
     arrays = workload_arrays(load_workloads(tree), seeds)
+    edges, lines = edge_outcomes()
+    arrays.update(edges)
+    (out / "edges__failures_and_warnings.txt").write_text("\n".join(lines) + "\n")
     for key, array in arrays.items():
         np.save(out / (key.replace("/", "__") + ".npy"), array)
 
@@ -141,8 +191,11 @@ def main(argv=None) -> int:
         for name in names:
             here, there = outs[0] / name, outs[1] / name
             same = here.read_bytes() == there.read_bytes()
-            load = np.load if name.endswith(".npy") else table
-            move = 0.0 if same else largest_move(load(here), load(there))
+            if same or name.endswith(".txt"):
+                move = 0.0 if same else math.inf
+            else:
+                load = np.load if name.endswith(".npy") else table
+                move = largest_move(load(here), load(there))
             label = name.removesuffix(".npy").replace("__", "/")
             print(f"{label:44} {'same' if same else 'moved':6} {move:.3g}")
     return 0

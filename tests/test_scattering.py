@@ -30,7 +30,9 @@ from wgqed.scattering import (
     COND_WARN_THRESHOLD,
     _ELIMINATE_FROM,
     _ELIMINATE_MAX_N,
+    _condition_numbers,
     _eliminate,
+    _gate_conditions,
     _scatter_fields,
     _solve_gate,
 )
@@ -804,6 +806,13 @@ def damped_stack(rng, T: int, n: int) -> np.ndarray:
     return D + 1j * S
 
 
+def gate(M: np.ndarray, active: np.ndarray):
+    """The engine's gate on the finite stack ``M``: its solvable and warn
+    masks and the condition numbers they were read from."""
+    cond = _gate_conditions(M, active)
+    return (*_solve_gate(active, cond), cond)
+
+
 def cond_oracle_gate(M: np.ndarray):
     """The gate as np.linalg.cond decides it for every slice."""
     cond = np.linalg.cond(M)
@@ -940,7 +949,7 @@ class TestSolveGate:
         # large stacks go through the certificate, small ones do not
         for size in (len(M), 5):
             for k in range(0, len(M), size):
-                got = _solve_gate(M[k:k + size], active[k:k + size])
+                got = gate(M[k:k + size], active[k:k + size])
                 np.testing.assert_array_equal(got[0], solvable[k:k + size])
                 np.testing.assert_array_equal(got[1], warn[k:k + size])
                 # every condition number the gate computes (a certified or
@@ -953,7 +962,7 @@ class TestSolveGate:
         rng = np.random.default_rng(7)
         M = damped_stack(rng, 40, 2)
         active = rng.random(40) < 0.5
-        solvable, warn, _ = _solve_gate(M, active)
+        solvable, warn, _ = gate(M, active)
         assert not (solvable & ~active).any() and not (warn & ~active).any()
 
     @pytest.mark.parametrize("size", [20, 3], ids=["certified", "small"])
@@ -1123,10 +1132,78 @@ class TestSolveGate:
             M = np.zeros((12, 2, 2), dtype=complex)
             M[::2] = np.eye(2)
             for stack in (M, M[:3]):
-                solvable, warn, cond = _solve_gate(stack, np.ones(len(stack), dtype=bool))
+                solvable, warn, cond = gate(stack, np.ones(len(stack), dtype=bool))
                 assert solvable.tolist() == [k % 2 == 0 for k in range(len(stack))]
                 assert not warn.any() and np.isinf(cond[1::2]).all()
         assert not any(pt.failed for pt in pts)
+
+
+class TestCleanStack:
+    """A stack whose every slice is finite, has input and is well
+    conditioned goes to the solve as it stands: the gate builds no mask,
+    pads no slice and warns about none. Any other stack gets the same
+    answers it did before."""
+
+    @pytest.mark.parametrize("kind", ["no zero", "one zero slice", "all zero"])
+    def test_condition_numbers_are_cond_and_raise_nothing(self, kind):
+        M = damped_stack(np.random.default_rng(60), 10, 3)
+        if kind == "one zero slice":
+            M[4] = 0.0
+        elif kind == "all zero":
+            M[:] = 0.0
+        with np.errstate(all="raise"):
+            cond = _condition_numbers(M)
+        assert cond.tobytes() == np.linalg.cond(M).tobytes()
+        assert np.isinf(cond).sum() == {"no zero": 0, "one zero slice": 1, "all zero": 10}[kind]
+
+    def test_clean_point_and_sweep_skip_the_gate_bookkeeping(self, monkeypatch):
+        config = preset("isotropic-scan")
+        model, env, loss, inp, _ = config.built
+        sweep = config.sweep
+        thetas = np.linspace(sweep["start"], sweep["stop"], sweep["steps"])
+        point = (ixi_model(), circular_env(), LossModel.isotropic(0.2),
+                 ScatterInput(photon_frequency=0.9))
+
+        def refuse(*args):
+            raise AssertionError("a clean stack entered the gate's bookkeeping")
+
+        for name in ("_solve_gate", "_identity_outside"):
+            monkeypatch.setattr(wgqed.scattering, name, refuse)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = scatter(*point)
+            pts = polarization_sweep(model, env, loss, inp, thetas)
+        assert loss.as_array().any() and point[2].as_array().any()
+        assert np.isfinite(res.amplitudes).all() and res.p_loss > 0.0
+        assert len(pts) == 401 and not any(pt.failed for pt in pts)
+
+    @pytest.mark.parametrize("size", [5, 12], ids=["small", "certified"])
+    @pytest.mark.parametrize("lossy", [False, True], ids=["lossless", "lossy"])
+    def test_input_free_slice_keeps_its_stack_of_one_bits(self, monkeypatch, size, lossy):
+        # lossless, the input-free slice's response is 0, which no solve
+        # survives; lossy, LAPACK would solve it, and the identity still
+        # stands in for it
+        rng = np.random.default_rng(61)
+        fields = [random_unit_vector(rng) for _ in range(size - 1)]
+        fields.insert(size // 2, _INACTIVE_FIELD)
+        fields = np.array(fields, dtype=complex)
+        model, env = paradox_model(), make_env([1, 0, 0], **X_ENV)
+        loss, inp = (LossModel.isotropic(0.2) if lossy else LossModel.none()), ScatterInput()
+        entered = []
+        gated = wgqed.scattering._gated_solve
+        monkeypatch.setattr(wgqed.scattering, "_gated_solve",
+                            lambda *args: entered.append(len(args[0])) or gated(*args))
+        stacked, stacked_warnings = stacked_outcomes(model, env, loss, inp, fields, False)
+        alone, alone_warnings = [], []
+        for t in range(size):
+            outcome, caught = stacked_outcomes(model, env, loss, inp, fields[t:t + 1], False)
+            alone += outcome
+            alone_warnings += caught
+        assert stacked == alone and stacked_warnings == alone_warnings == []
+        assert entered[:2] == [size, 1] and len(entered) == 2   # the input-free slice alone
+        # the input-free slice scatters nothing, to +0 in every zero
+        delta = np.array([[1.0], [0.0]], dtype=complex)
+        assert stacked[size // 2] == (delta.tobytes(), np.float64(0.0).tobytes())
 
 
 def isotropic_model() -> EmitterModel:
