@@ -48,7 +48,7 @@ masks, the identity padding, the refused slices and the warnings
 condition numbers already computed.
 
 The stacked solve is one call, refused slices included (see
-``_scatter_fields``), its solver chosen by the stack's size. A stack of at
+``_gated_solve``), its solver chosen by the stack's size (``_solve``). A stack of at
 least ``_ELIMINATE_FROM`` slices with at most ``_ELIMINATE_MAX_N`` excited
 levels, such as a sweep, goes to ``_eliminate``: Gaussian elimination with
 partial pivoting, each step one ufunc over all slices, where LAPACK would
